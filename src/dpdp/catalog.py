@@ -20,7 +20,7 @@ from functools import lru_cache
 from itertools import combinations, combinations_with_replacement
 
 from .graph import Multigraph
-from ._canon import classes_by_isomorphism, is_isomorphic
+from ._canon import classes_by_isomorphism
 
 #: connected simple graphs on n=1..7 vertices, up to isomorphism
 CONNECTED_SIMPLE_COUNTS = (1, 1, 2, 6, 21, 112, 853)
@@ -381,7 +381,3 @@ def write_dot(g: Multigraph, name: str = "g") -> str:
     lines += [f"  {e.u} -- {e.v};" for e in g.edges]
     lines.append("}")
     return "\n".join(lines) + "\n"
-
-
-def _require_isomorphic(a: Multigraph, b: Multigraph) -> bool:
-    return is_isomorphic(a, b)

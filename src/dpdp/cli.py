@@ -383,6 +383,13 @@ def main(argv=None) -> int:
     except (ValueError, OSError) as exc:
         print(f"dpdp: error: {exc}", file=sys.stderr)
         return 1
+    except RecursionError:
+        print(
+            "dpdp: error: input too deep for the recursive search "
+            f"(Python recursion limit {sys.getrecursionlimit()})",
+            file=sys.stderr,
+        )
+        return 1
 
 
 if __name__ == "__main__":

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
-from typing import Iterable, Iterator
+from typing import Iterable
 
 
 @dataclass(frozen=True)
@@ -260,10 +260,6 @@ class Multigraph:
         object.__setattr__(self, name, value)
 
 
-def degree_sequence(g: Multigraph) -> tuple[int, ...]:
-    return tuple(sorted(g._degree))
-
-
 def is_path_graph(g: Multigraph) -> bool:
     """Connected, simple, degree sequence of a path (P1 allowed)."""
     if g.n == 0 or not g.is_simple() or not g.is_connected():
@@ -279,7 +275,3 @@ def is_cycle_graph(g: Multigraph) -> bool:
     if g.n == 0 or not g.is_connected():
         return False
     return g.m == g.n and all(g.degree(v) == 2 for v in range(g.n))
-
-
-def iter_vertices(g: Multigraph) -> Iterator[int]:
-    return iter(range(g.n))

@@ -1,11 +1,14 @@
 from __future__ import annotations
 
 import json
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
+import dpdp
 from dpdp.catalog import complete, cycle, path, write_graph6
 from dpdp.cli import main
 from dpdp.domination import DpPair, is_dp_pair
@@ -209,6 +212,16 @@ def test_exit_code_1_on_input_errors(tmp_path, capsys):
     capsys.readouterr()
 
 
+def test_too_deep_input_is_a_one_line_error(tmp_path, capsys):
+    f = tmp_path / "p5000.el"
+    f.write_text(edge_list_text(path(5000)))
+    assert main(["check", str(f)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    lines = captured.err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("dpdp: error: input too deep")
+
+
 def test_usage_error_exits_1():
     with pytest.raises(SystemExit) as exc:
         main(["not-a-command"])
@@ -225,9 +238,12 @@ def test_byte_determinism(tmp_path, capsys, p6_file):
 def test_console_script_installed(tmp_path):
     f = tmp_path / "k3.el"
     f.write_text(edge_list_text(complete(3)))
+    # the child imports the same package as this process, installed or not
+    src = str(Path(dpdp.__file__).resolve().parents[1])
+    path_var = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
     proc = subprocess.run(
         [sys.executable, "-m", "dpdp.cli", "check", str(f)],
-        capture_output=True, text=True,
+        capture_output=True, text=True, env=dict(os.environ, PYTHONPATH=path_var),
     )
     assert proc.returncode == 0
     assert json.loads(proc.stdout)["result"]["dpdp"] is True
