@@ -9,6 +9,7 @@ with a built-in cross-validation harness.
 from .graph import EdgeRecord, Multigraph, is_cycle_graph, is_path_graph
 from .domination import (
     DpPair,
+    dp_pair_problem,
     enumerate_dp_pairs,
     find_dp_pair,
     has_perfect_matching_on,
@@ -61,6 +62,7 @@ __all__ = [
     "has_perfect_matching_on",
     "is_paired_dominating",
     "is_dp_pair",
+    "dp_pair_problem",
     "find_dp_pair",
     "is_dpdp",
     "enumerate_dp_pairs",

@@ -31,7 +31,13 @@ from .catalog import (
     write_dot,
     write_edge_list,
 )
-from .domination import DpPair, enumerate_dp_pairs, find_dp_pair, is_dp_pair
+from .domination import (
+    DpPair,
+    dp_pair_problem,
+    enumerate_dp_pairs,
+    find_dp_pair,
+    is_dp_pair,
+)
 from .goodsub import find_good_subgraph, verify_good_certificate
 from .graph import Multigraph
 from .minimality import deletion_witness, is_minimal_by_deletion, xcheck
@@ -143,7 +149,7 @@ def cmd_check(args) -> int:
     g = _load_graph(args.file, args.format)
     pair = find_dp_pair(g)
     if pair is not None:
-        assert is_dp_pair(g, pair)
+        assert is_dp_pair(g, pair), dp_pair_problem(g, pair)
     _emit(
         "check",
         args.file,
@@ -157,7 +163,7 @@ def cmd_pairs(args) -> int:
     g = _load_graph(args.file, args.format)
     pairs = enumerate_dp_pairs(g, cap=args.cap)
     for p in pairs:
-        assert is_dp_pair(g, p)
+        assert is_dp_pair(g, p), dp_pair_problem(g, p)
     _emit(
         "pairs",
         args.file,

@@ -3,8 +3,11 @@
 A DP-pair is a partition (D, P) of the vertex set where D is dominating
 and P is paired-dominating (dominating plus a perfect matching inside P).
 The search assigns vertices to D or P depth-first in BFS order from
-vertex 0, after forcing leaves into D and supports into P; matching
-feasibility on P is checked exactly at complete assignments only.
+vertex 0, after forcing leaves into D and supports into P.  A connected
+component of G[P] whose vertices have no unassigned neighbour is final:
+it is checked for a perfect matching as soon as it closes, and the branch
+is pruned if it has none.  A complete assignment therefore has a matched
+component everywhere, and its matching is the union of theirs.
 
 Two pairs are the same iff their (D, P) partitions agree; matchings are
 witnesses, not identity.  Every positive verdict carries a pair that
@@ -45,66 +48,93 @@ def has_perfect_matching_on(
 ) -> tuple[int, ...] | None:
     """A perfect matching of the subgraph induced by s, as edge ids, or None.
 
-    Loops never belong to a matching.  Exact memoised backtracking; agrees
-    with exhaustive pairing for |s| <= 12 (oracle-tested).
+    Loops never belong to a matching; a pair joined by parallel edges is
+    matched by its lowest edge id.  Exact backtracking on an explicit
+    stack: the lowest unmatched vertex is paired with each remaining
+    neighbour in ascending order, and vertex sets that cannot be paired
+    are memoised.  Agrees with exhaustive pairing and with networkx
+    (oracle-tested).
     """
     ss = frozenset(s)
     if len(ss) % 2:
         return None
     if not ss:
         return ()
+    # lowest edge id of every adjacent ordered pair in s; incident ids ascend
+    eid_of: dict[tuple[int, int], int] = {}
+    for u in ss:
+        for eid in g.incident_edges(u):
+            e = g.edges[eid]
+            w = e.v if e.u == u else e.u
+            if w != u and w in ss:
+                eid_of.setdefault((u, w), eid)
     partners = {u: sorted(g.plain_neighbors(u) & ss) for u in ss}
     dead: set[frozenset[int]] = set()
-
-    def pair_up(remaining: frozenset[int], acc: list[int]) -> bool:
+    # frames [remaining, u, remaining - {u}, index of u's current partner]
+    stack: list[list] = []
+    remaining = ss
+    while True:
         if not remaining:
-            return True
-        if remaining in dead:
-            return False
-        u = min(remaining)
-        rest = remaining - {u}
-        for w in partners[u]:
-            if w in rest:
-                acc.append(g.edge_between(u, w))
-                if pair_up(rest - {w}, acc):
-                    return True
-                acc.pop()
-        dead.add(remaining)
-        return False
-
-    acc: list[int] = []
-    if pair_up(ss, acc):
-        return tuple(sorted(acc))
-    return None
+            return tuple(sorted(eid_of[u, partners[u][i]] for _, u, _, i in stack))
+        if remaining not in dead:
+            u = min(remaining)
+            stack.append([remaining, u, remaining - {u}, -1])
+        # move the top frame to its next partner; a frame with none left is dead
+        while stack:
+            frame = stack[-1]
+            _, u, rest, i = frame
+            ws = partners[u]
+            i += 1
+            while i < len(ws) and ws[i] not in rest:
+                i += 1
+            if i < len(ws):
+                frame[3] = i
+                remaining = rest - {ws[i]}
+                break
+            dead.add(frame[0])
+            stack.pop()
+        else:
+            return None
 
 
 def is_paired_dominating(g: Multigraph, s: frozenset[int] | set[int]) -> bool:
     return is_dominating(g, s) and has_perfect_matching_on(g, s) is not None
 
 
-def is_dp_pair(g: Multigraph, pair: DpPair) -> bool:
-    """Literal check of every DP-pair invariant against g."""
+def dp_pair_problem(g: Multigraph, pair: DpPair) -> str | None:
+    """The first DP-pair invariant that pair breaks on g, or None."""
     d, p = pair.d, pair.p
-    if d & p or (d | p) != frozenset(range(g.n)):
-        return False
+    if d & p:
+        return f"D and P overlap at vertex {min(d & p)}"
+    if (d | p) != frozenset(range(g.n)):
+        return "D and P do not partition the vertex set"
     if len(p) % 2:
-        return False
-    if not is_dominating(g, d) or not is_dominating(g, p):
-        return False
+        return f"P has odd size {len(p)}"
+    for name, s in (("D", d), ("P", p)):
+        for v in range(g.n):
+            if v not in s and not g.neighborhood(v) & s:
+                return f"{name} is not dominating: vertex {v} has no neighbour in it"
     covered: set[int] = set()
     for eid in pair.matching:
         if not (0 <= eid < g.m):
-            return False
+            return f"matching edge id {eid} is not an edge of the graph"
         e = g.edges[eid]
         if e.is_loop():
-            return False
+            return f"matching edge {eid} is a loop"
         if e.u not in p or e.v not in p:
-            return False
-        if e.u in covered or e.v in covered:
-            return False
-        covered.add(e.u)
-        covered.add(e.v)
-    return covered == set(p)
+            return f"matching edge {eid} leaves P"
+        for x in e.endpoints():
+            if x in covered:
+                return f"vertex {x} is covered twice by the matching"
+            covered.add(x)
+    if covered != p:
+        return f"the matching leaves P-vertex {min(p - covered)} uncovered"
+    return None
+
+
+def is_dp_pair(g: Multigraph, pair: DpPair) -> bool:
+    """Literal check of every DP-pair invariant against g."""
+    return dp_pair_problem(g, pair) is None
 
 
 def enumerate_dp_pairs(g: Multigraph, cap: int) -> list[DpPair]:
@@ -198,36 +228,73 @@ def enumerate_dp_pairs(g: Multigraph, cap: int) -> list[DpPair]:
                 cnt[u][2] += 1
                 cnt[u][s - 1] -= 1
 
+    # perfect matching (or None) of every final P-component met so far
+    matchings: dict[frozenset[int], tuple[int, ...] | None] = {}
+
+    def p_component(z: int) -> list[int]:
+        """The connected component of G[P] around the P-vertex z."""
+        comp = [z]
+        seen = {z}
+        for y in comp:
+            for w in nbrs[y]:
+                if state[w] == _P and w not in seen:
+                    seen.add(w)
+                    comp.append(w)
+        return comp
+
+    def final_components_match(mark: int) -> bool:
+        """False if the assignments since mark closed a P-component that
+        has no perfect matching.  A component is final once none of its
+        vertices has an unassigned neighbour."""
+        done: set[int] = set()
+        for x in trail[mark:]:
+            for z in (x, *nbrs[x]):
+                if state[z] != _P or cnt[z][2] or z in done:
+                    continue
+                comp = p_component(z)
+                done.update(comp)
+                if any(cnt[y][2] for y in comp):
+                    continue
+                if len(comp) % 2:
+                    return False
+                key = frozenset(comp)
+                if key not in matchings:
+                    matchings[key] = has_perfect_matching_on(g, key)
+                if matchings[key] is None:
+                    return False
+        return True
+
     def emit() -> None:
         p = frozenset(v for v in range(n) if state[v] == _P)
-        matching = has_perfect_matching_on(g, p)
-        if matching is None:
-            return
-        d = frozenset(v for v in range(n) if state[v] == _D)
-        pair = DpPair(d, p, matching)
+        d = frozenset(range(n)) - p
+        # every component of G[P] is final here and was matched when it closed
+        matching: list[int] = []
+        done: set[int] = set()
+        for z in p:
+            if z not in done:
+                comp = frozenset(p_component(z))
+                done |= comp
+                matching.extend(matchings[comp])
+        pair = DpPair(d, p, tuple(sorted(matching)))
         # Obs 4.2 containments and the full invariant, re-checked on every hit
         assert leaves <= d and supports <= p
-        assert is_dp_pair(g, pair)
+        assert is_dp_pair(g, pair), dp_pair_problem(g, pair)
         results.append(pair)
 
     order = g.bfs_order(0)
+    # Depth-first over positions in order, D before P; a frame is
+    # [position, trail mark before its vertex, side tried last].
+    stack: list[list[int]] = []
 
-    def dfs(pos: int) -> None:
-        if len(results) >= cap:
-            return
+    def descend(pos: int) -> None:
+        """Emit a complete assignment, else open a frame at the next
+        unassigned position from pos on."""
         while pos < n and state[order[pos]] != _UNSET:
             pos += 1
         if pos == n:
             emit()
-            return
-        v = order[pos]
-        for side in (_D, _P):
-            mark = len(trail)
-            if assign(v, side):
-                dfs(pos + 1)
-            undo(mark)
-            if len(results) >= cap:
-                return
+        else:
+            stack.append([pos, len(trail), _UNSET])
 
     mark = len(trail)
     ok = True
@@ -235,8 +302,18 @@ def enumerate_dp_pairs(g: Multigraph, cap: int) -> list[DpPair]:
         ok = ok and assign(leaf, _D)
     for s in sorted(supports):
         ok = ok and assign(s, _P)
-    if ok:
-        dfs(0)
+    if ok and final_components_match(mark):
+        descend(0)
+    while stack and len(results) < cap:
+        frame = stack[-1]
+        pos, frame_mark, side = frame
+        undo(frame_mark)
+        if side == _P:
+            stack.pop()
+            continue
+        side = frame[2] = _D if side == _UNSET else _P
+        if assign(order[pos], side) and final_components_match(frame_mark):
+            descend(pos + 1)
     undo(mark)
     return results
 

@@ -212,14 +212,40 @@ def test_exit_code_1_on_input_errors(tmp_path, capsys):
     capsys.readouterr()
 
 
-def test_too_deep_input_is_a_one_line_error(tmp_path, capsys):
-    f = tmp_path / "p5000.el"
-    f.write_text(edge_list_text(path(5000)))
+def test_too_deep_input_is_a_one_line_error(tmp_path, capsys, monkeypatch):
+    def too_deep(g):
+        raise RecursionError("maximum recursion depth exceeded")
+
+    monkeypatch.setattr("dpdp.cli.find_dp_pair", too_deep)
+    f = tmp_path / "p4.el"
+    f.write_text(edge_list_text(path(4)))
     assert main(["check", str(f)]) == 1
     captured = capsys.readouterr()
     assert captured.out == ""
     lines = captured.err.splitlines()
     assert len(lines) == 1 and lines[0].startswith("dpdp: error: input too deep")
+
+
+def test_long_path_is_decided(tmp_path, capsys):
+    n = 5000
+    f = tmp_path / "p5000.el"
+    f.write_text(edge_list_text(path(n)))
+    code, out = run_cli(capsys, "check", str(f))
+    assert code == 0
+    res = json.loads(out)["result"]
+    assert res["dpdp"] is True
+    # re-check the pair from raw edges: D and P dominate, the matching
+    # covers P exactly once with edges of the path
+    d, p = set(res["pair"]["d"]), set(res["pair"]["p"])
+    assert d | p == set(range(n)) and not d & p
+    nbrs = {v: {w for w in (v - 1, v + 1) if 0 <= w < n} for v in range(n)}
+    for s in (d, p):
+        assert all(v in s or nbrs[v] & s for v in range(n))
+    covered = []
+    for u, v, eid in res["pair"]["matching"]:
+        assert (u, v) == (eid, eid + 1)
+        covered += [u, v]
+    assert sorted(covered) == sorted(p)
 
 
 def test_usage_error_exits_1():

@@ -3,10 +3,12 @@ from __future__ import annotations
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from dpdp.catalog import complete, cycle, path
 from dpdp.domination import (
     DpPair,
+    dp_pair_problem,
     enumerate_dp_pairs,
     find_dp_pair,
     has_perfect_matching_on,
@@ -16,6 +18,7 @@ from dpdp.domination import (
     is_paired_dominating,
 )
 from dpdp.graph import Multigraph
+from dpdp.subdivision import build_s2
 
 from helpers import oracle_dp_partitions, oracle_pairing_exists
 
@@ -79,6 +82,40 @@ def test_is_dp_pair_rejects_bad_certificates():
     assert not is_dp_pair(p4, DpPair(frozenset({0, 1}), frozenset({1, 2}), (1,)))
     assert not is_dp_pair(p4, DpPair(frozenset({0, 3}), frozenset({1, 2}), ()))
     assert not is_dp_pair(p4, DpPair(frozenset({1, 2}), frozenset({0, 3}), (0,)))
+
+
+@pytest.mark.parametrize(
+    "g, pair, problem",
+    [
+        (path(4), DpPair(frozenset({0, 1}), frozenset({1, 2}), (1,)),
+         "D and P overlap at vertex 1"),
+        (path(4), DpPair(frozenset({0}), frozenset({1, 2}), (1,)),
+         "D and P do not partition the vertex set"),
+        (complete(3), DpPair(frozenset(), frozenset({0, 1, 2}), (0,)),
+         "P has odd size 3"),
+        (path(4), DpPair(frozenset({0, 1}), frozenset({2, 3}), (2,)),
+         "D is not dominating: vertex 3 has no neighbour in it"),
+        (path(6), DpPair(frozenset({0, 1, 2, 5}), frozenset({3, 4}), (3,)),
+         "P is not dominating: vertex 0 has no neighbour in it"),
+        (path(4), DpPair(frozenset({0, 3}), frozenset({1, 2}), (3,)),
+         "matching edge id 3 is not an edge of the graph"),
+        (Multigraph(4, [(0, 1), (1, 1), (1, 2), (2, 3)]),
+         DpPair(frozenset({0, 3}), frozenset({1, 2}), (1,)),
+         "matching edge 1 is a loop"),
+        (path(4), DpPair(frozenset({0, 3}), frozenset({1, 2}), (0,)),
+         "matching edge 0 leaves P"),
+        (Multigraph(4, [(0, 1), (1, 2), (1, 2), (2, 3)]),
+         DpPair(frozenset({0, 3}), frozenset({1, 2}), (1, 2)),
+         "vertex 1 is covered twice by the matching"),
+        (path(4), DpPair(frozenset({0, 3}), frozenset({1, 2}), ()),
+         "the matching leaves P-vertex 1 uncovered"),
+    ],
+    ids=["overlap", "partition", "odd", "d-dominating", "p-dominating",
+         "edge-id", "loop", "outside", "twice", "uncovered"],
+)
+def test_dp_pair_problem_names_the_broken_clause(g, pair, problem):
+    assert dp_pair_problem(g, pair) == problem
+    assert not is_dp_pair(g, pair)
 
 
 def test_is_paired_dominating():
@@ -171,3 +208,73 @@ def test_search_agrees_with_exhaustive_partitions_small():
         want = oracle_dp_partitions(g)
         got = sorted((p.d for p in enumerate_dp_pairs(g, cap=200)), key=sorted)
         assert got == want, g.edge_multiset()
+
+
+# -- properties of the pruned search --------------------------------------
+
+
+@st.composite
+def multigraphs(draw, max_n: int, max_m: int):
+    """Random multigraphs with loops and parallel edges."""
+    n = draw(st.integers(1, max_n))
+    vertex = st.integers(0, n - 1)
+    edges = draw(st.lists(st.tuples(vertex, vertex), max_size=max_m))
+    return Multigraph(n, edges)
+
+
+@st.composite
+def s2_graphs(draw):
+    """build_s2 of a random base with 1-4 edges and no isolated vertex."""
+    ends = draw(st.lists(st.tuples(st.integers(0, 7), st.integers(0, 7)),
+                         min_size=1, max_size=4))
+    used = sorted({v for e in ends for v in e})
+    index = {v: i for i, v in enumerate(used)}
+    h = Multigraph(len(used), [(index[u], index[v]) for u, v in ends])
+    return build_s2(h)[0]
+
+
+def _d_sets(g: Multigraph) -> list[frozenset[int]]:
+    pairs = enumerate_dp_pairs(g, cap=10**6)
+    # the witness assembled from per-component matchings is the one a
+    # single matching call on the whole of P returns
+    for pair in pairs:
+        assert pair.matching == has_perfect_matching_on(g, pair.p)
+    return sorted((p.d for p in pairs), key=sorted)
+
+
+@settings(max_examples=300, deadline=None)
+@given(multigraphs(max_n=9, max_m=14))
+def test_search_equals_exhaustive_partitions(g):
+    assert _d_sets(g) == oracle_dp_partitions(g)
+
+
+@settings(max_examples=60, deadline=None)
+@given(s2_graphs())
+def test_search_equals_exhaustive_partitions_on_s2_graphs(g):
+    assert _d_sets(g) == oracle_dp_partitions(g)
+
+
+@settings(max_examples=200, deadline=None)
+@given(multigraphs(max_n=10, max_m=16), st.integers(1, 6))
+def test_capped_search_is_a_prefix(g, k):
+    assert enumerate_dp_pairs(g, cap=k) == enumerate_dp_pairs(g, cap=10**6)[:k]
+
+
+@settings(max_examples=300, deadline=None)
+@given(multigraphs(max_n=16, max_m=30), st.data())
+def test_matching_agrees_with_networkx(g, data):
+    nx = pytest.importorskip("networkx")
+    s = data.draw(st.sets(st.integers(0, g.n - 1)))
+    h = nx.Graph()
+    h.add_nodes_from(s)
+    h.add_edges_from((e.u, e.v) for e in g.edges if e.u != e.v and {e.u, e.v} <= s)
+    nx_covers = 2 * len(nx.max_weight_matching(h, maxcardinality=True)) == len(s)
+    got = has_perfect_matching_on(g, s)
+    assert (got is not None) == nx_covers
+    if got is not None:
+        covered = []
+        for eid in got:
+            e = g.edges[eid]
+            assert e.u != e.v and {e.u, e.v} <= s
+            covered += [e.u, e.v]
+        assert sorted(covered) == sorted(s)
