@@ -28,6 +28,10 @@ CONNECTED_SIMPLE_COUNTS = (1, 1, 2, 6, 21, 112, 853)
 #: connected cubic graphs on 4, 6, 8, 10 vertices, up to isomorphism
 CONNECTED_CUBIC_COUNTS = {4: 1, 6: 2, 8: 5, 10: 19}
 
+#: largest vertex count an edge-list header may declare; building a
+#: Multigraph peaks near 610 bytes per vertex, so one input stays under 0.65 GB
+MAX_EDGE_LIST_VERTICES = 1_000_000
+
 
 # -- named families ---------------------------------------------------------
 
@@ -353,6 +357,8 @@ def read_edge_list(text: str) -> Multigraph:
         n, m = int(head[0]), int(head[1])
     except ValueError:
         raise ValueError(f"bad header line {rows[0]!r}") from None
+    if n > MAX_EDGE_LIST_VERTICES:
+        raise ValueError(f"{n} vertices exceed the limit of {MAX_EDGE_LIST_VERTICES}")
     if len(rows) - 1 != m:
         raise ValueError(f"expected {m} edge lines, found {len(rows) - 1}")
     edges = []

@@ -40,7 +40,7 @@ from .domination import (
 )
 from .goodsub import find_good_subgraph, verify_good_certificate
 from .graph import Multigraph
-from .minimality import deletion_witness, is_minimal_by_deletion, xcheck
+from .minimality import deletion_witness, xcheck
 from .subdivision import S2Labeling, build_s2, invert_s2
 
 
@@ -176,7 +176,7 @@ def cmd_pairs(args) -> int:
 def cmd_minimal(args) -> int:
     g = _load_graph(args.file, args.format)
     pair = find_dp_pair(g)
-    witness = deletion_witness(g)
+    witness = deletion_witness(g) if pair is not None else None
     minimal = pair is not None and witness is None
     result = {
         "dpdp": pair is not None,

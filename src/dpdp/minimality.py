@@ -6,7 +6,9 @@ The two other characterizations run through the 2-subdivision inversion:
 either the canonical (old, new) partition is the unique DP-pair (or the
 graph is a cycle of length 3, 6 or 9), or the recovered base graph has no
 good subgraph.  xcheck asserts the three verdicts agree; any disagreement
-is a hard failure of the whole artifact.
+is a hard failure of the whole artifact.  deletion_witness is the one
+scan over edge deletions; classify and xcheck share one evaluator that
+runs each engine once.
 """
 
 from __future__ import annotations
@@ -52,20 +54,13 @@ class XcheckResult:
 
 def is_minimal_by_deletion(g: Multigraph) -> bool:
     """DPDP, and no single edge can be deleted without losing DPDP-ness."""
-    if not is_dpdp(g):
-        return False
-    for eid in range(g.m):
-        smaller, _ = g.delete_edge(eid)
-        if is_dpdp(smaller):
-            return False
-    return True
+    return is_dpdp(g) and deletion_witness(g) is None
 
 
 def deletion_witness(g: Multigraph) -> int | None:
-    """Lowest edge id whose removal keeps g DPDP, or None (g minimal or
-    not DPDP at all)."""
-    if not is_dpdp(g):
-        return None
+    """Lowest edge id whose removal keeps g DPDP, or None.  g itself is not
+    searched: by supergraph monotonicity a g that is not DPDP also yields
+    None, after one DP search per edge."""
     for eid in range(g.m):
         smaller, _ = g.delete_edge(eid)
         if is_dpdp(smaller):
@@ -101,17 +96,9 @@ def minimal_spanning_dpdp_subgraph(g: Multigraph) -> Multigraph | None:
     keeps the graph DPDP.  None iff g is not DPDP."""
     if not is_dpdp(g):
         return None
-    current = g
-    progress = True
-    while progress:
-        progress = False
-        for eid in range(current.m):
-            smaller, _ = current.delete_edge(eid)
-            if is_dpdp(smaller):
-                current = smaller
-                progress = True
-                break
-    return current
+    while (eid := deletion_witness(g)) is not None:
+        g, _ = g.delete_edge(eid)
+    return g
 
 
 def is_small_cycle_369(g: Multigraph) -> bool:
@@ -124,13 +111,26 @@ def is_small_cycle_369(g: Multigraph) -> bool:
     )
 
 
-def _unique_canonical_pair(g: Multigraph, lab: S2Labeling) -> bool:
+def _evaluate(
+    g: Multigraph, lab: S2Labeling | None
+) -> tuple[list[DpPair], bool, GoodSubgraphCertificate | None, bool, bool]:
+    """Every engine once on g, whose 2-subdivision labeling is lab (None if
+    g is none): the first two DP-pairs, the deletion verdict, the base's
+    good-subgraph certificate, and the good-subgraph and uniqueness
+    verdicts, which hold only on a connected non-empty base (the Theorem)."""
     pairs = enumerate_dp_pairs(g, cap=2)
-    if len(pairs) != 1:
-        return False
-    # a unique pair is necessarily the canonical one; assert it anyway
-    assert pairs[0].partition() == (lab.old_part(), lab.new_part())
-    return True
+    minimal = bool(pairs) and deletion_witness(g) is None
+    if lab is None:
+        return pairs, minimal, None, False, False
+    if len(pairs) == 1:
+        # a unique pair is necessarily the canonical one; assert it anyway
+        assert pairs[0].partition() == (lab.old_part(), lab.new_part())
+    base = lab.base
+    cert = find_good_subgraph(base) if base.n else None
+    theorem_applies = base.n > 0 and base.is_connected()
+    by_goodsub = theorem_applies and cert is None
+    by_unique = theorem_applies and (is_small_cycle_369(g) or len(pairs) == 1)
+    return pairs, minimal, cert, by_goodsub, by_unique
 
 
 def classify(g: Multigraph) -> MinimalityReport:
@@ -139,32 +139,17 @@ def classify(g: Multigraph) -> MinimalityReport:
     Verdict consistency is the Theorem about connected graphs of order at
     least three; outside those hypotheses it is reported vacuously true.
     """
-    dpdp = is_dpdp(g)
-    minimal = is_minimal_by_deletion(g)
     inv = invert_s2(g)
-    cert = None
-    pairs = enumerate_dp_pairs(g, cap=2)
-    if inv is None:
-        by_unique = False
-        by_goodsub = False
-        inversion = None
-    else:
-        base, alpha, lab = inv
-        inversion = (base, alpha)
-        cert = find_good_subgraph(base) if base.n else None
-        by_goodsub = base.is_connected() and cert is None and base.n > 0
-        by_unique = base.is_connected() and base.n > 0 and (
-            is_small_cycle_369(g)
-            or (len(pairs) == 1 and pairs[0].partition() == (lab.old_part(), lab.new_part()))
-        )
+    lab = inv[2] if inv is not None else None
+    pairs, minimal, cert, by_goodsub, by_unique = _evaluate(g, lab)
     if g.n >= 3 and g.is_connected():
         consistent = minimal == by_unique == by_goodsub
     else:
         consistent = True
     return MinimalityReport(
-        is_dpdp=dpdp,
+        is_dpdp=bool(pairs),
         minimal_by_deletion=minimal,
-        inversion=inversion,
+        inversion=inv[:2] if inv is not None else None,
         good_subgraph=cert,
         dp_pair_count_capped=len(pairs),
         verdicts_consistent=consistent,
@@ -179,13 +164,13 @@ def xcheck(h: Multigraph) -> XcheckResult:
     if any(h.degree(v) == 0 for v in range(h.n)):
         raise ValueError("xcheck base graph must have no isolated vertex")
     g, lab = build_s2(h)
+    _, minimal, _, by_goodsub, by_unique = _evaluate(g, lab)
     return XcheckResult(
         base_n=h.n,
         base_m=h.m,
-        minimal_by_deletion=is_minimal_by_deletion(g),
-        no_good_subgraph=find_good_subgraph(h) is None,
-        unique_pair_or_small_cycle=is_small_cycle_369(g)
-        or _unique_canonical_pair(g, lab),
+        minimal_by_deletion=minimal,
+        no_good_subgraph=by_goodsub,
+        unique_pair_or_small_cycle=by_unique,
     )
 
 

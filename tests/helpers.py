@@ -3,11 +3,15 @@
 Everything here recomputes from raw edge data with its own naive
 algorithms; none of it calls the library's search or matching code, so
 engine results can be checked against a genuinely independent path.
+The hypothesis strategy at the end draws the random inputs they are
+compared on.
 """
 
 from __future__ import annotations
 
 from itertools import combinations
+
+from hypothesis import strategies as st
 
 from dpdp.graph import Multigraph
 
@@ -66,3 +70,12 @@ def oracle_dp_partitions(g: Multigraph) -> list[frozenset[int]]:
 def edge_list_text(g: Multigraph) -> str:
     lines = [f"{g.n} {g.m}"] + [f"{e.u} {e.v}" for e in g.edges]
     return "\n".join(lines) + "\n"
+
+
+@st.composite
+def multigraphs(draw, max_n: int, max_m: int):
+    """Random multigraphs with loops and parallel edges."""
+    n = draw(st.integers(1, max_n))
+    vertex = st.integers(0, n - 1)
+    edges = draw(st.lists(st.tuples(vertex, vertex), max_size=max_m))
+    return Multigraph(n, edges)

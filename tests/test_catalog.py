@@ -201,7 +201,7 @@ def test_edge_list_examples():
 
 
 def test_edge_list_errors():
-    for text in ("", "2\n", "2 2\n0 1\n", "1 1\n0 1 2\n", "x y\n"):
+    for text in ("", "2\n", "2 2\n0 1\n", "1 1\n0 1 2\n", "x y\n", "10000000 0\n"):
         with pytest.raises(ValueError):
             read_edge_list(text)
 

@@ -212,6 +212,16 @@ def test_exit_code_1_on_input_errors(tmp_path, capsys):
     capsys.readouterr()
 
 
+def test_huge_vertex_count_is_a_one_line_error(tmp_path, capsys):
+    f = tmp_path / "huge.el"
+    f.write_text("10000000000 0\n")
+    assert main(["check", str(f)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    lines = captured.err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("dpdp: error: ")
+
+
 def test_too_deep_input_is_a_one_line_error(tmp_path, capsys, monkeypatch):
     def too_deep(g):
         raise RecursionError("maximum recursion depth exceeded")

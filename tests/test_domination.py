@@ -20,7 +20,7 @@ from dpdp.domination import (
 from dpdp.graph import Multigraph
 from dpdp.subdivision import build_s2
 
-from helpers import oracle_dp_partitions, oracle_pairing_exists
+from helpers import multigraphs, oracle_dp_partitions, oracle_pairing_exists
 
 
 def test_is_dominating_examples():
@@ -211,15 +211,6 @@ def test_search_agrees_with_exhaustive_partitions_small():
 
 
 # -- properties of the pruned search --------------------------------------
-
-
-@st.composite
-def multigraphs(draw, max_n: int, max_m: int):
-    """Random multigraphs with loops and parallel edges."""
-    n = draw(st.integers(1, max_n))
-    vertex = st.integers(0, n - 1)
-    edges = draw(st.lists(st.tuples(vertex, vertex), max_size=max_m))
-    return Multigraph(n, edges)
 
 
 @st.composite

@@ -1,7 +1,13 @@
 from __future__ import annotations
 
-import pytest
+from collections import Counter
 
+import pytest
+from hypothesis import given, settings
+
+import dpdp.cli
+import dpdp.domination
+import dpdp.minimality
 from dpdp.catalog import complete, corona, cycle, enumerate_connected_simple, path
 from dpdp.domination import enumerate_dp_pairs, is_dpdp
 from dpdp.goodsub import find_good_subgraph
@@ -17,6 +23,8 @@ from dpdp.minimality import (
     xcheck,
 )
 from dpdp.subdivision import build_s2
+
+from helpers import edge_list_text, multigraphs, oracle_dp_partitions
 
 
 def test_minimal_path_table():
@@ -42,6 +50,61 @@ def test_deletion_witness():
     assert w is not None
     smaller, _ = path(8).delete_edge(w)
     assert is_dpdp(smaller)
+
+
+def _oracle_witness(g: Multigraph) -> int | None:
+    for eid in range(g.m):
+        if oracle_dp_partitions(g.delete_edge(eid)[0]):
+            return eid
+    return None
+
+
+@settings(max_examples=150, deadline=None)
+@given(multigraphs(max_n=8, max_m=10))
+def test_deletion_scan_agrees_with_exhaustive_partitions(g):
+    witness = _oracle_witness(g)
+    assert deletion_witness(g) == witness
+    dpdp_graph = bool(oracle_dp_partitions(g))
+    assert is_minimal_by_deletion(g) == (dpdp_graph and witness is None)
+    r = minimal_spanning_dpdp_subgraph(g)
+    assert (r is not None) == dpdp_graph
+    if r is not None:
+        assert r.n == g.n
+        assert Counter(r.edge_multiset()) <= Counter(g.edge_multiset())
+        assert oracle_dp_partitions(r) and _oracle_witness(r) is None
+
+
+@pytest.fixture()
+def dp_searches(monkeypatch):
+    """Caps of the enumerate_dp_pairs calls made, under every name the
+    package binds it to; every DP search enters through it."""
+    real = dpdp.domination.enumerate_dp_pairs
+    caps = []
+
+    def counted(g, cap):
+        caps.append(cap)
+        return real(g, cap)
+
+    for module in (dpdp.domination, dpdp.minimality, dpdp.cli):
+        monkeypatch.setattr(module, "enumerate_dp_pairs", counted)
+    return caps
+
+
+def test_one_dp_search_per_question(dp_searches, tmp_path, capsys):
+    # S2(P6) is P16, whose lowest deletable edge is 4: one capped
+    # enumeration, then one search per edge 0..4 and no repeated is_dpdp
+    xcheck(path(6))
+    assert dp_searches == [2, 1, 1, 1, 1, 1]
+    dp_searches.clear()
+    classify(build_s2(path(6))[0])
+    assert dp_searches == [2, 1, 1, 1, 1, 1]
+    dp_searches.clear()
+    # dpdp minimal on K4: the pair, then K4 minus edge 0 is DPDP
+    f = tmp_path / "k4.el"
+    f.write_text(edge_list_text(complete(4)))
+    assert dpdp.cli.main(["minimal", str(f)]) == 0
+    capsys.readouterr()
+    assert dp_searches == [1, 1]
 
 
 def test_reducible_pattern_examples():

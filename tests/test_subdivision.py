@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from dpdp._canon import is_isomorphic
 from dpdp.catalog import cycle, double_star, path, complete
@@ -122,24 +123,48 @@ def test_invert_recovers_alpha_from_leaf_counts():
     assert base.n == 2 and base.m == 1
 
 
-def test_roundtrip_sweep(multigraphs_le5):
+def _assert_roundtrip(h: Multigraph, alpha: dict[int, int] | None) -> None:
     # rebuild from the inversion output and compare edge-for-edge through tags
+    g, _ = build_s2(h, alpha)
+    inv = invert_s2(g)
+    assert inv is not None, (h.n, h.edge_multiset(), alpha)
+    base, got_alpha, lab = inv
+    rebuilt, lab2 = build_s2(base, got_alpha)
+    mapping = [lab2.vertex_of(t) for t in lab.provenance]
+    assert sorted(mapping) == list(range(g.n))
+    remapped = sorted(
+        (min(mapping[e.u], mapping[e.v]), max(mapping[e.u], mapping[e.v]))
+        for e in g.edges
+    )
+    assert tuple(remapped) == rebuilt.edge_multiset()
+
+
+def test_roundtrip_sweep(multigraphs_le5):
     for h in multigraphs_le5:
         leaves = sorted(h.leaves())
-        alphas = [None] + ([{leaves[0]: 2}] if leaves else [])
-        for alpha in alphas:
-            g, _ = build_s2(h, alpha)
-            inv = invert_s2(g)
-            assert inv is not None, (h.n, h.edge_multiset(), alpha)
-            base, got_alpha, lab = inv
-            rebuilt, lab2 = build_s2(base, got_alpha)
-            mapping = [lab2.vertex_of(t) for t in lab.provenance]
-            assert sorted(mapping) == list(range(g.n))
-            remapped = sorted(
-                (min(mapping[e.u], mapping[e.v]), max(mapping[e.u], mapping[e.v]))
-                for e in g.edges
-            )
-            assert tuple(remapped) == rebuilt.edge_multiset()
+        for alpha in [None] + ([{leaves[0]: 2}] if leaves else []):
+            _assert_roundtrip(h, alpha)
+
+
+@st.composite
+def based_alphas(draw):
+    """A random connected multigraph on 1-5 vertices (a random spanning
+    tree plus up to three edges that may be loops or parallel, in random
+    edge order) and a random multiplicity in {1, 2, 3} for each leaf."""
+    n = draw(st.integers(1, 5))
+    edges = [(draw(st.integers(0, v - 1)), v) for v in range(1, n)]
+    vertex = st.integers(0, n - 1)
+    edges += draw(st.lists(st.tuples(vertex, vertex),
+                           min_size=1 if n == 1 else 0, max_size=3))
+    h = Multigraph(n, draw(st.permutations(edges)))
+    alpha = {v: draw(st.integers(1, 3)) for v in sorted(h.leaves())}
+    return h, alpha
+
+
+@settings(max_examples=200, deadline=None)
+@given(based_alphas())
+def test_roundtrip_random_alpha(h_alpha):
+    _assert_roundtrip(*h_alpha)
 
 
 def test_invert_deterministic_on_rotations():
