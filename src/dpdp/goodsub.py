@@ -209,13 +209,15 @@ def _q_component_count(h: Multigraph, q_edges: tuple[int, ...]) -> int:
 
 
 def find_good_subgraph(h: Multigraph) -> GoodSubgraphCertificate | None:
-    """Exhaustive search for a good subgraph; returns a verified
-    certificate or None.
+    """Exhaustive search for a good subgraph; returns a certificate or None.
 
     Q candidates avoid leaves and supports (they never belong to a good
-    subgraph) and are tried smallest first, connected before disconnected;
-    paths grow depth-first with arcs in edge-id order, termination
-    offered before extension.  Output is deterministic.
+    subgraph) and are tried smallest first, connected before disconnected,
+    then by edge ids; the Q sets of one size are generated only when every
+    smaller size has failed.  Paths grow depth-first with arcs in edge-id
+    order, termination offered before extension.  The search decides
+    goodness from its own edge-end counters; verify_good_certificate runs
+    once, as an assertion on the hit.  Output is deterministic.
     """
     if any(h.degree(v) == 0 for v in range(h.n)):
         raise ValueError("host graph must have no isolated vertex")
@@ -223,70 +225,63 @@ def find_good_subgraph(h: Multigraph) -> GoodSubgraphCertificate | None:
     eligible = [
         e.id for e in h.edges if e.u in allowed and e.v in allowed
     ]
-    if not eligible:
-        return None
-
-    subsets: list[tuple[int, int, tuple[int, ...]]] = []
     for size in range(1, len(eligible) + 1):
-        for combo in combinations(eligible, size):
-            subsets.append((size, _q_component_count(h, combo), combo))
-    subsets.sort()
-
-    for _, _, combo in subsets:
-        q_edges = frozenset(combo)
-        q_vertices = set()
-        for eid in combo:
-            e = h.edges[eid]
-            q_vertices.add(e.u)
-            q_vertices.add(e.v)
-        # every Q-vertex still needs one outgoing arc: an edge-end budget check
-        if any(_q_degree(h, q_edges, v) + 1 > h.degree(v) for v in q_vertices):
-            continue
-        # arcs have pairwise distinct tails (out-degree is capped at 1), so at
-        # most n edges ever get oriented; the Q boundary must fit inside that
-        if len(edge_boundary(h, q_edges)) > h.n:
-            continue
-        cert = _search_paths(h, frozenset(q_vertices), q_edges)
-        if cert is not None:
-            return cert
+        combos = sorted(
+            combinations(eligible, size),
+            key=lambda combo: (_q_component_count(h, combo), combo),
+        )
+        for combo in combos:
+            # left[x]: edge-ends at x outside Q (a Q-loop takes two)
+            left = [h.degree(x) for x in range(h.n)]
+            q_vertices = set()
+            for eid in combo:
+                e = h.edges[eid]
+                left[e.u] -= 1
+                left[e.v] -= 1
+                q_vertices.add(e.u)
+                q_vertices.add(e.v)
+            q_edges = frozenset(combo)
+            # every Q-vertex still needs one outgoing arc
+            if any(left[v] < 1 for v in q_vertices):
+                continue
+            # arcs have pairwise distinct tails (out-degree is capped at 1), so at
+            # most n edges ever get oriented; the Q boundary must fit inside that
+            if len(edge_boundary(h, q_edges)) > h.n:
+                continue
+            cert = _search_paths(h, frozenset(q_vertices), q_edges, left)
+            if cert is not None:
+                ok, why = verify_good_certificate(h, cert)
+                assert ok, why
+                return cert
     return None
 
 
 def _search_paths(
-    h: Multigraph, q_vertices: frozenset[int], q_edges: frozenset[int]
+    h: Multigraph,
+    q_vertices: frozenset[int],
+    q_edges: frozenset[int],
+    left: list[int],
 ) -> GoodSubgraphCertificate | None:
-    """Grow one oriented path per Q-vertex (ascending) over non-Q edges;
-    full certificate verification decides at every complete family."""
+    """Grow one oriented path per Q-vertex (ascending) over non-Q edges.
+
+    left[x] counts the edge-ends at x outside Q that no placed arc uses
+    (an arc uses one at each end, a loop arc two); no arc takes it below 0.
+    The growth rules already make arcs disjoint, paths chain without
+    repeating a vertex, and out-degree at most 1, exactly 1 at Q-vertices.
+    The vertices with an out-arc are then the Q-vertices and the inner
+    vertices, so conditions (1) and (2) and coverage of the Q boundary say
+    left == 0 there, and (3) says left > 0 at every other path end (other
+    vertices have no arc and degree >= 1).
+    """
     qvs = sorted(q_vertices)
-    qdeg = {v: _q_degree(h, q_edges, v) for v in range(h.n)}
-    d_out = [0] * h.n
-    d_in = [0] * h.n
+    has_out = [False] * h.n
     oriented: dict[int, tuple[int, int]] = {}
     paths: dict[int, tuple[int, ...]] = {}
-    hit: list[GoodSubgraphCertificate] = []
-
-    def ends_left(x: int) -> int:
-        return h.degree(x) - qdeg[x] - d_in[x] - d_out[x]
-
-    def finish() -> bool:
-        cert = GoodSubgraphCertificate(
-            q_vertices=q_vertices,
-            q_edges=q_edges,
-            e_set=frozenset(oriented),
-            arcs=dict(oriented),
-            paths=dict(paths),
-        )
-        ok, _ = verify_good_certificate(h, cert)
-        if ok:
-            hit.append(cert)
-        return ok
 
     def start_next(i: int) -> bool:
         if i == len(qvs):
-            return finish()
+            return all((left[x] == 0) == has_out[x] for x in range(h.n))
         v = qvs[i]
-        if d_out[v]:
-            return False
         return grow(i, v, [], {v})
 
     def grow(i: int, pos: int, arcs_acc: list[int], visited: set[int]) -> bool:
@@ -298,61 +293,51 @@ def _search_paths(
             del paths[v]
             if pos in q_vertices:
                 return False  # a path reaching a Q-vertex must stop there
-        if d_out[pos]:
-            return False
+        if has_out[pos]:
+            return False  # an inner vertex of an earlier path
+        has_out[pos] = True
         for eid in h.incident_edges(pos):
             if eid in oriented or eid in q_edges:
                 continue
-            e = h.edges[eid]
-            if e.is_loop():
-                # a loop arc is only ever required at a Q-vertex (it lies in
-                # the Q boundary there); elsewhere dropping it keeps the
-                # certificate valid, so the search skips it
-                if pos not in q_vertices or ends_left(pos) < 2:
-                    continue
-                oriented[eid] = (pos, pos)
-                d_out[pos] += 1
-                d_in[pos] += 1
-                arcs_acc.append(eid)
-                paths[v] = tuple(arcs_acc)
-                done = start_next(i + 1)
-                if not done:
-                    del paths[v]
-                arcs_acc.pop()
-                d_out[pos] -= 1
-                d_in[pos] -= 1
-                del oriented[eid]
-                if done:
-                    return True
-            else:
-                nxt = e.other(pos)
-                closing = nxt == v  # walk may close back onto its start
-                if (nxt in visited and not closing) or ends_left(pos) < 1 or ends_left(nxt) < 1:
-                    continue
+            nxt = h.edges[eid].other(pos)
+            # the final arc may end at the start v: a walk closing around
+            # parallel edges, or a loop at v.  A loop anywhere else ends in
+            # visited and is skipped: it lies outside the Q boundary, so
+            # leaving it out keeps a certificate valid.
+            closing = nxt == v
+            if nxt in visited and not closing:
+                continue
+            left[pos] -= 1
+            left[nxt] -= 1
+            if left[pos] >= 0 and left[nxt] >= 0:
                 oriented[eid] = (pos, nxt)
-                d_out[pos] += 1
-                d_in[nxt] += 1
                 arcs_acc.append(eid)
                 if closing:
                     paths[v] = tuple(arcs_acc)
-                    done = start_next(i + 1)
-                    if not done:
-                        del paths[v]
+                    if start_next(i + 1):
+                        return True
+                    del paths[v]
                 else:
                     visited.add(nxt)
-                    done = grow(i, nxt, arcs_acc, visited)
+                    if grow(i, nxt, arcs_acc, visited):
+                        return True
                     visited.discard(nxt)
                 arcs_acc.pop()
-                d_out[pos] -= 1
-                d_in[nxt] -= 1
                 del oriented[eid]
-                if done:
-                    return True
+            left[pos] += 1
+            left[nxt] += 1
+        has_out[pos] = False
         return False
 
-    if start_next(0):
-        return hit[0]
-    return None
+    if not start_next(0):
+        return None
+    return GoodSubgraphCertificate(
+        q_vertices=q_vertices,
+        q_edges=q_edges,
+        e_set=frozenset(oriented),
+        arcs=dict(oriented),
+        paths=dict(paths),
+    )
 
 
 def _normalize_certificate(
@@ -490,22 +475,19 @@ def tree_find_good_subtree(h: Multigraph) -> frozenset[int] | None:
     if not (_is_forest(h) and h.is_connected() and h.n >= 1):
         raise ValueError("input is not a tree")
     allowed = sorted(frozenset(range(h.n)) - h.leaves() - h.supports())
-    candidates = []
     for size in range(2, len(allowed) + 1):
         for combo in combinations(allowed, size):
-            candidates.append(combo)
-    for combo in candidates:
-        s = frozenset(combo)
-        if not _connected_in(h, s):
-            continue
-        good = True
-        for x in s:
-            outside = h.plain_neighbors(x) - s
-            if len(outside) != 1 or h.degree(next(iter(outside))) < 2:
-                good = False
-                break
-        if good:
-            return s
+            s = frozenset(combo)
+            if not _connected_in(h, s):
+                continue
+            good = True
+            for x in s:
+                outside = h.plain_neighbors(x) - s
+                if len(outside) != 1 or h.degree(next(iter(outside))) < 2:
+                    good = False
+                    break
+            if good:
+                return s
     return None
 
 

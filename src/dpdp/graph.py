@@ -110,9 +110,6 @@ class Multigraph:
         """Ids of edges incident with v (loops included once)."""
         return self._incident[v]
 
-    def loops_at(self, v: int) -> tuple[int, ...]:
-        return self._loops[v]
-
     def edge_between(self, u: int, v: int) -> int | None:
         """Lowest edge id joining u and v (u != v), or None."""
         for eid in self._incident[u]:

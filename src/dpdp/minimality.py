@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 from .domination import DpPair, enumerate_dp_pairs, is_dpdp
 from .goodsub import GoodSubgraphCertificate, find_good_subgraph
-from .graph import Multigraph
+from .graph import Multigraph, is_cycle_graph
 from .subdivision import S2Labeling, build_s2, invert_s2
 
 
@@ -103,12 +103,7 @@ def minimal_spanning_dpdp_subgraph(g: Multigraph) -> Multigraph | None:
 
 def is_small_cycle_369(g: Multigraph) -> bool:
     """Structurally a cycle of length 3, 6 or 9 (no isomorphism test)."""
-    return (
-        g.n in (3, 6, 9)
-        and g.m == g.n
-        and g.is_connected()
-        and all(g.degree(v) == 2 for v in range(g.n))
-    )
+    return g.n in (3, 6, 9) and is_cycle_graph(g)
 
 
 def _evaluate(

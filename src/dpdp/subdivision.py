@@ -344,32 +344,34 @@ def invert_s2(
         alpha_full = _complete_alpha(base, alpha)
         return base, alpha_full, lab
 
-    result: list[tuple[Multigraph, dict[int, int], S2Labeling]] = []
+    # Depth-first over vertices in id order, old-or-copy before new; a
+    # frame is [vertex, trail mark before it, colour tried last].
+    stack: list[list[int]] = []
 
-    def dfs(v: int) -> bool:
+    def descend(v: int) -> tuple[Multigraph, dict[int, int], S2Labeling] | None:
+        """Reconstruct a complete colouring, else open a frame at the next
+        uncoloured vertex from v on."""
         while v < n and color[v]:
             v += 1
         if v == n:
-            rec = reconstruct()
-            if rec is not None:
-                result.append(rec)
-                return True
-            return False
-        for c in (_O, _N):
-            mark = len(trail)
-            if assign(v, c) and dfs(v + 1):
-                return True
-            undo(mark)
-        return False
+            return reconstruct()
+        stack.append([v, len(trail), 0])
+        return None
 
-    mark = len(trail)
-    ok = True
-    for leaf in sorted(g.leaves()):
-        ok = ok and assign(leaf, _O)
-    if ok and dfs(0):
-        return result[0]
-    undo(mark)
-    return None
+    found = None
+    if all(assign(leaf, _O) for leaf in sorted(g.leaves())):
+        found = descend(0)
+    while found is None and stack:
+        frame = stack[-1]
+        v, frame_mark, c = frame
+        undo(frame_mark)
+        if c == _N:
+            stack.pop()
+            continue
+        c = frame[2] = _O if c == 0 else _N
+        if assign(v, c):
+            found = descend(v + 1)
+    return found
 
 
 def is_2_subdivision(g: Multigraph) -> bool:

@@ -3,7 +3,7 @@
 Everything here recomputes from raw edge data with its own naive
 algorithms; none of it calls the library's search or matching code, so
 engine results can be checked against a genuinely independent path.
-The hypothesis strategy at the end draws the random inputs they are
+The hypothesis strategies at the end draw the random inputs they are
 compared on.
 """
 
@@ -79,3 +79,18 @@ def multigraphs(draw, max_n: int, max_m: int):
     vertex = st.integers(0, n - 1)
     edges = draw(st.lists(st.tuples(vertex, vertex), max_size=max_m))
     return Multigraph(n, edges)
+
+
+@st.composite
+def based_alphas(draw):
+    """A random connected multigraph on 1-5 vertices (a random spanning
+    tree plus up to three edges that may be loops or parallel, in random
+    edge order) and a random multiplicity in {1, 2, 3} for each leaf."""
+    n = draw(st.integers(1, 5))
+    edges = [(draw(st.integers(0, v - 1)), v) for v in range(1, n)]
+    vertex = st.integers(0, n - 1)
+    edges += draw(st.lists(st.tuples(vertex, vertex),
+                           min_size=1 if n == 1 else 0, max_size=3))
+    h = Multigraph(n, draw(st.permutations(edges)))
+    alpha = {v: draw(st.integers(1, 3)) for v in sorted(h.leaves())}
+    return h, alpha

@@ -13,6 +13,7 @@ from dpdp.catalog import complete, cycle, path, write_graph6
 from dpdp.cli import main
 from dpdp.domination import DpPair, is_dp_pair
 from dpdp.graph import Multigraph
+from dpdp.subdivision import build_s2
 
 from helpers import edge_list_text
 
@@ -256,6 +257,22 @@ def test_long_path_is_decided(tmp_path, capsys):
         assert (u, v) == (eid, eid + 1)
         covered += [u, v]
     assert sorted(covered) == sorted(p)
+
+
+def test_many_components_are_inverted(tmp_path, capsys):
+    # S2 of 1,500 looped vertices is 1,500 disjoint triangles; the inversion
+    # search branches once per component
+    n = 1500
+    g, _ = build_s2(Multigraph(n, [(v, v) for v in range(n)]))
+    f = tmp_path / "triangles.el"
+    f.write_text(edge_list_text(g))
+    code, out = run_cli(capsys, "invert", str(f))
+    assert code == 0
+    res = json.loads(out)["result"]
+    assert res["is_2_subdivision"] is True
+    base = res["base"]
+    assert base["n"] == n and base["m"] == n
+    assert all(u == v for u, v, _ in base["edges"])
 
 
 def test_usage_error_exits_1():

@@ -1,10 +1,22 @@
 from __future__ import annotations
 
 import random
+import tracemalloc
 
 import pytest
+from hypothesis import given, settings
 
-from dpdp.catalog import complete, corona, cycle, enumerate_trees, path, random_tree, star
+import dpdp.goodsub
+from dpdp.catalog import (
+    complete,
+    complete_bipartite,
+    corona,
+    cycle,
+    enumerate_trees,
+    path,
+    random_tree,
+    star,
+)
 from dpdp.domination import DpPair, is_dp_pair, is_dpdp
 from dpdp.goodsub import (
     GoodSubgraphCertificate,
@@ -17,7 +29,10 @@ from dpdp.goodsub import (
     verify_good_certificate,
 )
 from dpdp.graph import Multigraph
+from dpdp.minimality import is_minimal_by_deletion
 from dpdp.subdivision import build_s2
+
+from helpers import based_alphas, oracle_dominating, oracle_pairing_exists
 
 
 def p6_certificate() -> GoodSubgraphCertificate:
@@ -95,6 +110,46 @@ def test_find_examples():
     # coronas: every vertex is a leaf or a support
     for base in (path(3), cycle(3), complete(4)):
         assert find_good_subgraph(corona(base)) is None
+    # Q sets of one size: connected first.  The good {1-4, 2-5, 1-6} has
+    # the lower edge ids but two components; {1-4, 1-6, 2-6} has one
+    h = Multigraph(7, [(0, 1), (0, 2), (0, 3), (1, 4), (2, 5), (1, 6),
+                       (2, 6), (4, 6), (5, 6)])
+    cert = find_good_subgraph(h)
+    assert cert.q_edges == {3, 5, 6}
+    assert cert.arcs == {0: (1, 0), 1: (2, 0), 7: (4, 6), 8: (6, 5), 4: (5, 2)}
+
+
+def test_one_verification_per_question(monkeypatch):
+    # the search decides goodness itself and re-verifies only its hit
+    real = dpdp.goodsub.verify_good_certificate
+    verdicts = []
+
+    def counted(h, cert):
+        verdicts.append(real(h, cert))
+        return verdicts[-1]
+
+    monkeypatch.setattr(dpdp.goodsub, "verify_good_certificate", counted)
+    for h, calls in ((complete(4), 1), (complete_bipartite(3, 3), 1), (path(4), 0)):
+        verdicts.clear()
+        cert = find_good_subgraph(h)
+        assert (cert is not None) == bool(calls)
+        assert verdicts == [(True, None)] * calls
+
+
+def test_first_q_set_needs_little_memory():
+    # P22 has 17 eligible edges; its first Q set, the edge 2-3, is good
+    for search in (
+        lambda h: find_good_subgraph(h).q_vertices,
+        tree_find_good_subtree,
+    ):
+        tracemalloc.start()
+        try:
+            found = search(path(22))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert found == {2, 3}
+        assert peak < 1 << 20
 
 
 def test_find_requires_no_isolated_vertex():
@@ -127,6 +182,23 @@ def test_every_swept_certificate_reduces(sweep_le5):
         assert is_dp_pair(reduced, DpPair(plan.d_prime, plan.p_prime, plan.matching))
         reduced_count += 1
     assert reduced_count > 0
+
+
+@settings(max_examples=400, deadline=None)
+@given(based_alphas())
+def test_good_subgraph_iff_s2_not_minimal(h_alpha):
+    # the paper's second test of minimality, against the deletion scan;
+    # a found certificate's reduction re-checked by the brute-force oracles
+    h, alpha = h_alpha
+    cert = find_good_subgraph(h)
+    assert (cert is None) == is_minimal_by_deletion(build_s2(h)[0])
+    if cert is not None:
+        plan = reduce_via_good_subgraph(h, alpha, cert)
+        assert plan.removed_edges
+        reduced = apply_reduction(build_s2(h, alpha)[0], plan)
+        assert oracle_dominating(reduced, set(plan.d_prime))
+        assert oracle_dominating(reduced, set(plan.p_prime))
+        assert oracle_pairing_exists(reduced, set(plan.p_prime))
 
 
 def test_closed_walk_certificate_around_parallel_edges():

@@ -1,7 +1,7 @@
 from __future__ import annotations
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import given, settings
 
 from dpdp._canon import is_isomorphic
 from dpdp.catalog import cycle, double_star, path, complete
@@ -13,6 +13,8 @@ from dpdp.subdivision import (
     invert_s2,
     is_2_subdivision,
 )
+
+from helpers import based_alphas
 
 
 def test_build_p2_gives_p4():
@@ -144,21 +146,6 @@ def test_roundtrip_sweep(multigraphs_le5):
         leaves = sorted(h.leaves())
         for alpha in [None] + ([{leaves[0]: 2}] if leaves else []):
             _assert_roundtrip(h, alpha)
-
-
-@st.composite
-def based_alphas(draw):
-    """A random connected multigraph on 1-5 vertices (a random spanning
-    tree plus up to three edges that may be loops or parallel, in random
-    edge order) and a random multiplicity in {1, 2, 3} for each leaf."""
-    n = draw(st.integers(1, 5))
-    edges = [(draw(st.integers(0, v - 1)), v) for v in range(1, n)]
-    vertex = st.integers(0, n - 1)
-    edges += draw(st.lists(st.tuples(vertex, vertex),
-                           min_size=1 if n == 1 else 0, max_size=3))
-    h = Multigraph(n, draw(st.permutations(edges)))
-    alpha = {v: draw(st.integers(1, 3)) for v in sorted(h.leaves())}
-    return h, alpha
 
 
 @settings(max_examples=200, deadline=None)
