@@ -190,22 +190,22 @@ def verify_good_certificate(
 
 
 def _q_component_count(h: Multigraph, q_edges: tuple[int, ...]) -> int:
-    parent: dict[int, int] = {}
-
-    def find(x: int) -> int:
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
+    parent = list(range(h.n))
+    vertices = set()
+    merged = 0
     for eid in q_edges:
         e = h.edges[eid]
-        for w in (e.u, e.v):
-            parent.setdefault(w, w)
-        ru, rv = find(e.u), find(e.v)
+        vertices.add(e.u)
+        vertices.add(e.v)
+        ru, rv = e.u, e.v
+        while parent[ru] != ru:
+            ru = parent[ru]
+        while parent[rv] != rv:
+            rv = parent[rv]
         if ru != rv:
             parent[ru] = rv
-    return len({find(x) for x in parent})
+            merged += 1
+    return len(vertices) - merged
 
 
 def find_good_subgraph(h: Multigraph) -> GoodSubgraphCertificate | None:
@@ -218,6 +218,13 @@ def find_good_subgraph(h: Multigraph) -> GoodSubgraphCertificate | None:
     order, termination offered before extension.  The search decides
     goodness from its own edge-end counters; verify_good_certificate runs
     once, as an assertion on the hit.  Output is deterministic.
+
+    The Q sets of one size come from _q_sets, which cuts a prefix that
+    breaks one of two necessary conditions together with every set that
+    extends it.  It yields the survivors in edge-id order, so a stable sort
+    by component count gives the (components, edge ids) order of all sets
+    with only sets missing that could never succeed: the first hit, and
+    so the certificate, is the one the unpruned order would give.
     """
     if any(h.degree(v) == 0 for v in range(h.n)):
         raise ValueError("host graph must have no isolated vertex")
@@ -226,11 +233,11 @@ def find_good_subgraph(h: Multigraph) -> GoodSubgraphCertificate | None:
         e.id for e in h.edges if e.u in allowed and e.v in allowed
     ]
     for size in range(1, len(eligible) + 1):
-        combos = sorted(
-            combinations(eligible, size),
-            key=lambda combo: (_q_component_count(h, combo), combo),
-        )
-        for combo in combos:
+        # sorted is stable: survivors keep edge-id order within a count
+        for combo in sorted(
+            _q_sets(h, eligible, size),
+            key=lambda combo: _q_component_count(h, combo),
+        ):
             # left[x]: edge-ends at x outside Q (a Q-loop takes two)
             left = [h.degree(x) for x in range(h.n)]
             q_vertices = set()
@@ -240,20 +247,78 @@ def find_good_subgraph(h: Multigraph) -> GoodSubgraphCertificate | None:
                 left[e.v] -= 1
                 q_vertices.add(e.u)
                 q_vertices.add(e.v)
-            q_edges = frozenset(combo)
-            # every Q-vertex still needs one outgoing arc
-            if any(left[v] < 1 for v in q_vertices):
-                continue
-            # arcs have pairwise distinct tails (out-degree is capped at 1), so at
-            # most n edges ever get oriented; the Q boundary must fit inside that
-            if len(edge_boundary(h, q_edges)) > h.n:
-                continue
-            cert = _search_paths(h, frozenset(q_vertices), q_edges, left)
+            cert = _search_paths(h, frozenset(q_vertices), frozenset(combo), left)
             if cert is not None:
                 ok, why = verify_good_certificate(h, cert)
                 assert ok, why
                 return cert
     return None
+
+
+def _q_sets(h: Multigraph, eligible: list[int], size: int):
+    """The size-subsets of eligible that pass two necessary conditions,
+    in lexicographic order, from a depth-first walk on an index stack.
+
+    (a) Every Q-vertex keeps an edge-end outside Q for its outgoing arc.
+    (b) The Q boundary fits in n arcs: arcs have pairwise distinct tails
+        (out-degree is capped at 1), so at most n edges are oriented.
+        Every Q edge touches the vertex set S of Q, so the boundary has
+        (edges touching S) - |Q| edges.
+    Both only get worse as a prefix grows (edge-ends outside Q fall, S
+    grows), so a prefix that breaks one, measured against the full size,
+    is cut with every set that extends it.
+    """
+    edges = h.edges
+    left = [h.degree(x) for x in range(h.n)]  # edge-ends outside the prefix
+    q_ends = [0] * h.n  # prefix edge-ends at x; x is in S iff positive
+    s_ends = [0] * h.m  # endpoints of an edge in S (a loop counts once)
+    touching = 0  # edges with an endpoint in S
+    picked: list[int] = []  # indices into eligible, ascending
+    combo: list[int] = []  # the edge ids at those indices
+
+    def add(eid: int) -> None:
+        nonlocal touching
+        e = edges[eid]
+        for w in (e.u, e.v):
+            left[w] -= 1
+            q_ends[w] += 1
+            if q_ends[w] == 1:
+                for f in h.incident_edges(w):
+                    touching += s_ends[f] == 0
+                    s_ends[f] += 1
+
+    def remove(eid: int) -> None:
+        nonlocal touching
+        e = edges[eid]
+        for w in (e.u, e.v):
+            left[w] += 1
+            q_ends[w] -= 1
+            if q_ends[w] == 0:
+                for f in h.incident_edges(w):
+                    s_ends[f] -= 1
+                    touching -= s_ends[f] == 0
+
+    i = 0
+    while True:
+        if len(picked) + len(eligible) - i >= size:
+            eid = eligible[i]
+            add(eid)
+            e = edges[eid]
+            if left[e.u] >= 1 and left[e.v] >= 1 and touching - size <= h.n:
+                if len(picked) + 1 == size:
+                    yield (*combo, eid)
+                else:
+                    picked.append(i)
+                    combo.append(eid)
+                    i += 1
+                    continue
+            remove(eid)
+            i += 1
+        elif picked:
+            i = picked.pop() + 1
+            remove(combo.pop())
+        else:
+            return
 
 
 def _search_paths(
@@ -272,6 +337,19 @@ def _search_paths(
     vertices, so conditions (1) and (2) and coverage of the Q boundary say
     left == 0 there, and (3) says left > 0 at every other path end (other
     vertices have no arc and degree >= 1).
+
+    That gives a bound that cuts dead families early.  When path i is
+    about to leave pos, call a vertex marked if it is pos, has its out-arc
+    (has_out), or is a Q-vertex whose path has not started: each must end
+    with left == 0.  A marked vertex still takes at most one tail, and only
+    pos and the unstarted Q-vertices, len(qvs) - i of them, still need
+    one.  Every other arc into a marked vertex is a path's final arc (a
+    Q-vertex or a vertex with its out-arc ends the path), each path has
+    one, and len(qvs) - i paths are open.  So the sum of left over marked
+    vertices is at most 2 * (len(qvs) - i), or no completion exists.  At
+    pos == qvs[i] this is the bound before path i starts: the sum of left
+    over has_out vertices plus of left - 1 over qvs[i:] is at most
+    len(qvs) - i.
     """
     qvs = sorted(q_vertices)
     has_out = [False] * h.n
@@ -295,6 +373,11 @@ def _search_paths(
                 return False  # a path reaching a Q-vertex must stop there
         if has_out[pos]:
             return False  # an inner vertex of an earlier path
+        # the final-arc bound of the docstring, pos counted as marked
+        marked_left = left[pos] + sum(left[u] for u in qvs[i + 1:])
+        marked_left += sum(left[x] for x in range(h.n) if has_out[x])
+        if marked_left > 2 * (len(qvs) - i):
+            return False
         has_out[pos] = True
         for eid in h.incident_edges(pos):
             if eid in oriented or eid in q_edges:

@@ -99,13 +99,6 @@ class Multigraph:
             return self._plain[v] | {v}
         return self._plain[v]
 
-    def closed_neighborhood(self, xs: Iterable[int]) -> frozenset[int]:
-        """N[X] = N(X) union X."""
-        out = set(xs)
-        for v in tuple(out):
-            out |= self.neighborhood(v)
-        return frozenset(out)
-
     def incident_edges(self, v: int) -> tuple[int, ...]:
         """Ids of edges incident with v (loops included once)."""
         return self._incident[v]
@@ -136,18 +129,6 @@ class Multigraph:
         lv = self.leaves()
         return frozenset(v for v in range(self.n) if self.neighborhood(v) & lv)
 
-    def strong_supports(self) -> frozenset[int]:
-        lv = self.leaves()
-        return frozenset(
-            v for v in range(self.n) if len(self.neighborhood(v) & lv) >= 2
-        )
-
-    def weak_supports(self) -> frozenset[int]:
-        lv = self.leaves()
-        return frozenset(
-            v for v in range(self.n) if len(self.neighborhood(v) & lv) == 1
-        )
-
     # -- edits (return new graphs; vertex ids are stable) ------------------
 
     def delete_edge(self, eid: int) -> tuple["Multigraph", dict[int, int]]:
@@ -168,10 +149,6 @@ class Multigraph:
             id_map[e.id] = len(kept)
             kept.append((e.u, e.v))
         return Multigraph(self.n, kept), id_map
-
-    def add_edges(self, pairs: Iterable[tuple[int, int]]) -> "Multigraph":
-        """Graph with extra edges appended after the existing ones."""
-        return Multigraph(self.n, [e.endpoints() for e in self.edges] + list(pairs))
 
     # -- connectivity ------------------------------------------------------
 
@@ -197,22 +174,6 @@ class Multigraph:
 
     def is_connected(self) -> bool:
         return len(self.connected_components()) <= 1
-
-    def distance(self, u: int, v: int) -> int | None:
-        """BFS distance, or None if unreachable."""
-        if u == v:
-            return 0
-        dist = {u: 0}
-        queue = deque([u])
-        while queue:
-            x = queue.popleft()
-            for w in self._plain[x]:
-                if w not in dist:
-                    dist[w] = dist[x] + 1
-                    if w == v:
-                        return dist[w]
-                    queue.append(w)
-        return None
 
     def bfs_order(self, start: int = 0) -> tuple[int, ...]:
         """All vertices in BFS order from start, then from the next unvisited id."""

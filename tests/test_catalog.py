@@ -3,6 +3,8 @@ from __future__ import annotations
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from dpdp._canon import canonical_form, classes_by_isomorphism, is_isomorphic
 from dpdp.catalog import (
@@ -30,6 +32,8 @@ from dpdp.catalog import (
     write_graph6,
 )
 from dpdp.graph import Multigraph, is_cycle_graph, is_path_graph
+
+from helpers import multigraphs
 
 
 def test_family_examples():
@@ -193,6 +197,33 @@ def test_edge_list_roundtrip():
     assert read_edge_list(write_edge_list(g)) == g
 
 
+@st.composite
+def simple_graphs(draw, max_n: int):
+    """Random simple graphs, n = 0 included."""
+    n = draw(st.integers(0, max_n))
+    if n < 2:
+        return Multigraph(n, [])
+    vertex = st.integers(0, n - 1)
+    pairs = draw(st.lists(st.tuples(vertex, vertex), max_size=3 * n))
+    return Multigraph(n, sorted({(min(p), max(p)) for p in pairs if p[0] != p[1]}))
+
+
+@settings(max_examples=300, deadline=None)
+@given(simple_graphs(max_n=62))
+def test_graph6_roundtrip_property(g):
+    back = read_graph6(write_graph6(g))
+    assert back.n == g.n and back.edge_multiset() == g.edge_multiset()
+
+
+@settings(max_examples=300, deadline=None)
+@given(multigraphs(max_n=12, max_m=30))
+def test_edge_list_roundtrip_property(g):
+    # loops and parallel edges survive, and so do the edge ids
+    back = read_edge_list(write_edge_list(g))
+    assert back.n == g.n
+    assert [e.endpoints() for e in back.edges] == [e.endpoints() for e in g.edges]
+
+
 def test_edge_list_examples():
     g = read_edge_list("2 2\n0 1\n0 1\n")
     assert is_isomorphic(g, cycle(2))
@@ -226,6 +257,20 @@ def test_cubic_fixture_file():
         assert sorted(canonical_form(g) for g in regen) == sorted(
             canonical_form(g) for g in batch
         )
+
+
+def test_simple_n7_fixture_file():
+    import pathlib
+
+    fixture = pathlib.Path(__file__).parent / "fixtures" / "simple_n7.g6"
+    graphs = read_graph6_file(fixture.read_text())
+    assert len(graphs) == CONNECTED_SIMPLE_COUNTS[6]  # 853, OEIS A001349
+    for g in graphs:
+        assert g.n == 7 and g.is_simple() and g.is_connected()
+    # class for class the enumerator's output
+    assert sorted(canonical_form(g) for g in graphs) == sorted(
+        canonical_form(g) for g in enumerate_connected_simple(7)
+    )
 
 
 def test_write_dot():

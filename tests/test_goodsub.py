@@ -1,7 +1,11 @@
 from __future__ import annotations
 
+import hashlib
+import pathlib
 import random
+import sys
 import tracemalloc
+from collections import Counter
 
 import pytest
 from hypothesis import given, settings
@@ -12,10 +16,14 @@ from dpdp.catalog import (
     complete_bipartite,
     corona,
     cycle,
+    enumerate_connected_simple,
     enumerate_trees,
     path,
     random_tree,
+    read_graph6,
+    read_graph6_file,
     star,
+    write_graph6,
 )
 from dpdp.domination import DpPair, is_dp_pair, is_dpdp
 from dpdp.goodsub import (
@@ -33,6 +41,11 @@ from dpdp.minimality import is_minimal_by_deletion
 from dpdp.subdivision import build_s2
 
 from helpers import based_alphas, oracle_dominating, oracle_pairing_exists
+
+
+CUBIC_CERTIFICATES_SHA256 = (
+    "0017ad9b2321da75114ae1c35fec43bd2ec9b7601861df288ca33f3b05e923f8"
+)
 
 
 def p6_certificate() -> GoodSubgraphCertificate:
@@ -134,6 +147,81 @@ def test_one_verification_per_question(monkeypatch):
         cert = find_good_subgraph(h)
         assert (cert is not None) == bool(calls)
         assert verdicts == [(True, None)] * calls
+
+
+def _count_search_work(monkeypatch, hosts, count_grow: bool = True) -> Counter:
+    """Calls of the Q component count, the path search (by |Q|) and, with
+    count_grow, its grow steps while find_good_subgraph runs on every host."""
+    counts: Counter = Counter()
+    real_count = dpdp.goodsub._q_component_count
+    real_search = dpdp.goodsub._search_paths
+
+    def count_components(h, combo):
+        counts["components"] += 1
+        return real_count(h, combo)
+
+    def search_paths(h, q_vertices, q_edges, left):
+        counts["search"] += 1
+        counts[f"search |Q|={len(q_edges)}"] += 1
+        return real_search(h, q_vertices, q_edges, left)
+
+    def trace_calls(frame, event, arg):
+        # a global trace function sees each new Python frame; returning
+        # None keeps it out of the frame's lines
+        code = frame.f_code
+        if code.co_name == "grow" and code.co_filename == dpdp.goodsub.__file__:
+            counts["grow"] += 1
+
+    monkeypatch.setattr(dpdp.goodsub, "_q_component_count", count_components)
+    monkeypatch.setattr(dpdp.goodsub, "_search_paths", search_paths)
+    previous = sys.gettrace()
+    if count_grow:
+        sys.settrace(trace_calls)
+    try:
+        for h in hosts:
+            find_good_subgraph(h)
+    finally:
+        sys.settrace(previous)
+    return counts
+
+
+def test_dead_q_prefixes_and_path_families_are_cut(monkeypatch):
+    # the 142 connected simple graphs on 2..6 vertices, labelled as in
+    # graph6; without the prefix cut and the final-arc bound the search
+    # counts components of 81,522 Q sets and makes 511,447 grow calls
+    bases = [
+        read_graph6(write_graph6(g))
+        for n in range(2, 7)
+        for g in enumerate_connected_simple(n)
+    ]
+    counts = _count_search_work(monkeypatch, bases)
+    assert counts["search"] == 2444  # the same Q sets reach the path search
+    assert counts["components"] <= 21_000
+    assert counts["grow"] <= 50_000
+
+
+def test_k7_builds_few_q_sets(monkeypatch):
+    # K7's first good Q has 14 of its 21 edges; every smaller Q set has a
+    # vertex set whose boundary cannot fit in 7 arcs (2.01M component
+    # counts without the prefix cut)
+    counts = _count_search_work(monkeypatch, [complete(7)], count_grow=False)
+    assert counts["components"] <= 100_000
+    assert counts["search"] == counts["search |Q|=14"] == 1
+
+
+def test_cubic_fixture_certificates_pinned():
+    # SHA-256 over every certificate field, dict order included, of the 27
+    # connected cubic graphs on at most 10 vertices
+    fixture = pathlib.Path(__file__).parent / "fixtures" / "cubic_le10.g6"
+    digest = hashlib.sha256()
+    for h in read_graph6_file(fixture.read_text()):
+        c = find_good_subgraph(h)
+        fields = None if c is None else (
+            sorted(c.q_vertices), sorted(c.q_edges), sorted(c.e_set),
+            list(c.arcs.items()), list(c.paths.items()),
+        )
+        digest.update(repr(fields).encode() + b"\n")
+    assert digest.hexdigest() == CUBIC_CERTIFICATES_SHA256
 
 
 def test_first_q_set_needs_little_memory():

@@ -43,35 +43,23 @@ def test_neighborhood_loop_self_membership():
     assert g.neighborhood(0) == {1}
 
 
-def test_closed_neighborhood():
-    p4 = path(4)
-    assert p4.closed_neighborhood({1, 2}) == {0, 1, 2, 3}
-    assert p4.closed_neighborhood(set()) == frozenset()
-
-
 def test_leaves_supports_star():
     g = star(3)
     assert g.leaves() == {1, 2, 3}
     assert g.supports() == {0}
-    assert g.strong_supports() == {0}
-    assert g.weak_supports() == frozenset()
 
 
 def test_leaves_supports_cycle_empty():
     g = cycle(6)
     assert not g.leaves() and not g.supports()
-    assert not g.strong_supports() and not g.weak_supports()
 
 
-def test_supports_partition_into_strong_and_weak():
+def test_supports_literal_definition():
     rng = random.Random(7)
     for _ in range(100):
         n = rng.randint(2, 9)
         edges = [(rng.randrange(n), rng.randrange(n)) for _ in range(rng.randint(1, 12))]
         g = Multigraph(n, edges)
-        assert g.strong_supports() | g.weak_supports() == g.supports()
-        assert not g.strong_supports() & g.weak_supports()
-        # literal evaluation of the support definition
         assert g.supports() == frozenset(
             v for v in range(g.n) if g.neighborhood(v) & g.leaves()
         )
@@ -106,20 +94,17 @@ def test_delete_edge_preserves_vertex_ids():
     assert smaller.degree(4) == 0
 
 
-def test_connectivity_and_distance():
+def test_connectivity():
     p10 = path(10)
     assert p10.is_connected()
-    assert p10.distance(0, 9) == 9
     two = Multigraph(4, [(0, 1), (2, 3)])
     assert len(two.connected_components()) == 2
-    assert two.distance(0, 3) is None
-    assert two.distance(2, 2) == 0
+    assert not two.is_connected()
 
 
 def test_loops_and_parallels_do_not_affect_connectivity():
     g = Multigraph(3, [(0, 0), (0, 1), (0, 1), (1, 2)])
     assert g.is_connected()
-    assert g.distance(0, 2) == 2
 
 
 def test_empty_graph_is_legal():
