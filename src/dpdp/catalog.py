@@ -15,7 +15,6 @@ from __future__ import annotations
 
 import heapq
 import random
-from dataclasses import dataclass
 from functools import lru_cache
 from itertools import combinations, combinations_with_replacement
 
@@ -101,32 +100,6 @@ def corona(f: Multigraph, pendants: int | list[int] = 1) -> Multigraph:
             edges.append((v, nxt))
             nxt += 1
     return Multigraph(nxt, edges)
-
-
-@dataclass(frozen=True)
-class GraphFamily:
-    """A named family tag plus its parameters."""
-
-    kind: str
-    params: tuple[int, ...]
-
-
-_MAKERS = {
-    "path": path,
-    "cycle": cycle,
-    "complete": complete,
-    "complete_bipartite": complete_bipartite,
-    "star": star,
-    "double_star": double_star,
-}
-
-
-def make(family: GraphFamily) -> Multigraph:
-    if family.kind == "corona":
-        raise ValueError("corona families need an explicit base graph; call corona()")
-    if family.kind not in _MAKERS:
-        raise ValueError(f"unknown family {family.kind!r}")
-    return _MAKERS[family.kind](*family.params)
 
 
 def random_tree(n: int, rng: random.Random) -> Multigraph:

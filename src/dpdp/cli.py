@@ -5,7 +5,8 @@ Verdicts are JSON objects with the fixed key set {"command",
 arrays and edges are [u, v, id] triples, so any certificate can be
 re-checked by a short external script.  Output is byte-deterministic for
 a fixed input and flag set.  Exit codes: 0 = computed (whatever the
-verdict), 1 = input error, 2 = cross-validation disagreement.
+verdict), 1 = input error or internal error (one stderr line, no
+traceback), 2 = cross-validation disagreement.
 
 Survey and xcheck fan out over a process pool sized by the DPDP_WORKERS
 environment variable (default: available parallelism); results are
@@ -395,6 +396,9 @@ def main(argv=None) -> int:
             f"(Python recursion limit {sys.getrecursionlimit()})",
             file=sys.stderr,
         )
+        return 1
+    except Exception as exc:  # a bug, still reported in one line, never a traceback
+        print(f"dpdp: internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 1
 
 

@@ -599,38 +599,18 @@ def forest_good_decomposition_check(
     if not ok:
         raise ValueError(f"Q is not a good subgraph: {why}")
 
-    comp_of: dict[int, int] = {}
-    comps: list[set[int]] = []
-    for v in sorted(cert.q_vertices):
-        if v in comp_of:
-            continue
-        comp = {v}
-        stack = [v]
-        while stack:
-            x = stack.pop()
-            for eid in cert.q_edges:
-                e = h.edges[eid]
-                if e.u == x and e.v not in comp and e.v in cert.q_vertices:
-                    comp.add(e.v)
-                    stack.append(e.v)
-                elif e.v == x and e.u not in comp and e.u in cert.q_vertices:
-                    comp.add(e.u)
-                    stack.append(e.u)
-        for x in comp:
-            comp_of[x] = len(comps)
-        comps.append(comp)
-
+    q = Multigraph(h.n, [h.edges[eid].endpoints() for eid in sorted(cert.q_edges)])
+    comps = [c for c in q.connected_components() if c & cert.q_vertices]
     for idx, comp in enumerate(comps):
-        sub_vertices = frozenset(comp)
         sub_edges = frozenset(
             eid
             for eid in cert.q_edges
             if h.edges[eid].u in comp and h.edges[eid].v in comp
         )
-        sub_paths = {v: cert.paths[v] for v in sorted(sub_vertices)}
+        sub_paths = {v: cert.paths[v] for v in sorted(comp)}
         sub_arc_ids = frozenset(a for arcs in sub_paths.values() for a in arcs)
         sub = GoodSubgraphCertificate(
-            q_vertices=sub_vertices,
+            q_vertices=comp,
             q_edges=sub_edges,
             e_set=sub_arc_ids,
             arcs={a: cert.arcs[a] for a in sub_arc_ids},

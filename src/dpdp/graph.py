@@ -103,14 +103,6 @@ class Multigraph:
         """Ids of edges incident with v (loops included once)."""
         return self._incident[v]
 
-    def edge_between(self, u: int, v: int) -> int | None:
-        """Lowest edge id joining u and v (u != v), or None."""
-        for eid in self._incident[u]:
-            e = self.edges[eid]
-            if not e.is_loop() and e.other(u) == v:
-                return eid
-        return None
-
     def is_simple(self) -> bool:
         """No loops and no parallel edges."""
         seen = set()

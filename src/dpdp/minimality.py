@@ -15,7 +15,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .domination import DpPair, enumerate_dp_pairs, is_dpdp
+from .domination import DpPair, enumerate_dp_pairs, is_dominating, is_dpdp
 from .goodsub import GoodSubgraphCertificate, find_good_subgraph
 from .graph import Multigraph, is_cycle_graph
 from .subdivision import S2Labeling, build_s2, invert_s2
@@ -181,8 +181,7 @@ def minimal_pair_properties(g: Multigraph, pair: DpPair) -> tuple[bool, bool, bo
     independent = all(
         not (e.u in d and e.v in d) for e in g.edges
     )
-    dominating = all(v in d or g.neighborhood(v) & d for v in range(g.n))
-    maximal_independent = independent and dominating
+    maximal_independent = independent and is_dominating(g, d)
 
     induced_ends = {v: 0 for v in p}
     for e in g.edges:

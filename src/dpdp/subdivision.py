@@ -159,11 +159,14 @@ def invert_s2(
     Exhaustive labeled search: 2-colour the vertices into old-or-copy vs
     new with unit propagation (leaves are copies, their neighbours are
     new, old/copy vertices are pairwise nonadjacent, every new vertex has
-    exactly one new neighbour), branch lowest-id-first trying old-or-copy
-    before new, and validate each complete colouring by reconstruction.
-    The first valid colouring in this order is returned, so ambiguous
-    inputs (rotations of C_{3k}) resolve to the lexicographically least
-    tagging.
+    exactly one new neighbour), and branch lowest-id-first trying
+    old-or-copy before new.  A complete colouring gives base and alpha
+    directly; after a degree check (a new vertex has degree 2, or 1 plus
+    the size of its leaf group) it is accepted iff build_s2(base, alpha)
+    equals g vertex-for-vertex through the tags.  The labeling returned
+    is build_s2's own, carried to g's vertex and edge ids.  The first
+    accepted colouring in this order is returned, so ambiguous inputs
+    (rotations of C_{3k}) resolve to the lexicographically least tagging.
     """
     if g.n == 0:
         base = Multigraph(0, [])
@@ -179,6 +182,22 @@ def invert_s2(
     color = [0] * n
     trail: list[int] = []
 
+    def new_rule(x: int, queue: list[tuple[int, int]]) -> bool:
+        """A new vertex x has exactly one new neighbour: with one found,
+        queue its uncoloured neighbours as old-or-copy; with none found,
+        fail if none is left uncoloured and force the last one new."""
+        mates = [u for u in nbrs[x] if color[u] == _N]
+        free = [u for u in nbrs[x] if not color[u]]
+        if len(mates) > 1:
+            return False
+        if mates:
+            queue.extend((u, _O) for u in free)
+        elif not free:
+            return False
+        elif len(free) == 1:
+            queue.append((free[0], _N))
+        return True
+
     def assign(v: int, c: int) -> bool:
         queue = [(v, c)]
         while queue:
@@ -191,30 +210,12 @@ def invert_s2(
             trail.append(x)
             if cx == _O:
                 queue.extend((u, _N) for u in nbrs[x])
-            else:
-                n_nbrs = [u for u in nbrs[x] if color[u] == _N]
-                open_nbrs = [u for u in nbrs[x] if not color[u]]
-                if len(n_nbrs) > 1:
-                    return False
-                if len(n_nbrs) == 1:
-                    queue.extend((u, _O) for u in open_nbrs)
-                elif not open_nbrs:
-                    return False
-                elif len(open_nbrs) == 1:
-                    queue.append((open_nbrs[0], _N))
+            elif not new_rule(x, queue):
+                return False
             # a newly coloured neighbour may force decisions at adjacent new vertices
             for u in nbrs[x]:
-                if color[u] == _N:
-                    u_n = [w for w in nbrs[u] if color[w] == _N]
-                    u_open = [w for w in nbrs[u] if not color[w]]
-                    if len(u_n) > 1:
-                        return False
-                    if len(u_n) == 1:
-                        queue.extend((w, _O) for w in u_open)
-                    elif not u_open:
-                        return False
-                    elif len(u_open) == 1:
-                        queue.append((u_open[0], _N))
+                if color[u] == _N and not new_rule(u, queue):
+                    return False
         return True
 
     def undo(mark: int) -> None:
@@ -222,127 +223,73 @@ def invert_s2(
             color[trail.pop()] = 0
 
     def reconstruct() -> tuple[Multigraph, dict[int, int], S2Labeling] | None:
-        new_set = [v for v in range(n) if color[v] == _N]
-        pairs = []
-        seen = set()
-        for x in new_set:
-            if x in seen:
-                continue
-            mates = [u for u in nbrs[x] if color[u] == _N]
-            if len(mates) != 1:
-                return None
-            y = mates[0]
-            if [w for w in nbrs[y] if color[w] == _N] != [x]:
-                return None
-            seen.add(x)
-            seen.add(y)
-            pairs.append((x, y) if x < y else (y, x))
-        pairs.sort()
-
-        def rep_of(x: int) -> tuple[str, int] | None:
-            """("old", old-vertex) or ("group", support-new-vertex)."""
-            os = [u for u in nbrs[x] if color[u] == _O]
-            if not os:
-                return None
-            if len(os) == 1 and g.degree(os[0]) >= 2:
-                return ("old", os[0])
-            if all(g.degree(u) == 1 for u in os):
-                return ("group", x)
-            return None
-
-        olds = sorted(v for v in range(n) if color[v] == _O and g.degree(v) >= 2)
-        for v in olds:
-            if any(color[u] != _N for u in nbrs[v]):
-                return None
+        # Propagation leaves every new vertex with exactly one new neighbour
+        # and every old-or-copy vertex with new neighbours only.  The leaves
+        # are the copies, grouped by their new neighbour; the other
+        # old-or-copy vertices are old.
+        tags: list[Tag] = [()] * n
+        h_of: dict[int, int] = {}  # old vertex or a group's new vertex -> base vertex
         groups: dict[int, list[int]] = {}
         for v in range(n):
-            if color[v] == _O and g.degree(v) == 1:
-                s = nbrs[v][0]
-                if color[s] != _N:
-                    return None
-                groups.setdefault(s, []).append(v)
-
-        h_id: dict[tuple[str, int], int] = {}
-        for v in olds:
-            h_id[("old", v)] = len(h_id)
+            if color[v] == _O and g.degree(v) > 1:
+                h_of[v] = len(h_of)
+                tags[v] = ("old", h_of[v])
+            elif color[v] == _O:
+                groups.setdefault(nbrs[v][0], []).append(v)
         for s in sorted(groups):
-            h_id[("group", s)] = len(h_id)
+            h_of[s] = len(h_of)
+            for i, v in enumerate(groups[s], start=1):
+                tags[v] = ("copy", h_of[s], i)
 
-        h_edges = []
-        sides: list[tuple[int, int]] = []  # (side1 g-vertex, side2 g-vertex) per h-edge
-        for x, y in pairs:
-            rx, ry = rep_of(x), rep_of(y)
-            if rx is None or ry is None:
+        pairs: list[tuple[int, int]] = []  # (side-1, side-2) new vertices per base edge
+        end: dict[int, int] = {}  # new vertex -> base endpoint of its side
+        for x in range(n):
+            if color[x] != _N:
+                continue
+            mate = next(u for u in nbrs[x] if color[u] == _N)
+            if x < mate:
+                tags[x], tags[mate] = ("new", len(pairs), 1), ("new", len(pairs), 2)
+                pairs.append((x, mate))
+            group = groups.get(x)
+            # the cheap degree check: 2, or 1 + the size of x's leaf group
+            if g.degree(x) != (1 + len(group) if group else 2):
                 return None
-            h_edges.append((h_id[rx], h_id[ry]))
-            sides.append((x, y))
+            end[x] = h_of[x if group else next(u for u in nbrs[x] if u != mate)]
 
-        base = Multigraph(len(h_id), h_edges)
-        alpha = {
-            h_id[("group", s)]: len(groups[s]) for s in sorted(groups)
-        }
-        # base leaves must be exactly the groups (a "group" attached new vertex
-        # whose compressed leaf ends up with base degree > 1 is impossible, but
-        # alpha keys are validated by build_s2 anyway)
-        try:
-            rebuilt, lab2 = build_s2(base, alpha)
-        except ValueError:
-            return None
-        if rebuilt.n != n or rebuilt.m != g.m:
-            return None
+        base = Multigraph(len(h_of), [(end[x], end[y]) for x, y in pairs])
+        rebuilt, lab = build_s2(base, {h_of[s]: len(c) for s, c in groups.items()})
 
-        # provenance for g's own vertex ids
-        prov: list[Tag | None] = [None] * n
-        for v in olds:
-            prov[v] = ("old", h_id[("old", v)])
-        for s in sorted(groups):
-            for i, v in enumerate(sorted(groups[s]), start=1):
-                prov[v] = ("copy", h_id[("group", s)], i)
-        for eid, (x, y) in enumerate(sides):
-            prov[x] = ("new", eid, 1)
-            prov[y] = ("new", eid, 2)
-        if any(t is None for t in prov):
+        # the acceptance test: the rebuild equals g vertex-for-vertex through
+        # the tags (g is simple, so an endpoint pair names its edge).
+        # Propagation and the degree check already imply it; it re-verifies
+        # the result, as every positive verdict here is re-verified.
+        to_rebuilt = [lab.vertex_of(t) for t in tags]
+        edge_id: dict[tuple[int, int], int] = {}
+        for e in g.edges:
+            a, b = to_rebuilt[e.u], to_rebuilt[e.v]
+            edge_id[(a, b) if a < b else (b, a)] = e.id
+        if tuple(sorted(edge_id)) != rebuilt.edge_multiset():
             return None
 
-        # rebuild comparison, vertex-for-vertex through the tags
-        mapping = [lab2.vertex_of(t) for t in prov]
-        if sorted(mapping) != list(range(n)):
-            return None
-        mapped = tuple(
-            sorted(
-                (min(mapping[e.u], mapping[e.v]), max(mapping[e.u], mapping[e.v]))
-                for e in g.edges
-            )
-        )
-        if mapped != rebuilt.edge_multiset():
-            return None
-
-        copy_vs = {
-            h_id[("group", s)]: tuple(sorted(groups[s])) for s in sorted(groups)
-        }
-        attach: dict[tuple[int, int], tuple[int, ...]] = {}
-        for eid, (x, y) in enumerate(sides):
-            for side, nv in ((1, x), (2, y)):
-                reps = sorted(u for u in nbrs[nv] if color[u] == _O)
-                attach[(eid, side)] = tuple(g.edge_between(nv, r) for r in reps)
-        lab = S2Labeling(
+        # build_s2's labeling, carried to g's vertex and edge ids
+        to_g = [0] * n
+        for v, r in enumerate(to_rebuilt):
+            to_g[r] = v
+        g_edge = [edge_id[e.key()] for e in rebuilt.edges]
+        return base, lab.alpha, S2Labeling(
             base=base,
-            alpha=alpha if alpha else {},
-            provenance=tuple(prov),
-            old_vertex={h_id[k]: k[1] for k in h_id if k[0] == "old"},
-            copy_vertices=copy_vs,
-            new_vertex={
-                (eid, side): xy[side - 1]
-                for eid, xy in enumerate(sides)
-                for side in (1, 2)
+            alpha=lab.alpha,
+            provenance=tuple(tags),
+            old_vertex={h: to_g[r] for h, r in lab.old_vertex.items()},
+            copy_vertices={
+                h: tuple(to_g[r] for r in rs) for h, rs in lab.copy_vertices.items()
             },
-            middle_edge={
-                eid: g.edge_between(x, y) for eid, (x, y) in enumerate(sides)
+            new_vertex={k: to_g[r] for k, r in lab.new_vertex.items()},
+            middle_edge={k: g_edge[r] for k, r in lab.middle_edge.items()},
+            attach_edges={
+                k: tuple(g_edge[r] for r in rs) for k, rs in lab.attach_edges.items()
             },
-            attach_edges=attach,
         )
-        alpha_full = _complete_alpha(base, alpha)
-        return base, alpha_full, lab
 
     # Depth-first over vertices in id order, old-or-copy before new; a
     # frame is [vertex, trail mark before it, colour tried last].

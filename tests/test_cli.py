@@ -237,6 +237,21 @@ def test_too_deep_input_is_a_one_line_error(tmp_path, capsys, monkeypatch):
     assert len(lines) == 1 and lines[0].startswith("dpdp: error: input too deep")
 
 
+def test_internal_error_is_a_one_line_error(tmp_path, capsys, monkeypatch):
+    def broken(g):
+        raise AssertionError("pair lost its matching")
+
+    monkeypatch.setattr("dpdp.cli.find_dp_pair", broken)
+    f = tmp_path / "p4.el"
+    f.write_text(edge_list_text(path(4)))
+    assert main(["check", str(f)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.splitlines() == [
+        "dpdp: internal error: AssertionError: pair lost its matching"
+    ]
+
+
 def test_long_path_is_decided(tmp_path, capsys):
     n = 5000
     f = tmp_path / "p5000.el"
@@ -300,6 +315,24 @@ def test_console_script_installed(tmp_path):
     )
     assert proc.returncode == 0
     assert json.loads(proc.stdout)["result"]["dpdp"] is True
+
+
+def test_standard_library_only():
+    # -S leaves site-packages, where networkx and hypothesis are installed,
+    # off the path: the package must import and run without them
+    src = str(Path(dpdp.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=src, DPDP_WORKERS="1")
+    import_all = (
+        "import importlib, importlib.util, pkgutil, dpdp\n"
+        "assert importlib.util.find_spec('hypothesis') is None\n"
+        "for m in pkgutil.iter_modules(dpdp.__path__):\n"
+        "    importlib.import_module('dpdp.' + m.name)\n"
+    )
+    for args in (["-c", import_all], ["-m", "dpdp.cli", "xcheck", "--max-edges", "3"]):
+        proc = subprocess.run(
+            [sys.executable, "-S", *args], capture_output=True, text=True, env=env
+        )
+        assert proc.returncode == 0, proc.stderr
 
 
 def test_graph6_input_format(tmp_path, capsys):

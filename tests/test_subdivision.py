@@ -1,10 +1,15 @@
 from __future__ import annotations
 
+import hashlib
+import pathlib
+import random
+
 import pytest
 from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from dpdp._canon import is_isomorphic
-from dpdp.catalog import cycle, double_star, path, complete
+from dpdp.catalog import complete, cycle, double_star, path, read_graph6_file
 from dpdp.domination import is_dp_pair
 from dpdp.graph import Multigraph, is_cycle_graph, is_path_graph
 from dpdp.subdivision import (
@@ -15,6 +20,12 @@ from dpdp.subdivision import (
 )
 
 from helpers import based_alphas
+
+# SHA-256 over every field of invert_s2's result, dict order included, on
+# the inputs of test_invert_outputs_pinned
+INVERT_OUTPUTS_SHA256 = (
+    "fa7e48afb2539791fba89b4bd280e3038f0c3edbcaecaf47f7b77af4e66be353"
+)
 
 
 def test_build_p2_gives_p4():
@@ -125,13 +136,20 @@ def test_invert_recovers_alpha_from_leaf_counts():
     assert base.n == 2 and base.m == 1
 
 
-def _assert_roundtrip(h: Multigraph, alpha: dict[int, int] | None) -> None:
-    # rebuild from the inversion output and compare edge-for-edge through tags
-    g, _ = build_s2(h, alpha)
-    inv = invert_s2(g)
-    assert inv is not None, (h.n, h.edge_multiset(), alpha)
-    base, got_alpha, lab = inv
-    rebuilt, lab2 = build_s2(base, got_alpha)
+def _relabelled(g: Multigraph, rng: random.Random) -> Multigraph:
+    perm = list(range(g.n))
+    rng.shuffle(perm)
+    edges = [(perm[e.u], perm[e.v]) for e in g.edges]
+    rng.shuffle(edges)
+    return Multigraph(g.n, edges)
+
+
+def _assert_tag_roundtrip(g: Multigraph, inv) -> Multigraph:
+    """build_s2(base, alpha) equals g edge-for-edge through the tags, and
+    every labeling table names vertices and edges of g; returns the
+    rebuild."""
+    base, alpha, lab = inv
+    rebuilt, lab2 = build_s2(base, alpha)
     mapping = [lab2.vertex_of(t) for t in lab.provenance]
     assert sorted(mapping) == list(range(g.n))
     remapped = sorted(
@@ -139,6 +157,22 @@ def _assert_roundtrip(h: Multigraph, alpha: dict[int, int] | None) -> None:
         for e in g.edges
     )
     assert tuple(remapped) == rebuilt.edge_multiset()
+    assert [lab.vertex_of(t) for t in lab.provenance] == list(range(g.n))
+    for e in base.edges:
+        n1, n2 = lab.new_vertex[(e.id, 1)], lab.new_vertex[(e.id, 2)]
+        assert g.edges[lab.middle_edge[e.id]].key() == (min(n1, n2), max(n1, n2))
+        for side, nv, end in ((1, n1, e.u), (2, n2, e.v)):
+            reps = lab.copy_vertices.get(end) or (lab.old_vertex[end],)
+            ends = [g.edges[a].key() for a in lab.attach_edges[(e.id, side)]]
+            assert ends == [(min(r, nv), max(r, nv)) for r in reps]
+    return rebuilt
+
+
+def _assert_roundtrip(h: Multigraph, alpha: dict[int, int] | None) -> None:
+    g, _ = build_s2(h, alpha)
+    inv = invert_s2(g)
+    assert inv is not None, (h.n, h.edge_multiset(), alpha)
+    _assert_tag_roundtrip(g, inv)
 
 
 def test_roundtrip_sweep(multigraphs_le5):
@@ -152,6 +186,54 @@ def test_roundtrip_sweep(multigraphs_le5):
 @given(based_alphas())
 def test_roundtrip_random_alpha(h_alpha):
     _assert_roundtrip(*h_alpha)
+
+
+@settings(max_examples=200, deadline=None)
+@given(based_alphas(), st.randoms(use_true_random=False))
+def test_relabelled_and_perturbed_s2(h_alpha, rng):
+    nx = pytest.importorskip("networkx")
+    g = _relabelled(build_s2(*h_alpha)[0], rng)
+    inv = invert_s2(g)
+    assert inv is not None
+    rebuilt = _assert_tag_roundtrip(g, inv)
+    assert nx.is_isomorphic(
+        nx.Graph([e.endpoints() for e in g.edges]),
+        nx.Graph([e.endpoints() for e in rebuilt.edges]),
+    )
+    # one edge less or more: whatever is still recognised round-trips
+    u, v = rng.sample(range(g.n), 2)  # an S2 graph has at least 3 vertices
+    for near in (
+        g.delete_edge(rng.randrange(g.m))[0],
+        Multigraph(g.n, [e.endpoints() for e in g.edges] + [(u, v)]),
+    ):
+        inv = invert_s2(near)
+        if inv is not None:
+            _assert_tag_roundtrip(near, inv)
+
+
+def test_invert_outputs_pinned(multigraphs_le5):
+    fixture = pathlib.Path(__file__).parent / "fixtures" / "simple_n7.g6"
+    graphs = read_graph6_file(fixture.read_text())
+    rng = random.Random(7)
+    for h in multigraphs_le5:
+        for alpha in (None, {v: 1 + v % 3 for v in h.leaves()}):
+            g, _ = build_s2(h, alpha)
+            graphs += [g, _relabelled(g, rng)]
+    digest = hashlib.sha256()
+    for g in graphs:
+        inv = invert_s2(g)
+        fields = None
+        if inv is not None:
+            base, alpha, lab = inv
+            fields = (
+                base.n, [e.endpoints() for e in base.edges], list(alpha.items()),
+                list(lab.alpha.items()), lab.provenance,
+                list(lab.old_vertex.items()), list(lab.copy_vertices.items()),
+                list(lab.new_vertex.items()), list(lab.middle_edge.items()),
+                list(lab.attach_edges.items()),
+            )
+        digest.update(repr(fields).encode() + b"\n")
+    assert digest.hexdigest() == INVERT_OUTPUTS_SHA256
 
 
 def test_invert_deterministic_on_rotations():
