@@ -4,8 +4,8 @@ Families: paths, cycles (cycle(1) is a loop vertex, cycle(2) a parallel
 pair), complete and complete bipartite graphs, stars, double stars, and
 corona graphs with per-vertex pendant counts.
 
-Enumerations return exactly one representative per isomorphism class and
-are cached: the cross-validation sweeps call them repeatedly.
+Enumerations keep one representative per isomorphism class and are cached
+for the repeated sweeps; all but cubic add a vertex or edge to smaller ones.
 
 Codecs: graph6 (simple graphs, single-byte size, n <= 62) and the plain
 edge-list text format, the only lossless multigraph interchange here.
@@ -16,7 +16,7 @@ from __future__ import annotations
 import heapq
 import random
 from functools import lru_cache
-from itertools import combinations, combinations_with_replacement
+from itertools import combinations
 
 from .graph import Multigraph
 from ._canon import classes_by_isomorphism
@@ -156,26 +156,25 @@ def enumerate_connected_simple(n: int) -> tuple[Multigraph, ...]:
 @lru_cache(maxsize=None)
 def enumerate_connected_multigraphs(max_edges: int) -> tuple[Multigraph, ...]:
     """All connected multigraphs with 1..max_edges edges and no isolated
-    vertex, one per isomorphism class (loops and parallel edges included)."""
-    if not (1 <= max_edges <= 5):
-        raise ValueError("enumerate_connected_multigraphs supports max_edges <= 5")
-    reps: list[Multigraph] = []
-    for m in range(1, max_edges + 1):
-        for n in range(1, m + 2):
-            slots = [(u, v) for u in range(n) for v in range(u, n)]
-            batch = []
-            for combo in combinations_with_replacement(slots, m):
-                touched = set()
-                for u, v in combo:
-                    touched.add(u)
-                    touched.add(v)
-                if len(touched) != n:
-                    continue
-                g = Multigraph(n, list(combo))
-                if g.is_connected():
-                    batch.append(g)
-            reps.extend(classes_by_isomorphism(batch))
-    return tuple(reps)
+    vertex, one per isomorphism class (loops and parallel edges included),
+    in (m, n, sorted degrees, edge list) order.
+
+    Each m-edge class is an (m-1)-edge class on n vertices plus one edge
+    (u, v), 0 <= u < n, u <= v <= n: G minus an edge on a cycle (a loop or
+    a parallel pair counts) is connected, and a tree minus a leaf is a tree.
+    Deduplicated in sorted edge-list order, a class keeps its least one."""
+    if not (1 <= max_edges <= 6):
+        raise ValueError("enumerate_connected_multigraphs supports 1 <= max_edges <= 6")
+    if max_edges == 1:
+        return (Multigraph(1, [(0, 0)]), Multigraph(2, [(0, 1)]))
+    smaller = enumerate_connected_multigraphs(max_edges - 1)
+    candidates = [
+        Multigraph(max(g.n, v + 1), sorted(g.edge_multiset() + ((u, v),)))
+        for g in smaller if g.m == max_edges - 1
+        for u in range(g.n) for v in range(u, g.n + 1)
+    ]
+    candidates.sort(key=Multigraph.edge_multiset)
+    return smaller + tuple(classes_by_isomorphism(candidates))
 
 
 @lru_cache(maxsize=None)

@@ -375,7 +375,7 @@ def build_parser() -> _Parser:
     p.add_argument("g6file", nargs="?", help="graph6 file of base graphs")
     p.add_argument(
         "--max-edges", type=int,
-        help="sweep all connected multigraphs with up to this many edges",
+        help="sweep all connected multigraphs with up to this many edges (1-6)",
     )
     p.set_defaults(func=cmd_xcheck)
 

@@ -9,7 +9,7 @@ compared on.
 
 from __future__ import annotations
 
-from itertools import combinations
+from itertools import combinations, combinations_with_replacement, permutations
 
 from hypothesis import strategies as st
 
@@ -65,6 +65,36 @@ def oracle_dp_partitions(g: Multigraph) -> list[frozenset[int]]:
             if oracle_pairing_exists(g, p):
                 hits.append(frozenset(d))
     return sorted(hits, key=sorted)
+
+
+def oracle_connected_multigraphs(max_edges: int) -> set[tuple[int, tuple]]:
+    """Every connected multigraph with 1..max_edges edges and no isolated
+    vertex, one per isomorphism class, as (n, sorted edge tuple): the
+    lexicographically least labelling of each class.  Walks every labelled
+    edge multiset on n <= m + 1 vertices, checks connectivity by a BFS on
+    the raw edges, and tries every vertex permutation on the survivors."""
+    found = set()
+    for m in range(1, max_edges + 1):
+        for n in range(1, m + 2):
+            slots = [(u, v) for u in range(n) for v in range(u, n)]
+            perms = list(permutations(range(n)))
+            for combo in combinations_with_replacement(slots, m):
+                seen, todo = {0}, [0]
+                while todo:
+                    x = todo.pop()
+                    for u, v in combo:
+                        for a, b in ((u, v), (v, u)):
+                            if a == x and b not in seen:
+                                seen.add(b)
+                                todo.append(b)
+                if len(seen) < n:
+                    continue
+                if all(
+                    tuple(sorted((min(p[u], p[v]), max(p[u], p[v])) for u, v in combo)) >= combo
+                    for p in perms
+                ):
+                    found.add((n, combo))
+    return found
 
 
 def edge_list_text(g: Multigraph) -> str:

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import hashlib
 import random
 
 import pytest
@@ -31,7 +32,7 @@ from dpdp.catalog import (
 )
 from dpdp.graph import Multigraph, is_cycle_graph, is_path_graph
 
-from helpers import multigraphs
+from helpers import multigraphs, oracle_connected_multigraphs
 
 
 def test_family_examples():
@@ -85,8 +86,9 @@ def test_enumerate_connected_simple_no_duplicates():
 def test_enumerate_range_checks():
     with pytest.raises(ValueError):
         enumerate_connected_simple(8)
-    with pytest.raises(ValueError):
-        enumerate_connected_multigraphs(6)
+    for bad in (0, 7):
+        with pytest.raises(ValueError):
+            enumerate_connected_multigraphs(bad)
 
 
 def test_enumerate_multigraphs_small():
@@ -112,6 +114,33 @@ def test_enumerate_multigraphs_properties(multigraphs_le5):
         key = (g.n, g.edge_multiset())
         assert key not in seen
         seen.add(key)
+
+
+#: SHA-256 of the 470 classes of oracle_connected_multigraphs(6) in the
+#: documented order, one "n:u-v u-v ..." line each (the oracle takes ~10 s)
+MULTIGRAPHS_LE6_SHA256 = "c1dbe1f33537a22af4b205ee66a4309199dea668f0629d66f6d5e1b0d6cb719b"
+
+
+def _documented_order(g: Multigraph) -> tuple:
+    return (g.m, g.n, tuple(sorted(g.degree(v) for v in range(g.n))), g.edge_multiset())
+
+
+def test_enumerate_multigraphs_match_oracle():
+    oracle = oracle_connected_multigraphs(5)
+    for k in range(1, 6):
+        got = enumerate_connected_multigraphs(k)
+        listed = [(g.n, tuple(e.endpoints() for e in g.edges)) for g in got]
+        assert len(set(listed)) == len(listed)
+        assert set(listed) == {(n, edges) for n, edges in oracle if len(edges) <= k}
+        keys = [_documented_order(g) for g in got]
+        assert keys == sorted(keys)
+
+
+def test_enumerate_multigraphs_six_edges_pinned():
+    got = enumerate_connected_multigraphs(6)
+    assert [sum(g.m == m for g in got) for m in range(1, 7)] == [2, 4, 11, 30, 95, 328]
+    text = "".join(f"{g.n}:" + " ".join(f"{e.u}-{e.v}" for e in g.edges) + "\n" for g in got)
+    assert hashlib.sha256(text.encode()).hexdigest() == MULTIGRAPHS_LE6_SHA256
 
 
 def test_enumerate_trees_counts():
