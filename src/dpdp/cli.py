@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import io
 import json
 import os
@@ -326,7 +327,10 @@ def cmd_xcheck(args) -> int:
     return 2 if disagreements else 0
 
 
+@functools.cache
 def build_parser() -> _Parser:
+    """The dpdp argument parser, built once per process: parse_args keeps
+    no state between calls."""
     parser = _Parser(prog="dpdp", description=__doc__.splitlines()[0])
     sub = parser.add_subparsers(dest="command", required=True)
 

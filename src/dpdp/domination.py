@@ -9,9 +9,18 @@ it is checked for a perfect matching as soon as it closes, and the branch
 is pruned if it has none.  A complete assignment therefore has a matched
 component everywhere, and its matching is the union of theirs.
 
+The same search decides G - e without building G - e: with one edge id
+masked it runs on g's own adjacency, where the edge's endpoints lose one
+edge-end each (a loop two), lose each other as plain neighbours unless a
+parallel edge remains, and leaves, supports and the BFS order follow from
+these masked degrees and neighbour sets.  A vertex that the deletion
+isolates decides the search before it starts.  Final components are
+matched without the masked edge, and only a hit builds the real G - e,
+once, to re-verify the pair there in G - e's edge ids.
+
 Two pairs are the same iff their (D, P) partitions agree; matchings are
 witnesses, not identity.  Every positive verdict carries a pair that
-re-verifies under is_dp_pair.
+re-verifies under is_dp_pair on the graph it describes.
 """
 
 from __future__ import annotations
@@ -55,7 +64,14 @@ def has_perfect_matching_on(
     are memoised.  Agrees with exhaustive pairing and with networkx
     (oracle-tested).
     """
-    ss = frozenset(s)
+    return _matching(g, frozenset(s), None)
+
+
+def _matching(
+    g: Multigraph, ss: frozenset[int], skip: int | None
+) -> tuple[int, ...] | None:
+    """has_perfect_matching_on(g, ss) on g without the edge id skip (None
+    masks nothing); the matching is in g's edge ids."""
     if len(ss) % 2:
         return None
     if not ss:
@@ -64,11 +80,17 @@ def has_perfect_matching_on(
     eid_of: dict[tuple[int, int], int] = {}
     for u in ss:
         for eid in g.incident_edges(u):
+            if eid == skip:
+                continue
             e = g.edges[eid]
             w = e.v if e.u == u else e.u
             if w != u and w in ss:
                 eid_of.setdefault((u, w), eid)
-    partners = {u: sorted(g.plain_neighbors(u) & ss) for u in ss}
+    partners: dict[int, list[int]] = {u: [] for u in ss}
+    for u, w in eid_of:
+        partners[u].append(w)
+    for ws in partners.values():
+        ws.sort()
     dead: set[frozenset[int]] = set()
     # frames [remaining, u, remaining - {u}, index of u's current partner]
     stack: list[list] = []
@@ -143,22 +165,40 @@ def enumerate_dp_pairs(g: Multigraph, cap: int) -> list[DpPair]:
     Order: depth-first over vertices in BFS order from vertex 0, trying D
     before P at every branch.
     """
+    return _dp_pairs(g, cap)
+
+
+def _dp_pairs(g: Multigraph, cap: int, skip: int | None = None) -> list[DpPair]:
+    """enumerate_dp_pairs(g, cap), or with skip an edge id, the same list
+    for G - skip, matchings in G - skip's edge ids, searched on g's
+    adjacency with that edge masked."""
     if cap < 1:
         raise ValueError("cap must be >= 1")
-    if g.n == 0:
+    n = g.n
+    if n == 0:
         return [DpPair(frozenset(), frozenset(), ())]
-    if any(g.degree(v) == 0 for v in range(g.n)):
+    degree = [g.degree(v) for v in range(n)]
+    if skip is not None:
+        a, b = g.edges[skip].endpoints()
+        degree[a] -= 1
+        degree[b] -= 1  # a loop drops its vertex by two
+    if 0 in degree:
         return []
 
-    n = g.n
     nbrs = [sorted(g.plain_neighbors(v)) for v in range(n)]
+    if skip is not None and a != b and not any(
+        eid != skip and g.edges[eid].other(a) == b for eid in g.incident_edges(a)
+    ):
+        nbrs[a].remove(b)
+        nbrs[b].remove(a)
     state = [_UNSET] * n
     # cnt[v] = [assigned-D neighbors, assigned-P neighbors, unassigned neighbors]
     cnt = [[0, 0, len(nbrs[v])] for v in range(n)]
     trail: list[int] = []
     results: list[DpPair] = []
-    leaves = g.leaves()
-    supports = g.supports()
+    leaves = frozenset(v for v in range(n) if degree[v] == 1)
+    # a leaf has no loop, so its one edge-end makes one plain neighbour
+    supports = frozenset(nbrs[v][0] for v in leaves)
 
     def can_be(v: int, side: int) -> bool:
         dcnt, pcnt, ucnt = cnt[v]
@@ -259,12 +299,24 @@ def enumerate_dp_pairs(g: Multigraph, cap: int) -> list[DpPair]:
                     return False
                 key = frozenset(comp)
                 if key not in matchings:
-                    matchings[key] = has_perfect_matching_on(g, key)
+                    # the unmasked search keeps the public entry, so that a
+                    # wrapper around it sees every full-graph matching
+                    matchings[key] = (
+                        has_perfect_matching_on(g, key)
+                        if skip is None
+                        else _matching(g, key, skip)
+                    )
                 if matchings[key] is None:
                     return False
         return True
 
+    # the graph every hit is re-verified on: g, or G - skip built at the
+    # first hit, with the map from g's edge ids to its own
+    host: Multigraph | None = g if skip is None else None
+    id_map: dict[int, int] | None = None
+
     def emit() -> None:
+        nonlocal host, id_map
         p = frozenset(v for v in range(n) if state[v] == _P)
         d = frozenset(range(n)) - p
         # every component of G[P] is final here and was matched when it closed
@@ -275,13 +327,32 @@ def enumerate_dp_pairs(g: Multigraph, cap: int) -> list[DpPair]:
                 comp = frozenset(p_component(z))
                 done |= comp
                 matching.extend(matchings[comp])
+        if host is None:
+            host, id_map = g.delete_edge(skip)
+        if id_map is not None:
+            matching = [id_map[eid] for eid in matching]
         pair = DpPair(d, p, tuple(sorted(matching)))
         # Obs 4.2 containments and the full invariant, re-checked on every hit
-        assert leaves <= d and supports <= p
-        assert is_dp_pair(g, pair), dp_pair_problem(g, pair)
+        assert host.leaves() <= d and host.supports() <= p
+        assert is_dp_pair(host, pair), dp_pair_problem(host, pair)
         results.append(pair)
 
-    order = g.bfs_order(0)
+    # BFS order from vertex 0, then from the next unvisited id
+    order: list[int] = []
+    seen = [False] * n
+    for root in range(n):
+        if seen[root]:
+            continue
+        seen[root] = True
+        head = len(order)
+        order.append(root)
+        while head < len(order):
+            for w in nbrs[order[head]]:
+                if not seen[w]:
+                    seen[w] = True
+                    order.append(w)
+            head += 1
+
     # Depth-first over positions in order, D before P; a frame is
     # [position, trail mark before its vertex, side tried last].
     stack: list[list[int]] = []

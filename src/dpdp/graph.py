@@ -167,24 +167,6 @@ class Multigraph:
     def is_connected(self) -> bool:
         return len(self.connected_components()) <= 1
 
-    def bfs_order(self, start: int = 0) -> tuple[int, ...]:
-        """All vertices in BFS order from start, then from the next unvisited id."""
-        order = []
-        seen = [False] * self.n
-        for s in ([start] if self.n else []) + list(range(self.n)):
-            if seen[s]:
-                continue
-            seen[s] = True
-            queue = deque([s])
-            while queue:
-                v = queue.popleft()
-                order.append(v)
-                for w in sorted(self._plain[v]):
-                    if not seen[w]:
-                        seen[w] = True
-                        queue.append(w)
-        return tuple(order)
-
     # -- equality: labeled graphs, edge ids ignored ------------------------
 
     def edge_multiset(self) -> tuple[tuple[int, int], ...]:

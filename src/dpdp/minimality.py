@@ -15,7 +15,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .domination import DpPair, enumerate_dp_pairs, is_dominating, is_dpdp
+from .domination import DpPair, _dp_pairs, enumerate_dp_pairs, is_dominating, is_dpdp
 from .goodsub import GoodSubgraphCertificate, find_good_subgraph
 from .graph import Multigraph, is_cycle_graph
 from .subdivision import S2Labeling, build_s2, invert_s2
@@ -60,10 +60,12 @@ def is_minimal_by_deletion(g: Multigraph) -> bool:
 def deletion_witness(g: Multigraph) -> int | None:
     """Lowest edge id whose removal keeps g DPDP, or None.  g itself is not
     searched: by supergraph monotonicity a g that is not DPDP also yields
-    None, after one DP search per edge."""
+    None, after one DP search per edge.  Each search runs on g with the
+    edge masked, so no G - e is built unless it is DPDP (the search then
+    re-verifies its pair there); a deletion that isolates a vertex is
+    decided without a search."""
     for eid in range(g.m):
-        smaller, _ = g.delete_edge(eid)
-        if is_dpdp(smaller):
+        if _dp_pairs(g, 1, eid):
             return eid
     return None
 

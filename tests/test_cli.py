@@ -296,6 +296,18 @@ def test_usage_error_exits_1():
     assert exc.value.code == 1
 
 
+def test_parser_keeps_no_state_between_calls(tmp_path, capsys):
+    f = tmp_path / "k3.el"
+    f.write_text(edge_list_text(complete(3)))
+    _, out = run_cli(capsys, "pairs", str(f), "--cap", "3")
+    assert json.loads(out)["result"]["cap"] == 3
+    _, out = run_cli(capsys, "pairs", str(f))
+    assert json.loads(out)["result"]["cap"] == 10
+    with pytest.raises(SystemExit) as exc:
+        main(["not-a-command"])
+    assert exc.value.code == 1
+
+
 def test_byte_determinism(tmp_path, capsys, p6_file):
     runs = [run_cli(capsys, "goodsub", p6_file)[1] for _ in range(2)]
     assert runs[0] == runs[1]

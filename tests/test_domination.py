@@ -8,6 +8,8 @@ from hypothesis import given, settings, strategies as st
 from dpdp.catalog import complete, cycle, path
 from dpdp.domination import (
     DpPair,
+    _dp_pairs,
+    _matching,
     dp_pair_problem,
     enumerate_dp_pairs,
     find_dp_pair,
@@ -249,6 +251,19 @@ def test_search_equals_exhaustive_partitions_on_s2_graphs(g):
 @given(multigraphs(max_n=10, max_m=16), st.integers(1, 6))
 def test_capped_search_is_a_prefix(g, k):
     assert enumerate_dp_pairs(g, cap=k) == enumerate_dp_pairs(g, cap=10**6)[:k]
+
+
+@settings(max_examples=200, deadline=None)
+@given(multigraphs(max_n=9, max_m=14))
+def test_masked_search_equals_search_on_deleted_graph(g):
+    for eid in range(g.m):
+        smaller, id_map = g.delete_edge(eid)
+        want = enumerate_dp_pairs(smaller, 10)
+        # pairs, order and matchings (in G - eid's edge ids) all agree
+        assert _dp_pairs(g, 10, eid) == want
+        for pair in want:
+            masked = _matching(g, pair.p, eid)
+            assert tuple(id_map[e] for e in masked) == pair.matching
 
 
 @settings(max_examples=300, deadline=None)

@@ -62,6 +62,7 @@ def _oracle_witness(g: Multigraph) -> int | None:
 @settings(max_examples=150, deadline=None)
 @given(multigraphs(max_n=8, max_m=10))
 def test_deletion_scan_agrees_with_exhaustive_partitions(g):
+    # the masked deletion scan against the oracle on every real G - e
     witness = _oracle_witness(g)
     assert deletion_witness(g) == witness
     dpdp_graph = bool(oracle_dp_partitions(g))
@@ -76,17 +77,18 @@ def test_deletion_scan_agrees_with_exhaustive_partitions(g):
 
 @pytest.fixture()
 def dp_searches(monkeypatch):
-    """Caps of the enumerate_dp_pairs calls made, under every name the
-    package binds it to; every DP search enters through it."""
-    real = dpdp.domination.enumerate_dp_pairs
+    """Caps of the _dp_pairs calls made, under every name the package
+    binds it to; every DP search enters through it, the masked searches
+    of the deletion scan included."""
+    real = dpdp.domination._dp_pairs
     caps = []
 
-    def counted(g, cap):
+    def counted(g, cap, skip=None):
         caps.append(cap)
-        return real(g, cap)
+        return real(g, cap, skip)
 
-    for module in (dpdp.domination, dpdp.minimality, dpdp.cli):
-        monkeypatch.setattr(module, "enumerate_dp_pairs", counted)
+    for module in (dpdp.domination, dpdp.minimality):
+        monkeypatch.setattr(module, "_dp_pairs", counted)
     return caps
 
 
