@@ -9,14 +9,22 @@ it is checked for a perfect matching as soon as it closes, and the branch
 is pruned if it has none.  A complete assignment therefore has a matched
 component everywhere, and its matching is the union of theirs.
 
-The same search decides G - e without building G - e: with one edge id
-masked it runs on g's own adjacency, where the edge's endpoints lose one
-edge-end each (a loop two), lose each other as plain neighbours unless a
-parallel edge remains, and leaves, supports and the BFS order follow from
-these masked degrees and neighbour sets.  A vertex that the deletion
-isolates decides the search before it starts.  Final components are
-matched without the masked edge, and only a hit builds the real G - e,
-once, to re-verify the pair there in G - e's edge ids.
+The search is set up once per graph g.  Set-up forces g's leaves and
+supports and propagates them: the core, which every DP-pair of g agrees
+with.  Every DP-pair of G - e is a DP-pair of g (supergraph
+monotonicity), so the same engine decides each G - e from g's core
+without building G - e: with edge e masked, only its endpoints' degrees,
+neighbour rows and counters change (a loop drops its vertex by two), a
+vertex the deletion isolates answers at once, a new leaf and its support
+are forced, and propagation and the final-component check start at the
+two endpoints.  Only a core that survives is searched, in G - e's BFS
+order.  The lists are those of a search on the real G - e, in the same
+order: the depth-first search in a fixed vertex order, D before P, emits
+pairs in lexicographic order, and sound extra forcing only prunes.  A
+component holding both ends of e is matched without e; every other
+component's induced subgraph is g's own and shares one memo.  Only a hit
+builds the real G - e, once, to re-verify the pair there in G - e's edge
+ids.
 
 Two pairs are the same iff their (D, P) partitions agree; matchings are
 witnesses, not identity.  Every positive verdict carries a pair that
@@ -26,6 +34,7 @@ re-verifies under is_dp_pair on the graph it describes.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Callable
 
 from .graph import Multigraph
 
@@ -165,49 +174,42 @@ def enumerate_dp_pairs(g: Multigraph, cap: int) -> list[DpPair]:
     Order: depth-first over vertices in BFS order from vertex 0, trying D
     before P at every branch.
     """
-    return _dp_pairs(g, cap)
+    return _dp_search(g)(cap)
 
 
-def _dp_pairs(g: Multigraph, cap: int, skip: int | None = None) -> list[DpPair]:
-    """enumerate_dp_pairs(g, cap), or with skip an edge id, the same list
-    for G - skip, matchings in G - skip's edge ids, searched on g's
-    adjacency with that edge masked."""
-    if cap < 1:
-        raise ValueError("cap must be >= 1")
+def _dp_search(g: Multigraph) -> Callable[..., list[DpPair]]:
+    """Set up the DP-pair search on g once and return search(cap, skip=None):
+    enumerate_dp_pairs(g, cap), or with skip an edge id, the same list for
+    G - skip, matchings in G - skip's edge ids, searched on g's adjacency
+    with that edge masked.
+
+    Set-up forces g's leaves into D and its supports into P, propagates,
+    and checks the P-components this closes: the core.  A contradictory
+    core answers [] for g and every G - skip.  Each search starts from the
+    core and returns the engine to it, so one engine answers any sequence
+    of questions.
+    """
     n = g.n
-    if n == 0:
-        return [DpPair(frozenset(), frozenset(), ())]
     degree = [g.degree(v) for v in range(n)]
-    if skip is not None:
-        a, b = g.edges[skip].endpoints()
-        degree[a] -= 1
-        degree[b] -= 1  # a loop drops its vertex by two
-    if 0 in degree:
-        return []
-
     nbrs = [sorted(g.plain_neighbors(v)) for v in range(n)]
-    if skip is not None and a != b and not any(
-        eid != skip and g.edges[eid].other(a) == b for eid in g.incident_edges(a)
-    ):
-        nbrs[a].remove(b)
-        nbrs[b].remove(a)
     state = [_UNSET] * n
-    # cnt[v] = [assigned-D neighbors, assigned-P neighbors, unassigned neighbors]
-    cnt = [[0, 0, len(nbrs[v])] for v in range(n)]
+    # cnt[v][s] = neighbours of v in state s (unassigned, D, P)
+    cnt = [[len(row), 0, 0] for row in nbrs]
     trail: list[int] = []
-    results: list[DpPair] = []
-    leaves = frozenset(v for v in range(n) if degree[v] == 1)
-    # a leaf has no loop, so its one edge-end makes one plain neighbour
-    supports = frozenset(nbrs[v][0] for v in leaves)
+    # perfect matching (or None) of every final P-component met so far; a
+    # component holding both ends of the masked edge is the only one whose
+    # induced subgraph the mask changes, and it goes to that search's memo
+    shared: dict[frozenset[int], tuple[int, ...] | None] = {}
+    masked: tuple[int, int, int, dict] | None = None  # (skip, a, b, memo)
 
     def can_be(v: int, side: int) -> bool:
-        dcnt, pcnt, ucnt = cnt[v]
+        ucnt, dcnt, pcnt = cnt[v]
         if side == _D:
             return pcnt + ucnt >= 1
         return dcnt + ucnt >= 1 and pcnt + ucnt >= 1
 
     def violated(v: int) -> bool:
-        dcnt, pcnt, ucnt = cnt[v]
+        ucnt, dcnt, pcnt = cnt[v]
         if state[v] == _D:
             return pcnt + ucnt < 1
         if state[v] == _P:
@@ -216,7 +218,7 @@ def _dp_pairs(g: Multigraph, cap: int, skip: int | None = None) -> list[DpPair]:
 
     def forced_moves(v: int) -> list[tuple[int, int]]:
         moves = []
-        dcnt, pcnt, ucnt = cnt[v]
+        ucnt, dcnt, pcnt = cnt[v]
         if state[v] == _UNSET:
             d_ok, p_ok = can_be(v, _D), can_be(v, _P)
             if d_ok and not p_ok:
@@ -229,16 +231,16 @@ def _dp_pairs(g: Multigraph, cap: int, skip: int | None = None) -> list[DpPair]:
                 moves.append((u, _P))
             elif state[v] == _P:
                 # if both needs point at u the queued pair conflicts and
-                # assign() reports the contradiction
+                # propagate() reports the contradiction
                 if dcnt == 0:
                     moves.append((u, _D))
                 if pcnt == 0:
                     moves.append((u, _P))
         return moves
 
-    def assign(v: int, side: int) -> bool:
-        """Assign with unit propagation; False on contradiction."""
-        queue = [(v, side)]
+    def propagate(queue: list[tuple[int, int]]) -> bool:
+        """Make the queued assignments with unit propagation; False on
+        contradiction."""
         while queue:
             x, s = queue.pop()
             if state[x] != _UNSET:
@@ -248,8 +250,8 @@ def _dp_pairs(g: Multigraph, cap: int, skip: int | None = None) -> list[DpPair]:
             state[x] = s
             trail.append(x)
             for u in nbrs[x]:
-                cnt[u][2] -= 1
-                cnt[u][s - 1] += 1
+                cnt[u][0] -= 1
+                cnt[u][s] += 1
             if violated(x):
                 return False
             for u in nbrs[x]:
@@ -265,11 +267,8 @@ def _dp_pairs(g: Multigraph, cap: int, skip: int | None = None) -> list[DpPair]:
             s = state[x]
             state[x] = _UNSET
             for u in nbrs[x]:
-                cnt[u][2] += 1
-                cnt[u][s - 1] -= 1
-
-    # perfect matching (or None) of every final P-component met so far
-    matchings: dict[frozenset[int], tuple[int, ...] | None] = {}
+                cnt[u][0] += 1
+                cnt[u][s] -= 1
 
     def p_component(z: int) -> list[int]:
         """The connected component of G[P] around the P-vertex z."""
@@ -282,111 +281,172 @@ def _dp_pairs(g: Multigraph, cap: int, skip: int | None = None) -> list[DpPair]:
                     comp.append(w)
         return comp
 
-    def final_components_match(mark: int) -> bool:
-        """False if the assignments since mark closed a P-component that
-        has no perfect matching.  A component is final once none of its
-        vertices has an unassigned neighbour."""
+    def component_matching(key: frozenset[int]) -> tuple[int, ...] | None:
+        memo, skip = shared, None
+        if masked is not None and masked[1] in key and masked[2] in key:
+            skip, _, _, memo = masked
+        if key not in memo:
+            # an unmasked matching keeps the public entry, so that a
+            # wrapper around it sees every matching made on g itself
+            memo[key] = (
+                has_perfect_matching_on(g, key)
+                if skip is None
+                else _matching(g, key, skip)
+            )
+        return memo[key]
+
+    def final_components_match(starts: list[int]) -> bool:
+        """False if a P-component at or next to a vertex of starts is final
+        (none of its vertices has an unassigned neighbour) and has no
+        perfect matching."""
         done: set[int] = set()
-        for x in trail[mark:]:
+        for x in starts:
             for z in (x, *nbrs[x]):
-                if state[z] != _P or cnt[z][2] or z in done:
+                if state[z] != _P or cnt[z][0] or z in done:
                     continue
                 comp = p_component(z)
                 done.update(comp)
-                if any(cnt[y][2] for y in comp):
+                if any(cnt[y][0] for y in comp):
                     continue
-                if len(comp) % 2:
-                    return False
-                key = frozenset(comp)
-                if key not in matchings:
-                    # the unmasked search keeps the public entry, so that a
-                    # wrapper around it sees every full-graph matching
-                    matchings[key] = (
-                        has_perfect_matching_on(g, key)
-                        if skip is None
-                        else _matching(g, key, skip)
-                    )
-                if matchings[key] is None:
+                if len(comp) % 2 or component_matching(frozenset(comp)) is None:
                     return False
         return True
 
-    # the graph every hit is re-verified on: g, or G - skip built at the
-    # first hit, with the map from g's edge ids to its own
-    host: Multigraph | None = g if skip is None else None
-    id_map: dict[int, int] | None = None
+    def walk(cap: int) -> list[DpPair]:
+        """Up to cap complete assignments extending the current one, in
+        depth-first order over the BFS order of the current rows, D before
+        P; each is re-verified on the graph it describes."""
+        # the graph every hit is re-verified on: g, or G - skip built at the
+        # first hit, with the map from g's edge ids to its own
+        host: Multigraph | None = g if masked is None else None
+        id_map: dict[int, int] | None = None
+        results: list[DpPair] = []
 
-    def emit() -> None:
-        nonlocal host, id_map
-        p = frozenset(v for v in range(n) if state[v] == _P)
-        d = frozenset(range(n)) - p
-        # every component of G[P] is final here and was matched when it closed
-        matching: list[int] = []
-        done: set[int] = set()
-        for z in p:
-            if z not in done:
-                comp = frozenset(p_component(z))
-                done |= comp
-                matching.extend(matchings[comp])
-        if host is None:
-            host, id_map = g.delete_edge(skip)
-        if id_map is not None:
-            matching = [id_map[eid] for eid in matching]
-        pair = DpPair(d, p, tuple(sorted(matching)))
-        # Obs 4.2 containments and the full invariant, re-checked on every hit
-        assert host.leaves() <= d and host.supports() <= p
-        assert is_dp_pair(host, pair), dp_pair_problem(host, pair)
-        results.append(pair)
+        def emit() -> None:
+            nonlocal host, id_map
+            p = frozenset(v for v in range(n) if state[v] == _P)
+            d = frozenset(range(n)) - p
+            # every component of G[P] is final here and was matched when it
+            # closed
+            matching: list[int] = []
+            done: set[int] = set()
+            for z in p:
+                if z not in done:
+                    comp = frozenset(p_component(z))
+                    done |= comp
+                    matching.extend(component_matching(comp))
+            if host is None:
+                host, id_map = g.delete_edge(masked[0])
+            if id_map is not None:
+                matching = [id_map[eid] for eid in matching]
+            pair = DpPair(d, p, tuple(sorted(matching)))
+            # Obs 4.2 containments and the full invariant, re-checked on
+            # every hit
+            assert host.leaves() <= d and host.supports() <= p
+            assert is_dp_pair(host, pair), dp_pair_problem(host, pair)
+            results.append(pair)
 
-    # BFS order from vertex 0, then from the next unvisited id
-    order: list[int] = []
-    seen = [False] * n
-    for root in range(n):
-        if seen[root]:
-            continue
-        seen[root] = True
-        head = len(order)
-        order.append(root)
-        while head < len(order):
-            for w in nbrs[order[head]]:
-                if not seen[w]:
-                    seen[w] = True
-                    order.append(w)
-            head += 1
+        # BFS order from vertex 0, then from the next unvisited id
+        order: list[int] = []
+        seen = [False] * n
+        for root in range(n):
+            if seen[root]:
+                continue
+            seen[root] = True
+            head = len(order)
+            order.append(root)
+            while head < len(order):
+                for w in nbrs[order[head]]:
+                    if not seen[w]:
+                        seen[w] = True
+                        order.append(w)
+                head += 1
 
-    # Depth-first over positions in order, D before P; a frame is
-    # [position, trail mark before its vertex, side tried last].
-    stack: list[list[int]] = []
+        # Depth-first over positions in order, D before P; a frame is
+        # [position, trail mark before its vertex, side tried last].
+        stack: list[list[int]] = []
 
-    def descend(pos: int) -> None:
-        """Emit a complete assignment, else open a frame at the next
-        unassigned position from pos on."""
-        while pos < n and state[order[pos]] != _UNSET:
-            pos += 1
-        if pos == n:
-            emit()
-        else:
-            stack.append([pos, len(trail), _UNSET])
+        def descend(pos: int) -> None:
+            """Emit a complete assignment, else open a frame at the next
+            unassigned position from pos on."""
+            while pos < n and state[order[pos]] != _UNSET:
+                pos += 1
+            if pos == n:
+                emit()
+            else:
+                stack.append([pos, len(trail), _UNSET])
 
-    mark = len(trail)
-    ok = True
-    for leaf in sorted(leaves):
-        ok = ok and assign(leaf, _D)
-    for s in sorted(supports):
-        ok = ok and assign(s, _P)
-    if ok and final_components_match(mark):
         descend(0)
-    while stack and len(results) < cap:
-        frame = stack[-1]
-        pos, frame_mark, side = frame
-        undo(frame_mark)
-        if side == _P:
-            stack.pop()
-            continue
-        side = frame[2] = _D if side == _UNSET else _P
-        if assign(order[pos], side) and final_components_match(frame_mark):
-            descend(pos + 1)
-    undo(mark)
-    return results
+        while stack and len(results) < cap:
+            frame = stack[-1]
+            pos, frame_mark, side = frame
+            undo(frame_mark)
+            if side == _P:
+                stack.pop()
+                continue
+            side = frame[2] = _D if side == _UNSET else _P
+            if propagate([(order[pos], side)]) and final_components_match(
+                trail[frame_mark:]
+            ):
+                descend(pos + 1)
+        return results
+
+    def search(cap: int, skip: int | None = None) -> list[DpPair]:
+        nonlocal masked
+        if cap < 1:
+            raise ValueError("cap must be >= 1")
+        if not alive:
+            return []
+        if skip is None:
+            results = walk(cap)
+            undo(core)
+            return results
+        a, b = g.edges[skip].endpoints()
+        # degrees in G - skip: a loop drops its vertex by two
+        ends = {a: degree[a] - 2} if a == b else {a: degree[a] - 1, b: degree[b] - 1}
+        if 0 in ends.values():
+            return []
+        # a and b stop being plain neighbours unless a parallel edge remains;
+        # only their rows and counters change
+        cut = a != b and not any(
+            eid != skip and g.edges[eid].other(a) == b for eid in g.incident_edges(a)
+        )
+        if cut:
+            rows = nbrs[a], nbrs[b]
+            nbrs[a] = [w for w in rows[0] if w != b]
+            nbrs[b] = [w for w in rows[1] if w != a]
+            cnt[a][state[b]] -= 1
+            cnt[b][state[a]] -= 1
+        masked = (skip, a, b, {})
+        # a new leaf goes to D and its support to P; no other vertex's
+        # counters changed, so only a and b can be violated or force a move
+        queue = []
+        for v, d in ends.items():
+            if d == 1:
+                queue += [(v, _D), (nbrs[v][0], _P)]
+        ok = not any(violated(v) for v in ends)
+        if ok:
+            for v in ends:
+                queue += forced_moves(v)
+            ok = propagate(queue) and final_components_match(trail[core:] + [*ends])
+        results = walk(cap) if ok else []
+        undo(core)
+        if cut:
+            nbrs[a], nbrs[b] = rows
+            cnt[a][state[b]] += 1
+            cnt[b][state[a]] += 1
+        masked = None
+        return results
+
+    leaves = [v for v in range(n) if degree[v] == 1]
+    # a leaf has no loop, so its one edge-end makes one plain neighbour
+    alive = (
+        0 not in degree
+        and propagate([(v, _D) for v in leaves] + [(nbrs[v][0], _P) for v in leaves])
+        and final_components_match(trail)
+    )
+    core = len(trail)
+    return search
 
 
 def find_dp_pair(g: Multigraph) -> DpPair | None:

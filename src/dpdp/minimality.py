@@ -15,7 +15,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .domination import DpPair, _dp_pairs, enumerate_dp_pairs, is_dominating, is_dpdp
+from .domination import DpPair, _dp_search, enumerate_dp_pairs, is_dominating, is_dpdp
 from .goodsub import GoodSubgraphCertificate, find_good_subgraph
 from .graph import Multigraph, is_cycle_graph
 from .subdivision import S2Labeling, build_s2, invert_s2
@@ -60,12 +60,15 @@ def is_minimal_by_deletion(g: Multigraph) -> bool:
 def deletion_witness(g: Multigraph) -> int | None:
     """Lowest edge id whose removal keeps g DPDP, or None.  g itself is not
     searched: by supergraph monotonicity a g that is not DPDP also yields
-    None, after one DP search per edge.  Each search runs on g with the
-    edge masked, so no G - e is built unless it is DPDP (the search then
-    re-verifies its pair there); a deletion that isolates a vertex is
-    decided without a search."""
+    None.  The DP search is set up on g once, and each edge is a masked
+    search that starts from g's forced core and changes only the edge's
+    two endpoints, so no G - e is built unless it is DPDP (the search then
+    re-verifies its pair there).  A deletion that isolates a vertex, and
+    every deletion from a g whose core is contradictory, is decided
+    without a search."""
+    search = _dp_search(g)
     for eid in range(g.m):
-        if _dp_pairs(g, 1, eid):
+        if search(1, eid):
             return eid
     return None
 

@@ -1,7 +1,9 @@
 from __future__ import annotations
 
+import hashlib
 import json
 import os
+import random
 import subprocess
 import sys
 from pathlib import Path
@@ -9,13 +11,18 @@ from pathlib import Path
 import pytest
 
 import dpdp
-from dpdp.catalog import complete, cycle, path, write_graph6
+from dpdp.catalog import complete, cycle, path, random_tree, write_graph6
 from dpdp.cli import main
 from dpdp.domination import DpPair, is_dp_pair
 from dpdp.graph import Multigraph
 from dpdp.subdivision import build_s2
 
 from helpers import edge_list_text
+
+# SHA-256 of the concatenated stdout of test_minimal_outputs_pinned
+MINIMAL_S2_TREES_SHA256 = (
+    "3d86027794e30e1d5876247452a3dff206103c8d0c69e0cdc68013a08d5d83b6"
+)
 
 
 @pytest.fixture()
@@ -73,6 +80,24 @@ def test_minimal_witness_on_k4(tmp_path, capsys):
     res = json.loads(out)["result"]
     assert res["dpdp"] is True and res["minimal"] is False
     assert res["witness_edge"] is not None
+
+
+def test_minimal_outputs_pinned(tmp_path, capsys, monkeypatch):
+    # S2 graphs of 16 random trees on 20-30 vertices, alpha in {1, 2, 3}:
+    # 14 witness edges and 2 minimal graphs, so a change of witness edge,
+    # pair or matching shows here
+    monkeypatch.chdir(tmp_path)  # the input path is part of the output
+    rng = random.Random(2026)
+    digest = hashlib.sha256()
+    for i in range(16):
+        t = random_tree(rng.randint(20, 30), rng)
+        g, _ = build_s2(t, {v: rng.randint(1, 3) for v in sorted(t.leaves())})
+        name = f"t{i}.el"
+        (tmp_path / name).write_text(edge_list_text(g))
+        code, out = run_cli(capsys, "minimal", name)
+        assert code == 0
+        digest.update(out.encode())
+    assert digest.hexdigest() == MINIMAL_S2_TREES_SHA256
 
 
 def test_pairs_cap(tmp_path, capsys):

@@ -8,7 +8,7 @@ from hypothesis import given, settings, strategies as st
 from dpdp.catalog import complete, cycle, path
 from dpdp.domination import (
     DpPair,
-    _dp_pairs,
+    _dp_search,
     _matching,
     dp_pair_problem,
     enumerate_dp_pairs,
@@ -22,7 +22,12 @@ from dpdp.domination import (
 from dpdp.graph import Multigraph
 from dpdp.subdivision import build_s2
 
-from helpers import multigraphs, oracle_dp_partitions, oracle_pairing_exists
+from helpers import (
+    based_alphas,
+    multigraphs,
+    oracle_dp_partitions,
+    oracle_pairing_exists,
+)
 
 
 def test_is_dominating_examples():
@@ -256,14 +261,46 @@ def test_capped_search_is_a_prefix(g, k):
 @settings(max_examples=200, deadline=None)
 @given(multigraphs(max_n=9, max_m=14))
 def test_masked_search_equals_search_on_deleted_graph(g):
+    search = _dp_search(g)
     for eid in range(g.m):
         smaller, id_map = g.delete_edge(eid)
         want = enumerate_dp_pairs(smaller, 10)
         # pairs, order and matchings (in G - eid's edge ids) all agree
-        assert _dp_pairs(g, 10, eid) == want
+        assert search(10, eid) == want
         for pair in want:
             masked = _matching(g, pair.p, eid)
             assert tuple(id_map[e] for e in masked) == pair.matching
+
+
+def test_masked_search_checks_the_component_the_deletion_closes():
+    # in g's core {1, 2, 4} is a P-component left open only by 1's
+    # unassigned neighbour 6; deleting edge 5 = (1, 6) closes it, odd, so
+    # G - 5 has no pair although the 4-cycle on 6..9 still completes
+    g = Multigraph(10, [(0, 1), (1, 2), (3, 2), (2, 4), (5, 4), (1, 6),
+                        (6, 7), (7, 8), (8, 9), (9, 6)])
+    search = _dp_search(g)
+    for eid in range(g.m):
+        assert search(10, eid) == enumerate_dp_pairs(g.delete_edge(eid)[0], 10) == []
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    st.one_of(
+        multigraphs(max_n=9, max_m=14),
+        # S2 hosts: many leaves and supports, so a large forced core
+        based_alphas().map(lambda h_alpha: build_s2(*h_alpha)[0]),
+    ),
+    st.data(),
+)
+def test_one_engine_answers_every_deletion_in_any_order(g, data):
+    # every search returns the engine to g's core: the edges in a drawn
+    # order, again in id order, then g itself, all from one engine
+    search = _dp_search(g)
+    want = [enumerate_dp_pairs(g.delete_edge(eid)[0], 10) for eid in range(g.m)]
+    for eid in data.draw(st.permutations(range(g.m))) + list(range(g.m)):
+        # pairs, order and matchings (in G - eid's edge ids) all agree
+        assert search(10, eid) == want[eid]
+    assert search(10) == enumerate_dp_pairs(g, 10)
 
 
 @settings(max_examples=300, deadline=None)

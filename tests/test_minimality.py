@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 from collections import Counter
+from itertools import product
 
 import pytest
 from hypothesis import given, settings
@@ -75,20 +76,46 @@ def test_deletion_scan_agrees_with_exhaustive_partitions(g):
         assert oracle_dp_partitions(r) and _oracle_witness(r) is None
 
 
+def test_deletion_scan_agrees_with_exhaustive_partitions_on_core_heavy_hosts():
+    # S2 graphs of every tree on 2-4 vertices, alpha in {1, 2} on each leaf:
+    # leaves and supports force most of each graph, so every masked search
+    # starts from a large core.  P5 and P4 plus an isolated vertex have a
+    # contradictory core; C5 has none and no DP-pair either.
+    hosts = [path(5), Multigraph(5, path(4).edge_multiset()), cycle(5)]
+    for n in (2, 3, 4):
+        for t in enumerate_connected_simple(n):
+            if t.m == n - 1:
+                leaves = sorted(t.leaves())
+                for alpha in product((1, 2), repeat=len(leaves)):
+                    hosts.append(build_s2(t, dict(zip(leaves, alpha)))[0])
+    assert len(hosts) == 3 + 20
+    for g in hosts:
+        witness = _oracle_witness(g)
+        assert deletion_witness(g) == witness
+        dpdp_graph = bool(oracle_dp_partitions(g))
+        assert is_minimal_by_deletion(g) == (dpdp_graph and witness is None)
+    assert [deletion_witness(g) for g in hosts[:3]] == [None] * 3
+
+
 @pytest.fixture()
 def dp_searches(monkeypatch):
-    """Caps of the _dp_pairs calls made, under every name the package
-    binds it to; every DP search enters through it, the masked searches
-    of the deletion scan included."""
-    real = dpdp.domination._dp_pairs
+    """Caps of the searches asked of the engines that _dp_search sets up,
+    under every name the package binds it to; every DP search is a call
+    to such an engine, the masked searches of the deletion scan included."""
+    real = dpdp.domination._dp_search
     caps = []
 
-    def counted(g, cap, skip=None):
-        caps.append(cap)
-        return real(g, cap, skip)
+    def counted_engine(g):
+        search = real(g)
+
+        def counted(cap, skip=None):
+            caps.append(cap)
+            return search(cap, skip)
+
+        return counted
 
     for module in (dpdp.domination, dpdp.minimality):
-        monkeypatch.setattr(module, "_dp_pairs", counted)
+        monkeypatch.setattr(module, "_dp_search", counted_engine)
     return caps
 
 
