@@ -21,8 +21,8 @@ from itertools import combinations
 from .graph import Multigraph
 from ._canon import classes_by_isomorphism
 
-#: connected simple graphs on n=1..7 vertices, up to isomorphism
-CONNECTED_SIMPLE_COUNTS = (1, 1, 2, 6, 21, 112, 853)
+#: connected simple graphs on n=1..8 vertices, up to isomorphism
+CONNECTED_SIMPLE_COUNTS = (1, 1, 2, 6, 21, 112, 853, 11117)
 
 #: connected cubic graphs on 4, 6, 8, 10 vertices, up to isomorphism
 CONNECTED_CUBIC_COUNTS = {4: 1, 6: 2, 8: 5, 10: 19}
@@ -138,10 +138,10 @@ def enumerate_connected_simple(n: int) -> tuple[Multigraph, ...]:
 
     Built by augmenting the (n-1)-vertex classes with one new vertex joined
     to every nonempty neighbour subset, then deduplicating.  Class counts
-    match the classical sequence 1, 1, 2, 6, 21, 112, 853 for n <= 7.
+    match the classical sequence 1, 1, 2, 6, 21, 112, 853, 11117 for n <= 8.
     """
-    if not (1 <= n <= 7):
-        raise ValueError("enumerate_connected_simple supports 1 <= n <= 7")
+    if not (1 <= n <= 8):
+        raise ValueError("enumerate_connected_simple supports 1 <= n <= 8")
     if n == 1:
         return (Multigraph(1, []),)
     candidates = []

@@ -42,7 +42,7 @@ from .domination import (
 )
 from .goodsub import find_good_subgraph, verify_good_certificate
 from .graph import Multigraph
-from .minimality import deletion_witness, xcheck
+from .minimality import _pairs_and_witness, xcheck
 from .subdivision import S2Labeling, build_s2, invert_s2
 
 
@@ -177,8 +177,8 @@ def cmd_pairs(args) -> int:
 
 def cmd_minimal(args) -> int:
     g = _load_graph(args.file, args.format)
-    pair = find_dp_pair(g)
-    witness = deletion_witness(g) if pair is not None else None
+    pairs, witness = _pairs_and_witness(g, 1)
+    pair = pairs[0] if pairs else None
     minimal = pair is not None and witness is None
     result = {
         "dpdp": pair is not None,
@@ -252,8 +252,9 @@ def cmd_goodsub(args) -> int:
 def _survey_row(item: tuple[int, str]) -> list[str]:
     idx, line = item
     g = read_graph6(line)
-    dpdp = find_dp_pair(g) is not None
-    minimal = dpdp and deletion_witness(g) is None
+    pairs, witness = _pairs_and_witness(g, 1)
+    dpdp = bool(pairs)
+    minimal = dpdp and witness is None
     is_s2 = invert_s2(g) is not None
     if any(g.degree(v) == 0 for v in range(g.n)):
         goodsub = "n/a"  # the good-subgraph search needs an isolate-free host

@@ -189,42 +189,21 @@ def verify_good_certificate(
     return True, None
 
 
-def _q_component_count(h: Multigraph, q_edges: tuple[int, ...]) -> int:
-    parent = list(range(h.n))
-    vertices = set()
-    merged = 0
-    for eid in q_edges:
-        e = h.edges[eid]
-        vertices.add(e.u)
-        vertices.add(e.v)
-        ru, rv = e.u, e.v
-        while parent[ru] != ru:
-            ru = parent[ru]
-        while parent[rv] != rv:
-            rv = parent[rv]
-        if ru != rv:
-            parent[ru] = rv
-            merged += 1
-    return len(vertices) - merged
-
-
 def find_good_subgraph(h: Multigraph) -> GoodSubgraphCertificate | None:
     """Exhaustive search for a good subgraph; returns a certificate or None.
 
     Q candidates avoid leaves and supports (they never belong to a good
-    subgraph) and are tried smallest first, connected before disconnected,
-    then by edge ids; the Q sets of one size are generated only when every
-    smaller size has failed.  Paths grow depth-first with arcs in edge-id
-    order, termination offered before extension.  The search decides
-    goodness from its own edge-end counters; verify_good_certificate runs
-    once, as an assertion on the hit.  Output is deterministic.
+    subgraph) and are tried smallest first, then by component count
+    (connected first), then by edge ids; the Q sets of one size are
+    generated only when every smaller size has failed.  Paths grow
+    depth-first with arcs in edge-id order, termination offered before
+    extension.  The search decides goodness from its own edge-end
+    counters; verify_good_certificate runs once, as an assertion on the
+    hit.  Output is deterministic.
 
-    The Q sets of one size come from _q_sets, which cuts a prefix that
-    breaks one of two necessary conditions together with every set that
-    extends it.  It yields the survivors in edge-id order, so a stable sort
-    by component count gives the (components, edge ids) order of all sets
-    with only sets missing that could never succeed: the first hit, and
-    so the certificate, is the one the unpruned order would give.
+    The Q sets of one size come from _q_sets in exactly that order, with
+    only sets missing that could never succeed: the first hit, and so the
+    certificate, is the one the unpruned order would give.
     """
     if any(h.degree(v) == 0 for v in range(h.n)):
         raise ValueError("host graph must have no isolated vertex")
@@ -233,11 +212,7 @@ def find_good_subgraph(h: Multigraph) -> GoodSubgraphCertificate | None:
         e.id for e in h.edges if e.u in allowed and e.v in allowed
     ]
     for size in range(1, len(eligible) + 1):
-        # sorted is stable: survivors keep edge-id order within a count
-        for combo in sorted(
-            _q_sets(h, eligible, size),
-            key=lambda combo: _q_component_count(h, combo),
-        ):
+        for combo in _q_sets(h, eligible, size):
             # left[x]: edge-ends at x outside Q (a Q-loop takes two)
             left = [h.degree(x) for x in range(h.n)]
             q_vertices = set()
@@ -257,7 +232,8 @@ def find_good_subgraph(h: Multigraph) -> GoodSubgraphCertificate | None:
 
 def _q_sets(h: Multigraph, eligible: list[int], size: int):
     """The size-subsets of eligible that pass two necessary conditions,
-    in lexicographic order, from a depth-first walk on an index stack.
+    ordered by component count, then lexicographically, from one
+    depth-first walk on an index stack.
 
     (a) Every Q-vertex keeps an edge-end outside Q for its outgoing arc.
     (b) The Q boundary fits in n arcs: arcs have pairwise distinct tails
@@ -267,33 +243,69 @@ def _q_sets(h: Multigraph, eligible: list[int], size: int):
     Both only get worse as a prefix grows (edge-ends outside Q fall, S
     grows), so a prefix that breaks one, measured against the full size,
     is cut with every set that extends it.
+
+    The walk meets the survivors in lexicographic order.  add and remove
+    run in stack order, so a union-find over S with an undo log (union by
+    size, no path compression) keeps the prefix's component count current.
+    A connected survivor is yielded the moment the walk meets it; the
+    disconnected ones wait in one list per component count, each list in
+    lexicographic order, and follow after the walk, fewest components
+    first.  Only those are ever held, so a consumer that stops at a
+    connected hit holds at most the disconnected sets met before it.
     """
     edges = h.edges
     left = [h.degree(x) for x in range(h.n)]  # edge-ends outside the prefix
     q_ends = [0] * h.n  # prefix edge-ends at x; x is in S iff positive
     s_ends = [0] * h.m  # endpoints of an edge in S (a loop counts once)
     touching = 0  # edges with an endpoint in S
+    parent = list(range(h.n))  # union-find forest over S
+    weight = [1] * h.n  # vertices under a root
+    merged: list[int] = []  # per added edge: the root it hung, or -1
+    components = 0  # of the prefix's edges
+    disconnected: dict[int, list[tuple[int, ...]]] = {}
     picked: list[int] = []  # indices into eligible, ascending
     combo: list[int] = []  # the edge ids at those indices
 
+    def root(x: int) -> int:
+        while parent[x] != x:
+            x = parent[x]
+        return x
+
     def add(eid: int) -> None:
-        nonlocal touching
+        nonlocal touching, components
         e = edges[eid]
         for w in (e.u, e.v):
             left[w] -= 1
             q_ends[w] += 1
             if q_ends[w] == 1:
+                components += 1
                 for f in h.incident_edges(w):
                     touching += s_ends[f] == 0
                     s_ends[f] += 1
+        ru, rv = root(e.u), root(e.v)
+        if ru == rv:
+            merged.append(-1)
+            return
+        if weight[ru] > weight[rv]:
+            ru, rv = rv, ru
+        parent[ru] = rv
+        weight[rv] += weight[ru]
+        merged.append(ru)
+        components -= 1
 
     def remove(eid: int) -> None:
-        nonlocal touching
+        nonlocal touching, components
+        ru = merged.pop()
+        if ru >= 0:
+            weight[parent[ru]] -= weight[ru]
+            parent[ru] = ru
+            components += 1
         e = edges[eid]
         for w in (e.u, e.v):
             left[w] += 1
             q_ends[w] -= 1
             if q_ends[w] == 0:
+                components -= 1
                 for f in h.incident_edges(w):
                     s_ends[f] -= 1
                     touching -= s_ends[f] == 0
@@ -306,7 +318,10 @@ def _q_sets(h: Multigraph, eligible: list[int], size: int):
             e = edges[eid]
             if left[e.u] >= 1 and left[e.v] >= 1 and touching - size <= h.n:
                 if len(picked) + 1 == size:
-                    yield (*combo, eid)
+                    if components == 1:
+                        yield (*combo, eid)
+                    else:
+                        disconnected.setdefault(components, []).append((*combo, eid))
                 else:
                     picked.append(i)
                     combo.append(eid)
@@ -318,7 +333,9 @@ def _q_sets(h: Multigraph, eligible: list[int], size: int):
             i = picked.pop() + 1
             remove(combo.pop())
         else:
-            return
+            break
+    for count in sorted(disconnected):
+        yield from disconnected.pop(count)
 
 
 def _search_paths(

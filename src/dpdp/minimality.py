@@ -6,16 +6,17 @@ The two other characterizations run through the 2-subdivision inversion:
 either the canonical (old, new) partition is the unique DP-pair (or the
 graph is a cycle of length 3, 6 or 9), or the recovered base graph has no
 good subgraph.  xcheck asserts the three verdicts agree; any disagreement
-is a hard failure of the whole artifact.  deletion_witness is the one
-scan over edge deletions; classify and xcheck share one evaluator that
-runs each engine once.
+is a hard failure of the whole artifact.  _first_deletion is the one
+scan over edge deletions; a question that also needs g's own DP-pairs
+asks both of one DP search (_pairs_and_witness), and classify and xcheck
+share one evaluator that runs each engine once.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .domination import DpPair, _dp_search, enumerate_dp_pairs, is_dominating, is_dpdp
+from .domination import DpPair, _dp_search, is_dominating, is_dpdp
 from .goodsub import GoodSubgraphCertificate, find_good_subgraph
 from .graph import Multigraph, is_cycle_graph
 from .subdivision import S2Labeling, build_s2, invert_s2
@@ -54,7 +55,8 @@ class XcheckResult:
 
 def is_minimal_by_deletion(g: Multigraph) -> bool:
     """DPDP, and no single edge can be deleted without losing DPDP-ness."""
-    return is_dpdp(g) and deletion_witness(g) is None
+    pairs, witness = _pairs_and_witness(g, 1)
+    return bool(pairs) and witness is None
 
 
 def deletion_witness(g: Multigraph) -> int | None:
@@ -66,8 +68,21 @@ def deletion_witness(g: Multigraph) -> int | None:
     re-verifies its pair there).  A deletion that isolates a vertex, and
     every deletion from a g whose core is contradictory, is decided
     without a search."""
+    return _first_deletion(_dp_search(g), g.m)
+
+
+def _pairs_and_witness(g: Multigraph, cap: int) -> tuple[list[DpPair], int | None]:
+    """enumerate_dp_pairs(g, cap) and, if it finds a pair,
+    deletion_witness(g), both from one DP search set up once."""
     search = _dp_search(g)
-    for eid in range(g.m):
+    pairs = search(cap)
+    return pairs, _first_deletion(search, g.m) if pairs else None
+
+
+def _first_deletion(search, m: int) -> int | None:
+    """The deletion scan of deletion_witness on a search set up by
+    _dp_search on an m-edge graph."""
+    for eid in range(m):
         if search(1, eid):
             return eid
     return None
@@ -118,8 +133,8 @@ def _evaluate(
     g is none): the first two DP-pairs, the deletion verdict, the base's
     good-subgraph certificate, and the good-subgraph and uniqueness
     verdicts, which hold only on a connected non-empty base (the Theorem)."""
-    pairs = enumerate_dp_pairs(g, cap=2)
-    minimal = bool(pairs) and deletion_witness(g) is None
+    pairs, witness = _pairs_and_witness(g, 2)
+    minimal = bool(pairs) and witness is None
     if lab is None:
         return pairs, minimal, None, False, False
     if len(pairs) == 1:

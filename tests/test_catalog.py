@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import hashlib
+import pathlib
 import random
 
 import pytest
@@ -85,7 +86,7 @@ def test_enumerate_connected_simple_no_duplicates():
 
 def test_enumerate_range_checks():
     with pytest.raises(ValueError):
-        enumerate_connected_simple(8)
+        enumerate_connected_simple(9)
     for bad in (0, 7):
         with pytest.raises(ValueError):
             enumerate_connected_multigraphs(bad)
@@ -279,8 +280,6 @@ def test_cubic_fixture_file():
 
 
 def test_simple_n7_fixture_file():
-    import pathlib
-
     fixture = pathlib.Path(__file__).parent / "fixtures" / "simple_n7.g6"
     graphs = read_graph6_file(fixture.read_text())
     assert len(graphs) == CONNECTED_SIMPLE_COUNTS[6]  # 853, OEIS A001349
@@ -290,6 +289,17 @@ def test_simple_n7_fixture_file():
     assert sorted(canonical_form(g) for g in graphs) == sorted(
         canonical_form(g) for g in enumerate_connected_simple(7)
     )
+
+
+def test_simple_n8_fixture_file():
+    # written from enumerate_connected_simple(8), which takes too long to
+    # call here: every line a distinct class of a connected simple graph
+    fixture = pathlib.Path(__file__).parent / "fixtures" / "simple_n8.g6"
+    graphs = read_graph6_file(fixture.read_text())
+    assert len(graphs) == CONNECTED_SIMPLE_COUNTS[7]  # 11117, OEIS A001349
+    for g in graphs:
+        assert g.n == 8 and g.is_simple() and g.is_connected()
+    assert len({canonical_form(g) for g in graphs}) == len(graphs)
 
 
 def test_write_dot():

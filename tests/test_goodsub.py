@@ -4,6 +4,7 @@ import hashlib
 import pathlib
 import random
 import sys
+import time
 import tracemalloc
 from collections import Counter
 
@@ -45,6 +46,20 @@ from helpers import based_alphas, oracle_dominating, oracle_pairing_exists
 
 CUBIC_CERTIFICATES_SHA256 = (
     "0017ad9b2321da75114ae1c35fec43bd2ec9b7601861df288ca33f3b05e923f8"
+)
+
+# (q_edges, arcs in dict order) of the first good subgraph of K7 and K8:
+# Q is the clique on vertices 0..n-2 minus the edge joining its last two,
+# and every other edge is oriented
+K7_CERTIFICATE = (
+    [0, 1, 2, 3, 4, 6, 7, 8, 9, 11, 12, 13, 15, 16],
+    [(5, (0, 6)), (10, (1, 6)), (14, (2, 6)), (17, (3, 6)), (18, (4, 5)),
+     (20, (5, 6)), (19, (6, 4))],
+)
+K8_CERTIFICATE = (
+    [0, 1, 2, 3, 4, 5, 7, 8, 9, 10, 11, 13, 14, 15, 16, 18, 19, 20, 22, 23],
+    [(6, (0, 7)), (12, (1, 7)), (17, (2, 7)), (21, (3, 7)), (24, (4, 7)),
+     (25, (5, 6)), (27, (6, 7)), (26, (7, 5))],
 )
 
 
@@ -150,15 +165,17 @@ def test_one_verification_per_question(monkeypatch):
 
 
 def _count_search_work(monkeypatch, hosts, count_grow: bool = True) -> Counter:
-    """Calls of the Q component count, the path search (by |Q|) and, with
-    count_grow, its grow steps while find_good_subgraph runs on every host."""
+    """The Q sets _q_sets hands out, the path searches (by |Q|) and, with
+    count_grow, their grow steps while find_good_subgraph runs on every
+    host."""
     counts: Counter = Counter()
-    real_count = dpdp.goodsub._q_component_count
+    real_q_sets = dpdp.goodsub._q_sets
     real_search = dpdp.goodsub._search_paths
 
-    def count_components(h, combo):
-        counts["components"] += 1
-        return real_count(h, combo)
+    def q_sets(h, eligible, size):
+        for combo in real_q_sets(h, eligible, size):
+            counts["q_sets"] += 1
+            yield combo
 
     def search_paths(h, q_vertices, q_edges, left):
         counts["search"] += 1
@@ -172,7 +189,7 @@ def _count_search_work(monkeypatch, hosts, count_grow: bool = True) -> Counter:
         if code.co_name == "grow" and code.co_filename == dpdp.goodsub.__file__:
             counts["grow"] += 1
 
-    monkeypatch.setattr(dpdp.goodsub, "_q_component_count", count_components)
+    monkeypatch.setattr(dpdp.goodsub, "_q_sets", q_sets)
     monkeypatch.setattr(dpdp.goodsub, "_search_paths", search_paths)
     previous = sys.gettrace()
     if count_grow:
@@ -188,25 +205,51 @@ def _count_search_work(monkeypatch, hosts, count_grow: bool = True) -> Counter:
 def test_dead_q_prefixes_and_path_families_are_cut(monkeypatch):
     # the 142 connected simple graphs on 2..6 vertices, labelled as in
     # graph6; without the prefix cut and the final-arc bound the search
-    # counts components of 81,522 Q sets and makes 511,447 grow calls
+    # builds 81,522 Q sets and makes 511,447 grow calls
     bases = [
         read_graph6(write_graph6(g))
         for n in range(2, 7)
         for g in enumerate_connected_simple(n)
     ]
     counts = _count_search_work(monkeypatch, bases)
-    assert counts["search"] == 2444  # the same Q sets reach the path search
-    assert counts["components"] <= 21_000
+    # the walk hands out a Q set only when it is next to be searched
+    assert counts["q_sets"] == counts["search"] == 2444
     assert counts["grow"] <= 50_000
 
 
 def test_k7_builds_few_q_sets(monkeypatch):
     # K7's first good Q has 14 of its 21 edges; every smaller Q set has a
-    # vertex set whose boundary cannot fit in 7 arcs (2.01M component
-    # counts without the prefix cut)
+    # vertex set whose boundary cannot fit in 7 arcs, and the first
+    # connected Q set of size 14 is good (73,755 survivors of that size)
     counts = _count_search_work(monkeypatch, [complete(7)], count_grow=False)
-    assert counts["components"] <= 100_000
+    assert counts["q_sets"] == 1
     assert counts["search"] == counts["search |Q|=14"] == 1
+
+
+def test_k8_one_search_in_bounded_memory(monkeypatch):
+    # as on K7, every smaller Q set is cut and the first connected Q set
+    # of size 20 is good: one walk to it, one path search, nothing held
+    h = complete(8)
+    t0 = time.perf_counter()
+    counts = _count_search_work(monkeypatch, [h], count_grow=False)
+    assert time.perf_counter() - t0 < 1.0
+    assert counts["q_sets"] == counts["search"] == counts["search |Q|=20"] == 1
+    monkeypatch.undo()
+    tracemalloc.start()
+    try:
+        cert = find_good_subgraph(h)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
+    ok, why = verify_good_certificate(h, cert)
+    assert ok, why
+
+
+def test_complete_graph_certificates_pinned():
+    for h, pinned in ((complete(7), K7_CERTIFICATE), (complete(8), K8_CERTIFICATE)):
+        c = find_good_subgraph(h)
+        assert (sorted(c.q_edges), list(c.arcs.items())) == pinned
 
 
 def test_cubic_fixture_certificates_pinned():

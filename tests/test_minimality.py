@@ -100,12 +100,14 @@ def test_deletion_scan_agrees_with_exhaustive_partitions_on_core_heavy_hosts():
 @pytest.fixture()
 def dp_searches(monkeypatch):
     """Caps of the searches asked of the engines that _dp_search sets up,
-    under every name the package binds it to; every DP search is a call
-    to such an engine, the masked searches of the deletion scan included."""
+    under every name the package binds it to, each set-up logged as
+    "setup"; every DP search is a call to such an engine, the masked
+    searches of the deletion scan included."""
     real = dpdp.domination._dp_search
     caps = []
 
     def counted_engine(g):
+        caps.append("setup")
         search = real(g)
 
         def counted(cap, skip=None):
@@ -120,20 +122,25 @@ def dp_searches(monkeypatch):
 
 
 def test_one_dp_search_per_question(dp_searches, tmp_path, capsys):
-    # S2(P6) is P16, whose lowest deletable edge is 4: one capped
-    # enumeration, then one search per edge 0..4 and no repeated is_dpdp
+    # S2(P6) is P16, whose lowest deletable edge is 4: one set-up, one
+    # capped enumeration, then one search per edge 0..4 and no repeated
+    # is_dpdp
     xcheck(path(6))
-    assert dp_searches == [2, 1, 1, 1, 1, 1]
+    assert dp_searches == ["setup", 2, 1, 1, 1, 1, 1]
     dp_searches.clear()
     classify(build_s2(path(6))[0])
-    assert dp_searches == [2, 1, 1, 1, 1, 1]
+    assert dp_searches == ["setup", 2, 1, 1, 1, 1, 1]
     dp_searches.clear()
-    # dpdp minimal on K4: the pair, then K4 minus edge 0 is DPDP
+    # dpdp minimal on K4: the pair, then K4 minus edge 0 is DPDP, both
+    # from one engine
     f = tmp_path / "k4.el"
     f.write_text(edge_list_text(complete(4)))
     assert dpdp.cli.main(["minimal", str(f)]) == 0
     capsys.readouterr()
-    assert dp_searches == [1, 1]
+    assert dp_searches == ["setup", 1, 1]
+    dp_searches.clear()
+    assert is_minimal_by_deletion(build_s2(path(6))[0]) is False
+    assert dp_searches == ["setup", 1, 1, 1, 1, 1, 1]
 
 
 def test_reducible_pattern_examples():
