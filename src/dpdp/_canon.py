@@ -27,11 +27,17 @@ Isomorphism II* (2014):
   where the paths split is skipped.  Children of a node that lie in one
   orbit of the automorphisms fixing the node's path are searched once.
 
-Dedup of the enumerations keys candidates by ``(n, m, form)``.  Exact and
+``_form(n, ends)`` works on a plain edge list and returns the automorphisms
+found along with the form, so the enumerations can skip augmentations
+that an automorphism of the base maps onto earlier ones.  Their dedup,
+``_classes``, keys plain ``(n, ends)`` candidates by ``(n, m, form)`` and
+builds a Multigraph only for the first candidate of each class.  Exact and
 dependency-free; fine at desk scale (n <= 10).
 """
 
 from __future__ import annotations
+
+from typing import Iterable, Sequence
 
 from .graph import Multigraph
 
@@ -136,11 +142,12 @@ def _common_prefix(a: tuple, b: tuple) -> int:
     return k
 
 
-def canonical_form(g: Multigraph) -> Form:
-    """Relabelled edge multiset shared by exactly the graphs isomorphic to g
-    (among graphs with g.n vertices)."""
-    n = g.n
-    ends = [(e.u, e.v) for e in g.edges]
+def _form(n: int, ends: Sequence[tuple[int, int]]) -> tuple[Form, list[list[int]]]:
+    """Canonical form of the multigraph on vertices 0..n-1 with edges ends,
+    and the automorphisms the search found on the way (each a list a with
+    a[v] the image of v).  They generate a subgroup of Aut, possibly all of
+    it; none are found when the refined root colouring is discrete, as Aut
+    is then trivial."""
     around: list[list[int]] = [[] for _ in range(n)]
     loops = [0] * n
     for u, v in ends:
@@ -149,11 +156,11 @@ def canonical_form(g: Multigraph) -> Form:
         else:
             around[u].append(v)
             around[v].append(u)
-    start = [(g.degree(v), loops[v]) for v in range(n)]
+    start = [(len(around[v]) + 2 * loops[v], loops[v]) for v in range(n)]
     rank = {s: i for i, s in enumerate(sorted(set(start)))}
     color, cells, inv = _refine([rank[s] for s in start], len(rank), around)
     if cells == n:
-        return _relabel(ends, color)
+        return _relabel(ends, color), []
 
     first: tuple | None = None  # (form, path, colouring) of the first leaf
     best: tuple | None = None  # the same for the best leaf so far
@@ -207,12 +214,27 @@ def canonical_form(g: Multigraph) -> Form:
         keep = _common_prefix(match[1], child_path) + 1
         del stack[keep:]
         del trace[keep:]
-    return best[0]
+    return best[0], autos
+
+
+def canonical_form(g: Multigraph) -> Form:
+    """Relabelled edge multiset shared by exactly the graphs isomorphic to g
+    (among graphs with g.n vertices)."""
+    return _form(g.n, [(e.u, e.v) for e in g.edges])[0]
 
 
 def is_isomorphic(a: Multigraph, b: Multigraph) -> bool:
     """Exact multigraph isomorphism (loops and multiplicities respected)."""
     return a.n == b.n and a.m == b.m and canonical_form(a) == canonical_form(b)
+
+
+def _class_order(g: Multigraph) -> tuple:
+    return (
+        g.n,
+        g.m,
+        tuple(sorted(g.degree(v) for v in range(g.n))),
+        g.edge_multiset(),
+    )
 
 
 def classes_by_isomorphism(candidates: list[Multigraph]) -> list[Multigraph]:
@@ -222,13 +244,19 @@ def classes_by_isomorphism(candidates: list[Multigraph]) -> list[Multigraph]:
     reps: dict[tuple, Multigraph] = {}
     for g in candidates:
         reps.setdefault((g.n, g.m, canonical_form(g)), g)
-    out = list(reps.values())
-    out.sort(
-        key=lambda g: (
-            g.n,
-            g.m,
-            tuple(sorted(g.degree(v) for v in range(g.n))),
-            g.edge_multiset(),
-        )
-    )
-    return out
+    return sorted(reps.values(), key=_class_order)
+
+
+def _classes(candidates: Iterable[tuple[int, Sequence[tuple[int, int]]]]) -> list[Multigraph]:
+    """classes_by_isomorphism for candidates given as (n, edge list) pairs:
+    a Multigraph is built only for the first candidate seen of each class,
+    with the edges in the order given."""
+    seen: set[tuple] = set()
+    reps = []
+    for n, ends in candidates:
+        key = (n, len(ends), _form(n, ends)[0])
+        if key not in seen:
+            seen.add(key)
+            reps.append(Multigraph(n, ends))
+    reps.sort(key=_class_order)
+    return reps

@@ -6,6 +6,10 @@ corona graphs with per-vertex pendant counts.
 
 Enumerations keep one representative per isomorphism class and are cached
 for the repeated sweeps; all but cubic add a vertex or edge to smaller ones.
+Candidates are plain edge lists, and only the first of each class becomes
+a Multigraph.  Growing by a vertex tries one neighbour set per orbit of
+the base's automorphisms (those the canonical labelling finds), so no
+candidate is built that an earlier one of the same base already covers.
 
 Codecs: graph6 (simple graphs, single-byte size, n <= 62) and the plain
 edge-list text format, the only lossless multigraph interchange here.
@@ -17,9 +21,10 @@ import heapq
 import random
 from functools import lru_cache
 from itertools import combinations
+from typing import Iterable, Iterator
 
 from .graph import Multigraph
-from ._canon import classes_by_isomorphism
+from ._canon import _classes, _form
 
 #: connected simple graphs on n=1..8 vertices, up to isomorphism
 CONNECTED_SIMPLE_COUNTS = (1, 1, 2, 6, 21, 112, 853, 11117)
@@ -132,25 +137,50 @@ def random_tree(n: int, rng: random.Random) -> Multigraph:
 # -- exhaustive enumeration up to isomorphism --------------------------------
 
 
+def _orbit_minima(masks: Iterable[int], autos: list[list[int]]) -> Iterator[int]:
+    """The masks (vertex sets as bitmasks, given in increasing order, closed
+    under the automorphisms autos) that the group autos generates maps onto
+    no smaller one: the least member of each orbit."""
+    seen: set[int] = set()
+    for mask in masks:
+        if mask in seen:
+            continue
+        yield mask
+        todo = [mask]
+        while todo:
+            x = todo.pop()
+            for a in autos:
+                y = 0
+                for v, w in enumerate(a):
+                    if x >> v & 1:
+                        y |= 1 << w
+                if y not in seen:
+                    seen.add(y)
+                    todo.append(y)
+
+
 @lru_cache(maxsize=None)
 def enumerate_connected_simple(n: int) -> tuple[Multigraph, ...]:
     """All connected simple graphs on n vertices, one per isomorphism class.
 
     Built by augmenting the (n-1)-vertex classes with one new vertex joined
-    to every nonempty neighbour subset, then deduplicating.  Class counts
-    match the classical sequence 1, 1, 2, 6, 21, 112, 853, 11117 for n <= 8.
+    to every nonempty neighbour subset, then deduplicating.  A subset that
+    an automorphism of the base maps onto a smaller one is skipped: it
+    gives a copy of a graph built just before it.  Class counts match the
+    classical sequence 1, 1, 2, 6, 21, 112, 853, 11117 for n <= 8.
     """
     if not (1 <= n <= 8):
         raise ValueError("enumerate_connected_simple supports 1 <= n <= 8")
     if n == 1:
         return (Multigraph(1, []),)
-    candidates = []
-    for g in enumerate_connected_simple(n - 1):
-        base = [e.endpoints() for e in g.edges]
-        for mask in range(1, 1 << (n - 1)):
-            extra = [(v, n - 1) for v in range(n - 1) if mask >> v & 1]
-            candidates.append(Multigraph(n, base + extra))
-    return tuple(classes_by_isomorphism(candidates))
+
+    def candidates():
+        for g in enumerate_connected_simple(n - 1):
+            base = [e.endpoints() for e in g.edges]
+            for mask in _orbit_minima(range(1, 1 << (n - 1)), _form(n - 1, base)[1]):
+                yield n, base + [(v, n - 1) for v in range(n - 1) if mask >> v & 1]
+
+    return tuple(_classes(candidates()))
 
 
 @lru_cache(maxsize=None)
@@ -169,27 +199,32 @@ def enumerate_connected_multigraphs(max_edges: int) -> tuple[Multigraph, ...]:
         return (Multigraph(1, [(0, 0)]), Multigraph(2, [(0, 1)]))
     smaller = enumerate_connected_multigraphs(max_edges - 1)
     candidates = [
-        Multigraph(max(g.n, v + 1), sorted(g.edge_multiset() + ((u, v),)))
+        (max(g.n, v + 1), tuple(sorted(g.edge_multiset() + ((u, v),))))
         for g in smaller if g.m == max_edges - 1
         for u in range(g.n) for v in range(u, g.n + 1)
     ]
-    candidates.sort(key=Multigraph.edge_multiset)
-    return smaller + tuple(classes_by_isomorphism(candidates))
+    candidates.sort(key=lambda c: c[1])
+    return smaller + tuple(_classes(candidates))
 
 
 @lru_cache(maxsize=None)
 def enumerate_trees(n: int) -> tuple[Multigraph, ...]:
-    """All trees on n vertices up to isomorphism (leaf augmentation)."""
+    """All trees on n vertices up to isomorphism: a leaf added to each
+    vertex of each (n-1)-vertex tree, one vertex per orbit of its
+    automorphisms."""
     if n < 1:
         raise ValueError("enumerate_trees needs n >= 1")
     if n == 1:
         return (Multigraph(1, []),)
-    candidates = []
-    for t in enumerate_trees(n - 1):
-        base = [e.endpoints() for e in t.edges]
-        for v in range(n - 1):
-            candidates.append(Multigraph(n, base + [(v, n - 1)]))
-    return tuple(classes_by_isomorphism(candidates))
+
+    def candidates():
+        for t in enumerate_trees(n - 1):
+            base = [e.endpoints() for e in t.edges]
+            leaves = _orbit_minima((1 << v for v in range(n - 1)), _form(n - 1, base)[1])
+            for mask in leaves:
+                yield n, base + [(mask.bit_length() - 1, n - 1)]
+
+    return tuple(_classes(candidates()))
 
 
 @lru_cache(maxsize=None)
@@ -201,8 +236,8 @@ def enumerate_connected_cubic(n: int) -> tuple[Multigraph, ...]:
         return ()
     if n > 10:
         raise ValueError("enumerate_connected_cubic supports n <= 10")
-    found: list[Multigraph] = []
-    adj = [set() for _ in range(n)]
+    found: list[tuple[int, list[tuple[int, int]]]] = []
+    adj: list[set[int]] = [set() for _ in range(n)]
     deg = [0] * n
 
     def candidates_for(v: int) -> list[int]:
@@ -221,11 +256,14 @@ def enumerate_connected_cubic(n: int) -> tuple[Multigraph, ...]:
     def extend() -> None:
         v = next((x for x in range(n) if deg[x] < 3), None)
         if v is None:
-            g = Multigraph(
-                n, sorted((min(u, w), max(u, w)) for u in range(n) for w in adj[u] if u < w)
-            )
-            if g.is_connected():
-                found.append(g)
+            reached = {0}
+            todo = [0]
+            while todo:
+                for w in adj[todo.pop()] - reached:
+                    reached.add(w)
+                    todo.append(w)
+            if len(reached) == n:
+                found.append((n, [(u, w) for u in range(n) for w in sorted(adj[u]) if u < w]))
             return
         for u in candidates_for(v):
             adj[v].add(u)
@@ -239,7 +277,7 @@ def enumerate_connected_cubic(n: int) -> tuple[Multigraph, ...]:
             deg[u] -= 1
 
     extend()
-    return tuple(classes_by_isomorphism(found))
+    return tuple(_classes(found))
 
 
 # -- graph6 codec -------------------------------------------------------------

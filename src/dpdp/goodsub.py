@@ -24,7 +24,7 @@ from dataclasses import dataclass
 from itertools import combinations
 from typing import Iterable
 
-from .domination import DpPair, is_dp_pair
+from .domination import DpPair, dp_pair_problem, is_dp_pair
 from .graph import Multigraph
 from .subdivision import build_s2
 
@@ -544,7 +544,7 @@ def reduce_via_good_subgraph(
     reduced, id_map = g.delete_edges(removed)
     matching = tuple(sorted(id_map[eid] for eid in matching_old))
     pair = DpPair(frozenset(d_prime), frozenset(p_prime), matching)
-    assert is_dp_pair(reduced, pair)
+    assert is_dp_pair(reduced, pair), dp_pair_problem(reduced, pair)
     return ReductionPlan(
         removed_edges=frozenset(removed),
         d_prime=pair.d,

@@ -14,9 +14,11 @@ import pytest
 nx = pytest.importorskip("networkx")
 from hypothesis import given, settings, strategies as st
 
-from dpdp._canon import canonical_form, classes_by_isomorphism, is_isomorphic
+from dpdp._canon import _form, canonical_form, classes_by_isomorphism, is_isomorphic
 from dpdp.catalog import complete, complete_bipartite, cycle, enumerate_connected_cubic
 from dpdp.graph import Multigraph
+
+from helpers import multigraphs
 
 
 def petersen() -> Multigraph:
@@ -151,6 +153,26 @@ def relabelled_pairs(draw):
 def test_form_ignores_labels_and_edge_order(pair):
     a, b = pair
     assert canonical_form(a) == canonical_form(b)
+
+
+def _preserves_edges(g: Multigraph, a: list[int]) -> bool:
+    image = sorted(tuple(sorted((a[e.u], a[e.v]))) for e in g.edges)
+    return sorted(a) == list(range(g.n)) and tuple(image) == g.edge_multiset()
+
+
+@settings(max_examples=300, deadline=None)
+@given(multigraphs(max_n=8, max_m=14))
+def test_found_automorphisms_preserve_the_edge_multiset(g):
+    form, autos = _form(g.n, [e.endpoints() for e in g.edges])
+    assert form == canonical_form(g)
+    assert all(_preserves_edges(g, a) for a in autos)
+
+
+@pytest.mark.parametrize("name", sorted(SYMMETRIC))
+def test_symmetric_graphs_yield_automorphisms(name):
+    g = SYMMETRIC[name]
+    autos = _form(g.n, [e.endpoints() for e in g.edges])[1]
+    assert autos and all(_preserves_edges(g, a) for a in autos)
 
 
 def test_cubic_classes_pairwise_distinct_by_networkx():

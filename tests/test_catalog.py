@@ -3,12 +3,14 @@ from __future__ import annotations
 import hashlib
 import pathlib
 import random
+from itertools import permutations
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from dpdp._canon import canonical_form, classes_by_isomorphism, is_isomorphic
+import dpdp.catalog
+from dpdp._canon import _form, canonical_form, classes_by_isomorphism, is_isomorphic
 from dpdp.catalog import (
     CONNECTED_CUBIC_COUNTS,
     CONNECTED_SIMPLE_COUNTS,
@@ -285,9 +287,9 @@ def test_simple_n7_fixture_file():
     assert len(graphs) == CONNECTED_SIMPLE_COUNTS[6]  # 853, OEIS A001349
     for g in graphs:
         assert g.n == 7 and g.is_simple() and g.is_connected()
-    # class for class the enumerator's output
-    assert sorted(canonical_form(g) for g in graphs) == sorted(
-        canonical_form(g) for g in enumerate_connected_simple(7)
+    # the enumerator's output, representative for representative, in order
+    assert [write_graph6(g) for g in enumerate_connected_simple(7)] == (
+        fixture.read_text().splitlines()
     )
 
 
@@ -300,6 +302,59 @@ def test_simple_n8_fixture_file():
     for g in graphs:
         assert g.n == 8 and g.is_simple() and g.is_connected()
     assert len({canonical_form(g) for g in graphs}) == len(graphs)
+
+
+def _mask_image(mask: int, a) -> int:
+    return sum(1 << a[v] for v in range(len(a)) if mask >> v & 1)
+
+
+def test_found_automorphisms_give_the_full_orbits_on_six_vertices():
+    # the neighbour sets the augmentation to 7 vertices tries, against the
+    # orbits of Aut(g) found by trying all 720 relabellings of each base
+    kept = 0
+    for g in enumerate_connected_simple(6):
+        ends = [e.endpoints() for e in g.edges]
+        edges = g.edge_multiset()
+        group = [
+            p for p in permutations(range(6))
+            if tuple(sorted(tuple(sorted((p[u], p[v]))) for u, v in ends)) == edges
+        ]
+        least = [
+            mask for mask in range(1, 64)
+            if all(_mask_image(mask, p) >= mask for p in group)
+        ]
+        assert list(dpdp.catalog._orbit_minima(range(1, 64), _form(6, ends)[1])) == least
+        kept += len(least)
+    assert kept == 3771
+
+
+def test_enumeration_work_pinned(monkeypatch):
+    # the orbit skip hands 4,159 candidates to the dedup for n = 2..7
+    # (7,815 without it), and only the first of each class becomes a Multigraph
+    handed = []
+    dedup = dpdp.catalog._classes
+
+    def counting(candidates):
+        candidates = list(candidates)
+        handed.append(len(candidates))
+        return dedup(candidates)
+
+    built = []
+    init = Multigraph.__init__
+
+    def counting_init(self, *args, **kwargs):
+        built.append(1)
+        init(self, *args, **kwargs)
+
+    enumerate_connected_simple.cache_clear()
+    monkeypatch.setattr(dpdp.catalog, "_classes", counting)
+    monkeypatch.setattr(Multigraph, "__init__", counting_init)
+    try:
+        classes = sum(len(enumerate_connected_simple(n)) for n in range(1, 8))
+    finally:
+        enumerate_connected_simple.cache_clear()
+    assert sum(handed) == 4159
+    assert len(built) == classes == 996
 
 
 def test_write_dot():
