@@ -16,7 +16,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .domination import DpPair, _dp_search, is_dominating, is_dpdp
+from .domination import DpPair, _dp_search, is_dominating
 from .goodsub import GoodSubgraphCertificate, find_good_subgraph
 from .graph import Multigraph, is_cycle_graph
 from .subdivision import S2Labeling, build_s2, invert_s2
@@ -113,11 +113,14 @@ def check_reducible_pattern(h: Multigraph) -> tuple[int, int, int, int] | None:
 
 def minimal_spanning_dpdp_subgraph(g: Multigraph) -> Multigraph | None:
     """Greedy extraction: repeatedly delete the lowest-id edge whose removal
-    keeps the graph DPDP.  None iff g is not DPDP."""
-    if not is_dpdp(g):
+    keeps the graph DPDP.  None iff g is not DPDP.  Whether g is DPDP and
+    its first deletion come from one DP search."""
+    pairs, eid = _pairs_and_witness(g, 1)
+    if not pairs:
         return None
-    while (eid := deletion_witness(g)) is not None:
+    while eid is not None:
         g, _ = g.delete_edge(eid)
+        eid = deletion_witness(g)
     return g
 
 

@@ -156,17 +156,20 @@ def invert_s2(
     """Recover (base, alpha, labeling) with build_s2(base, alpha) equal to g
     vertex-for-vertex under the labeling, or None if g is no 2-subdivision.
 
-    Exhaustive labeled search: 2-colour the vertices into old-or-copy vs
-    new with unit propagation (leaves are copies, their neighbours are
-    new, old/copy vertices are pairwise nonadjacent, every new vertex has
-    exactly one new neighbour), and branch lowest-id-first trying
-    old-or-copy before new.  A complete colouring gives base and alpha
-    directly; after a degree check (a new vertex has degree 2, or 1 plus
-    the size of its leaf group) it is accepted iff build_s2(base, alpha)
-    equals g vertex-for-vertex through the tags.  The labeling returned
-    is build_s2's own, carried to g's vertex and edge ids.  The first
-    accepted colouring in this order is returned, so ambiguous inputs
-    (rotations of C_{3k}) resolve to the lexicographically least tagging.
+    Forced labeled colouring, no search: 2-colour the vertices into
+    old-or-copy vs new with unit propagation (leaves are copies, their
+    neighbours are new, old/copy vertices are pairwise nonadjacent, every
+    new vertex has exactly one new neighbour), seeded where the colour is
+    forced: every leaf, and every vertex of degree >= 3 with no leaf
+    neighbour, is old-or-copy.  A seed colours its whole component; each
+    unseeded component is a cycle, and its lowest vertex is made old, so
+    rotations of C_{3k} resolve to the lexicographically least tagging.
+    The first contradiction answers None.  The complete colouring gives
+    base and alpha directly; after a degree check (a new vertex has
+    degree 2, or 1 plus the size of its leaf group) it is accepted iff
+    build_s2(base, alpha) equals g vertex-for-vertex through the tags.
+    The labeling returned is build_s2's own, carried to g's vertex and
+    edge ids.
     """
     if g.n == 0:
         base = Multigraph(0, [])
@@ -180,7 +183,6 @@ def invert_s2(
     n = g.n
     nbrs = [sorted(g.plain_neighbors(v)) for v in range(n)]
     color = [0] * n
-    trail: list[int] = []
 
     def new_rule(x: int, queue: list[tuple[int, int]]) -> bool:
         """A new vertex x has exactly one new neighbour: with one found,
@@ -207,7 +209,6 @@ def invert_s2(
                     return False
                 continue
             color[x] = cx
-            trail.append(x)
             if cx == _O:
                 queue.extend((u, _N) for u in nbrs[x])
             elif not new_rule(x, queue):
@@ -217,10 +218,6 @@ def invert_s2(
                 if color[u] == _N and not new_rule(u, queue):
                     return False
         return True
-
-    def undo(mark: int) -> None:
-        while len(trail) > mark:
-            color[trail.pop()] = 0
 
     def reconstruct() -> tuple[Multigraph, dict[int, int], S2Labeling] | None:
         # Propagation leaves every new vertex with exactly one new neighbour
@@ -291,34 +288,19 @@ def invert_s2(
             },
         )
 
-    # Depth-first over vertices in id order, old-or-copy before new; a
-    # frame is [vertex, trail mark before it, colour tried last].
-    stack: list[list[int]] = []
-
-    def descend(v: int) -> tuple[Multigraph, dict[int, int], S2Labeling] | None:
-        """Reconstruct a complete colouring, else open a frame at the next
-        uncoloured vertex from v on."""
-        while v < n and color[v]:
-            v += 1
-        if v == n:
-            return reconstruct()
-        stack.append([v, len(trail), 0])
+    # A new vertex has degree 2, or 1 plus its leaf group, so these seeds
+    # are old-or-copy in every tagging; a component with none is 2-regular,
+    # a cycle C_{3k}, where any vertex can be old.
+    leaves = g.leaves()
+    seeds = [
+        v for v in range(n)
+        if v in leaves or (g.degree(v) >= 3 and leaves.isdisjoint(nbrs[v]))
+    ]
+    if not all(assign(v, _O) for v in seeds):
         return None
-
-    found = None
-    if all(assign(leaf, _O) for leaf in sorted(g.leaves())):
-        found = descend(0)
-    while found is None and stack:
-        frame = stack[-1]
-        v, frame_mark, c = frame
-        undo(frame_mark)
-        if c == _N:
-            stack.pop()
-            continue
-        c = frame[2] = _O if c == 0 else _N
-        if assign(v, c):
-            found = descend(v + 1)
-    return found
+    if not all(color[v] or assign(v, _O) for v in range(n)):
+        return None
+    return reconstruct()
 
 
 def is_2_subdivision(g: Multigraph) -> bool:

@@ -6,6 +6,7 @@ import os
 import random
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -301,7 +302,7 @@ def test_long_path_is_decided(tmp_path, capsys):
 
 def test_many_components_are_inverted(tmp_path, capsys):
     # S2 of 1,500 looped vertices is 1,500 disjoint triangles; the inversion
-    # search branches once per component
+    # makes the lowest vertex of each triangle old
     n = 1500
     g, _ = build_s2(Multigraph(n, [(v, v) for v in range(n)]))
     f = tmp_path / "triangles.el"
@@ -313,6 +314,24 @@ def test_many_components_are_inverted(tmp_path, capsys):
     base = res["base"]
     assert base["n"] == n and base["m"] == n
     assert all(u == v for u, v, _ in base["edges"])
+
+
+def test_many_components_rejected_fast(tmp_path, capsys):
+    # 16 disjoint copies of C9 plus the chord (1, 6): no 2-subdivision; a
+    # search that backtracks across components takes seconds here and
+    # doubles with every copy
+    copies = 16
+    edges = []
+    for c in range(copies):
+        o = 9 * c
+        edges += [(o + i, o + (i + 1) % 9) for i in range(9)] + [(o + 1, o + 6)]
+    f = tmp_path / "c9_chords.el"
+    f.write_text(edge_list_text(Multigraph(9 * copies, edges)))
+    start = time.perf_counter()
+    code, out = run_cli(capsys, "invert", str(f))
+    assert time.perf_counter() - start < 1.0
+    assert code == 0
+    assert json.loads(out)["result"]["is_2_subdivision"] is False
 
 
 def test_usage_error_exits_1():

@@ -141,6 +141,17 @@ def test_one_dp_search_per_question(dp_searches, tmp_path, capsys):
     dp_searches.clear()
     assert is_minimal_by_deletion(build_s2(path(6))[0]) is False
     assert dp_searches == ["setup", 1, 1, 1, 1, 1, 1]
+    dp_searches.clear()
+    # greedy extraction from K4: one engine answers whether K4 is DPDP and
+    # its first deletion (edge 0), then one engine per smaller graph
+    minimal_spanning_dpdp_subgraph(complete(4))
+    assert dp_searches == [
+        "setup", 1, 1, "setup", 1, "setup", 1, 1, 1, "setup", 1, 1, 1
+    ]
+    dp_searches.clear()
+    # P4 is minimal: one engine, one enumeration, a failed deletion per edge
+    minimal_spanning_dpdp_subgraph(path(4))
+    assert dp_searches == ["setup", 1, 1, 1, 1]
 
 
 def test_reducible_pattern_examples():

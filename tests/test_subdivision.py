@@ -243,6 +243,29 @@ def test_invert_deterministic_on_rotations():
     assert lab1.provenance == lab2.provenance
     assert lab1.provenance[0][0] == "old"
 
+    # under relabelling too, and next to a component with leaves: the
+    # lowest vertex of every pure-cycle component is old
+    rng = random.Random(3)
+    with_leaves = build_s2(path(3), {0: 2, 2: 3})[0]
+    union = Multigraph(
+        9 + with_leaves.n,
+        [e.endpoints() for e in _relabelled(cycle(9), rng).edges]
+        + [(e.u + 9, e.v + 9) for e in _relabelled(with_leaves, rng).edges],
+    )
+    for g in (
+        _relabelled(cycle(9), rng),
+        _relabelled(cycle(12), rng),
+        union,
+        _relabelled(union, rng),
+    ):
+        inv = invert_s2(g)
+        assert inv is not None
+        _assert_tag_roundtrip(g, inv)
+        (c,) = [
+            c for c in g.connected_components() if all(g.degree(v) == 2 for v in c)
+        ]
+        assert inv[2].provenance[min(c)][0] == "old"
+
 
 def test_invert_empty_graph():
     base, alpha, _ = invert_s2(Multigraph(0, []))
