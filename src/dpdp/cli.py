@@ -19,10 +19,10 @@ import argparse
 import csv
 import functools
 import io
-import json
 import os
 import sys
 from concurrent.futures import ProcessPoolExecutor
+from json.encoder import encode_basestring_ascii as _escape
 
 from . import __version__
 from .catalog import (
@@ -92,6 +92,40 @@ def _labeling_json(lab: S2Labeling) -> dict:
     }
 
 
+def _json_text(obj, newline: str = "\n") -> str:
+    """json.dumps(obj, sort_keys=True, indent=2), byte for byte, for the
+    payload types: dicts with str keys, lists, ints, bools, None and str;
+    newline is "\n" plus the indentation of obj's own line.  With indent
+    set the standard library encodes in pure Python, one generator step
+    per token; this writer joins whole containers instead.  It recurses
+    once per nesting level, and payloads nest at most five deep."""
+    kind = type(obj)
+    if kind is list:
+        if not obj:
+            return "[]"
+        inner = newline + "  "
+        if set(map(type, obj)) == {int}:  # a bool is an int but prints as true/false
+            items = map(str, obj)
+        else:
+            items = [_json_text(x, inner) for x in obj]
+        return "[" + inner + ("," + inner).join(items) + newline + "]"
+    if kind is dict:
+        if not obj:
+            return "{}"
+        inner = newline + "  "
+        items = [_escape(k) + ": " + _json_text(obj[k], inner) for k in sorted(obj)]
+        return "{" + inner + ("," + inner).join(items) + newline + "}"
+    if kind is str:
+        return _escape(obj)
+    if kind is int:
+        return str(obj)
+    if obj is None:
+        return "null"
+    if kind is bool:
+        return "true" if obj else "false"
+    raise TypeError(f"Object of type {kind.__name__} is not JSON serializable")
+
+
 def _emit(command: str, input_id: str, result: dict) -> None:
     payload = {
         "command": command,
@@ -99,7 +133,7 @@ def _emit(command: str, input_id: str, result: dict) -> None:
         "input": input_id,
         "result": result,
     }
-    print(json.dumps(payload, sort_keys=True, indent=2))
+    print(_json_text(payload))
 
 
 def _parse_alpha(spec: str | None) -> dict[int, int]:
@@ -192,8 +226,7 @@ def cmd_s2(args) -> int:
         sys.stdout.write(text)
     if args.labeling:
         with open(args.labeling, "w", encoding="utf-8") as f:
-            json.dump(_labeling_json(lab), f, sort_keys=True, indent=2)
-            f.write("\n")
+            f.write(_json_text(_labeling_json(lab)) + "\n")
     if args.dot:
         with open(args.dot, "w", encoding="utf-8") as f:
             f.write(write_dot(g))

@@ -57,7 +57,7 @@ def is_dominating(g: Multigraph, s: frozenset[int] | set[int]) -> bool:
     """True iff every vertex outside s has a neighbor in s."""
     ss = frozenset(s)
     return all(
-        v in ss or g.neighborhood(v) & ss for v in range(g.n)
+        v in ss or not g.neighborhood(v).isdisjoint(ss) for v in range(g.n)
     )
 
 
@@ -143,7 +143,7 @@ def dp_pair_problem(g: Multigraph, pair: DpPair) -> str | None:
         return f"P has odd size {len(p)}"
     for name, s in (("D", d), ("P", p)):
         for v in range(g.n):
-            if v not in s and not g.neighborhood(v) & s:
+            if v not in s and g.neighborhood(v).isdisjoint(s):
                 return f"{name} is not dominating: vertex {v} has no neighbour in it"
     covered: set[int] = set()
     for eid in pair.matching:
@@ -188,6 +188,15 @@ def _dp_search(g: Multigraph) -> Callable[..., list[DpPair]]:
     core answers [] for g and every G - skip.  Each search starts from the
     core and returns the engine to it, so one engine answers any sequence
     of questions.
+
+    Every vertex keeps its neighbour counts per state.  Assigning a vertex
+    is one pass over its row: each neighbour's counts move and settle(),
+    the one DP rule, checks it and pushes the moves it forces at once;
+    then the vertex itself is settled.  The masked set-up settles the
+    edge's two endpoints with the same rule.  Every emitted pair is
+    re-verified on its host, g or G - skip built at the first hit, with
+    is_dp_pair and the Obs 4.2 containments; a host's leaves and supports
+    are computed once, when the host is.
     """
     n = g.n
     degree = [g.degree(v) for v in range(n)]
@@ -202,45 +211,42 @@ def _dp_search(g: Multigraph) -> Callable[..., list[DpPair]]:
     shared: dict[frozenset[int], tuple[int, ...] | None] = {}
     masked: tuple[int, int, int, dict] | None = None  # (skip, a, b, memo)
 
-    def can_be(v: int, side: int) -> bool:
-        ucnt, dcnt, pcnt = cnt[v]
-        if side == _D:
-            return pcnt + ucnt >= 1
-        return dcnt + ucnt >= 1 and pcnt + ucnt >= 1
+    def settle(v: int, queue: list[tuple[int, int]]) -> bool:
+        """The DP rule at v on its current counters: False if v can no
+        longer be satisfied, else push the moves it forces onto queue.
 
-    def violated(v: int) -> bool:
+        Every vertex needs a P- or unassigned neighbour: a D-vertex to be
+        dominated by P, a P-vertex for its partner, and so an unassigned
+        one too.  An unassigned vertex with no D- or unassigned neighbour
+        can only join D; a P-vertex with none is not dominated by D.  An
+        assigned vertex with one unassigned neighbour w left forces w to
+        P if it has no P-neighbour, and a P-vertex forces w to D if it has
+        no D-neighbour (both at once is a conflict propagate() reports).
+        """
         ucnt, dcnt, pcnt = cnt[v]
-        if state[v] == _D:
-            return pcnt + ucnt < 1
-        if state[v] == _P:
-            return dcnt + ucnt < 1 or pcnt + ucnt < 1
-        return not (can_be(v, _D) or can_be(v, _P))
-
-    def forced_moves(v: int) -> list[tuple[int, int]]:
-        moves = []
-        ucnt, dcnt, pcnt = cnt[v]
-        if state[v] == _UNSET:
-            d_ok, p_ok = can_be(v, _D), can_be(v, _P)
-            if d_ok and not p_ok:
-                moves.append((v, _D))
-            elif p_ok and not d_ok:
-                moves.append((v, _P))
+        if pcnt + ucnt < 1:
+            return False
+        side = state[v]
+        if side == _UNSET:
+            if dcnt + ucnt < 1:
+                queue.append((v, _D))
+        elif side == _P and dcnt + ucnt < 1:
+            return False
         elif ucnt == 1:
-            u = next(w for w in nbrs[v] if state[w] == _UNSET)
-            if state[v] == _D and pcnt == 0:
-                moves.append((u, _P))
-            elif state[v] == _P:
-                # if both needs point at u the queued pair conflicts and
-                # propagate() reports the contradiction
-                if dcnt == 0:
-                    moves.append((u, _D))
-                if pcnt == 0:
-                    moves.append((u, _P))
-        return moves
+            for w in nbrs[v]:
+                if state[w] == _UNSET:
+                    break
+            if side == _P and dcnt == 0:
+                queue.append((w, _D))
+            if pcnt == 0:
+                queue.append((w, _P))
+        return True
 
     def propagate(queue: list[tuple[int, int]]) -> bool:
         """Make the queued assignments with unit propagation; False on
-        contradiction."""
+        contradiction.  Assigning x is one pass over x's row that moves
+        each neighbour's counters and settles it at once, then x itself
+        (x's own counters do not depend on its side)."""
         while queue:
             x, s = queue.pop()
             if state[x] != _UNSET:
@@ -249,16 +255,20 @@ def _dp_search(g: Multigraph) -> Callable[..., list[DpPair]]:
                 continue
             state[x] = s
             trail.append(x)
-            for u in nbrs[x]:
-                cnt[u][0] -= 1
-                cnt[u][s] += 1
-            if violated(x):
-                return False
-            for u in nbrs[x]:
-                if violated(u):
+            row = nbrs[x]
+            for y in row:
+                c = cnt[y]
+                c[0] -= 1
+                c[s] += 1
+                if not settle(y, queue):
+                    # finish x's counter moves, so that undo() can take x back
+                    for z in row[row.index(y) + 1 :]:
+                        c = cnt[z]
+                        c[0] -= 1
+                        c[s] += 1
                     return False
-                queue.extend(forced_moves(u))
-            queue.extend(forced_moves(x))
+            if not settle(x, queue):
+                return False
         return True
 
     def undo(mark: int) -> None:
@@ -316,14 +326,14 @@ def _dp_search(g: Multigraph) -> Callable[..., list[DpPair]]:
         """Up to cap complete assignments extending the current one, in
         depth-first order over the BFS order of the current rows, D before
         P; each is re-verified on the graph it describes."""
-        # the graph every hit is re-verified on: g, or G - skip built at the
-        # first hit, with the map from g's edge ids to its own
-        host: Multigraph | None = g if masked is None else None
-        id_map: dict[int, int] | None = None
+        # the graph every hit is re-verified on, with its leaves, supports
+        # and the map from g's edge ids to its own: g's, or G - skip's,
+        # built at the first hit
+        host = g_host if masked is None else None
         results: list[DpPair] = []
 
         def emit() -> None:
-            nonlocal host, id_map
+            nonlocal host
             p = frozenset(v for v in range(n) if state[v] == _P)
             d = frozenset(range(n)) - p
             # every component of G[P] is final here and was matched when it
@@ -336,14 +346,16 @@ def _dp_search(g: Multigraph) -> Callable[..., list[DpPair]]:
                     done |= comp
                     matching.extend(component_matching(comp))
             if host is None:
-                host, id_map = g.delete_edge(masked[0])
+                h, id_map = g.delete_edge(masked[0])
+                host = (h, h.leaves(), h.supports(), id_map)
+            h, leaves, supports, id_map = host
             if id_map is not None:
                 matching = [id_map[eid] for eid in matching]
             pair = DpPair(d, p, tuple(sorted(matching)))
             # Obs 4.2 containments and the full invariant, re-checked on
             # every hit
-            assert host.leaves() <= d and host.supports() <= p
-            assert is_dp_pair(host, pair), dp_pair_problem(host, pair)
+            assert leaves <= d and supports <= p
+            assert is_dp_pair(h, pair), dp_pair_problem(h, pair)
             results.append(pair)
 
         # BFS order from vertex 0, then from the next unvisited id
@@ -419,16 +431,16 @@ def _dp_search(g: Multigraph) -> Callable[..., list[DpPair]]:
             cnt[b][state[a]] -= 1
         masked = (skip, a, b, {})
         # a new leaf goes to D and its support to P; no other vertex's
-        # counters changed, so only a and b can be violated or force a move
+        # counters changed, so only a and b need settling
         queue = []
         for v, d in ends.items():
             if d == 1:
                 queue += [(v, _D), (nbrs[v][0], _P)]
-        ok = not any(violated(v) for v in ends)
-        if ok:
-            for v in ends:
-                queue += forced_moves(v)
-            ok = propagate(queue) and final_components_match(trail[core:] + [*ends])
+        ok = (
+            all(settle(v, queue) for v in ends)
+            and propagate(queue)
+            and final_components_match(trail[core:] + [*ends])
+        )
         results = walk(cap) if ok else []
         undo(core)
         if cut:
@@ -446,6 +458,7 @@ def _dp_search(g: Multigraph) -> Callable[..., list[DpPair]]:
         and final_components_match(trail)
     )
     core = len(trail)
+    g_host = (g, g.leaves(), g.supports(), None)
     return search
 
 

@@ -10,10 +10,11 @@ import time
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import dpdp
 from dpdp.catalog import complete, cycle, path, random_tree, write_graph6
-from dpdp.cli import main
+from dpdp.cli import _json_text, main
 from dpdp.domination import DpPair, is_dp_pair
 from dpdp.graph import Multigraph
 from dpdp.subdivision import build_s2
@@ -23,6 +24,13 @@ from helpers import edge_list_text
 # SHA-256 of the concatenated stdout of test_minimal_outputs_pinned
 MINIMAL_S2_TREES_SHA256 = (
     "3d86027794e30e1d5876247452a3dff206103c8d0c69e0cdc68013a08d5d83b6"
+)
+# the same for dpdp check and dpdp pairs --cap 10 on the same 16 graphs
+CHECK_S2_TREES_SHA256 = (
+    "be78a2b17403f08fdc810c79e3e287c192d3d25760541634b5abde66511da7d5"
+)
+PAIRS_S2_TREES_SHA256 = (
+    "80232f8a120d8be1ea25bb39a6d19a994f7f72327b81d7fc8e77d8ccd43e99cf"
 )
 
 
@@ -83,10 +91,9 @@ def test_minimal_witness_on_k4(tmp_path, capsys):
     assert res["witness_edge"] is not None
 
 
-def test_minimal_outputs_pinned(tmp_path, capsys, monkeypatch):
-    # S2 graphs of 16 random trees on 20-30 vertices, alpha in {1, 2, 3}:
-    # 14 witness edges and 2 minimal graphs, so a change of witness edge,
-    # pair or matching shows here
+def s2_tree_digest(tmp_path, capsys, monkeypatch, *argv) -> str:
+    """SHA-256 of the concatenated stdout of dpdp argv[0] FILE argv[1:] on
+    the S2 graphs of 16 random trees on 20-30 vertices, alpha in {1, 2, 3}."""
     monkeypatch.chdir(tmp_path)  # the input path is part of the output
     rng = random.Random(2026)
     digest = hashlib.sha256()
@@ -95,10 +102,26 @@ def test_minimal_outputs_pinned(tmp_path, capsys, monkeypatch):
         g, _ = build_s2(t, {v: rng.randint(1, 3) for v in sorted(t.leaves())})
         name = f"t{i}.el"
         (tmp_path / name).write_text(edge_list_text(g))
-        code, out = run_cli(capsys, "minimal", name)
+        code, out = run_cli(capsys, argv[0], name, *argv[1:])
         assert code == 0
         digest.update(out.encode())
-    assert digest.hexdigest() == MINIMAL_S2_TREES_SHA256
+    return digest.hexdigest()
+
+
+def test_minimal_outputs_pinned(tmp_path, capsys, monkeypatch):
+    # 14 witness edges and 2 minimal graphs, so a change of witness edge,
+    # pair or matching shows here
+    digest = s2_tree_digest(tmp_path, capsys, monkeypatch, "minimal")
+    assert digest == MINIMAL_S2_TREES_SHA256
+
+
+def test_check_and_pairs_outputs_pinned(tmp_path, capsys, monkeypatch):
+    # the first pair and the first ten pairs of the DFS, with their
+    # matchings: a change of search order or matching shows here
+    digest = s2_tree_digest(tmp_path, capsys, monkeypatch, "check")
+    assert digest == CHECK_S2_TREES_SHA256
+    digest = s2_tree_digest(tmp_path, capsys, monkeypatch, "pairs", "--cap", "10")
+    assert digest == PAIRS_S2_TREES_SHA256
 
 
 def test_pairs_cap(tmp_path, capsys):
@@ -397,3 +420,34 @@ def test_graph6_input_format(tmp_path, capsys):
     code, out = run_cli(capsys, "check", str(f), "--format", "g6")
     assert code == 0
     assert json.loads(out)["result"]["dpdp"] is True
+
+
+PAYLOAD_STRINGS = st.one_of(
+    st.text(max_size=8),
+    # quotes, backslashes, control characters, non-ASCII, a lone surrogate
+    st.sampled_from(
+        ['"', "\\", '\\"', "\n\t\x00\x1f\x7f", "\u00e9", "\u2603", "\U0001f600", "\ud800"]
+    ),
+)
+PAYLOADS = st.recursive(
+    st.none() | st.booleans() | st.integers(-(10**20), 10**20) | PAYLOAD_STRINGS,
+    lambda inner: st.lists(inner, max_size=5)
+    # bools mixed into int lists, which must not print as 0 and 1
+    | st.lists(st.integers(-5, 5) | st.booleans(), max_size=5)
+    | st.dictionaries(PAYLOAD_STRINGS, inner, max_size=5),
+    max_leaves=30,
+)
+
+
+@settings(max_examples=500, deadline=None)
+@given(PAYLOADS)
+def test_json_writer_matches_json_dumps(obj):
+    assert _json_text(obj) == json.dumps(obj, sort_keys=True, indent=2)
+
+
+def test_json_writer_edge_cases():
+    for obj in ({}, [], {"a": {}, "b": []}, [[], {}], [-1, 0, True, False, None],
+                {'k"\\\n\u00e9': ["\x01", "\u2603"]}):
+        assert _json_text(obj) == json.dumps(obj, sort_keys=True, indent=2)
+    with pytest.raises(TypeError):
+        _json_text({"x": 1.5})
