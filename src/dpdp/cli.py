@@ -8,8 +8,9 @@ a fixed input and flag set.  Exit codes: 0 = computed (whatever the
 verdict), 1 = input error or internal error (one stderr line, no
 traceback), 2 = cross-validation disagreement.
 
-Survey and xcheck fan out over a process pool sized by the DPDP_WORKERS
-environment variable (default: available parallelism); results are
+Survey and xcheck fan out over a process pool of DPDP_WORKERS processes
+(an environment variable; default: available parallelism), but never more
+processes than inputs, and run in-process when that is one; results are
 emitted in input order regardless.
 """
 
@@ -164,9 +165,9 @@ def _workers() -> int:
 
 
 def _pool_map(fn, items):
-    workers = _workers()
     items = list(items)
-    if workers == 1 or len(items) <= 1:
+    workers = min(_workers(), len(items))
+    if workers <= 1:
         return [fn(x) for x in items]
     with ProcessPoolExecutor(max_workers=workers) as pool:
         return list(pool.map(fn, items))
@@ -241,17 +242,7 @@ def cmd_invert(args) -> int:
               {"is_2_subdivision": False, "base": None, "alpha": None,
                "provenance": None})
         return 0
-    base, alpha, lab = inv
-    _emit(
-        "invert",
-        args.file,
-        {
-            "is_2_subdivision": True,
-            "base": _graph_json(base),
-            "alpha": {str(v): a for v, a in sorted(alpha.items())},
-            "provenance": [list(t) for t in lab.provenance],
-        },
-    )
+    _emit("invert", args.file, {"is_2_subdivision": True, **_labeling_json(inv[2])})
     return 0
 
 

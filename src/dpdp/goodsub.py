@@ -244,68 +244,39 @@ def _q_sets(h: Multigraph, eligible: list[int], size: int):
     grows), so a prefix that breaks one, measured against the full size,
     is cut with every set that extends it.
 
-    The walk meets the survivors in lexicographic order.  add and remove
-    run in stack order, so a union-find over S with an undo log (union by
-    size, no path compression) keeps the prefix's component count current.
-    A connected survivor is yielded the moment the walk meets it; the
-    disconnected ones wait in one list per component count, each list in
-    lexicographic order, and follow after the walk, fewest components
-    first.  Only those are ever held, so a consumer that stops at a
-    connected hit holds at most the disconnected sets met before it.
+    The walk meets the survivors in lexicographic order.  Components order
+    survivors but never cut a prefix, so they are counted once per
+    full-size survivor, from its own edges.  A connected survivor is
+    yielded the moment the walk meets it; the disconnected ones wait in
+    one list per component count, each list in lexicographic order, and
+    follow after the walk, fewest components first.  Only those are ever
+    held, so a consumer that stops at a connected hit holds at most the
+    disconnected sets met before it.
     """
     edges = h.edges
-    left = [h.degree(x) for x in range(h.n)]  # edge-ends outside the prefix
-    q_ends = [0] * h.n  # prefix edge-ends at x; x is in S iff positive
+    degree = [h.degree(x) for x in range(h.n)]
+    left = degree[:]  # edge-ends outside the prefix; x is in S iff below degree
     s_ends = [0] * h.m  # endpoints of an edge in S (a loop counts once)
     touching = 0  # edges with an endpoint in S
-    parent = list(range(h.n))  # union-find forest over S
-    weight = [1] * h.n  # vertices under a root
-    merged: list[int] = []  # per added edge: the root it hung, or -1
-    components = 0  # of the prefix's edges
     disconnected: dict[int, list[tuple[int, ...]]] = {}
     picked: list[int] = []  # indices into eligible, ascending
-    combo: list[int] = []  # the edge ids at those indices
-
-    def root(x: int) -> int:
-        while parent[x] != x:
-            x = parent[x]
-        return x
 
     def add(eid: int) -> None:
-        nonlocal touching, components
+        nonlocal touching
         e = edges[eid]
         for w in (e.u, e.v):
             left[w] -= 1
-            q_ends[w] += 1
-            if q_ends[w] == 1:
-                components += 1
+            if left[w] == degree[w] - 1:  # w joins S
                 for f in h.incident_edges(w):
                     touching += s_ends[f] == 0
                     s_ends[f] += 1
-        ru, rv = root(e.u), root(e.v)
-        if ru == rv:
-            merged.append(-1)
-            return
-        if weight[ru] > weight[rv]:
-            ru, rv = rv, ru
-        parent[ru] = rv
-        weight[rv] += weight[ru]
-        merged.append(ru)
-        components -= 1
 
     def remove(eid: int) -> None:
-        nonlocal touching, components
-        ru = merged.pop()
-        if ru >= 0:
-            weight[parent[ru]] -= weight[ru]
-            parent[ru] = ru
-            components += 1
+        nonlocal touching
         e = edges[eid]
         for w in (e.u, e.v):
             left[w] += 1
-            q_ends[w] -= 1
-            if q_ends[w] == 0:
-                components -= 1
+            if left[w] == degree[w]:  # w leaves S
                 for f in h.incident_edges(w):
                     s_ends[f] -= 1
                     touching -= s_ends[f] == 0
@@ -318,24 +289,41 @@ def _q_sets(h: Multigraph, eligible: list[int], size: int):
             e = edges[eid]
             if left[e.u] >= 1 and left[e.v] >= 1 and touching - size <= h.n:
                 if len(picked) + 1 == size:
-                    if components == 1:
-                        yield (*combo, eid)
+                    q = (*(eligible[j] for j in picked), eid)
+                    count = _component_count(h, q)
+                    if count == 1:
+                        yield q
                     else:
-                        disconnected.setdefault(components, []).append((*combo, eid))
+                        disconnected.setdefault(count, []).append(q)
                 else:
                     picked.append(i)
-                    combo.append(eid)
                     i += 1
                     continue
             remove(eid)
             i += 1
         elif picked:
+            remove(eligible[picked[-1]])
             i = picked.pop() + 1
-            remove(combo.pop())
         else:
             break
     for count in sorted(disconnected):
         yield from disconnected.pop(count)
+
+
+def _component_count(h: Multigraph, q_edges: tuple[int, ...]) -> int:
+    """Connected components of the subgraph formed by q_edges: the roots
+    of a union-find over their endpoints."""
+    root: dict[int, int] = {}
+
+    def find(x: int) -> int:
+        while root.setdefault(x, x) != x:
+            x = root[x]
+        return x
+
+    for eid in q_edges:
+        e = h.edges[eid]
+        root[find(e.u)] = find(e.v)
+    return sum(x == r for x, r in root.items())
 
 
 def _search_paths(

@@ -25,12 +25,16 @@ from helpers import edge_list_text
 MINIMAL_S2_TREES_SHA256 = (
     "3d86027794e30e1d5876247452a3dff206103c8d0c69e0cdc68013a08d5d83b6"
 )
-# the same for dpdp check and dpdp pairs --cap 10 on the same 16 graphs
+# the same for dpdp check, dpdp pairs --cap 10 and dpdp invert on the
+# same 16 graphs
 CHECK_S2_TREES_SHA256 = (
     "be78a2b17403f08fdc810c79e3e287c192d3d25760541634b5abde66511da7d5"
 )
 PAIRS_S2_TREES_SHA256 = (
     "80232f8a120d8be1ea25bb39a6d19a994f7f72327b81d7fc8e77d8ccd43e99cf"
+)
+INVERT_S2_TREES_SHA256 = (
+    "33dac6370659562e215f4d45df08277251485870de0b9cc8ceb44c763bf91f20"
 )
 
 
@@ -124,6 +128,12 @@ def test_check_and_pairs_outputs_pinned(tmp_path, capsys, monkeypatch):
     assert digest == PAIRS_S2_TREES_SHA256
 
 
+def test_invert_outputs_pinned(tmp_path, capsys, monkeypatch):
+    # base, alpha and provenance of all 16 inversions
+    digest = s2_tree_digest(tmp_path, capsys, monkeypatch, "invert")
+    assert digest == INVERT_S2_TREES_SHA256
+
+
 def test_pairs_cap(tmp_path, capsys):
     f = tmp_path / "k3.el"
     f.write_text(edge_list_text(complete(3)))
@@ -210,6 +220,38 @@ def test_survey_parallel_matches_serial(tmp_path, capsys, monkeypatch):
     monkeypatch.setenv("DPDP_WORKERS", "2")
     _, parallel = run_cli(capsys, "survey", str(g6))
     assert serial == parallel
+
+
+def test_pool_is_sized_by_the_input(capsys, monkeypatch):
+    # xcheck --max-edges 2 has 6 graphs: DPDP_WORKERS=500 asks for 6
+    # workers, not 500.  The stand-in pool records its size and maps
+    # serially, so no process is started
+    import dpdp.cli as cli_mod
+
+    sizes = []
+
+    class SerialPool:
+        def __init__(self, max_workers):
+            sizes.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, items):
+            return map(fn, items)
+
+    monkeypatch.setattr(cli_mod, "ProcessPoolExecutor", SerialPool)
+    monkeypatch.setenv("DPDP_WORKERS", "1")
+    _, serial = run_cli(capsys, "xcheck", "--max-edges", "2")
+    assert sizes == []
+    monkeypatch.setenv("DPDP_WORKERS", "500")
+    _, pooled = run_cli(capsys, "xcheck", "--max-edges", "2")
+    assert sizes == [6]
+    assert pooled == serial
+    assert json.loads(serial)["result"]["graphs_checked"] == 6
 
 
 def test_xcheck_sweep(capsys):

@@ -7,6 +7,7 @@ import sys
 import time
 import tracemalloc
 from collections import Counter
+from itertools import combinations
 
 import pytest
 from hypothesis import given, settings
@@ -17,6 +18,7 @@ from dpdp.catalog import (
     complete_bipartite,
     corona,
     cycle,
+    enumerate_connected_multigraphs,
     enumerate_connected_simple,
     enumerate_trees,
     path,
@@ -46,6 +48,10 @@ from helpers import based_alphas, oracle_dominating, oracle_pairing_exists
 
 CUBIC_CERTIFICATES_SHA256 = (
     "0017ad9b2321da75114ae1c35fec43bd2ec9b7601861df288ca33f3b05e923f8"
+)
+# the same over the 470 connected multigraphs with up to 6 edges
+MULTIGRAPHS_LE6_CERTIFICATES_SHA256 = (
+    "babe04ad025e01cd6e282713d258a11c5c6e3ed2cce99228395f9be452c56b15"
 )
 
 # (q_edges, arcs in dict order) of the first good subgraph of K7 and K8:
@@ -217,6 +223,67 @@ def test_dead_q_prefixes_and_path_families_are_cut(monkeypatch):
     assert counts["grow"] <= 50_000
 
 
+def _reference_q_sets(h: Multigraph, eligible: list[int], size: int) -> list:
+    """The size-subsets of eligible that pass the Q-set cuts, from their
+    definitions, stable-sorted by a component count of their own."""
+
+    def passes(combo) -> bool:
+        outside = [h.degree(x) for x in range(h.n)]  # edge-ends outside Q
+        s = set()
+        for eid in combo:
+            e = h.edges[eid]
+            outside[e.u] -= 1
+            outside[e.v] -= 1
+            s.update((e.u, e.v))
+        # (a) each Q-vertex keeps an edge-end outside Q
+        if any(outside[x] < 1 for x in s):
+            return False
+        # (b) the Q boundary fits in n arcs
+        boundary = [e for e in h.edges if e.id not in combo and (e.u in s or e.v in s)]
+        return len(boundary) <= h.n
+
+    def components(combo) -> int:
+        adj: dict[int, set[int]] = {}
+        for eid in combo:
+            e = h.edges[eid]
+            adj.setdefault(e.u, set()).add(e.v)
+            adj.setdefault(e.v, set()).add(e.u)
+        seen: set[int] = set()
+        count = 0
+        for start in adj:
+            if start in seen:
+                continue
+            count += 1
+            seen.add(start)
+            queue = [start]
+            while queue:
+                x = queue.pop(0)
+                for y in adj[x] - seen:
+                    seen.add(y)
+                    queue.append(y)
+        return count
+
+    survivors = [c for c in combinations(eligible, size) if passes(set(c))]
+    return sorted(survivors, key=components)
+
+
+def test_q_sets_match_reference_order(multigraphs_le5):
+    # every size, on the eligible edges find_good_subgraph would pass and
+    # on all edges; the walk hands out exactly the reference list
+    checked = 0
+    for h in [*multigraphs_le5, complete(5), complete(6)]:
+        allowed = set(range(h.n)) - h.leaves() - h.supports()
+        eligible = [e.id for e in h.edges if e.u in allowed and e.v in allowed]
+        for edges in (eligible, list(range(h.m))):
+            for size in range(1, len(edges) + 1):
+                want = _reference_q_sets(h, edges, size)
+                assert list(dpdp.goodsub._q_sets(h, edges, size)) == want, (
+                    h.edge_multiset(), edges, size,
+                )
+                checked += len(want)
+    assert checked > 10_000
+
+
 def test_k7_builds_few_q_sets(monkeypatch):
     # K7's first good Q has 14 of its 21 edges; every smaller Q set has a
     # vertex set whose boundary cannot fit in 7 arcs, and the first
@@ -252,19 +319,31 @@ def test_complete_graph_certificates_pinned():
         assert (sorted(c.q_edges), list(c.arcs.items())) == pinned
 
 
-def test_cubic_fixture_certificates_pinned():
-    # SHA-256 over every certificate field, dict order included, of the 27
-    # connected cubic graphs on at most 10 vertices
-    fixture = pathlib.Path(__file__).parent / "fixtures" / "cubic_le10.g6"
+def certificates_digest(hosts) -> str:
+    """SHA-256 over every certificate field, dict order included, of
+    find_good_subgraph on each host in turn."""
     digest = hashlib.sha256()
-    for h in read_graph6_file(fixture.read_text()):
+    for h in hosts:
         c = find_good_subgraph(h)
         fields = None if c is None else (
             sorted(c.q_vertices), sorted(c.q_edges), sorted(c.e_set),
             list(c.arcs.items()), list(c.paths.items()),
         )
         digest.update(repr(fields).encode() + b"\n")
-    assert digest.hexdigest() == CUBIC_CERTIFICATES_SHA256
+    return digest.hexdigest()
+
+
+def test_cubic_fixture_certificates_pinned():
+    # the 27 connected cubic graphs on at most 10 vertices
+    fixture = pathlib.Path(__file__).parent / "fixtures" / "cubic_le10.g6"
+    hosts = read_graph6_file(fixture.read_text())
+    assert certificates_digest(hosts) == CUBIC_CERTIFICATES_SHA256
+
+
+def test_multigraph_certificates_pinned():
+    hosts = enumerate_connected_multigraphs(6)
+    assert len(hosts) == 470
+    assert certificates_digest(hosts) == MULTIGRAPHS_LE6_CERTIFICATES_SHA256
 
 
 def test_first_q_set_needs_little_memory():
