@@ -5,8 +5,8 @@ from: ("old", h_vertex) for a non-leaf of the base, ("copy", h_leaf, i)
 for the i-th copy of a base leaf (i in 1..alpha), or ("new", h_edge, side)
 for a subdivision vertex.  Each base edge uv becomes the path u, u_e,
 v_e, v; each loop at v becomes the triangle v, v_e1, v_e2.  The tags make
-inversion checkable by rebuilding and comparing edges vertex-for-vertex,
-never by isomorphism testing.
+inversion checkable by looking up every gadget edge through them, never by
+isomorphism testing.
 
 Useful facts the inversion relies on (all consequences of the edge rules):
 the product is always simple, its leaves are exactly the copy vertices,
@@ -17,6 +17,7 @@ induce a perfect matching (one pair per base edge).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import Callable
 
 from .domination import DpPair
 from .graph import Multigraph
@@ -28,7 +29,10 @@ Tag = tuple  # ("old", v) | ("copy", leaf, i) | ("new", edge, side)
 class S2Labeling:
     """Provenance of every product vertex over (base, alpha).
 
-    Treat as immutable; the lookup tables are derived from provenance.
+    Treat as immutable.  The lookup tables map base vertices and edges to
+    vertex and edge ids of the graph labelled, build_s2's product or
+    invert_s2's input; one builder fills them for both, in build_s2's
+    layout.
     """
 
     base: Multigraph
@@ -73,6 +77,45 @@ def _complete_alpha(h: Multigraph, alpha: dict[int, int] | None) -> dict[int, in
     return full
 
 
+def _labeling(
+    h: Multigraph,
+    alpha: dict[int, int],
+    tags: list[Tag],
+    edge_id: Callable[[int, int], int | None],
+) -> S2Labeling:
+    """The labeling of S2(h, alpha) whose vertex i carries tags[i].
+
+    alpha is complete, so its keys are the leaves of h.  edge_id(a, b) is
+    called once per gadget edge, in build_s2's edge order, and names the
+    edge between vertices a and b.
+    """
+    index = {t: i for i, t in enumerate(tags)}
+    old_vertex = {v: index[("old", v)] for v in range(h.n) if v not in alpha}
+    copy_vertices = {
+        v: tuple(index[("copy", v, i)] for i in range(1, a + 1))
+        for v, a in alpha.items()
+    }
+    new_vertex = {(e.id, s): index[("new", e.id, s)] for e in h.edges for s in (1, 2)}
+    reps = [copy_vertices.get(v) or (old_vertex[v],) for v in range(h.n)]
+    middle_edge: dict[int, int] = {}
+    attach_edges: dict[tuple[int, int], tuple[int, ...]] = {}
+    for e in h.edges:
+        n1, n2 = new_vertex[(e.id, 1)], new_vertex[(e.id, 2)]
+        middle_edge[e.id] = edge_id(n1, n2)
+        attach_edges[(e.id, 1)] = tuple([edge_id(r, n1) for r in reps[e.u]])
+        attach_edges[(e.id, 2)] = tuple([edge_id(r, n2) for r in reps[e.v]])
+    return S2Labeling(
+        base=h,
+        alpha=alpha,
+        provenance=tuple(tags),
+        old_vertex=old_vertex,
+        copy_vertices=copy_vertices,
+        new_vertex=new_vertex,
+        middle_edge=middle_edge,
+        attach_edges=attach_edges,
+    )
+
+
 def build_s2(
     h: Multigraph, alpha: dict[int, int] | None = None
 ) -> tuple[Multigraph, S2Labeling]:
@@ -86,56 +129,22 @@ def build_s2(
     if any(h.degree(v) == 0 for v in range(h.n)):
         raise ValueError("base graph must have no isolated vertex")
     alpha_full = _complete_alpha(h, alpha)
-    leaves = h.leaves()
 
-    tags: list[Tag] = []
-    for v in range(h.n):
-        if v not in leaves:
-            tags.append(("old", v))
-    for v in sorted(leaves):
-        for i in range(1, alpha_full[v] + 1):
-            tags.append(("copy", v, i))
+    tags: list[Tag] = [("old", v) for v in range(h.n) if v not in alpha_full]
+    for v, a in alpha_full.items():
+        tags.extend(("copy", v, i) for i in range(1, a + 1))
     for e in h.edges:
         tags.append(("new", e.id, 1))
         tags.append(("new", e.id, 2))
 
-    index = {t: i for i, t in enumerate(tags)}
-    old_vertex = {v: index[("old", v)] for v in range(h.n) if v not in leaves}
-    copy_vertices = {
-        v: tuple(index[("copy", v, i)] for i in range(1, alpha_full[v] + 1))
-        for v in sorted(leaves)
-    }
-    new_vertex = {(e.id, s): index[("new", e.id, s)] for e in h.edges for s in (1, 2)}
-
-    def reps(v: int) -> tuple[int, ...]:
-        return copy_vertices[v] if v in leaves else (old_vertex[v],)
-
     edges: list[tuple[int, int]] = []
-    middle_edge: dict[int, int] = {}
-    attach_edges: dict[tuple[int, int], tuple[int, ...]] = {}
-    for e in h.edges:
-        n1, n2 = new_vertex[(e.id, 1)], new_vertex[(e.id, 2)]
-        middle_edge[e.id] = len(edges)
-        edges.append((n1, n2))
-        for side, (nv, endpoint) in enumerate(((n1, e.u), (n2, e.v)), start=1):
-            ids = []
-            for r in reps(endpoint):
-                ids.append(len(edges))
-                edges.append((r, nv))
-            attach_edges[(e.id, side)] = tuple(ids)
 
-    g = Multigraph(len(tags), edges)
-    lab = S2Labeling(
-        base=h,
-        alpha=alpha_full,
-        provenance=tuple(tags),
-        old_vertex=old_vertex,
-        copy_vertices=copy_vertices,
-        new_vertex=new_vertex,
-        middle_edge=middle_edge,
-        attach_edges=attach_edges,
-    )
-    return g, lab
+    def append_edge(a: int, b: int) -> int:
+        edges.append((a, b))
+        return len(edges) - 1
+
+    lab = _labeling(h, alpha_full, tags, append_edge)
+    return Multigraph(len(tags), edges), lab
 
 
 def canonical_dp_pair(lab: S2Labeling) -> DpPair:
@@ -167,14 +176,10 @@ def invert_s2(
     The first contradiction answers None.  The complete colouring gives
     base and alpha directly; after a degree check (a new vertex has
     degree 2, or 1 plus the size of its leaf group) it is accepted iff
-    build_s2(base, alpha) equals g vertex-for-vertex through the tags.
-    The labeling returned is build_s2's own, carried to g's vertex and
-    edge ids.
+    every gadget edge of build_s2(base, alpha), named through the tags,
+    is an edge of g and g has no other.  The labeling returned is built
+    by the same builder as build_s2's, from g's own vertex and edge ids.
     """
-    if g.n == 0:
-        base = Multigraph(0, [])
-        _, lab = build_s2(base, {})
-        return base, {}, lab
     if not g.is_simple():
         return None
     if any(g.degree(v) == 0 for v in range(g.n)):
@@ -254,39 +259,24 @@ def invert_s2(
             end[x] = h_of[x if group else next(u for u in nbrs[x] if u != mate)]
 
         base = Multigraph(len(h_of), [(end[x], end[y]) for x, y in pairs])
-        rebuilt, lab = build_s2(base, {h_of[s]: len(c) for s, c in groups.items()})
+        alpha = _complete_alpha(base, {h_of[s]: len(c) for s, c in groups.items()})
 
-        # the acceptance test: the rebuild equals g vertex-for-vertex through
-        # the tags (g is simple, so an endpoint pair names its edge).
-        # Propagation and the degree check already imply it; it re-verifies
-        # the result, as every positive verdict here is re-verified.
-        to_rebuilt = [lab.vertex_of(t) for t in tags]
-        edge_id: dict[tuple[int, int], int] = {}
-        for e in g.edges:
-            a, b = to_rebuilt[e.u], to_rebuilt[e.v]
-            edge_id[(a, b) if a < b else (b, a)] = e.id
-        if tuple(sorted(edge_id)) != rebuilt.edge_multiset():
-            return None
+        # the acceptance test: every gadget edge of S2(base, alpha) is an
+        # edge of g through the tags, and g has no other edge (g is simple,
+        # so an endpoint pair names its edge).  Propagation and the degree
+        # check already imply it; it re-verifies the result, as every
+        # positive verdict here is re-verified.
+        unused = {e.key(): e.id for e in g.edges}
+        missed: list[tuple[int, int]] = []
 
-        # build_s2's labeling, carried to g's vertex and edge ids
-        to_g = [0] * n
-        for v, r in enumerate(to_rebuilt):
-            to_g[r] = v
-        g_edge = [edge_id[e.key()] for e in rebuilt.edges]
-        return base, lab.alpha, S2Labeling(
-            base=base,
-            alpha=lab.alpha,
-            provenance=tuple(tags),
-            old_vertex={h: to_g[r] for h, r in lab.old_vertex.items()},
-            copy_vertices={
-                h: tuple(to_g[r] for r in rs) for h, rs in lab.copy_vertices.items()
-            },
-            new_vertex={k: to_g[r] for k, r in lab.new_vertex.items()},
-            middle_edge={k: g_edge[r] for k, r in lab.middle_edge.items()},
-            attach_edges={
-                k: tuple(g_edge[r] for r in rs) for k, rs in lab.attach_edges.items()
-            },
-        )
+        def edge_id(a: int, b: int) -> int | None:
+            eid = unused.pop((a, b) if a < b else (b, a), None)
+            if eid is None:
+                missed.append((a, b))
+            return eid
+
+        lab = _labeling(base, alpha, tags, edge_id)
+        return None if missed or unused else (base, alpha, lab)
 
     # A new vertex has degree 2, or 1 plus its leaf group, so these seeds
     # are old-or-copy in every tagging; a component with none is 2-regular,

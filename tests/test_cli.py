@@ -254,6 +254,16 @@ def test_pool_is_sized_by_the_input(capsys, monkeypatch):
     assert json.loads(serial)["result"]["graphs_checked"] == 6
 
 
+def test_non_integer_workers_is_a_one_line_error(capsys, monkeypatch):
+    monkeypatch.setenv("DPDP_WORKERS", "abc")
+    assert main(["xcheck", "--max-edges", "2"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.splitlines() == [
+        "dpdp: error: DPDP_WORKERS must be an integer, got 'abc'"
+    ]
+
+
 def test_xcheck_sweep(capsys):
     code, out = run_cli(capsys, "xcheck", "--max-edges", "3")
     assert code == 0

@@ -7,6 +7,7 @@ import sys
 import time
 import tracemalloc
 from collections import Counter
+from dataclasses import replace
 from itertools import combinations
 
 import pytest
@@ -132,6 +133,60 @@ def test_verify_malformed_ids_raise():
     cert.q_vertices = frozenset({2, 99})
     with pytest.raises(ValueError):
         verify_good_certificate(path(6), cert)
+    cert = replace(p6_certificate(), q_edges=frozenset({2, 99}))
+    with pytest.raises(ValueError, match="^malformed edge id 99$"):
+        verify_good_certificate(path(6), cert)
+
+
+# P6 plus a parallel edge 0-1 (5), a loop at 1 (6) and chords 1-4 (7) and
+# 1-5 (8): none touches Q = {2, 3}, so p6_certificate() still verifies
+P6_PLUS = Multigraph(6, [e.endpoints() for e in path(6).edges]
+                     + [(0, 1), (1, 1), (1, 4), (1, 5)])
+
+
+def _rerouted(arcs, paths) -> GoodSubgraphCertificate:
+    """p6_certificate() with E, its orientation and the paths replaced."""
+    return replace(p6_certificate(), e_set=frozenset(arcs), arcs=arcs, paths=paths)
+
+
+# The out-degree clauses of conditions (1) and (2) and the in-degree clause
+# of condition (1) cannot fail once no vertex has out-degree above 1: every
+# Q-vertex and inner vertex has an arc out along its path, and at a
+# Q-vertex every edge-end outside Q is on an arc of E
+@pytest.mark.parametrize("cert, reason", [
+    (replace(p6_certificate(), q_vertices=frozenset()), "Q is empty"),
+    (replace(p6_certificate(), q_vertices=frozenset({2, 3, 4})),
+     "Q has an isolated vertex"),
+    (replace(p6_certificate(), e_set=frozenset({1, 2, 3})),
+     "E intersects the Q edges"),
+    (replace(p6_certificate(), e_set=frozenset({1})),
+     "E misses part of the Q boundary"),
+    (replace(p6_certificate(), e_set=frozenset({0, 1, 3})), "arcs and E disagree"),
+    (replace(p6_certificate(), paths={2: (1,)}),
+     "paths are not indexed by the Q vertices"),
+    (replace(p6_certificate(), paths={2: (), 3: (3,)}), "path at 2 is empty"),
+    (replace(p6_certificate(), paths={2: (0,), 3: (3,)}),
+     "path at 2 uses edge 0 without an orientation"),
+    (_rerouted({0: (1, 0), 1: (2, 1), 3: (3, 4), 6: (1, 1)},
+               {2: (1, 6, 0), 3: (3,)}),
+     "path at 2: loop arc 6 is not the final arc"),
+    (_rerouted({0: (1, 0), 1: (2, 1), 3: (3, 4), 5: (0, 1)},
+               {2: (1, 0, 5), 3: (3,)}),
+     "path at 2 repeats vertex 1"),
+    (_rerouted({0: (1, 0), 1: (2, 1), 3: (3, 4), 7: (4, 1)},
+               {2: (1, 0), 3: (3, 7, 0)}),
+     "paths are not arc-disjoint"),
+    (_rerouted({0: (1, 0), 1: (2, 1), 3: (3, 4)}, {2: (1,), 3: (3,)}),
+     "paths do not cover the arcs exactly"),
+    (_rerouted({0: (1, 0), 1: (2, 1), 3: (3, 4), 7: (4, 1), 8: (1, 5)},
+               {2: (1, 0), 3: (3, 7, 8)}),
+     "vertex 1 has out-degree above 1"),
+    (_rerouted({1: (2, 1), 3: (3, 4), 7: (4, 1)}, {2: (1,), 3: (3, 7)}),
+     "condition (2): in-degree at inner vertex 4"),
+])
+def test_verify_names_the_violated_clause(cert, reason):
+    assert verify_good_certificate(P6_PLUS, p6_certificate()) == (True, None)
+    assert verify_good_certificate(P6_PLUS, cert) == (False, reason)
 
 
 def test_find_examples():
@@ -392,6 +447,45 @@ def test_every_swept_certificate_reduces(sweep_le5):
         assert is_dp_pair(reduced, DpPair(plan.d_prime, plan.p_prime, plan.matching))
         reduced_count += 1
     assert reduced_count > 0
+
+
+def _with_end_loops(h: Multigraph, cert: GoodSubgraphCertificate):
+    """The certificate with one loop appended to one path, for every path
+    ending at a non-Q vertex with no arc out and every loop there outside
+    E, where the result still verifies."""
+    tails = {t for t, _ in cert.arcs.values()}
+    for v, arcs in cert.paths.items():
+        x = cert.arcs[arcs[-1]][1]
+        if x in cert.q_vertices or x in tails:
+            continue
+        for e in h.edges:
+            if e.u == e.v == x and e.id not in cert.e_set:
+                longer = replace(
+                    cert,
+                    e_set=cert.e_set | {e.id},
+                    arcs={**cert.arcs, e.id: (x, x)},
+                    paths={**cert.paths, v: arcs + (e.id,)},
+                )
+                if verify_good_certificate(h, longer)[0]:
+                    yield longer
+
+
+def test_reduction_drops_end_loops_outside_q(multigraphs_le5):
+    # the reduction first drops a final loop arc at a non-Q vertex, which
+    # gives back the certificate found and so the same plan
+    count = 0
+    for h in multigraphs_le5:
+        cert = find_good_subgraph(h)
+        if cert is None:
+            continue
+        g, _ = build_s2(h)
+        for longer in _with_end_loops(h, cert):
+            plan = reduce_via_good_subgraph(h, None, longer)
+            pair = DpPair(plan.d_prime, plan.p_prime, plan.matching)
+            assert is_dp_pair(apply_reduction(g, plan), pair)
+            assert plan == reduce_via_good_subgraph(h, None, cert)
+            count += 1
+    assert count == 28
 
 
 @settings(max_examples=400, deadline=None)

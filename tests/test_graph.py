@@ -133,3 +133,13 @@ def test_immutability():
 def test_edge_endpoint_validation():
     with pytest.raises(ValueError):
         Multigraph(2, [(0, 2)])
+
+
+def test_equality_and_hash_ignore_edge_order():
+    g = Multigraph(4, [(0, 1), (1, 2), (2, 2), (1, 2)])
+    same = Multigraph(4, [(2, 1), (2, 2), (2, 1), (1, 0)])
+    assert g == same and hash(g) == hash(same)
+    assert len({g, same}) == 1
+    assert g != Multigraph(4, [(0, 1), (1, 2), (2, 2)])  # multiplicity counts
+    assert g != Multigraph(5, [(0, 1), (1, 2), (2, 2), (1, 2)])
+    assert g.__eq__(5) is NotImplemented and (g == 5) is False

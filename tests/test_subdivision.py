@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import dpdp.subdivision
 from dpdp._canon import is_isomorphic
 from dpdp.catalog import complete, cycle, double_star, path, read_graph6_file
 from dpdp.domination import is_dp_pair
@@ -211,14 +212,9 @@ def test_relabelled_and_perturbed_s2(h_alpha, rng):
             _assert_tag_roundtrip(near, inv)
 
 
-def test_invert_outputs_pinned(multigraphs_le5):
-    fixture = pathlib.Path(__file__).parent / "fixtures" / "simple_n7.g6"
-    graphs = read_graph6_file(fixture.read_text())
-    rng = random.Random(7)
-    for h in multigraphs_le5:
-        for alpha in (None, {v: 1 + v % 3 for v in h.leaves()}):
-            g, _ = build_s2(h, alpha)
-            graphs += [g, _relabelled(g, rng)]
+def invert_digest(graphs) -> str:
+    """SHA-256 over every field of invert_s2's result, dict order included,
+    on each graph in turn."""
     digest = hashlib.sha256()
     for g in graphs:
         inv = invert_s2(g)
@@ -233,7 +229,33 @@ def test_invert_outputs_pinned(multigraphs_le5):
                 list(lab.attach_edges.items()),
             )
         digest.update(repr(fields).encode() + b"\n")
-    assert digest.hexdigest() == INVERT_OUTPUTS_SHA256
+    return digest.hexdigest()
+
+
+def test_invert_outputs_pinned(multigraphs_le5):
+    fixture = pathlib.Path(__file__).parent / "fixtures" / "simple_n7.g6"
+    graphs = read_graph6_file(fixture.read_text())
+    rng = random.Random(7)
+    for h in multigraphs_le5:
+        for alpha in (None, {v: 1 + v % 3 for v in h.leaves()}):
+            g, _ = build_s2(h, alpha)
+            graphs += [g, _relabelled(g, rng)]
+    assert invert_digest(graphs) == INVERT_OUTPUTS_SHA256
+
+
+def test_invert_builds_only_the_base(monkeypatch):
+    # the labeling is read off g itself, so no second graph is built to
+    # compare with
+    g = build_s2(path(6), {0: 2})[0]
+    built = []
+
+    def counting(*args):
+        built.append(Multigraph(*args))
+        return built[-1]
+
+    monkeypatch.setattr(dpdp.subdivision, "Multigraph", counting)
+    base, _, _ = invert_s2(g)
+    assert len(built) == 1 and built[0] is base
 
 
 def test_invert_deterministic_on_rotations():
