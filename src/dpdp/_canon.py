@@ -220,7 +220,7 @@ def _form(n: int, ends: Sequence[tuple[int, int]]) -> tuple[Form, list[list[int]
 def canonical_form(g: Multigraph) -> Form:
     """Relabelled edge multiset shared by exactly the graphs isomorphic to g
     (among graphs with g.n vertices)."""
-    return _form(g.n, [(e.u, e.v) for e in g.edges])[0]
+    return _form(g.n, list(zip(g.us, g.vs)))[0]
 
 
 def is_isomorphic(a: Multigraph, b: Multigraph) -> bool:

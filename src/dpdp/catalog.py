@@ -23,7 +23,7 @@ from functools import lru_cache
 from itertools import combinations
 from typing import Iterable, Iterator
 
-from .graph import Multigraph
+from .graph import MAX_EDGE_LIST_VERTICES, Multigraph
 from ._canon import _classes, _form
 
 #: connected simple graphs on n=1..8 vertices, up to isomorphism
@@ -31,10 +31,6 @@ CONNECTED_SIMPLE_COUNTS = (1, 1, 2, 6, 21, 112, 853, 11117)
 
 #: connected cubic graphs on 4, 6, 8, 10 vertices, up to isomorphism
 CONNECTED_CUBIC_COUNTS = {4: 1, 6: 2, 8: 5, 10: 19}
-
-#: largest vertex count an edge-list header may declare; building a
-#: Multigraph peaks near 610 bytes per vertex, so one input stays under 0.65 GB
-MAX_EDGE_LIST_VERTICES = 1_000_000
 
 
 # -- named families ---------------------------------------------------------
@@ -98,7 +94,7 @@ def corona(f: Multigraph, pendants: int | list[int] = 1) -> Multigraph:
             raise ValueError("one pendant count per vertex required")
     if f.n < 1 or any(c < 1 for c in counts):
         raise ValueError("corona needs a nonempty base and pendant counts >= 1")
-    edges = [e.endpoints() for e in f.edges]
+    edges = list(zip(f.us, f.vs))
     nxt = f.n
     for v in range(f.n):
         for _ in range(counts[v]):
@@ -176,7 +172,7 @@ def enumerate_connected_simple(n: int) -> tuple[Multigraph, ...]:
 
     def candidates():
         for g in enumerate_connected_simple(n - 1):
-            base = [e.endpoints() for e in g.edges]
+            base = list(zip(g.us, g.vs))
             for mask in _orbit_minima(range(1, 1 << (n - 1)), _form(n - 1, base)[1]):
                 yield n, base + [(v, n - 1) for v in range(n - 1) if mask >> v & 1]
 
@@ -219,7 +215,7 @@ def enumerate_trees(n: int) -> tuple[Multigraph, ...]:
 
     def candidates():
         for t in enumerate_trees(n - 1):
-            base = [e.endpoints() for e in t.edges]
+            base = list(zip(t.us, t.vs))
             leaves = _orbit_minima((1 << v for v in range(n - 1)), _form(n - 1, base)[1])
             for mask in leaves:
                 yield n, base + [(mask.bit_length() - 1, n - 1)]
@@ -291,8 +287,8 @@ def write_graph6(g: Multigraph) -> str:
     if g.n > 62:
         raise ValueError("graph6 writer supports n <= 62")
     adj = [[False] * g.n for _ in range(g.n)]
-    for e in g.edges:
-        adj[e.u][e.v] = adj[e.v][e.u] = True
+    for u, v in zip(g.us, g.vs):
+        adj[u][v] = adj[v][u] = True
     bits = []
     for j in range(1, g.n):
         for i in range(j):
@@ -352,12 +348,7 @@ def read_edge_list(text: str) -> Multigraph:
     """Parse the canonical multigraph format: header ``n m`` then m lines
     ``u v`` (0-indexed; ``u u`` is a loop, repeats are parallel edges).
     Lines starting with ``#`` are comments."""
-    rows = []
-    for raw in text.splitlines():
-        line = raw.strip()
-        if not line or line.startswith("#"):
-            continue
-        rows.append(line)
+    rows = [line for line in map(str.strip, text.splitlines()) if line and line[0] != "#"]
     if not rows:
         raise ValueError("empty edge-list input")
     head = rows[0].split()
@@ -386,7 +377,7 @@ def read_edge_list(text: str) -> Multigraph:
 
 def write_edge_list(g: Multigraph) -> str:
     lines = [f"{g.n} {g.m}"]
-    lines += [f"{e.u} {e.v}" for e in g.edges]
+    lines += [f"{u} {v}" for u, v in zip(g.us, g.vs)]
     return "\n".join(lines) + "\n"
 
 
@@ -394,6 +385,6 @@ def write_dot(g: Multigraph, name: str = "g") -> str:
     """Plain structural DOT dump (undirected)."""
     lines = [f"graph {name} {{"]
     lines += [f"  {v};" for v in range(g.n)]
-    lines += [f"  {e.u} -- {e.v};" for e in g.edges]
+    lines += [f"  {u} -- {v};" for u, v in zip(g.us, g.vs)]
     lines.append("}")
     return "\n".join(lines) + "\n"

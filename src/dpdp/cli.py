@@ -23,6 +23,7 @@ import io
 import os
 import sys
 from concurrent.futures import ProcessPoolExecutor
+from itertools import chain
 from json.encoder import encode_basestring_ascii as _escape
 
 from . import __version__
@@ -56,11 +57,8 @@ def _load_graph(path: str, fmt: str) -> Multigraph:
 
 
 def _edge_triples(g: Multigraph, eids) -> list[list[int]]:
-    out = []
-    for eid in sorted(eids):
-        e = g.edges[eid]
-        out.append([e.u, e.v, e.id])
-    return out
+    us, vs = g.us, g.vs
+    return [[us[eid], vs[eid], eid] for eid in sorted(eids)]
 
 
 def _graph_json(g: Multigraph) -> dict:
@@ -98,15 +96,23 @@ def _json_text(obj, newline: str = "\n") -> str:
     payload types: dicts with str keys, lists, ints, bools, None and str;
     newline is "\n" plus the indentation of obj's own line.  With indent
     set the standard library encodes in pure Python, one generator step
-    per token; this writer joins whole containers instead.  It recurses
-    once per nesting level, and payloads nest at most five deep."""
+    per token; this writer joins whole containers instead, and a list of
+    int lists, such as edge triples, in one step.  It recurses once per
+    nesting level, and payloads nest at most five deep."""
     kind = type(obj)
     if kind is list:
         if not obj:
             return "[]"
         inner = newline + "  "
-        if set(map(type, obj)) == {int}:  # a bool is an int but prints as true/false
+        kinds = set(map(type, obj))
+        if kinds == {int}:  # a bool is an int but prints as true/false
             items = map(str, obj)
+        elif kinds == {list} and set(map(type, chain.from_iterable(obj))) <= {int}:
+            deeper = inner + "  "
+            items = [
+                "[" + deeper + ("," + deeper).join(map(str, x)) + inner + "]" if x else "[]"
+                for x in obj
+            ]
         else:
             items = [_json_text(x, inner) for x in obj]
         return "[" + inner + ("," + inner).join(items) + newline + "]"

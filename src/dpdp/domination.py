@@ -85,14 +85,22 @@ def _matching(
         return None
     if not ss:
         return ()
+    us, vs = g.us, g.vs
+    if len(ss) == 2:
+        # the backtracker's answer without its set-up: the lowest edge
+        # joining the two vertices
+        a, b = ss
+        for eid in g.incident_edges(a):
+            if eid != skip and (us[eid] == b or vs[eid] == b):
+                return (eid,)
+        return None
     # lowest edge id of every adjacent ordered pair in s; incident ids ascend
     eid_of: dict[tuple[int, int], int] = {}
     for u in ss:
         for eid in g.incident_edges(u):
             if eid == skip:
                 continue
-            e = g.edges[eid]
-            w = e.v if e.u == u else e.u
+            w = vs[eid] if us[eid] == u else us[eid]
             if w != u and w in ss:
                 eid_of.setdefault((u, w), eid)
     partners: dict[int, list[int]] = {u: [] for u in ss}
@@ -149,12 +157,12 @@ def dp_pair_problem(g: Multigraph, pair: DpPair) -> str | None:
     for eid in pair.matching:
         if not (0 <= eid < g.m):
             return f"matching edge id {eid} is not an edge of the graph"
-        e = g.edges[eid]
-        if e.is_loop():
+        a, b = g.us[eid], g.vs[eid]
+        if a == b:
             return f"matching edge {eid} is a loop"
-        if e.u not in p or e.v not in p:
+        if a not in p or b not in p:
             return f"matching edge {eid} leaves P"
-        for x in e.endpoints():
+        for x in (a, b):
             if x in covered:
                 return f"vertex {x} is covered twice by the matching"
             covered.add(x)
@@ -413,7 +421,7 @@ def _dp_search(g: Multigraph) -> Callable[..., list[DpPair]]:
             results = walk(cap)
             undo(core)
             return results
-        a, b = g.edges[skip].endpoints()
+        a, b = g.us[skip], g.vs[skip]
         # degrees in G - skip: a loop drops its vertex by two
         ends = {a: degree[a] - 2} if a == b else {a: degree[a] - 1, b: degree[b] - 1}
         if 0 in ends.values():
@@ -421,7 +429,8 @@ def _dp_search(g: Multigraph) -> Callable[..., list[DpPair]]:
         # a and b stop being plain neighbours unless a parallel edge remains;
         # only their rows and counters change
         cut = a != b and not any(
-            eid != skip and g.edges[eid].other(a) == b for eid in g.incident_edges(a)
+            eid != skip and (g.us[eid] == b or g.vs[eid] == b)
+            for eid in g.incident_edges(a)
         )
         if cut:
             rows = nbrs[a], nbrs[b]

@@ -54,25 +54,15 @@ class ReductionPlan:
 def edge_boundary(h: Multigraph, q_edges: Iterable[int]) -> frozenset[int]:
     """E_Q^-: edges outside Q incident with at least one vertex of Q."""
     qe = frozenset(q_edges)
-    qv = set()
-    for eid in qe:
-        e = h.edges[eid]
-        qv.add(e.u)
-        qv.add(e.v)
+    us, vs = h.us, h.vs
+    qv = {us[eid] for eid in qe} | {vs[eid] for eid in qe}
     return frozenset(
-        e.id for e in h.edges if e.id not in qe and (e.u in qv or e.v in qv)
+        eid for eid in range(h.m) if eid not in qe and (us[eid] in qv or vs[eid] in qv)
     )
 
 
 def _q_degree(h: Multigraph, q_edges: frozenset[int], v: int) -> int:
-    d = 0
-    for eid in q_edges:
-        e = h.edges[eid]
-        if e.is_loop():
-            d += 2 if e.u == v else 0
-        else:
-            d += (e.u == v) + (e.v == v)
-    return d
+    return sum((h.us[eid] == v) + (h.vs[eid] == v) for eid in q_edges)
 
 
 def _path_vertex_seq(
@@ -127,10 +117,10 @@ def verify_good_certificate(
         return False, "Q is empty"
     endpoints = set()
     for eid in cert.q_edges:
-        e = h.edges[eid]
-        endpoints.add(e.u)
-        endpoints.add(e.v)
-        if e.u not in cert.q_vertices or e.v not in cert.q_vertices:
+        u, v = h.us[eid], h.vs[eid]
+        endpoints.add(u)
+        endpoints.add(v)
+        if u not in cert.q_vertices or v not in cert.q_vertices:
             return False, f"Q-edge {eid} leaves the Q vertex set"
     if endpoints != set(cert.q_vertices):
         return False, "Q has an isolated vertex"
@@ -142,8 +132,7 @@ def verify_good_certificate(
     if set(cert.arcs) != set(cert.e_set):
         return False, "arcs and E disagree"
     for eid, (t, head) in cert.arcs.items():
-        e = h.edges[eid]
-        if tuple(sorted((t, head))) != e.key():
+        if sorted((t, head)) != sorted((h.us[eid], h.vs[eid])):
             return False, f"arc {eid} does not orient its own edge"
 
     if set(cert.paths) != set(cert.q_vertices):
@@ -208,20 +197,20 @@ def find_good_subgraph(h: Multigraph) -> GoodSubgraphCertificate | None:
     if any(h.degree(v) == 0 for v in range(h.n)):
         raise ValueError("host graph must have no isolated vertex")
     allowed = frozenset(range(h.n)) - h.leaves() - h.supports()
-    eligible = [
-        e.id for e in h.edges if e.u in allowed and e.v in allowed
-    ]
+    us, vs = h.us, h.vs
+    eligible = [eid for eid in range(h.m) if us[eid] in allowed and vs[eid] in allowed]
+    degree = [h.degree(x) for x in range(h.n)]
     for size in range(1, len(eligible) + 1):
         for combo in _q_sets(h, eligible, size):
             # left[x]: edge-ends at x outside Q (a Q-loop takes two)
-            left = [h.degree(x) for x in range(h.n)]
+            left = degree[:]
             q_vertices = set()
             for eid in combo:
-                e = h.edges[eid]
-                left[e.u] -= 1
-                left[e.v] -= 1
-                q_vertices.add(e.u)
-                q_vertices.add(e.v)
+                u, v = us[eid], vs[eid]
+                left[u] -= 1
+                left[v] -= 1
+                q_vertices.add(u)
+                q_vertices.add(v)
             cert = _search_paths(h, frozenset(q_vertices), frozenset(combo), left)
             if cert is not None:
                 ok, why = verify_good_certificate(h, cert)
@@ -253,7 +242,7 @@ def _q_sets(h: Multigraph, eligible: list[int], size: int):
     held, so a consumer that stops at a connected hit holds at most the
     disconnected sets met before it.
     """
-    edges = h.edges
+    us, vs = h.us, h.vs
     degree = [h.degree(x) for x in range(h.n)]
     left = degree[:]  # edge-ends outside the prefix; x is in S iff below degree
     s_ends = [0] * h.m  # endpoints of an edge in S (a loop counts once)
@@ -263,8 +252,7 @@ def _q_sets(h: Multigraph, eligible: list[int], size: int):
 
     def add(eid: int) -> None:
         nonlocal touching
-        e = edges[eid]
-        for w in (e.u, e.v):
+        for w in (us[eid], vs[eid]):
             left[w] -= 1
             if left[w] == degree[w] - 1:  # w joins S
                 for f in h.incident_edges(w):
@@ -273,8 +261,7 @@ def _q_sets(h: Multigraph, eligible: list[int], size: int):
 
     def remove(eid: int) -> None:
         nonlocal touching
-        e = edges[eid]
-        for w in (e.u, e.v):
+        for w in (us[eid], vs[eid]):
             left[w] += 1
             if left[w] == degree[w]:  # w leaves S
                 for f in h.incident_edges(w):
@@ -286,8 +273,7 @@ def _q_sets(h: Multigraph, eligible: list[int], size: int):
         if len(picked) + len(eligible) - i >= size:
             eid = eligible[i]
             add(eid)
-            e = edges[eid]
-            if left[e.u] >= 1 and left[e.v] >= 1 and touching - size <= h.n:
+            if left[us[eid]] >= 1 and left[vs[eid]] >= 1 and touching - size <= h.n:
                 if len(picked) + 1 == size:
                     q = (*(eligible[j] for j in picked), eid)
                     count = _component_count(h, q)
@@ -321,8 +307,7 @@ def _component_count(h: Multigraph, q_edges: tuple[int, ...]) -> int:
         return x
 
     for eid in q_edges:
-        e = h.edges[eid]
-        root[find(e.u)] = find(e.v)
+        root[find(h.us[eid])] = find(h.vs[eid])
     return sum(x == r for x, r in root.items())
 
 
@@ -357,6 +342,7 @@ def _search_paths(
     len(qvs) - i.
     """
     qvs = sorted(q_vertices)
+    us, vs = h.us, h.vs
     has_out = [False] * h.n
     oriented: dict[int, tuple[int, int]] = {}
     paths: dict[int, tuple[int, ...]] = {}
@@ -387,7 +373,7 @@ def _search_paths(
         for eid in h.incident_edges(pos):
             if eid in oriented or eid in q_edges:
                 continue
-            nxt = h.edges[eid].other(pos)
+            nxt = vs[eid] if us[eid] == pos else us[eid]
             # the final arc may end at the start v: a walk closing around
             # parallel edges, or a loop at v.  A loop anywhere else ends in
             # visited and is skipped: it lies outside the Q boundary, so
@@ -476,12 +462,12 @@ def reduce_via_good_subgraph(
     cert = _normalize_certificate(h, cert)
     g, lab = build_s2(h, alpha)
     leaves = h.leaves()
+    us, vs = h.us, h.vs
 
     def side_of(eid: int, vertex: int, at_tail: bool) -> int:
-        e = h.edges[eid]
-        if e.is_loop():
+        if us[eid] == vs[eid]:
             return 1 if at_tail else 2
-        return 1 if vertex == e.u else 2
+        return 1 if vertex == us[eid] else 2
 
     removed: set[int] = set()
     for eid in cert.q_edges:
@@ -497,12 +483,12 @@ def reduce_via_good_subgraph(
         d_out[t] += 1
     h0_vertices = [x for x in range(h.n) if d_out[x] == 0]
     h0_edges = [
-        e.id
-        for e in h.edges
-        if e.id not in cert.e_set
-        and e.id not in cert.q_edges
-        and d_out[e.u] == 0
-        and d_out[e.v] == 0
+        eid
+        for eid in range(h.m)
+        if eid not in cert.e_set
+        and eid not in cert.q_edges
+        and d_out[us[eid]] == 0
+        and d_out[vs[eid]] == 0
     ]
 
     d_prime: set[int] = set()
@@ -515,7 +501,7 @@ def reduce_via_good_subgraph(
             d_prime.add(lab.old_vertex[x])
     for eid, (t, head) in cert.arcs.items():
         tail_side = side_of(eid, t, at_tail=True)
-        head_side = 3 - tail_side if not h.edges[eid].is_loop() else 2
+        head_side = 3 - tail_side if us[eid] != vs[eid] else 2
         d_prime.add(lab.new_vertex[(eid, head_side)])
         p_prime.add(lab.old_vertex[t])
         p_prime.add(lab.new_vertex[(eid, tail_side)])
@@ -604,13 +590,14 @@ def forest_good_decomposition_check(
     if not ok:
         raise ValueError(f"Q is not a good subgraph: {why}")
 
-    q = Multigraph(h.n, [h.edges[eid].endpoints() for eid in sorted(cert.q_edges)])
+    us, vs = h.us, h.vs
+    q = Multigraph(h.n, [(us[eid], vs[eid]) for eid in sorted(cert.q_edges)])
     comps = [c for c in q.connected_components() if c & cert.q_vertices]
     for idx, comp in enumerate(comps):
         sub_edges = frozenset(
             eid
             for eid in cert.q_edges
-            if h.edges[eid].u in comp and h.edges[eid].v in comp
+            if us[eid] in comp and vs[eid] in comp
         )
         sub_paths = {v: cert.paths[v] for v in sorted(comp)}
         sub_arc_ids = frozenset(a for arcs in sub_paths.values() for a in arcs)

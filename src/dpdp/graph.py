@@ -4,6 +4,11 @@ Vertices are dense integer ids 0..n-1.  Edges carry stable ids 0..m-1 in
 construction order, so certificates can reference them.  The degree of a
 vertex counts edge-ends: a loop contributes 2.  The neighbourhood N(v) is a
 set and contains v itself exactly when a loop is present at v.
+
+Storage is flat: edge i joins us[i] and vs[i], two int tuples, and each
+vertex keeps a tuple of its incident edge ids; no object is built per
+edge.  The engines read us and vs.  edges, one EdgeRecord per edge, is a
+view for callers that want records, built on first use.
 """
 
 from __future__ import annotations
@@ -12,8 +17,14 @@ from collections import deque
 from dataclasses import dataclass
 from typing import Iterable
 
+#: the most vertices a graph built from outside input may have: the largest
+#: count an edge-list header may declare, and the largest 2-subdivision
+#: build_s2 makes; building a Multigraph peaks near 610 bytes per vertex,
+#: so one input stays under 0.65 GB
+MAX_EDGE_LIST_VERTICES = 1_000_000
 
-@dataclass(frozen=True)
+
+@dataclass(frozen=True, slots=True)
 class EdgeRecord:
     """One edge: unordered endpoints u, v; u == v encodes a loop."""
 
@@ -43,47 +54,59 @@ class EdgeRecord:
 class Multigraph:
     """Finite multigraph, immutable after construction.
 
-    All query methods are pure; instances are safe to share between threads.
+    us[i] and vs[i] are the endpoints of edge i, in the order given.  All
+    query methods are pure; instances are safe to share between threads.
     """
 
-    __slots__ = ("n", "edges", "_degree", "_plain", "_incident", "_loops")
+    __slots__ = ("n", "us", "vs", "_degree", "_plain", "_incident", "_looped", "_edges")
 
     def __init__(self, n: int, edges: Iterable[tuple[int, int]] = ()):
         if n < 0:
             raise ValueError("vertex count must be >= 0")
-        recs = []
-        for i, (u, v) in enumerate(edges):
-            if not (0 <= u < n and 0 <= v < n):
-                raise ValueError(f"edge {i} endpoint out of range: ({u}, {v})")
-            recs.append(EdgeRecord(i, u, v))
-        self.n = n
-        self.edges: tuple[EdgeRecord, ...] = tuple(recs)
+        us: list[int] = []
+        vs: list[int] = []
         degree = [0] * n
         plain: list[set[int]] = [set() for _ in range(n)]
         incident: list[list[int]] = [[] for _ in range(n)]
-        loops: list[list[int]] = [[] for _ in range(n)]
-        for e in self.edges:
-            if e.is_loop():
-                degree[e.u] += 2
-                incident[e.u].append(e.id)
-                loops[e.u].append(e.id)
+        looped: set[int] = set()
+        for i, (u, v) in enumerate(edges):
+            if not (0 <= u < n and 0 <= v < n):
+                raise ValueError(f"edge {i} endpoint out of range: ({u}, {v})")
+            us.append(u)
+            vs.append(v)
+            incident[u].append(i)
+            if u == v:
+                degree[u] += 2
+                looped.add(u)
             else:
-                degree[e.u] += 1
-                degree[e.v] += 1
-                plain[e.u].add(e.v)
-                plain[e.v].add(e.u)
-                incident[e.u].append(e.id)
-                incident[e.v].append(e.id)
+                degree[u] += 1
+                degree[v] += 1
+                plain[u].add(v)
+                plain[v].add(u)
+                incident[v].append(i)
+        self.n = n
+        self.us: tuple[int, ...] = tuple(us)
+        self.vs: tuple[int, ...] = tuple(vs)
         self._degree = tuple(degree)
-        self._plain = tuple(frozenset(s) for s in plain)
-        self._incident = tuple(tuple(ids) for ids in incident)
-        self._loops = tuple(tuple(ids) for ids in loops)
+        self._plain = tuple(map(frozenset, plain))
+        self._incident = tuple(map(tuple, incident))
+        self._edges: tuple[EdgeRecord, ...] | None = None
+        self._looped = frozenset(looped)
 
     # -- basic queries ----------------------------------------------------
 
     @property
+    def edges(self) -> tuple[EdgeRecord, ...]:
+        """One EdgeRecord per edge, in id order: a view of us and vs,
+        built on first use and kept."""
+        if self._edges is None:
+            records = tuple(map(EdgeRecord, range(self.m), self.us, self.vs))
+            object.__setattr__(self, "_edges", records)
+        return self._edges
+
+    @property
     def m(self) -> int:
-        return len(self.edges)
+        return len(self.us)
 
     def degree(self, v: int) -> int:
         """Edge-end count at v; a loop counts twice."""
@@ -95,7 +118,7 @@ class Multigraph:
 
     def neighborhood(self, v: int) -> frozenset[int]:
         """N(v); contains v itself iff a loop is present at v."""
-        if self._loops[v]:
+        if v in self._looped:
             return self._plain[v] | {v}
         return self._plain[v]
 
@@ -104,13 +127,9 @@ class Multigraph:
         return self._incident[v]
 
     def is_simple(self) -> bool:
-        """No loops and no parallel edges."""
-        seen = set()
-        for e in self.edges:
-            if e.is_loop() or e.key() in seen:
-                return False
-            seen.add(e.key())
-        return True
+        """No loops and no parallel edges: every non-loop edge adds a
+        neighbour at each end."""
+        return not self._looped and sum(map(len, self._plain)) == 2 * self.m
 
     # -- leaf / support vocabulary ----------------------------------------
 
@@ -133,14 +152,10 @@ class Multigraph:
         for eid in drop:
             if not (0 <= eid < self.m):
                 raise ValueError(f"unknown edge id {eid}")
-        kept = []
-        id_map: dict[int, int] = {}
-        for e in self.edges:
-            if e.id in drop:
-                continue
-            id_map[e.id] = len(kept)
-            kept.append((e.u, e.v))
-        return Multigraph(self.n, kept), id_map
+        kept = [eid for eid in range(self.m) if eid not in drop]
+        us, vs = self.us, self.vs
+        rest = Multigraph(self.n, [(us[eid], vs[eid]) for eid in kept])
+        return rest, {eid: i for i, eid in enumerate(kept)}
 
     # -- connectivity ------------------------------------------------------
 
@@ -170,7 +185,9 @@ class Multigraph:
     # -- equality: labeled graphs, edge ids ignored ------------------------
 
     def edge_multiset(self) -> tuple[tuple[int, int], ...]:
-        return tuple(sorted(e.key() for e in self.edges))
+        return tuple(sorted(
+            (u, v) if u <= v else (v, u) for u, v in zip(self.us, self.vs)
+        ))
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, Multigraph):
@@ -184,10 +201,10 @@ class Multigraph:
         return f"Multigraph(n={self.n}, m={self.m})"
 
     def __reduce__(self):
-        return (Multigraph, (self.n, tuple(e.endpoints() for e in self.edges)))
+        return (Multigraph, (self.n, tuple(zip(self.us, self.vs))))
 
     def __setattr__(self, name, value):
-        if name in self.__slots__ and hasattr(self, "_loops"):
+        if name in self.__slots__ and hasattr(self, "_looped"):
             raise AttributeError("Multigraph is immutable")
         object.__setattr__(self, name, value)
 

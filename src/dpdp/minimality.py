@@ -94,10 +94,10 @@ def check_reducible_pattern(h: Multigraph) -> tuple[int, int, int, int] | None:
     2-subdivision of h to be non-minimal."""
     if any(h.degree(v) == 0 for v in range(h.n)):
         raise ValueError("graph must have no isolated vertex")
-    for e in h.edges:
-        if e.is_loop():
+    for u, v in zip(h.us, h.vs):
+        if u == v:
             continue
-        for x, y in ((e.u, e.v), (e.v, e.u)):
+        for x, y in ((u, v), (v, u)):
             if h.degree(x) != 2 or h.degree(y) != 2:
                 continue
             xs = h.neighborhood(x) - {y}
@@ -201,16 +201,14 @@ def minimal_pair_properties(g: Multigraph, pair: DpPair) -> tuple[bool, bool, bo
     is 1-regular, and each P-vertex has exactly one neighbour outside P
     unless all its outside neighbours are leaves (and there is one)."""
     d, p = pair.d, pair.p
-    independent = all(
-        not (e.u in d and e.v in d) for e in g.edges
-    )
+    independent = all(not (u in d and v in d) for u, v in zip(g.us, g.vs))
     maximal_independent = independent and is_dominating(g, d)
 
     induced_ends = {v: 0 for v in p}
-    for e in g.edges:
-        if e.u in p and e.v in p:
-            induced_ends[e.u] += 1
-            induced_ends[e.v] += 1  # a loop lands both ends on one vertex
+    for u, v in zip(g.us, g.vs):
+        if u in p and v in p:
+            induced_ends[u] += 1
+            induced_ends[v] += 1  # a loop lands both ends on one vertex
     one_regular = all(d == 1 for d in induced_ends.values())
 
     leaves = g.leaves()

@@ -20,7 +20,7 @@ from dataclasses import dataclass, field
 from typing import Callable
 
 from .domination import DpPair
-from .graph import Multigraph
+from .graph import MAX_EDGE_LIST_VERTICES, Multigraph
 
 Tag = tuple  # ("old", v) | ("copy", leaf, i) | ("new", edge, side)
 
@@ -77,6 +77,20 @@ def _complete_alpha(h: Multigraph, alpha: dict[int, int] | None) -> dict[int, in
     return full
 
 
+def _s2_order(h: Multigraph, alpha: dict[int, int]) -> int:
+    """The vertex count of S2(h, alpha) for a complete alpha: the
+    non-leaves, every leaf's copies and two new vertices per edge.  Above
+    MAX_EDGE_LIST_VERTICES, the most an edge-list input may declare, it
+    raises ValueError, so nothing that large is built."""
+    order = h.n - len(alpha) + sum(alpha.values()) + 2 * h.m
+    if order > MAX_EDGE_LIST_VERTICES:
+        raise ValueError(
+            f"the 2-subdivision would have {order} vertices, over the limit "
+            f"of {MAX_EDGE_LIST_VERTICES}"
+        )
+    return order
+
+
 def _labeling(
     h: Multigraph,
     alpha: dict[int, int],
@@ -95,15 +109,15 @@ def _labeling(
         v: tuple(index[("copy", v, i)] for i in range(1, a + 1))
         for v, a in alpha.items()
     }
-    new_vertex = {(e.id, s): index[("new", e.id, s)] for e in h.edges for s in (1, 2)}
+    new_vertex = {(eid, s): index[("new", eid, s)] for eid in range(h.m) for s in (1, 2)}
     reps = [copy_vertices.get(v) or (old_vertex[v],) for v in range(h.n)]
     middle_edge: dict[int, int] = {}
     attach_edges: dict[tuple[int, int], tuple[int, ...]] = {}
-    for e in h.edges:
-        n1, n2 = new_vertex[(e.id, 1)], new_vertex[(e.id, 2)]
-        middle_edge[e.id] = edge_id(n1, n2)
-        attach_edges[(e.id, 1)] = tuple([edge_id(r, n1) for r in reps[e.u]])
-        attach_edges[(e.id, 2)] = tuple([edge_id(r, n2) for r in reps[e.v]])
+    for eid, (u, v) in enumerate(zip(h.us, h.vs)):
+        n1, n2 = new_vertex[(eid, 1)], new_vertex[(eid, 2)]
+        middle_edge[eid] = edge_id(n1, n2)
+        attach_edges[(eid, 1)] = tuple([edge_id(r, n1) for r in reps[u]])
+        attach_edges[(eid, 2)] = tuple([edge_id(r, n2) for r in reps[v]])
     return S2Labeling(
         base=h,
         alpha=alpha,
@@ -129,13 +143,14 @@ def build_s2(
     if any(h.degree(v) == 0 for v in range(h.n)):
         raise ValueError("base graph must have no isolated vertex")
     alpha_full = _complete_alpha(h, alpha)
+    _s2_order(h, alpha_full)
 
     tags: list[Tag] = [("old", v) for v in range(h.n) if v not in alpha_full]
     for v, a in alpha_full.items():
         tags.extend(("copy", v, i) for i in range(1, a + 1))
-    for e in h.edges:
-        tags.append(("new", e.id, 1))
-        tags.append(("new", e.id, 2))
+    for eid in range(h.m):
+        tags.append(("new", eid, 1))
+        tags.append(("new", eid, 2))
 
     edges: list[tuple[int, int]] = []
 
@@ -150,7 +165,7 @@ def build_s2(
 def canonical_dp_pair(lab: S2Labeling) -> DpPair:
     """(V^o, V^n) with the per-edge middle matching; a DP-pair by
     construction on any base without isolated vertices."""
-    matching = tuple(lab.middle_edge[e.id] for e in lab.base.edges)
+    matching = tuple(lab.middle_edge[eid] for eid in range(lab.base.m))
     return DpPair(lab.old_part(), lab.new_part(), matching)
 
 
@@ -266,7 +281,9 @@ def invert_s2(
         # so an endpoint pair names its edge).  Propagation and the degree
         # check already imply it; it re-verifies the result, as every
         # positive verdict here is re-verified.
-        unused = {e.key(): e.id for e in g.edges}
+        unused = {
+            (a, b) if a < b else (b, a): eid for eid, (a, b) in enumerate(zip(g.us, g.vs))
+        }
         missed: list[tuple[int, int]] = []
 
         def edge_id(a: int, b: int) -> int | None:

@@ -16,7 +16,7 @@ import dpdp
 from dpdp.catalog import complete, cycle, path, random_tree, write_graph6
 from dpdp.cli import _json_text, main
 from dpdp.domination import DpPair, is_dp_pair
-from dpdp.graph import Multigraph
+from dpdp.graph import MAX_EDGE_LIST_VERTICES, Multigraph
 from dpdp.subdivision import build_s2
 
 from helpers import edge_list_text
@@ -314,6 +314,31 @@ def test_exit_code_1_on_input_errors(tmp_path, capsys):
     capsys.readouterr()
 
 
+def test_s2_over_the_vertex_limit_is_a_one_line_error(tmp_path):
+    # alpha would give K2's S2 100,000,003 vertices; the child's address
+    # space is capped, so a build that starts anyway fails here instead of
+    # exhausting the machine
+    resource = pytest.importorskip("resource")
+    f = tmp_path / "k2.el"
+    f.write_text(edge_list_text(path(2)))
+    src = str(Path(dpdp.__file__).resolve().parents[1])
+    path_var = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    cap = 1 << 30
+
+    def limit_memory():
+        resource.setrlimit(resource.RLIMIT_AS, (cap, cap))
+
+    proc = subprocess.run(
+        [sys.executable, "-m", "dpdp.cli", "s2", str(f), "--alpha", "0:100000000"],
+        capture_output=True, text=True, env=dict(os.environ, PYTHONPATH=path_var),
+        preexec_fn=limit_memory, timeout=120,
+    )
+    assert proc.returncode == 1 and proc.stdout == ""
+    lines = proc.stderr.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("dpdp: error: ")
+    assert f"limit of {MAX_EDGE_LIST_VERTICES}" in lines[0]
+
+
 def test_huge_vertex_count_is_a_one_line_error(tmp_path, capsys):
     f = tmp_path / "huge.el"
     f.write_text("10000000000 0\n")
@@ -486,6 +511,8 @@ PAYLOADS = st.recursive(
     lambda inner: st.lists(inner, max_size=5)
     # bools mixed into int lists, which must not print as 0 and 1
     | st.lists(st.integers(-5, 5) | st.booleans(), max_size=5)
+    # lists of int lists such as edge triples, empty ones and bools included
+    | st.lists(st.lists(st.integers(-5, 5) | st.booleans(), max_size=4), max_size=5)
     | st.dictionaries(PAYLOAD_STRINGS, inner, max_size=5),
     max_leaves=30,
 )
@@ -499,7 +526,9 @@ def test_json_writer_matches_json_dumps(obj):
 
 def test_json_writer_edge_cases():
     for obj in ({}, [], {"a": {}, "b": []}, [[], {}], [-1, 0, True, False, None],
-                {'k"\\\n\u00e9': ["\x01", "\u2603"]}):
+                {'k"\\\n\u00e9': ["\x01", "\u2603"]}, [[]], [[], []], [[0, 1, 2], [3, 4, 5]],
+                [[1, True], [False], []], [[1, 2], [3, [4]]], [[1], "x"], [[1], None],
+                {"e": [[0, 1, 0]], "m": [[2, 3, 1], []]}):
         assert _json_text(obj) == json.dumps(obj, sort_keys=True, indent=2)
     with pytest.raises(TypeError):
         _json_text({"x": 1.5})

@@ -321,3 +321,23 @@ def test_matching_agrees_with_networkx(g, data):
             assert e.u != e.v and {e.u, e.v} <= s
             covered += [e.u, e.v]
         assert sorted(covered) == sorted(s)
+
+
+@settings(max_examples=300, deadline=None)
+@given(multigraphs(max_n=5, max_m=12), st.data())
+def test_two_vertex_matching_is_the_lowest_joining_edge(g, data):
+    # a pair is matched by its lowest joining edge other than skip, with
+    # skip each edge of g in turn (the joining ones included) or None
+    nx = pytest.importorskip("networkx")
+    if g.n < 2:
+        return
+    a, b = data.draw(st.lists(st.integers(0, g.n - 1), min_size=2, max_size=2, unique=True))
+    joining = [eid for eid, e in enumerate(g.edges) if {e.u, e.v} == {a, b}]
+    for skip in (None, *range(g.m)):
+        want = min((eid for eid in joining if eid != skip), default=None)
+        got = _matching(g, frozenset({a, b}), skip)
+        assert got == (None if want is None else (want,))
+        h = nx.Graph()
+        h.add_nodes_from((a, b))
+        h.add_edges_from((a, b) for eid in joining if eid != skip)
+        assert (got is not None) == (len(nx.max_weight_matching(h, maxcardinality=True)) == 1)

@@ -1,11 +1,29 @@
 from __future__ import annotations
 
+import pickle
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from dpdp.catalog import complete, cycle, path, star
-from dpdp.graph import Multigraph, is_cycle_graph, is_path_graph
+import dpdp.graph
+from dpdp._canon import canonical_form
+from dpdp.catalog import (
+    complete,
+    corona,
+    cycle,
+    path,
+    read_edge_list,
+    star,
+    write_dot,
+    write_edge_list,
+)
+from dpdp.cli import _graph_json, _labeling_json, _pair_json
+from dpdp.domination import enumerate_dp_pairs
+from dpdp.goodsub import find_good_subgraph, reduce_via_good_subgraph
+from dpdp.graph import EdgeRecord, Multigraph, is_cycle_graph, is_path_graph
+from dpdp.minimality import xcheck
+from dpdp.subdivision import build_s2, invert_s2
 
 
 def test_degree_loop_counts_twice():
@@ -125,9 +143,12 @@ def test_structure_predicates():
 
 
 def test_immutability():
-    g = path(3)
-    with pytest.raises(AttributeError):
-        g.n = 5
+    g = Multigraph(3, [(0, 1), (1, 1)])
+    g.edges  # the view is built and cached; its slot stays read-only too
+    for name in (*Multigraph.__slots__, "edges", "m", "fresh_name"):
+        with pytest.raises(AttributeError):
+            setattr(g, name, None)
+    assert isinstance(g.us, tuple) and isinstance(g.vs, tuple)
 
 
 def test_edge_endpoint_validation():
@@ -143,3 +164,117 @@ def test_equality_and_hash_ignore_edge_order():
     assert g != Multigraph(4, [(0, 1), (1, 2), (2, 2)])  # multiplicity counts
     assert g != Multigraph(5, [(0, 1), (1, 2), (2, 2), (1, 2)])
     assert g.__eq__(5) is NotImplemented and (g == 5) is False
+
+
+# -- the flat storage against values recomputed from the raw edge list ---------
+
+
+@st.composite
+def raw_multigraphs(draw, max_n: int = 8, max_m: int = 14):
+    """(n, edges): a raw edge list with loops and parallel edges."""
+    n = draw(st.integers(0, max_n))
+    if n == 0:
+        return 0, []
+    vertex = st.integers(0, n - 1)
+    return n, draw(st.lists(st.tuples(vertex, vertex), max_size=max_m))
+
+
+def _key(u: int, v: int) -> tuple[int, int]:
+    return (u, v) if u <= v else (v, u)
+
+
+@settings(max_examples=300, deadline=None)
+@given(raw_multigraphs())
+def test_queries_match_the_raw_edge_list(n_edges):
+    n, edges = n_edges
+    g = Multigraph(n, edges)
+    assert (g.n, g.m) == (n, len(edges))
+    assert list(zip(g.us, g.vs)) == edges
+    degree = [0] * n
+    for u, v in edges:
+        degree[u] += 1
+        degree[v] += 1
+    assert [g.degree(x) for x in range(n)] == degree
+    for x in range(n):
+        # ascending ids, a loop listed once
+        assert g.incident_edges(x) == tuple(i for i, e in enumerate(edges) if x in e)
+        plain = {v for u, v in edges if u == x and v != x}
+        plain |= {u for u, v in edges if v == x and u != x}
+        assert g.plain_neighbors(x) == plain
+        looped = (x, x) in edges
+        assert g.neighborhood(x) == (plain | {x} if looped else plain)
+    leaves = {x for x in range(n) if degree[x] == 1}
+    assert g.leaves() == leaves
+    assert g.supports() == {
+        x for x in range(n)
+        if any((u == x and v in leaves) or (v == x and u in leaves) for u, v in edges)
+    }
+    keys = [_key(u, v) for u, v in edges]
+    assert g.is_simple() == (all(u != v for u, v in edges) and len(set(keys)) == len(keys))
+    assert g.edge_multiset() == tuple(sorted(keys))
+
+
+@settings(max_examples=200, deadline=None)
+@given(raw_multigraphs(), st.data())
+def test_delete_edges_matches_the_raw_edge_list(n_edges, data):
+    n, edges = n_edges
+    g = Multigraph(n, edges)
+    drop = data.draw(st.sets(st.integers(0, len(edges) - 1)) if edges else st.just(set()))
+    smaller, id_map = g.delete_edges(drop)
+    kept = [i for i in range(len(edges)) if i not in drop]
+    assert smaller.n == n
+    assert list(zip(smaller.us, smaller.vs)) == [edges[i] for i in kept]
+    assert id_map == {old: new for new, old in enumerate(kept)}
+
+
+@settings(max_examples=100, deadline=None)
+@given(raw_multigraphs())
+def test_pickle_keeps_equality_and_edge_ids(n_edges):
+    g = Multigraph(*n_edges)
+    back = pickle.loads(pickle.dumps(g))
+    assert back == g and hash(back) == hash(g)
+    assert (back.us, back.vs) == (g.us, g.vs)
+    assert back.edges == g.edges
+
+
+@settings(max_examples=100, deadline=None)
+@given(raw_multigraphs())
+def test_edge_records_view(n_edges):
+    n, edges = n_edges
+    g = Multigraph(n, edges)
+    assert g.edges is g.edges  # built once
+    for i, (u, v) in enumerate(edges):
+        e = g.edges[i]
+        assert e == EdgeRecord(i, u, v) and (e.id, e.u, e.v) == (i, u, v)
+        assert e.is_loop() == (u == v)
+        assert e.endpoints() == (u, v)
+        assert e.key() == _key(u, v)
+        assert e.other(u) == v and e.other(v) == u
+        outside = next(x for x in range(n + 1) if x not in (u, v))
+        with pytest.raises(ValueError):
+            e.other(outside)
+    with pytest.raises(AttributeError):
+        EdgeRecord(0, 0, 1).u = 2
+
+
+def test_engines_build_no_edge_records(monkeypatch):
+    # construction, edits and every engine read the flat tuples; only a
+    # caller that asks for g.edges builds records
+    def forbidden(*args):
+        raise AssertionError("an EdgeRecord was built")
+
+    monkeypatch.setattr(dpdp.graph, "EdgeRecord", forbidden)
+    for h in (complete(4), Multigraph(3, [(0, 1), (1, 2), (1, 2), (2, 2)]), path(5)):
+        g, lab = build_s2(h)
+        g = read_edge_list(write_edge_list(g))
+        write_dot(corona(h))
+        canonical_form(g)
+        assert invert_s2(g) is not None
+        _labeling_json(lab)
+        for pair in enumerate_dp_pairs(g, 10):
+            _pair_json(g, pair)
+        _graph_json(g.delete_edges([0, 1])[0])
+        assert xcheck(h).consistent
+        cert = find_good_subgraph(h)
+        if cert is not None:
+            reduce_via_good_subgraph(h, None, cert)

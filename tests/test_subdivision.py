@@ -12,8 +12,9 @@ import dpdp.subdivision
 from dpdp._canon import is_isomorphic
 from dpdp.catalog import complete, cycle, double_star, path, read_graph6_file
 from dpdp.domination import is_dp_pair
-from dpdp.graph import Multigraph, is_cycle_graph, is_path_graph
+from dpdp.graph import MAX_EDGE_LIST_VERTICES, Multigraph, is_cycle_graph, is_path_graph
 from dpdp.subdivision import (
+    _s2_order,
     build_s2,
     canonical_dp_pair,
     invert_s2,
@@ -53,6 +54,21 @@ def test_build_errors():
         build_s2(path(2), {0: 0})
     with pytest.raises(ValueError):
         build_s2(path(3), {1: 2})  # vertex 1 is not a leaf
+
+
+def test_s2_order_is_bounded_by_the_edge_list_limit():
+    # K2's S2 has alpha(0) + alpha(1) + 2 vertices; the limit itself is
+    # allowed, one more is refused before anything is built
+    k2 = path(2)
+    limit = MAX_EDGE_LIST_VERTICES
+    assert _s2_order(k2, {0: limit - 3, 1: 1}) == limit
+    with pytest.raises(ValueError, match=f"limit of {limit}"):
+        _s2_order(k2, {0: limit - 2, 1: 1})
+    with pytest.raises(ValueError, match=f"limit of {limit}"):
+        build_s2(k2, {0: limit - 2})
+    # the non-leaves and two new vertices per edge count too
+    h = double_star(1, 2)
+    assert _s2_order(h, {2: 5, 3: 1, 4: 1}) == 2 + 7 + 2 * 4 == build_s2(h, {2: 5})[0].n
 
 
 def test_vertex_count_formula(multigraphs_le5):
