@@ -6,11 +6,15 @@ multiplicities included.  It follows McKay & Piperno, *Practical Graph
 Isomorphism II* (2014):
 
 - A vertex colouring is refined until it is equitable.  The start colours
-  are (degree, loop count); a refinement round gives each vertex its colour
-  plus the multiset of colours at the far ends of its non-loop edges (a
-  neighbour joined by k parallel edges counts k times).  New colours are
-  the ranks of the sorted signatures, so the colouring never depends on
-  vertex labels and each colour class stays an interval of the old order.
+  are (degree, loop count, triangles), where the triangles at v are the
+  adjacent pairs among v's distinct non-loop neighbours.  Refinement
+  cannot split a regular graph; this cell invariant splits one whose
+  vertices lie on different numbers of triangles.  A refinement round
+  gives each vertex its colour plus the multiset of colours at the far
+  ends of its non-loop edges (a neighbour joined by k parallel edges
+  counts k times).  New colours are the ranks of the sorted signatures,
+  so the colouring never depends on vertex labels and each colour class
+  stays an interval of the old order.
 - While the colouring is not discrete, each vertex of the first smallest
   non-singleton cell is individualized (put first in its cell) in turn and
   the colouring is refined again.  This builds a search tree whose leaves
@@ -50,18 +54,17 @@ def _refine(
     """Equitable refinement of a colouring given as cell ranks.
 
     Returns the refined colouring, its cell count and its quotient (the
-    sorted distinct vertex signatures), which is a label-free invariant.
+    sorted distinct vertex signatures, each a colour followed by the sorted
+    colours around it), which is a label-free invariant.
     """
     while True:
-        sig = [
-            (c, tuple(sorted([color[u] for u in ends])))
-            for c, ends in zip(color, around)
-        ]
+        at = color.__getitem__
+        sig = [(c, *sorted(map(at, ends))) for c, ends in zip(color, around)]
         quotient = sorted(set(sig))
         if len(quotient) == cells:
             return color, cells, tuple(quotient)
         rank = {s: i for i, s in enumerate(quotient)}
-        color = [rank[s] for s in sig]
+        color = list(map(rank.__getitem__, sig))
         cells = len(quotient)
 
 
@@ -150,13 +153,24 @@ def _form(n: int, ends: Sequence[tuple[int, int]]) -> tuple[Form, list[list[int]
     is then trivial."""
     around: list[list[int]] = [[] for _ in range(n)]
     loops = [0] * n
+    rows = [0] * n  # distinct non-loop neighbours as bitmasks
     for u, v in ends:
         if u == v:
             loops[u] += 1
         else:
             around[u].append(v)
             around[v].append(u)
-    start = [(len(around[v]) + 2 * loops[v], loops[v]) for v in range(n)]
+            rows[u] |= 1 << v
+            rows[v] |= 1 << u
+    start = []
+    for v, row in enumerate(rows):
+        twice = 0  # each triangle at v is seen from both of its other ends
+        rest = row
+        while rest:
+            low = rest & -rest
+            twice += (rows[low.bit_length() - 1] & row).bit_count()
+            rest ^= low
+        start.append((len(around[v]) + 2 * loops[v], loops[v], twice >> 1))
     rank = {s: i for i, s in enumerate(sorted(set(start)))}
     color, cells, inv = _refine([rank[s] for s in start], len(rank), around)
     if cells == n:

@@ -7,9 +7,25 @@ corona graphs with per-vertex pendant counts.
 Enumerations keep one representative per isomorphism class and are cached
 for the repeated sweeps; all but cubic add a vertex or edge to smaller ones.
 Candidates are plain edge lists, and only the first of each class becomes
-a Multigraph.  Growing by a vertex tries one neighbour set per orbit of
-the base's automorphisms (those the canonical labelling finds), so no
-candidate is built that an earlier one of the same base already covers.
+a Multigraph.  Growing by a vertex skips two kinds of candidate that are
+provably not the first of their class, before any is labelled:
+
+- a neighbour set that the base's automorphisms (those the canonical
+  labelling finds) map onto a smaller one: the smaller one gives a copy;
+- a candidate C grown from base B_i that has a vertex w other than the new
+  one with C - w connected and (m, sorted degrees) of C - w less than
+  B_i's (the earliest-parent test).  The bases are every class of the size
+  below, sorted by ``_canon._class_order``, whose key starts with (n, m,
+  sorted degrees), so C - w is isomorphic, by some phi, to a base B_j with
+  j < i.  N(w) is a set B_j's growth tries (nonempty, as C is connected; a
+  single vertex when C is a tree, as w is then a leaf), so B_j is grown by
+  the orbit minimum of phi(N(w)) under whatever subgroup of Aut(B_j) was
+  found, and that candidate is a copy of C handed over before it.
+
+Induction over the candidate order then shows that the first candidate of
+each class is never skipped, so the classes, their representatives (edge
+order included) and the output order are those of growing every base by
+every neighbour set.
 
 Codecs: graph6 (simple graphs, single-byte size, n <= 62) and the plain
 edge-list text format, the only lossless multigraph interchange here.
@@ -155,14 +171,66 @@ def _orbit_minima(masks: Iterable[int], autos: list[list[int]]) -> Iterator[int]
                     todo.append(y)
 
 
+def _rows(g: Multigraph) -> list[int]:
+    """Adjacency rows of a simple graph as bitmasks."""
+    rows = [0] * g.n
+    for u, v in zip(g.us, g.vs):
+        rows[u] |= 1 << v
+        rows[v] |= 1 << u
+    return rows
+
+
+def _has_earlier_parent(rows: list[int], degrees: tuple[int, ...], mask: int) -> bool:
+    """The earliest-parent test of the module docstring: does the base with
+    bitmask rows `rows` and sorted degrees `degrees`, grown by a new vertex
+    joined to mask, have a vertex w other than the new one whose deletion
+    leaves a connected graph with (m, sorted degrees) less than the base's?
+
+    C - w has m - deg(w) + |mask| edges, so a w of degree below |mask|
+    never qualifies and one of degree above it always has fewer edges."""
+    n = len(rows)  # the new vertex
+    new = 1 << n
+    adj = [r | new if mask >> v & 1 else r for v, r in enumerate(rows)]
+    adj.append(mask)
+    k = mask.bit_count()
+    every = (new << 1) - 1
+    for w in range(n):
+        row = adj[w]
+        d = row.bit_count()
+        if d < k:
+            continue
+        if d == k and tuple(sorted(
+            adj[v].bit_count() - (row >> v & 1) for v in range(n + 1) if v != w
+        )) >= degrees:
+            continue
+        rest = every ^ 1 << w
+        seen = frontier = new
+        while frontier:
+            reach = 0
+            while frontier:
+                low = frontier & -frontier
+                reach |= adj[low.bit_length() - 1]
+                frontier ^= low
+            frontier = reach & rest & ~seen
+            seen |= frontier
+        if seen == rest:
+            return True
+    return False
+
+
 @lru_cache(maxsize=None)
 def enumerate_connected_simple(n: int) -> tuple[Multigraph, ...]:
     """All connected simple graphs on n vertices, one per isomorphism class.
 
     Built by augmenting the (n-1)-vertex classes with one new vertex joined
-    to every nonempty neighbour subset, then deduplicating.  A subset that
-    an automorphism of the base maps onto a smaller one is skipped: it
-    gives a copy of a graph built just before it.  Class counts match the
+    to every nonempty neighbour subset, then deduplicating.  Two kinds of
+    subset are skipped, as the module docstring proves: one that an
+    automorphism of the base maps onto a smaller one, and one whose graph
+    loses a vertex to a connected graph that sorts before the base, so
+    that a copy was grown from an earlier base.  Neither is ever the first
+    of its class, so the representatives and their order are those of the
+    unskipped augmentation.  For n <= 7 the skips leave 1,033 of the 7,815
+    candidates (890 for the 853 classes of n = 7).  Class counts match the
     classical sequence 1, 1, 2, 6, 21, 112, 853, 11117 for n <= 8.
     """
     if not (1 <= n <= 8):
@@ -173,8 +241,11 @@ def enumerate_connected_simple(n: int) -> tuple[Multigraph, ...]:
     def candidates():
         for g in enumerate_connected_simple(n - 1):
             base = list(zip(g.us, g.vs))
+            rows = _rows(g)
+            degrees = tuple(sorted(g.degree(v) for v in range(g.n)))
             for mask in _orbit_minima(range(1, 1 << (n - 1)), _form(n - 1, base)[1]):
-                yield n, base + [(v, n - 1) for v in range(n - 1) if mask >> v & 1]
+                if not _has_earlier_parent(rows, degrees, mask):
+                    yield n, base + [(v, n - 1) for v in range(n - 1) if mask >> v & 1]
 
     return tuple(_classes(candidates()))
 
@@ -207,7 +278,8 @@ def enumerate_connected_multigraphs(max_edges: int) -> tuple[Multigraph, ...]:
 def enumerate_trees(n: int) -> tuple[Multigraph, ...]:
     """All trees on n vertices up to isomorphism: a leaf added to each
     vertex of each (n-1)-vertex tree, one vertex per orbit of its
-    automorphisms."""
+    automorphisms, skipping a tree with another leaf whose deletion sorts
+    before the base (the earliest-parent test of the module docstring)."""
     if n < 1:
         raise ValueError("enumerate_trees needs n >= 1")
     if n == 1:
@@ -216,9 +288,12 @@ def enumerate_trees(n: int) -> tuple[Multigraph, ...]:
     def candidates():
         for t in enumerate_trees(n - 1):
             base = list(zip(t.us, t.vs))
+            rows = _rows(t)
+            degrees = tuple(sorted(t.degree(v) for v in range(t.n)))
             leaves = _orbit_minima((1 << v for v in range(n - 1)), _form(n - 1, base)[1])
             for mask in leaves:
-                yield n, base + [(mask.bit_length() - 1, n - 1)]
+                if not _has_earlier_parent(rows, degrees, mask):
+                    yield n, base + [(mask.bit_length() - 1, n - 1)]
 
     return tuple(_classes(candidates()))
 

@@ -59,6 +59,9 @@ class Multigraph:
     """
 
     __slots__ = ("n", "us", "vs", "_degree", "_plain", "_incident", "_looped", "_edges")
+    n: int
+    us: tuple[int, ...]
+    vs: tuple[int, ...]
 
     def __init__(self, n: int, edges: Iterable[tuple[int, int]] = ()):
         if n < 0:
@@ -84,14 +87,16 @@ class Multigraph:
                 plain[u].add(v)
                 plain[v].add(u)
                 incident[v].append(i)
-        self.n = n
-        self.us: tuple[int, ...] = tuple(us)
-        self.vs: tuple[int, ...] = tuple(vs)
-        self._degree = tuple(degree)
-        self._plain = tuple(map(frozenset, plain))
-        self._incident = tuple(map(tuple, incident))
-        self._edges: tuple[EdgeRecord, ...] | None = None
-        self._looped = frozenset(looped)
+        # __setattr__ refuses every assignment, so the slots are set past it
+        put = object.__setattr__
+        put(self, "n", n)
+        put(self, "us", tuple(us))
+        put(self, "vs", tuple(vs))
+        put(self, "_degree", tuple(degree))
+        put(self, "_plain", tuple(map(frozenset, plain)))
+        put(self, "_incident", tuple(map(tuple, incident)))
+        put(self, "_edges", None)
+        put(self, "_looped", frozenset(looped))
 
     # -- basic queries ----------------------------------------------------
 
@@ -204,9 +209,7 @@ class Multigraph:
         return (Multigraph, (self.n, tuple(zip(self.us, self.vs))))
 
     def __setattr__(self, name, value):
-        if name in self.__slots__ and hasattr(self, "_looped"):
-            raise AttributeError("Multigraph is immutable")
-        object.__setattr__(self, name, value)
+        raise AttributeError("Multigraph is immutable")
 
 
 def is_path_graph(g: Multigraph) -> bool:

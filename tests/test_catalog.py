@@ -281,6 +281,13 @@ def test_cubic_fixture_file():
         )
 
 
+def test_cubic_fixture_is_the_enumerators_output_in_order():
+    # the representatives, not only their classes, line for line
+    fixture = pathlib.Path(__file__).parent / "fixtures" / "cubic_le10.g6"
+    got = [write_graph6(g) for n in (4, 6, 8, 10) for g in enumerate_connected_cubic(n)]
+    assert got == fixture.read_text().splitlines()
+
+
 def test_simple_n7_fixture_file():
     fixture = pathlib.Path(__file__).parent / "fixtures" / "simple_n7.g6"
     graphs = read_graph6_file(fixture.read_text())
@@ -329,8 +336,9 @@ def test_found_automorphisms_give_the_full_orbits_on_six_vertices():
 
 
 def test_enumeration_work_pinned(monkeypatch):
-    # the orbit skip hands 4,159 candidates to the dedup for n = 2..7
-    # (7,815 without it), and only the first of each class becomes a Multigraph
+    # the orbit skip and the earliest-parent test hand 1,033 candidates to
+    # the dedup for n = 2..7 (4,159 with the orbit skip alone, 7,815 with
+    # neither), and only the first of each class becomes a Multigraph
     handed = []
     dedup = dpdp.catalog._classes
 
@@ -353,10 +361,93 @@ def test_enumeration_work_pinned(monkeypatch):
         classes = sum(len(enumerate_connected_simple(n)) for n in range(1, 8))
     finally:
         enumerate_connected_simple.cache_clear()
-    assert sum(handed) == 4159
+    assert handed == [1, 2, 6, 21, 113, 890]
     assert len(built) == classes == 996
 
 
 def test_write_dot():
     text = write_dot(path(2))
     assert "graph" in text and "0 -- 1" in text
+
+
+# -- the earliest-parent test against growing every orbit minimum -------------
+
+def _every_set(k: int):
+    return range(1, 1 << k)  # the neighbour sets a simple graph is grown by
+
+
+def _one_vertex(k: int):
+    return (1 << v for v in range(k))  # those a tree is grown by
+
+
+def _orbit_minimum_candidates(bases, masks) -> list[tuple[int, tuple]]:
+    """(base index, candidate) for every base grown by a new vertex joined
+    to every orbit-minimum neighbour set, with no earliest-parent skip."""
+    out = []
+    for i, g in enumerate(bases):
+        ends = list(zip(g.us, g.vs))
+        for mask in dpdp.catalog._orbit_minima(masks(g.n), _form(g.n, ends)[1]):
+            out.append((i, (g.n + 1, ends + [(v, g.n) for v in range(g.n) if mask >> v & 1])))
+    return out
+
+
+def _listed(graphs) -> list[tuple]:
+    return [(g.n, g.us, g.vs) for g in graphs]
+
+
+@pytest.mark.parametrize(
+    "enumerate_, masks, sizes",
+    [
+        (enumerate_connected_simple, _every_set, range(2, 8)),
+        (enumerate_trees, _one_vertex, range(2, 12)),
+    ],
+    ids=["simple", "trees"],
+)
+def test_earliest_parent_skip_keeps_every_representative(enumerate_, masks, sizes):
+    # the unskipped candidates through the same dedup give the same
+    # representatives, edge order and output order included
+    for n in sizes:
+        every = [c for _, c in _orbit_minimum_candidates(enumerate_(n - 1), masks)]
+        assert _listed(dpdp.catalog._classes(every)) == _listed(enumerate_(n))
+
+
+@pytest.mark.parametrize(
+    "enumerate_, masks, top",
+    [(enumerate_connected_simple, _every_set, 6), (enumerate_trees, _one_vertex, 9)],
+    ids=["simple", "trees"],
+)
+def test_dropped_candidates_have_an_earlier_copy(monkeypatch, enumerate_, masks, top):
+    # every orbit-minimum candidate the enumerator does not hand to the
+    # dedup is isomorphic (networkx) to one it hands over from an earlier base
+    nx = pytest.importorskip("networkx")
+    handed: dict[int, list] = {}
+    dedup = dpdp.catalog._classes
+
+    def recording(candidates):
+        candidates = list(candidates)
+        handed[candidates[0][0]] = [(n, list(ends)) for n, ends in candidates]
+        return dedup(candidates)
+
+    enumerate_.cache_clear()
+    monkeypatch.setattr(dpdp.catalog, "_classes", recording)
+    try:
+        enumerate_(top)
+    finally:
+        enumerate_.cache_clear()
+    dropped_total = 0
+    for n in range(2, top + 1):
+        kept: list[tuple[int, object]] = []  # (base index, networkx graph)
+        rest = iter(handed[n])
+        following = next(rest, None)
+        for i, candidate in _orbit_minimum_candidates(enumerate_(n - 1), masks):
+            h = nx.MultiGraph()
+            h.add_nodes_from(range(n))
+            h.add_edges_from(candidate[1])
+            if candidate == following:
+                kept.append((i, h))
+                following = next(rest, None)
+                continue
+            dropped_total += 1
+            assert any(j < i and nx.is_isomorphic(h, k) for j, k in kept), (n, candidate)
+        assert following is None  # the handed candidates are a subsequence
+    assert dropped_total > 0

@@ -151,6 +151,17 @@ def test_immutability():
     assert isinstance(g.us, tuple) and isinstance(g.vs, tuple)
 
 
+def test_assignment_after_construction_raises():
+    # __init__ sets the slots past the guard; afterwards every assignment
+    # raises, before the edges view is built too, and changes nothing
+    g = Multigraph(3, [(0, 1), (1, 1)])
+    for name in (*Multigraph.__slots__, "edges", "m", "fresh_name"):
+        with pytest.raises(AttributeError, match="immutable"):
+            setattr(g, name, None)
+    assert (g.n, g.us, g.vs, g.m) == (3, (0, 1), (1, 1), 2)
+    assert [e.endpoints() for e in g.edges] == [(0, 1), (1, 1)]
+
+
 def test_edge_endpoint_validation():
     with pytest.raises(ValueError):
         Multigraph(2, [(0, 2)])
