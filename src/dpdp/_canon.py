@@ -33,10 +33,41 @@ Isomorphism II* (2014):
 
 ``_form(n, ends)`` works on a plain edge list and returns the automorphisms
 found along with the form, so the enumerations can skip augmentations
-that an automorphism of the base maps onto earlier ones.  Their dedup,
-``_classes``, keys plain ``(n, ends)`` candidates by ``(n, m, form)`` and
-builds a Multigraph only for the first candidate of each class.  Exact and
-dependency-free; fine at desk scale (n <= 10).
+that an automorphism of the base maps onto earlier ones.  It is ``_root``
+(start colours and the refined root colouring) followed by ``_search``
+(the tree search above), which also returns the trace of the best leaf:
+its invariants from the root down.
+
+The dedup (``_classes`` for plain ``(n, ends)`` candidates, and
+``classes_by_isomorphism``) labels a candidate only when it collides with
+a representative.  Representatives sit in buckets keyed by the hash of the
+label-free root key: n, m, the sorted start colours, the root quotient
+and the cell sizes.  A candidate whose bucket is empty becomes a
+representative without any search.  Otherwise each representative in the
+bucket gets its (trace, form), once, by a search from its own edges, and
+``_match`` walks the candidate's tree without any pruning, following a
+child only while some representative's trace has the child's invariant at
+its depth; a leaf whose relabelled edge multiset is that representative's
+form is a match.  This is exact:
+
+- (a) Isomorphic candidates have equal root keys, because the start colours
+  and the refinement never read a vertex label.
+- (b) A match is an explicit isomorphism: the leaf and the representative's
+  best leaf are discrete colourings of n vertices (a trace that ends at the
+  leaf's depth has n cells there) under which both edge multisets
+  relabel to the same form.  So a hash collision or a shared invariant
+  costs time, never correctness.
+- (c) If the candidate is isomorphic to a representative R, by some phi,
+  then phi maps R's tree onto the candidate's unpruned tree: the target
+  cell and the refinements are label-free, so the image of R's best leaf
+  path has R's invariant at every depth and its leaf relabels the
+  candidate to R's form.  Equal quotients have equal cell counts, so R's
+  trace never runs out before that path ends, and the walk reaches it.
+
+Hence every class keeps its first candidate, and the representatives,
+their edge order and the output order are those of keying each candidate
+by its canonical form.  A Multigraph is built only for a representative.
+Exact and dependency-free; fine at desk scale (n <= 10).
 """
 
 from __future__ import annotations
@@ -145,12 +176,11 @@ def _common_prefix(a: tuple, b: tuple) -> int:
     return k
 
 
-def _form(n: int, ends: Sequence[tuple[int, int]]) -> tuple[Form, list[list[int]]]:
-    """Canonical form of the multigraph on vertices 0..n-1 with edges ends,
-    and the automorphisms the search found on the way (each a list a with
-    a[v] the image of v).  They generate a subgroup of Aut, possibly all of
-    it; none are found when the refined root colouring is discrete, as Aut
-    is then trivial."""
+def _root(n: int, ends: Sequence[tuple[int, int]]) -> tuple[tuple, tuple]:
+    """The refined root colouring of the multigraph on vertices 0..n-1 with
+    edges ends, as (around, colouring, cell count, quotient), and its
+    label-free key: n, m, the sorted start colours, the root quotient and
+    the cell sizes in colour order."""
     around: list[list[int]] = [[] for _ in range(n)]
     loops = [0] * n
     rows = [0] * n  # distinct non-loop neighbours as bitmasks
@@ -173,8 +203,22 @@ def _form(n: int, ends: Sequence[tuple[int, int]]) -> tuple[Form, list[list[int]
         start.append((len(around[v]) + 2 * loops[v], loops[v], twice >> 1))
     rank = {s: i for i, s in enumerate(sorted(set(start)))}
     color, cells, inv = _refine([rank[s] for s in start], len(rank), around)
+    sizes = [0] * cells
+    for c in color:
+        sizes[c] += 1
+    key = (n, len(ends), tuple(sorted(start)), inv, tuple(sizes))
+    return (around, color, cells, inv), key
+
+
+def _search(
+    n: int, ends: Sequence[tuple[int, int]], root: tuple
+) -> tuple[Form, list[list[int]], list[tuple]]:
+    """The canonical form, the automorphisms found on the way and the trace
+    (the invariants from the root down) of the best leaf, searched from the
+    root state that _root returned for the same (n, ends)."""
+    around, color, cells, inv = root
     if cells == n:
-        return _relabel(ends, color), []
+        return _relabel(ends, color), [], [inv]
 
     first: tuple | None = None  # (form, path, colouring) of the first leaf
     best: tuple | None = None  # the same for the best leaf so far
@@ -228,7 +272,56 @@ def _form(n: int, ends: Sequence[tuple[int, int]]) -> tuple[Form, list[list[int]
         keep = _common_prefix(match[1], child_path) + 1
         del stack[keep:]
         del trace[keep:]
-    return best[0], autos
+    return best[0], autos, best_trace
+
+
+def _form(n: int, ends: Sequence[tuple[int, int]]) -> tuple[Form, list[list[int]]]:
+    """Canonical form of the multigraph on vertices 0..n-1 with edges ends,
+    and the automorphisms the search found on the way (each a list a with
+    a[v] the image of v).  They generate a subgroup of Aut, possibly all of
+    it; none are found when the refined root colouring is discrete, as Aut
+    is then trivial."""
+    form, autos, _ = _search(n, ends, _root(n, ends)[0])
+    return form, autos
+
+
+def _match(
+    n: int, ends: Sequence[tuple[int, int]], root: tuple, goals: Sequence[tuple[list, Form]]
+) -> int | None:
+    """Index of a goal (trace, form) that a leaf of this graph's search tree
+    reproduces, or None.  The tree is searched depth first with no pruning
+    by automorphisms, and a child is followed only while some goal's trace
+    has the child's invariant at the child's depth.  root is _root's state
+    for (n, ends)."""
+    around, color, cells, inv = root
+    live = [i for i, (trace, _) in enumerate(goals) if trace[0] == inv]
+    if not live:
+        return None
+    if cells == n:
+        form = _relabel(ends, color)
+        return next((i for i in live if len(goals[i][0]) == 1 and goals[i][1] == form), None)
+    stack = [(color, cells, live, iter(_target_cell(color)))]  # stack[k] is at depth k
+    while stack:
+        color, cells, live, todo = stack[-1]
+        v = next(todo, None)
+        if v is None:
+            stack.pop()
+            continue
+        depth = len(stack)
+        child, child_cells, inv = _refine(_individualize(color, v), cells + 1, around)
+        follow = [
+            i for i in live if len(goals[i][0]) > depth and goals[i][0][depth] == inv
+        ]
+        if not follow:
+            continue
+        if child_cells < n:
+            stack.append((child, child_cells, follow, iter(_target_cell(child))))
+            continue
+        form = _relabel(ends, child)
+        for i in follow:
+            if len(goals[i][0]) == depth + 1 and goals[i][1] == form:
+                return i
+    return None
 
 
 def canonical_form(g: Multigraph) -> Form:
@@ -239,7 +332,13 @@ def canonical_form(g: Multigraph) -> Form:
 
 def is_isomorphic(a: Multigraph, b: Multigraph) -> bool:
     """Exact multigraph isomorphism (loops and multiplicities respected)."""
-    return a.n == b.n and a.m == b.m and canonical_form(a) == canonical_form(b)
+    a_ends, b_ends = list(zip(a.us, a.vs)), list(zip(b.us, b.vs))
+    a_root, a_key = _root(a.n, a_ends)
+    b_root, b_key = _root(b.n, b_ends)
+    if a_key != b_key:
+        return False
+    form, _, trace = _search(a.n, a_ends, a_root)
+    return _match(b.n, b_ends, b_root, [(trace, form)]) == 0
 
 
 def _class_order(g: Multigraph) -> tuple:
@@ -251,26 +350,46 @@ def _class_order(g: Multigraph) -> tuple:
     )
 
 
+def _goal(g: Multigraph) -> tuple[list, Form]:
+    """The trace and canonical form of a representative's best leaf."""
+    ends = list(zip(g.us, g.vs))
+    form, _, trace = _search(g.n, ends, _root(g.n, ends)[0])
+    return trace, form
+
+
+def _dedup(
+    candidates: Iterable[tuple[int, Sequence[tuple[int, int]], Multigraph | None]]
+) -> list[Multigraph]:
+    """The first candidate seen of each class, sorted by _class_order; a
+    candidate (n, ends, g) is kept as g, or as Multigraph(n, ends) when g
+    is None.  See the module docstring for why this is exact."""
+    buckets: dict[int, list[list]] = {}  # hash of the root key -> [[rep, goal], ...]
+    reps = []
+    for n, ends, g in candidates:
+        root, key = _root(n, ends)
+        bucket = buckets.setdefault(hash(key), [])
+        if bucket:
+            for entry in bucket:
+                if entry[1] is None:
+                    entry[1] = _goal(entry[0])
+            if _match(n, ends, root, [goal for _, goal in bucket]) is not None:
+                continue
+        g = Multigraph(n, ends) if g is None else g
+        bucket.append([g, None])
+        reps.append(g)
+    reps.sort(key=_class_order)
+    return reps
+
+
 def classes_by_isomorphism(candidates: list[Multigraph]) -> list[Multigraph]:
     """One representative per isomorphism class, the first candidate seen
     of each, in a deterministic order sorted by (n, m, degree sequence,
     representative edge multiset)."""
-    reps: dict[tuple, Multigraph] = {}
-    for g in candidates:
-        reps.setdefault((g.n, g.m, canonical_form(g)), g)
-    return sorted(reps.values(), key=_class_order)
+    return _dedup((g.n, list(zip(g.us, g.vs)), g) for g in candidates)
 
 
 def _classes(candidates: Iterable[tuple[int, Sequence[tuple[int, int]]]]) -> list[Multigraph]:
     """classes_by_isomorphism for candidates given as (n, edge list) pairs:
     a Multigraph is built only for the first candidate seen of each class,
     with the edges in the order given."""
-    seen: set[tuple] = set()
-    reps = []
-    for n, ends in candidates:
-        key = (n, len(ends), _form(n, ends)[0])
-        if key not in seen:
-            seen.add(key)
-            reps.append(Multigraph(n, ends))
-    reps.sort(key=_class_order)
-    return reps
+    return _dedup((n, ends, None) for n, ends in candidates)

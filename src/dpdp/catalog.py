@@ -7,8 +7,13 @@ corona graphs with per-vertex pendant counts.
 Enumerations keep one representative per isomorphism class and are cached
 for the repeated sweeps; all but cubic add a vertex or edge to smaller ones.
 Candidates are plain edge lists, and only the first of each class becomes
-a Multigraph.  Growing by a vertex skips two kinds of candidate that are
-provably not the first of their class, before any is labelled:
+a Multigraph.  The dedup (``_canon._classes``) buckets candidates by a
+label-free key of their refined root colouring and searches for a
+labelling only when a candidate lands in an occupied bucket, where it is
+matched against the representatives' canonical leaves; ``_canon`` proves
+that this keeps the first candidate of each class.  Growing by a vertex
+skips two kinds of candidate that are provably not the first of their
+class, before any reaches the dedup:
 
 - a neighbour set that the base's automorphisms (those the canonical
   labelling finds) map onto a smaller one: the smaller one gives a copy;

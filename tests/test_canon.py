@@ -2,7 +2,9 @@
 
 networkx decides isomorphism with its own VF2 matcher, which counts
 parallel edges and loops on a MultiGraph; hypothesis checks that the form
-does not depend on vertex labels or edge order.
+does not depend on vertex labels or edge order.  The dedup, which labels
+a candidate only when its root key collides with a representative's, is
+checked against a reference keyed by the full canonical form.
 """
 
 from __future__ import annotations
@@ -14,7 +16,19 @@ import pytest
 nx = pytest.importorskip("networkx")
 from hypothesis import given, settings, strategies as st
 
-from dpdp._canon import _form, canonical_form, classes_by_isomorphism, is_isomorphic
+import dpdp._canon
+import dpdp.catalog
+from dpdp._canon import (
+    _class_order,
+    _classes,
+    _form,
+    _goal,
+    _match,
+    _root,
+    canonical_form,
+    classes_by_isomorphism,
+    is_isomorphic,
+)
 from dpdp.catalog import complete, complete_bipartite, cycle, enumerate_connected_cubic
 from dpdp.graph import Multigraph
 
@@ -191,3 +205,114 @@ def test_classes_keep_first_seen_representative():
     reps = classes_by_isomorphism(copies + [star] + copies)
     assert len(reps) == 2
     assert any(r is copies[0] for r in reps) and any(r is star for r in reps)
+
+
+# -- the dedup: label only on collision ---------------------------------------
+
+
+def _listed(graphs) -> list[tuple]:
+    return [(g.n, g.us, g.vs) for g in graphs]
+
+
+def _reference_classes(candidates) -> list[tuple]:
+    """The first candidate seen of each class, keyed by the full canonical
+    form, sorted by _class_order."""
+    firsts: dict[tuple, Multigraph] = {}
+    for n, ends in candidates:
+        g = Multigraph(n, ends)
+        firsts.setdefault((n, g.m, canonical_form(g)), g)
+    return _listed(sorted(firsts.values(), key=_class_order))
+
+
+def _one_bucket(n, ends):
+    return _root(n, ends)[0], 0  # every candidate collides with every class
+
+
+@st.composite
+def candidate_lists(draw):
+    """Random multigraphs, each listed as drawn and as relabelled copies,
+    in a drawn order."""
+    out = []
+    for _ in range(draw(st.integers(1, 6))):
+        n = draw(st.integers(1, 6))
+        vertex = st.integers(0, n - 1)
+        edges = draw(st.lists(st.tuples(vertex, vertex), max_size=9))
+        out.append((n, edges))
+        for _ in range(draw(st.integers(0, 3))):
+            perm = draw(st.permutations(range(n)))
+            moved = [(perm[v], perm[u]) if draw(st.booleans()) else (perm[u], perm[v])
+                     for u, v in edges]
+            out.append((n, draw(st.permutations(moved))))
+    return draw(st.permutations(out))
+
+
+@settings(max_examples=300, deadline=None)
+@given(candidate_lists())
+def test_dedup_keeps_the_first_of_each_class(candidates):
+    want = _reference_classes(candidates)
+    assert _listed(_classes(candidates)) == want
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(dpdp._canon, "_root", _one_bucket)
+        assert _listed(_classes(candidates)) == want
+
+
+def test_bucket_key_decides_only_the_work(monkeypatch):
+    # every orbit-minimum growth of the 6-vertex classes (many copies of
+    # each 7-vertex class) and every labelled cubic 8-vertex graph the
+    # backtracking finds, deduplicated with one bucket for all
+    grown = []
+    for g in dpdp.catalog.enumerate_connected_simple(6):
+        ends = list(zip(g.us, g.vs))
+        for mask in dpdp.catalog._orbit_minima(range(1, 64), _form(6, ends)[1]):
+            grown.append((7, ends + [(v, 6) for v in range(6) if mask >> v & 1]))
+    want = [_listed(dpdp.catalog.enumerate_connected_simple(7))]
+    handed = []
+
+    def recording(candidates):
+        handed.extend(candidates)
+        return _classes(handed)
+
+    dpdp.catalog.enumerate_connected_cubic.cache_clear()
+    monkeypatch.setattr(dpdp.catalog, "_classes", recording)
+    try:
+        cubic = dpdp.catalog.enumerate_connected_cubic(8)
+    finally:
+        dpdp.catalog.enumerate_connected_cubic.cache_clear()
+    assert len(grown) == 3771 and len(handed) > 5 * len(cubic)
+    want.append(_listed(cubic))
+    monkeypatch.setattr(dpdp._canon, "_root", _one_bucket)
+    assert [_listed(_classes(grown)), _listed(_classes(handed))] == want
+
+
+def _triangle_free_cubic_10() -> list[Multigraph]:
+    def has_triangle(g):
+        adj = [set() for _ in range(g.n)]
+        for u, v in zip(g.us, g.vs):
+            adj[u].add(v)
+            adj[v].add(u)
+        return any(adj[u] & adj[v] for u, v in zip(g.us, g.vs))
+
+    return [g for g in enumerate_connected_cubic(10) if not has_triangle(g)]
+
+
+@pytest.mark.parametrize("group", ["srg16", "petersen", "cubic10"])
+def test_match_separates_classes_that_share_a_root_key(group):
+    classes = {
+        "srg16": lambda: [rook_4x4(), shrikhande()],
+        "petersen": lambda: [petersen(), pentagonal_prism()],
+        "cubic10": _triangle_free_cubic_10,
+    }[group]()
+    assert len(classes) == (6 if group == "cubic10" else 2)
+    goals = [_goal(g) for g in classes]
+    rng = random.Random(group)
+    keys = set()
+    for i, g in enumerate(classes):
+        for copy in [g] + [relabel(g, rng) for _ in range(3)]:
+            ends = list(zip(copy.us, copy.vs))
+            root, key = _root(copy.n, ends)
+            keys.add(key)
+            assert _match(copy.n, ends, root, goals) == i
+            others = goals[:i] + goals[i + 1:]
+            assert _match(copy.n, ends, root, others) is None
+            assert _match(copy.n, ends, root, [goals[i]]) == 0
+    assert len(keys) == 1  # the root colouring alone cannot tell them apart

@@ -9,6 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import dpdp._canon
 import dpdp.catalog
 from dpdp._canon import _form, canonical_form, classes_by_isomorphism, is_isomorphic
 from dpdp.catalog import (
@@ -147,8 +148,8 @@ def test_enumerate_multigraphs_six_edges_pinned():
 
 
 def test_enumerate_trees_counts():
-    # classical free-tree counts
-    want = {1: 1, 2: 1, 3: 1, 4: 2, 5: 3, 6: 6, 7: 11, 8: 23, 9: 47, 10: 106}
+    # classical free-tree counts (OEIS A000055)
+    want = {1: 1, 2: 1, 3: 1, 4: 2, 5: 3, 6: 6, 7: 11, 8: 23, 9: 47, 10: 106, 11: 235, 12: 551}
     for n, k in want.items():
         assert len(enumerate_trees(n)) == k
 
@@ -363,6 +364,46 @@ def test_enumeration_work_pinned(monkeypatch):
         enumerate_connected_simple.cache_clear()
     assert handed == [1, 2, 6, 21, 113, 890]
     assert len(built) == classes == 996
+
+
+@pytest.mark.parametrize(
+    "enumerate_, sizes, refines",
+    [(enumerate_connected_simple, range(1, 8), 2022), (enumerate_connected_cubic, [10], 15864)],
+    ids=["simple", "cubic"],
+)
+def test_dedup_work_pinned(monkeypatch, enumerate_, sizes, refines):
+    # the dedup labels no candidate whose root key is new, matches one that
+    # collides against the representatives' canonical leaves, and searches
+    # each representative's tree at most once (6,112 and 30,760 refinements
+    # when every candidate was labelled)
+    refine, search, form, goal = (
+        dpdp._canon._refine, dpdp._canon._search, dpdp.catalog._form, dpdp._canon._goal
+    )
+    calls = {"refine": 0, "search": 0, "form": 0}
+    goals = []
+
+    def counting(name, fn):
+        def counted(*args):
+            calls[name] += 1
+            return fn(*args)
+        return counted
+
+    def recording_goal(g):
+        goals.append((g.n, g.us, g.vs))
+        return goal(g)
+
+    enumerate_.cache_clear()
+    monkeypatch.setattr(dpdp._canon, "_refine", counting("refine", refine))
+    monkeypatch.setattr(dpdp._canon, "_search", counting("search", search))
+    monkeypatch.setattr(dpdp.catalog, "_form", counting("form", form))
+    monkeypatch.setattr(dpdp._canon, "_goal", recording_goal)
+    try:
+        classes = sum(len(enumerate_(n)) for n in sizes)
+    finally:
+        enumerate_.cache_clear()
+    assert calls["refine"] == refines
+    assert calls["search"] == calls["form"] + len(goals)  # bases' automorphisms, goals
+    assert len(set(goals)) == len(goals) <= classes
 
 
 def test_write_dot():
