@@ -1,9 +1,14 @@
-"""Canonical forms for small multigraphs (individualization-refinement).
+"""Automorphisms and exact isomorphism dedup for small multigraphs
+(individualization-refinement).
 
-``canonical_form(g)`` is a tuple that two multigraphs with the same vertex
-count share exactly when they are isomorphic, loops and edge
-multiplicities included.  It follows McKay & Piperno, *Practical Graph
-Isomorphism II* (2014):
+``_automorphisms(n, ends)`` finds automorphisms of the multigraph on
+vertices 0..n-1 with edge list ends, so the enumerations can skip
+augmentations that an automorphism of the base maps onto earlier ones.
+``classes_by_isomorphism`` and ``_classes`` keep one graph per
+isomorphism class, loops and edge multiplicities included.  Both walk one
+search tree, built and searched as in nauty with first-path pruning
+(McKay, *Practical Graph Isomorphism*, 1981; McKay & Piperno, *Practical
+Graph Isomorphism II*, 2014):
 
 - A vertex colouring is refined until it is equitable.  The start colours
   are (degree, loop count, triangles), where the triangles at v are the
@@ -19,54 +24,52 @@ Isomorphism II* (2014):
   non-singleton cell is individualized (put first in its cell) in turn and
   the colouring is refined again.  This builds a search tree whose leaves
   are discrete colourings, that is, relabellings of the graph.
-- A node's invariant is the quotient of its equitable colouring (each
-  cell's colour with the colours around it).  The form is taken from the
-  leaf with the least sequence of invariants along its path, ties broken
-  by the least relabelled edge multiset: each edge becomes
-  ``(min, max)`` of its end colours, a loop becomes ``(c, c)`` and
-  parallel edges repeat.  A subtree whose invariant sequence is already
-  larger than the best leaf's is cut.
-- Two leaves with the same edge multiset give an automorphism.  It maps
-  the earlier leaf's path onto the later one's, so the later subtree from
+- A node's invariant is the hash of the quotient of its equitable
+  colouring (each cell's colour with the colours around it).  The first
+  leaf, reached by individualizing the first vertex of each target cell,
+  fixes the reference: its trace (the invariants from the root down) and
+  its form, the relabelled edge multiset (each edge becomes ``(min, max)``
+  of its end colours, a loop becomes ``(c, c)`` and parallel edges
+  repeat).  A child whose invariant differs from the first path's at its
+  depth is cut: no automorphism maps the first path onto a path through
+  it.
+- A later leaf with the first leaf's form gives an automorphism.  It maps
+  the first leaf's path onto the later one's, so the later subtree from
   where the paths split is skipped.  Children of a node that lie in one
   orbit of the automorphisms fixing the node's path are searched once.
 
-``_form(n, ends)`` works on a plain edge list and returns the automorphisms
-found along with the form, so the enumerations can skip augmentations
-that an automorphism of the base maps onto earlier ones.  It is ``_root``
-(start colours and the refined root colouring) followed by ``_search``
-(the tree search above), which also returns the trace of the best leaf:
-its invariants from the root down.
+The first leaf's form depends on the vertex labels, so it is not a
+canonical form; the dedup uses it only as a goal that an isomorphic
+graph's tree is known to reach.
 
 The dedup (``_classes`` for plain ``(n, ends)`` candidates, and
-``classes_by_isomorphism``) labels a candidate only when it collides with
+``classes_by_isomorphism``) searches only when a candidate collides with
 a representative.  Representatives sit in buckets keyed by the hash of the
-label-free root key: n, m, the sorted start colours, the root quotient
+label-free root key: n, m, the sorted start colours, the root invariant
 and the cell sizes.  A candidate whose bucket is empty becomes a
 representative without any search.  Otherwise each representative in the
-bucket gets its (trace, form), once, by a search from its own edges, and
-``_match`` walks the candidate's tree without any pruning, following a
-child only while some representative's trace has the child's invariant at
-its depth; a leaf whose relabelled edge multiset is that representative's
-form is a match.  This is exact:
+bucket gets its goal, the trace and form of its first leaf, once, by a
+search from its own edges, and ``_match`` walks the candidate's tree
+without any pruning, following a child only while some representative's
+trace has the child's invariant at its depth; a leaf whose relabelled
+edge multiset is that representative's form is a match.  This is exact:
 
 - (a) Isomorphic candidates have equal root keys, because the start colours
   and the refinement never read a vertex label.
 - (b) A match is an explicit isomorphism: the leaf and the representative's
-  best leaf are discrete colourings of n vertices (a trace that ends at the
-  leaf's depth has n cells there) under which both edge multisets
-  relabel to the same form.  So a hash collision or a shared invariant
-  costs time, never correctness.
+  first leaf are discrete colourings of n vertices under which both edge
+  multisets relabel to the same form.  So a shared invariant, or a hash
+  collision between root keys or trace entries, costs time, never
+  correctness.
 - (c) If the candidate is isomorphic to a representative R, by some phi,
   then phi maps R's tree onto the candidate's unpruned tree: the target
-  cell and the refinements are label-free, so the image of R's best leaf
-  path has R's invariant at every depth and its leaf relabels the
-  candidate to R's form.  Equal quotients have equal cell counts, so R's
-  trace never runs out before that path ends, and the walk reaches it.
+  cell and the refinements are label-free, so the image of R's first leaf
+  path has R's invariant at every depth, ends at the same depth, and its
+  leaf relabels the candidate to R's form.  So the walk reaches it.
 
-Hence every class keeps its first candidate, and the representatives,
-their edge order and the output order are those of keying each candidate
-by its canonical form.  A Multigraph is built only for a representative.
+Hence every class keeps its first candidate, whichever leaf a goal uses,
+and the representatives, their edge order and the output order do not
+depend on the search.  A Multigraph is built only for a representative.
 Exact and dependency-free; fine at desk scale (n <= 10).
 """
 
@@ -81,19 +84,19 @@ Form = tuple[tuple[int, int], ...]
 
 def _refine(
     color: list[int], cells: int, around: list[list[int]]
-) -> tuple[list[int], int, tuple]:
+) -> tuple[list[int], int, int]:
     """Equitable refinement of a colouring given as cell ranks.
 
-    Returns the refined colouring, its cell count and its quotient (the
-    sorted distinct vertex signatures, each a colour followed by the sorted
-    colours around it), which is a label-free invariant.
+    Returns the refined colouring, its cell count and the hash of its
+    quotient (the sorted distinct vertex signatures, each a colour followed
+    by the sorted colours around it), which is a label-free invariant.
     """
     while True:
         at = color.__getitem__
         sig = [(c, *sorted(map(at, ends))) for c, ends in zip(color, around)]
         quotient = sorted(set(sig))
         if len(quotient) == cells:
-            return color, cells, tuple(quotient)
+            return color, cells, hash(tuple(quotient))
         rank = {s: i for i, s in enumerate(quotient)}
         color = list(map(rank.__getitem__, sig))
         cells = len(quotient)
@@ -155,16 +158,15 @@ def _same_orbit(v: int, seen: list[int], autos: list[list[int]], path: tuple) ->
 class _Node:
     """A search-tree node and how far its children have been searched."""
 
-    __slots__ = ("path", "color", "cells", "target", "next", "seen", "below")
+    __slots__ = ("path", "color", "cells", "target", "next", "seen")
 
-    def __init__(self, path: tuple, color: list[int], cells: int, below: bool):
+    def __init__(self, path: tuple, color: list[int], cells: int):
         self.path = path  # individualized vertices, root first
         self.color = color
         self.cells = cells
         self.target = _target_cell(color)
         self.next = 0  # index into target of the next child
         self.seen: list[int] = []  # children searched so far
-        self.below = below  # invariants down to here are less than the best leaf's
 
 
 def _common_prefix(a: tuple, b: tuple) -> int:
@@ -178,8 +180,8 @@ def _common_prefix(a: tuple, b: tuple) -> int:
 
 def _root(n: int, ends: Sequence[tuple[int, int]]) -> tuple[tuple, tuple]:
     """The refined root colouring of the multigraph on vertices 0..n-1 with
-    edges ends, as (around, colouring, cell count, quotient), and its
-    label-free key: n, m, the sorted start colours, the root quotient and
+    edges ends, as (around, colouring, cell count, invariant), and its
+    label-free key: n, m, the sorted start colours, the root invariant and
     the cell sizes in colour order."""
     around: list[list[int]] = [[] for _ in range(n)]
     loops = [0] * n
@@ -212,25 +214,22 @@ def _root(n: int, ends: Sequence[tuple[int, int]]) -> tuple[tuple, tuple]:
 
 def _search(
     n: int, ends: Sequence[tuple[int, int]], root: tuple
-) -> tuple[Form, list[list[int]], list[tuple]]:
-    """The canonical form, the automorphisms found on the way and the trace
-    (the invariants from the root down) of the best leaf, searched from the
-    root state that _root returned for the same (n, ends)."""
+) -> tuple[Form, list[list[int]], list[int]]:
+    """The first leaf's form, the automorphisms found on the way and the
+    first leaf's trace (the invariants from the root down), searched from
+    the root state that _root returned for the same (n, ends)."""
     around, color, cells, inv = root
+    trace = [inv]  # trace[k] is the invariant of the first path's node at depth k
     if cells == n:
-        return _relabel(ends, color), [], [inv]
+        return _relabel(ends, color), [], trace
 
     first: tuple | None = None  # (form, path, colouring) of the first leaf
-    best: tuple | None = None  # the same for the best leaf so far
-    best_trace: list = []
     autos: list[list[int]] = []
-    stack = [_Node((), color, cells, False)]  # stack[k] is at depth k
-    trace = [inv]  # trace[k] is the invariant of stack[k]
+    stack = [_Node((), color, cells)]  # stack[k] is at depth k
     while stack:
         node = stack[-1]
         if node.next == len(node.target):
             stack.pop()
-            trace.pop()
             continue
         v = node.target[node.next]
         node.next += 1
@@ -240,49 +239,30 @@ def _search(
         child, child_cells, inv = _refine(
             _individualize(node.color, v), node.cells + 1, around
         )
-        depth = len(node.path) + 1
-        below = node.below
-        if best is not None and not below:
-            if inv > best_trace[depth]:
-                continue
-            below = inv < best_trace[depth]
         child_path = node.path + (v,)
-        if child_cells < n:
-            stack.append(_Node(child_path, child, child_cells, below))
+        depth = len(child_path)
+        if first is None:
             trace.append(inv)
+        elif depth == len(trace) or inv != trace[depth]:
+            continue  # (depth == len(trace) only after a hash collision)
+        if child_cells < n:
+            stack.append(_Node(child_path, child, child_cells))
             continue
         form = _relabel(ends, child)
         if first is None:
-            first = best = (form, child_path, child)
-            best_trace = trace + [inv]
-            continue
-        if form == first[0]:
-            match = first
-        elif below or form < best[0]:
-            best = (form, child_path, child)
-            best_trace = trace + [inv]
-            for ancestor in stack:
-                ancestor.below = False
-            continue
-        elif form == best[0]:
-            match = best
-        else:
-            continue
-        autos.append(_automorphism(match[2], child))
-        keep = _common_prefix(match[1], child_path) + 1
-        del stack[keep:]
-        del trace[keep:]
-    return best[0], autos, best_trace
+            first = (form, child_path, child)
+        elif form == first[0]:
+            autos.append(_automorphism(first[2], child))
+            del stack[_common_prefix(first[1], child_path) + 1:]
+    return first[0], autos, trace
 
 
-def _form(n: int, ends: Sequence[tuple[int, int]]) -> tuple[Form, list[list[int]]]:
-    """Canonical form of the multigraph on vertices 0..n-1 with edges ends,
-    and the automorphisms the search found on the way (each a list a with
-    a[v] the image of v).  They generate a subgroup of Aut, possibly all of
-    it; none are found when the refined root colouring is discrete, as Aut
-    is then trivial."""
-    form, autos, _ = _search(n, ends, _root(n, ends)[0])
-    return form, autos
+def _automorphisms(n: int, ends: Sequence[tuple[int, int]]) -> list[list[int]]:
+    """Automorphisms of the multigraph on vertices 0..n-1 with edges ends
+    that the search finds (each a list a with a[v] the image of v).  They
+    generate a subgroup of Aut, possibly all of it; none are found when the
+    refined root colouring is discrete, as Aut is then trivial."""
+    return _search(n, ends, _root(n, ends)[0])[1]
 
 
 def _match(
@@ -324,21 +304,9 @@ def _match(
     return None
 
 
-def canonical_form(g: Multigraph) -> Form:
-    """Relabelled edge multiset shared by exactly the graphs isomorphic to g
-    (among graphs with g.n vertices)."""
-    return _form(g.n, list(zip(g.us, g.vs)))[0]
-
-
 def is_isomorphic(a: Multigraph, b: Multigraph) -> bool:
     """Exact multigraph isomorphism (loops and multiplicities respected)."""
-    a_ends, b_ends = list(zip(a.us, a.vs)), list(zip(b.us, b.vs))
-    a_root, a_key = _root(a.n, a_ends)
-    b_root, b_key = _root(b.n, b_ends)
-    if a_key != b_key:
-        return False
-    form, _, trace = _search(a.n, a_ends, a_root)
-    return _match(b.n, b_ends, b_root, [(trace, form)]) == 0
+    return len(classes_by_isomorphism([a, b])) == 1
 
 
 def _class_order(g: Multigraph) -> tuple:
@@ -351,7 +319,7 @@ def _class_order(g: Multigraph) -> tuple:
 
 
 def _goal(g: Multigraph) -> tuple[list, Form]:
-    """The trace and canonical form of a representative's best leaf."""
+    """The trace and form of a representative's first leaf."""
     ends = list(zip(g.us, g.vs))
     form, _, trace = _search(g.n, ends, _root(g.n, ends)[0])
     return trace, form

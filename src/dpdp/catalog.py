@@ -8,15 +8,15 @@ Enumerations keep one representative per isomorphism class and are cached
 for the repeated sweeps; all but cubic add a vertex or edge to smaller ones.
 Candidates are plain edge lists, and only the first of each class becomes
 a Multigraph.  The dedup (``_canon._classes``) buckets candidates by a
-label-free key of their refined root colouring and searches for a
-labelling only when a candidate lands in an occupied bucket, where it is
-matched against the representatives' canonical leaves; ``_canon`` proves
-that this keeps the first candidate of each class.  Growing by a vertex
+label-free key of their refined root colouring and searches only when a
+candidate lands in an occupied bucket, where it is matched against the
+first leaves of the representatives' search trees; ``_canon`` proves that
+this keeps the first candidate of each class.  Growing by a vertex
 skips two kinds of candidate that are provably not the first of their
 class, before any reaches the dedup:
 
-- a neighbour set that the base's automorphisms (those the canonical
-  labelling finds) map onto a smaller one: the smaller one gives a copy;
+- a neighbour set that the base's automorphisms (those the search in
+  ``_canon`` finds) map onto a smaller one: the smaller one gives a copy;
 - a candidate C grown from base B_i that has a vertex w other than the new
   one with C - w connected and (m, sorted degrees) of C - w less than
   B_i's (the earliest-parent test).  The bases are every class of the size
@@ -42,10 +42,10 @@ import heapq
 import random
 from functools import lru_cache
 from itertools import combinations
-from typing import Iterable, Iterator
+from typing import Iterable, Iterator, Sequence
 
 from .graph import MAX_EDGE_LIST_VERTICES, Multigraph
-from ._canon import _classes, _form
+from ._canon import _automorphisms, _classes
 
 #: connected simple graphs on n=1..8 vertices, up to isomorphism
 CONNECTED_SIMPLE_COUNTS = (1, 1, 2, 6, 21, 112, 853, 11117)
@@ -223,6 +223,21 @@ def _has_earlier_parent(rows: list[int], degrees: tuple[int, ...], mask: int) ->
     return False
 
 
+def _grow(bases: Iterable[Multigraph], masks: Sequence[int]) -> Iterator[tuple[int, list]]:
+    """The (n, edge list) candidates of the module docstring: each base
+    grown by a new vertex joined to each neighbour set in masks (bitmasks
+    in increasing order, closed under the base's automorphisms) that is the
+    least of its orbit under the automorphisms _canon finds and that the
+    earliest-parent test keeps."""
+    for g in bases:
+        base = list(zip(g.us, g.vs))
+        rows = _rows(g)
+        degrees = tuple(sorted(g.degree(v) for v in range(g.n)))
+        for mask in _orbit_minima(masks, _automorphisms(g.n, base)):
+            if not _has_earlier_parent(rows, degrees, mask):
+                yield g.n + 1, base + [(v, g.n) for v in range(g.n) if mask >> v & 1]
+
+
 @lru_cache(maxsize=None)
 def enumerate_connected_simple(n: int) -> tuple[Multigraph, ...]:
     """All connected simple graphs on n vertices, one per isomorphism class.
@@ -242,17 +257,7 @@ def enumerate_connected_simple(n: int) -> tuple[Multigraph, ...]:
         raise ValueError("enumerate_connected_simple supports 1 <= n <= 8")
     if n == 1:
         return (Multigraph(1, []),)
-
-    def candidates():
-        for g in enumerate_connected_simple(n - 1):
-            base = list(zip(g.us, g.vs))
-            rows = _rows(g)
-            degrees = tuple(sorted(g.degree(v) for v in range(g.n)))
-            for mask in _orbit_minima(range(1, 1 << (n - 1)), _form(n - 1, base)[1]):
-                if not _has_earlier_parent(rows, degrees, mask):
-                    yield n, base + [(v, n - 1) for v in range(n - 1) if mask >> v & 1]
-
-    return tuple(_classes(candidates()))
+    return tuple(_classes(_grow(enumerate_connected_simple(n - 1), range(1, 1 << (n - 1)))))
 
 
 @lru_cache(maxsize=None)
@@ -289,18 +294,7 @@ def enumerate_trees(n: int) -> tuple[Multigraph, ...]:
         raise ValueError("enumerate_trees needs n >= 1")
     if n == 1:
         return (Multigraph(1, []),)
-
-    def candidates():
-        for t in enumerate_trees(n - 1):
-            base = list(zip(t.us, t.vs))
-            rows = _rows(t)
-            degrees = tuple(sorted(t.degree(v) for v in range(t.n)))
-            leaves = _orbit_minima((1 << v for v in range(n - 1)), _form(n - 1, base)[1])
-            for mask in leaves:
-                if not _has_earlier_parent(rows, degrees, mask):
-                    yield n, base + [(mask.bit_length() - 1, n - 1)]
-
-    return tuple(_classes(candidates()))
+    return tuple(_classes(_grow(enumerate_trees(n - 1), [1 << v for v in range(n - 1)])))
 
 
 @lru_cache(maxsize=None)

@@ -6,7 +6,8 @@ arrays and edges are [u, v, id] triples, so any certificate can be
 re-checked by a short external script.  Output is byte-deterministic for
 a fixed input and flag set.  Exit codes: 0 = computed (whatever the
 verdict), 1 = input error or internal error (one stderr line, no
-traceback), 2 = cross-validation disagreement.
+traceback; for a bad line of a graph6 file it names the line number),
+2 = cross-validation disagreement.
 
 Survey and xcheck fan out over a process pool of DPDP_WORKERS processes
 (an environment variable; default: available parallelism), but never more
@@ -17,6 +18,7 @@ emitted in input order regardless.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import csv
 import functools
 import io
@@ -31,7 +33,6 @@ from .catalog import (
     enumerate_connected_multigraphs,
     read_edge_list,
     read_graph6,
-    read_graph6_file,
     write_dot,
     write_edge_list,
 )
@@ -54,6 +55,22 @@ def _load_graph(path: str, fmt: str) -> Multigraph:
     if fmt == "g6":
         return read_graph6(text)
     return read_edge_list(text)
+
+
+def _g6_lines(path: str) -> list[tuple[int, str]]:
+    """The non-blank lines of a graph6 file, stripped, each with its 1-based
+    line number."""
+    with open(path, "r", encoding="utf-8") as f:
+        return [(k, ln.strip()) for k, ln in enumerate(f, 1) if ln.strip()]
+
+
+@contextlib.contextmanager
+def _at_line(k: int):
+    """Prefix a ValueError raised inside with the input line it concerns."""
+    try:
+        yield
+    except ValueError as exc:
+        raise ValueError(f"line {k}: {exc}") from None
 
 
 def _edge_triples(g: Multigraph, eids) -> list[list[int]]:
@@ -265,8 +282,9 @@ def cmd_goodsub(args) -> int:
 
 
 def _survey_row(item: tuple[int, str]) -> list[str]:
-    idx, line = item
-    g = read_graph6(line)
+    k, line = item
+    with _at_line(k):
+        g = read_graph6(line)
     pairs, witness = _pairs_and_witness(g, 1)
     dpdp = bool(pairs)
     minimal = dpdp and witness is None
@@ -287,9 +305,7 @@ def _survey_row(item: tuple[int, str]) -> list[str]:
 
 
 def cmd_survey(args) -> int:
-    with open(args.g6file, "r", encoding="utf-8") as f:
-        lines = [ln.strip() for ln in f if ln.strip()]
-    rows = _pool_map(_survey_row, list(enumerate(lines)))
+    rows = _pool_map(_survey_row, _g6_lines(args.g6file))
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
     writer.writerow(
@@ -317,17 +333,25 @@ def _xcheck_one(h: Multigraph) -> tuple[bool, dict]:
     return r.consistent, detail
 
 
+def _xcheck_line(item: tuple[int, Multigraph]) -> tuple[bool, dict]:
+    k, h = item
+    with _at_line(k):
+        return _xcheck_one(h)
+
+
 def cmd_xcheck(args) -> int:
     if (args.max_edges is None) == (args.g6file is None):
         raise ValueError("xcheck needs exactly one of --max-edges or a g6 file")
     if args.max_edges is not None:
-        graphs = list(enumerate_connected_multigraphs(args.max_edges))
+        outcomes = _pool_map(_xcheck_one, enumerate_connected_multigraphs(args.max_edges))
         input_id = f"--max-edges {args.max_edges}"
     else:
-        with open(args.g6file, "r", encoding="utf-8") as f:
-            graphs = read_graph6_file(f.read())
+        numbered = []  # every line is read before any is checked
+        for k, line in _g6_lines(args.g6file):
+            with _at_line(k):
+                numbered.append((k, read_graph6(line)))
+        outcomes = _pool_map(_xcheck_line, numbered)
         input_id = args.g6file
-    outcomes = _pool_map(_xcheck_one, graphs)
     disagreements = [
         dict(detail, index=i) for i, (okay, detail) in enumerate(outcomes) if not okay
     ]
@@ -335,7 +359,7 @@ def cmd_xcheck(args) -> int:
         "xcheck",
         input_id,
         {
-            "graphs_checked": len(graphs),
+            "graphs_checked": len(outcomes),
             "consistent": not disagreements,
             "disagreements": disagreements,
         },

@@ -314,6 +314,28 @@ def test_exit_code_1_on_input_errors(tmp_path, capsys):
     capsys.readouterr()
 
 
+@pytest.mark.parametrize("workers", ["1", "2"])
+def test_graph6_errors_name_the_line(tmp_path, capsys, monkeypatch, workers):
+    # line numbers count blank lines; xcheck reads every line before it
+    # checks any, so a malformed line is reported before a disconnected one
+    monkeypatch.setenv("DPDP_WORKERS", workers)
+    good = write_graph6(path(3))
+    disconnected = write_graph6(Multigraph(3, [(0, 1)]))
+    cut = write_graph6(path(4))[:1]  # the size byte alone
+    cases = [
+        ("xcheck", [good, good, "", disconnected], "line 4: xcheck needs a connected base graph"),
+        ("xcheck", [good, "", good, disconnected, cut],
+         "line 5: graph6 body has 0 bytes, expected 1"),
+        ("survey", [good, "", cut, good], "line 3: graph6 body has 0 bytes, expected 1"),
+    ]
+    g6 = tmp_path / "bad.g6"
+    for command, lines, message in cases:
+        g6.write_text("\n".join(lines) + "\n")
+        assert main([command, str(g6)]) == 1
+        out, err = capsys.readouterr()
+        assert (out, err) == ("", f"dpdp: error: {message}\n")
+
+
 def test_s2_over_the_vertex_limit_is_a_one_line_error(tmp_path):
     # alpha would give K2's S2 100,000,003 vertices; the child's address
     # space is capped, so a build that starts anyway fails here instead of
