@@ -3,21 +3,34 @@
 A DP-pair is a partition (D, P) of the vertex set where D is dominating
 and P is paired-dominating (dominating plus a perfect matching inside P).
 The search assigns vertices to D or P depth-first in BFS order from
-vertex 0, after forcing leaves into D and supports into P.  A connected
+vertex 0, with unit propagation of two sound rules (loops count for
+neither domination nor matching):
+
+  (1) A vertex, assigned or not, with no P-neighbour and exactly one
+      unassigned neighbour w forces w into P.  Proof: a D-vertex needs a
+      P-neighbour to be dominated by P, a P-vertex needs a P partner, and
+      an unassigned vertex becomes one of the two.
+  (2) A P-vertex v with exactly one P- or unassigned neighbour c must be
+      matched to c, so the branch fails if another P-neighbour z of c has
+      c as its only candidate too: c cannot be the partner of both.
+
+Forcing leaves into D and supports into P (Obs 4.2) follows: a leaf's
+one neighbour goes to P by (1), and the leaf, whose only neighbour is
+then in P and so cannot dominate it from D, can only join D.  A connected
 component of G[P] whose vertices have no unassigned neighbour is final:
 it is checked for a perfect matching as soon as it closes, and the branch
 is pruned if it has none.  A complete assignment therefore has a matched
 component everywhere, and its matching is the union of theirs.
 
-The search is set up once per graph g.  Set-up forces g's leaves and
-supports and propagates them: the core, which every DP-pair of g agrees
-with.  Every DP-pair of G - e is a DP-pair of g (supergraph
+The search is set up once per graph g.  Set-up settles every vertex from
+the empty assignment and propagates: the core, which every DP-pair of g
+agrees with.  Every DP-pair of G - e is a DP-pair of g (supergraph
 monotonicity), so the same engine decides each G - e from g's core
-without building G - e: with edge e masked, only its endpoints' degrees,
-neighbour rows and counters change (a loop drops its vertex by two), a
-vertex the deletion isolates answers at once, a new leaf and its support
-are forced, and propagation and the final-component check start at the
-two endpoints.  Only a core that survives is searched, in G - e's BFS
+without building G - e: with edge e masked, only its endpoints' neighbour
+rows and counters change, and settling the two endpoints, propagation
+and the final-component check start there (a vertex the deletion
+isolates fails at once, and a new leaf and its support are forced by the
+same rules).  Only a core that survives is searched, in G - e's BFS
 order.  The lists are those of a search on the real G - e, in the same
 order: the depth-first search in a fixed vertex order, D before P, emits
 pairs in lexicographic order, and sound extra forcing only prunes.  A
@@ -149,10 +162,13 @@ def dp_pair_problem(g: Multigraph, pair: DpPair) -> str | None:
         return "D and P do not partition the vertex set"
     if len(p) % 2:
         return f"P has odd size {len(p)}"
-    for name, s in (("D", d), ("P", p)):
-        for v in range(g.n):
-            if v not in s and g.neighborhood(v).isdisjoint(s):
-                return f"{name} is not dominating: vertex {v} has no neighbour in it"
+    # D and P partition the vertices, so only the other set's vertices need
+    # a neighbour in s; a loop never gives a vertex outside s one in s
+    plain = g.plain_neighbors
+    for name, s, outside in (("D", d, p), ("P", p, d)):
+        bad = [v for v in outside if plain(v).isdisjoint(s)]
+        if bad:
+            return f"{name} is not dominating: vertex {min(bad)} has no neighbour in it"
     covered: set[int] = set()
     for eid in pair.matching:
         if not (0 <= eid < g.m):
@@ -191,23 +207,23 @@ def _dp_search(g: Multigraph) -> Callable[..., list[DpPair]]:
     G - skip, matchings in G - skip's edge ids, searched on g's adjacency
     with that edge masked.
 
-    Set-up forces g's leaves into D and its supports into P, propagates,
-    and checks the P-components this closes: the core.  A contradictory
-    core answers [] for g and every G - skip.  Each search starts from the
-    core and returns the engine to it, so one engine answers any sequence
-    of questions.
+    Set-up settles every vertex of g from the empty assignment, propagates
+    to the fixpoint of the two rules (so g's leaves are in D and its
+    supports in P), and checks the P-components this closes: the core.  A
+    contradictory core answers [] for g and every G - skip.  Each search
+    starts from the core and returns the engine to it, so one engine
+    answers any sequence of questions.
 
     Every vertex keeps its neighbour counts per state.  Assigning a vertex
     is one pass over its row: each neighbour's counts move and settle(),
-    the one DP rule, checks it and pushes the moves it forces at once;
-    then the vertex itself is settled.  The masked set-up settles the
-    edge's two endpoints with the same rule.  Every emitted pair is
-    re-verified on its host, g or G - skip built at the first hit, with
-    is_dp_pair and the Obs 4.2 containments; a host's leaves and supports
-    are computed once, when the host is.
+    which applies the DP rules at one vertex, checks it and pushes the
+    moves it forces at once; then the vertex itself is settled.  The
+    masked set-up settles the edge's two endpoints the same way.  Every
+    emitted pair is re-verified on its host, g or G - skip built at the
+    first hit, with is_dp_pair and the Obs 4.2 containments; a host's
+    leaves and supports are computed once, when the host is.
     """
     n = g.n
-    degree = [g.degree(v) for v in range(n)]
     nbrs = [sorted(g.plain_neighbors(v)) for v in range(n)]
     state = [_UNSET] * n
     # cnt[v][s] = neighbours of v in state s (unassigned, D, P)
@@ -220,16 +236,18 @@ def _dp_search(g: Multigraph) -> Callable[..., list[DpPair]]:
     masked: tuple[int, int, int, dict] | None = None  # (skip, a, b, memo)
 
     def settle(v: int, queue: list[tuple[int, int]]) -> bool:
-        """The DP rule at v on its current counters: False if v can no
-        longer be satisfied, else push the moves it forces onto queue.
+        """The DP rules at v on its current counters: False if v can no
+        longer be satisfied, else push the moves they force onto queue.
 
-        Every vertex needs a P- or unassigned neighbour: a D-vertex to be
-        dominated by P, a P-vertex for its partner, and so an unassigned
-        one too.  An unassigned vertex with no D- or unassigned neighbour
-        can only join D; a P-vertex with none is not dominated by D.  An
-        assigned vertex with one unassigned neighbour w left forces w to
-        P if it has no P-neighbour, and a P-vertex forces w to D if it has
-        no D-neighbour (both at once is a conflict propagate() reports).
+        Every vertex needs a P-neighbour (rule 1 in the module docstring),
+        so v fails with no P- or unassigned neighbour, and with no
+        P-neighbour and one unassigned neighbour w left it forces w to P.
+        An unassigned vertex with no D- or unassigned neighbour can only
+        join D; a P-vertex with none is not dominated by D, and with one
+        unassigned neighbour w left and no D-neighbour it forces w to D
+        (both forces at once is a conflict propagate() reports).  A
+        P-vertex with one candidate partner c left fails if another
+        P-neighbour of c has c as its only candidate too (rule 2).
         """
         ucnt, dcnt, pcnt = cnt[v]
         if pcnt + ucnt < 1:
@@ -240,7 +258,7 @@ def _dp_search(g: Multigraph) -> Callable[..., list[DpPair]]:
                 queue.append((v, _D))
         elif side == _P and dcnt + ucnt < 1:
             return False
-        elif ucnt == 1:
+        if ucnt == 1 and (pcnt == 0 or side == _P and dcnt == 0):
             for w in nbrs[v]:
                 if state[w] == _UNSET:
                     break
@@ -248,6 +266,13 @@ def _dp_search(g: Multigraph) -> Callable[..., list[DpPair]]:
                 queue.append((w, _D))
             if pcnt == 0:
                 queue.append((w, _P))
+        if side == _P and pcnt + ucnt == 1:
+            for c in nbrs[v]:
+                if state[c] != _D:
+                    break
+            for z in nbrs[c]:
+                if z != v and state[z] == _P and cnt[z][0] + cnt[z][2] == 1:
+                    return False
         return True
 
     def propagate(queue: list[tuple[int, int]]) -> bool:
@@ -422,10 +447,6 @@ def _dp_search(g: Multigraph) -> Callable[..., list[DpPair]]:
             undo(core)
             return results
         a, b = g.us[skip], g.vs[skip]
-        # degrees in G - skip: a loop drops its vertex by two
-        ends = {a: degree[a] - 2} if a == b else {a: degree[a] - 1, b: degree[b] - 1}
-        if 0 in ends.values():
-            return []
         # a and b stop being plain neighbours unless a parallel edge remains;
         # only their rows and counters change
         cut = a != b and not any(
@@ -439,16 +460,13 @@ def _dp_search(g: Multigraph) -> Callable[..., list[DpPair]]:
             cnt[a][state[b]] -= 1
             cnt[b][state[a]] -= 1
         masked = (skip, a, b, {})
-        # a new leaf goes to D and its support to P; no other vertex's
-        # counters changed, so only a and b need settling
-        queue = []
-        for v, d in ends.items():
-            if d == 1:
-                queue += [(v, _D), (nbrs[v][0], _P)]
+        # no other vertex's counters changed, so only a and b need settling
+        queue: list[tuple[int, int]] = []
         ok = (
-            all(settle(v, queue) for v in ends)
+            settle(a, queue)
+            and settle(b, queue)
             and propagate(queue)
-            and final_components_match(trail[core:] + [*ends])
+            and final_components_match(trail[core:] + [a, b])
         )
         results = walk(cap) if ok else []
         undo(core)
@@ -459,11 +477,11 @@ def _dp_search(g: Multigraph) -> Callable[..., list[DpPair]]:
         masked = None
         return results
 
-    leaves = [v for v in range(n) if degree[v] == 1]
-    # a leaf has no loop, so its one edge-end makes one plain neighbour
+    # the core: every vertex settled from the empty assignment, propagated
+    queue = []
     alive = (
-        0 not in degree
-        and propagate([(v, _D) for v in leaves] + [(nbrs[v][0], _P) for v in leaves])
+        all(settle(v, queue) for v in range(n))
+        and propagate(queue)
         and final_components_match(trail)
     )
     core = len(trail)

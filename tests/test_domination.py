@@ -1,11 +1,20 @@
 from __future__ import annotations
 
+import hashlib
 import random
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from dpdp.catalog import complete, cycle, path
+import dpdp.domination
+from dpdp.catalog import (
+    complete,
+    cycle,
+    enumerate_connected_multigraphs,
+    enumerate_connected_simple,
+    enumerate_trees,
+    path,
+)
 from dpdp.domination import (
     DpPair,
     _dp_search,
@@ -20,6 +29,7 @@ from dpdp.domination import (
     is_paired_dominating,
 )
 from dpdp.graph import Multigraph
+from dpdp.minimality import _pairs_and_witness, deletion_witness
 from dpdp.subdivision import build_s2
 
 from helpers import (
@@ -341,3 +351,57 @@ def test_two_vertex_matching_is_the_lowest_joining_edge(g, data):
         h.add_nodes_from((a, b))
         h.add_edges_from((a, b) for eid in joining if eid != skip)
         assert (got is not None) == (len(nx.max_weight_matching(h, maxcardinality=True)) == 1)
+
+
+# -- the engine's bytes and work -------------------------------------------
+
+# dp_search_digest over dp_search_hosts(); the engine's pairs, their order,
+# matchings and deletion witnesses may not change
+DP_SEARCH_SHA256 = "49318f428cf9a15ee60cb6937e7e22d07409959e48d14ea4dc11474a7416e7b0"
+
+
+def dp_search_digest(hosts) -> str:
+    """SHA-256 over, for each host in turn, its first ten DP-pairs (D, P
+    and matching) and its deletion witness."""
+    digest = hashlib.sha256()
+    for g in hosts:
+        pairs = [(sorted(p.d), sorted(p.p), p.matching) for p in enumerate_dp_pairs(g, 10)]
+        digest.update(repr((pairs, deletion_witness(g))).encode() + b"\n")
+    return digest.hexdigest()
+
+
+def dp_search_hosts():
+    """1,517 hosts: the connected multigraphs with up to 6 edges and the S2
+    of each, the S2 of every tree on 2-11 vertices with every leaf doubled,
+    and the S2 of every connected simple graph on 2-6 vertices."""
+    for h in enumerate_connected_multigraphs(6):
+        yield h
+        yield build_s2(h)[0]
+    for n in range(2, 12):
+        for t in enumerate_trees(n):
+            yield build_s2(t, {v: 2 for v in t.leaves()})[0]
+    for n in range(2, 7):
+        for h in enumerate_connected_simple(n):
+            yield build_s2(h)[0]
+
+
+def test_dp_search_bytes_pinned():
+    assert dp_search_digest(dp_search_hosts()) == DP_SEARCH_SHA256
+
+
+def test_dp_search_work_pinned(monkeypatch):
+    # every unmasked component matching goes through the public entry; a
+    # forcing rule that prunes more may lower the count, never raise it
+    calls = 0
+    real = has_perfect_matching_on
+
+    def counted(g, s):
+        nonlocal calls
+        calls += 1
+        return real(g, s)
+
+    monkeypatch.setattr(dpdp.domination, "has_perfect_matching_on", counted)
+    for n in range(2, 7):
+        for h in enumerate_connected_simple(n):
+            _pairs_and_witness(build_s2(h)[0], 2)
+    assert calls == 1721
