@@ -190,39 +190,37 @@ def find_good_subgraph(h: Multigraph) -> GoodSubgraphCertificate | None:
     counters; verify_good_certificate runs once, as an assertion on the
     hit.  Output is deterministic.
 
-    The Q sets of one size come from _q_sets in exactly that order, with
-    only sets missing that could never succeed: the first hit, and so the
-    certificate, is the one the unpruned order would give.
+    The Q sets come from _q_sets in exactly that order, with only sets
+    missing that could never succeed, and one that breaks the final-arc
+    bound of _search_paths before its first path starts gets no search:
+    the first hit, and so the certificate, is the one the unpruned order
+    would give.
     """
     if any(h.degree(v) == 0 for v in range(h.n)):
         raise ValueError("host graph must have no isolated vertex")
     allowed = frozenset(range(h.n)) - h.leaves() - h.supports()
     us, vs = h.us, h.vs
     eligible = [eid for eid in range(h.m) if us[eid] in allowed and vs[eid] in allowed]
-    degree = [h.degree(x) for x in range(h.n)]
-    for size in range(1, len(eligible) + 1):
-        for combo in _q_sets(h, eligible, size):
-            # left[x]: edge-ends at x outside Q (a Q-loop takes two)
-            left = degree[:]
-            q_vertices = set()
-            for eid in combo:
-                u, v = us[eid], vs[eid]
-                left[u] -= 1
-                left[v] -= 1
-                q_vertices.add(u)
-                q_vertices.add(v)
-            cert = _search_paths(h, frozenset(q_vertices), frozenset(combo), left)
-            if cert is not None:
-                ok, why = verify_good_certificate(h, cert)
-                assert ok, why
-                return cert
+    for combo, left in _q_sets(h, eligible):
+        q_vertices = frozenset(us[eid] for eid in combo) | frozenset(vs[eid] for eid in combo)
+        # the final-arc bound of _search_paths before path 0 starts
+        if sum(left[x] for x in q_vertices) > 2 * len(q_vertices):
+            continue
+        cert = _search_paths(h, q_vertices, frozenset(combo), left)
+        if cert is not None:
+            ok, why = verify_good_certificate(h, cert)
+            assert ok, why
+            return cert
     return None
 
 
-def _q_sets(h: Multigraph, eligible: list[int], size: int):
-    """The size-subsets of eligible that pass two necessary conditions,
-    ordered by component count, then lexicographically, from one
-    depth-first walk on an index stack.
+def _q_sets(h: Multigraph, eligible: list[int]):
+    """Pairs (Q, left), Q running over the subsets of eligible that pass
+    two necessary conditions, by size, then component count, then
+    lexicographically, from one depth-first walk per size on an index
+    stack; left[x] counts the edge-ends at x outside Q (a Q-loop takes
+    two).  left is the walk's own list: a consumer restores whatever it
+    changes in it before asking for the next pair.
 
     (a) Every Q-vertex keeps an edge-end outside Q for its outgoing arc.
     (b) The Q boundary fits in n arcs: arcs have pairwise distinct tails
@@ -231,69 +229,74 @@ def _q_sets(h: Multigraph, eligible: list[int], size: int):
         (edges touching S) - |Q| edges.
     Both only get worse as a prefix grows (edge-ends outside Q fall, S
     grows), so a prefix that breaks one, measured against the full size,
-    is cut with every set that extends it.
+    is cut with every set that extends it.  (a) is two decrements of
+    left per edge.  For (b) each vertex has one bitmask of its incident
+    edges, built once per host (a loop sets one bit), and each depth of
+    the index stack holds the OR of its prefix's masks, the edges
+    touching S; backtracking pops it.
 
     The walk meets the survivors in lexicographic order.  Components order
     survivors but never cut a prefix, so they are counted once per
     full-size survivor, from its own edges.  A connected survivor is
     yielded the moment the walk meets it; the disconnected ones wait in
     one list per component count, each list in lexicographic order, and
-    follow after the walk, fewest components first.  Only those are ever
-    held, so a consumer that stops at a connected hit holds at most the
-    disconnected sets met before it.
+    follow after the walk, fewest components first, each with left
+    recounted.  Only those are ever held, so a consumer that stops at a
+    connected hit holds at most the disconnected sets met before it.
     """
     us, vs = h.us, h.vs
-    degree = [h.degree(x) for x in range(h.n)]
-    left = degree[:]  # edge-ends outside the prefix; x is in S iff below degree
-    s_ends = [0] * h.m  # endpoints of an edge in S (a loop counts once)
-    touching = 0  # edges with an endpoint in S
-    disconnected: dict[int, list[tuple[int, ...]]] = {}
-    picked: list[int] = []  # indices into eligible, ascending
-
-    def add(eid: int) -> None:
-        nonlocal touching
-        for w in (us[eid], vs[eid]):
-            left[w] -= 1
-            if left[w] == degree[w] - 1:  # w joins S
-                for f in h.incident_edges(w):
-                    touching += s_ends[f] == 0
-                    s_ends[f] += 1
-
-    def remove(eid: int) -> None:
-        nonlocal touching
-        for w in (us[eid], vs[eid]):
-            left[w] += 1
-            if left[w] == degree[w]:  # w leaves S
-                for f in h.incident_edges(w):
-                    s_ends[f] -= 1
-                    touching -= s_ends[f] == 0
-
-    i = 0
-    while True:
-        if len(picked) + len(eligible) - i >= size:
-            eid = eligible[i]
-            add(eid)
-            if left[us[eid]] >= 1 and left[vs[eid]] >= 1 and touching - size <= h.n:
-                if len(picked) + 1 == size:
-                    q = (*(eligible[j] for j in picked), eid)
-                    count = _component_count(h, q)
-                    if count == 1:
-                        yield q
+    left = [h.degree(x) for x in range(h.n)]
+    incident = [0] * h.n
+    for eid in range(h.m):
+        incident[us[eid]] |= 1 << eid
+        incident[vs[eid]] |= 1 << eid
+    k = len(eligible)
+    for size in range(1, k + 1):
+        limit = h.n + size
+        disconnected: dict[int, list[tuple[int, ...]]] = {}
+        picked: list[int] = []  # indices into eligible, ascending
+        touching = [0]  # touching[d]: mask of the edges touching the first d picked
+        i = 0
+        while True:
+            if len(picked) + k - i >= size:
+                eid = eligible[i]
+                u, v = us[eid], vs[eid]
+                left[u] -= 1
+                left[v] -= 1
+                mask = touching[-1] | incident[u] | incident[v]
+                if left[u] >= 1 and left[v] >= 1 and mask.bit_count() <= limit:
+                    if len(picked) + 1 == size:
+                        q = (*(eligible[j] for j in picked), eid)
+                        count = _component_count(h, q)
+                        if count == 1:
+                            yield q, left
+                        else:
+                            disconnected.setdefault(count, []).append(q)
                     else:
-                        disconnected.setdefault(count, []).append(q)
-                else:
-                    picked.append(i)
-                    i += 1
-                    continue
-            remove(eid)
-            i += 1
-        elif picked:
-            remove(eligible[picked[-1]])
-            i = picked.pop() + 1
-        else:
-            break
-    for count in sorted(disconnected):
-        yield from disconnected.pop(count)
+                        picked.append(i)
+                        touching.append(mask)
+                        i += 1
+                        continue
+                left[u] += 1
+                left[v] += 1
+                i += 1
+            elif picked:
+                i = picked.pop()
+                touching.pop()
+                left[us[eligible[i]]] += 1
+                left[vs[eligible[i]]] += 1
+                i += 1
+            else:
+                break
+        for count in sorted(disconnected):
+            for q in disconnected.pop(count):
+                for eid in q:
+                    left[us[eid]] -= 1
+                    left[vs[eid]] -= 1
+                yield q, left
+                for eid in q:
+                    left[us[eid]] += 1
+                    left[vs[eid]] += 1
 
 
 def _component_count(h: Multigraph, q_edges: tuple[int, ...]) -> int:
@@ -340,20 +343,34 @@ def _search_paths(
     pos == qvs[i] this is the bound before path i starts: the sum of left
     over has_out vertices plus of left - 1 over qvs[i:] is at most
     len(qvs) - i.
+
+    The two sums of the bound are running totals, out_left over the
+    has_out vertices and pending over the unstarted Q-vertices; they
+    change where left, has_out or the current path do, and a loop arc
+    takes 2 off out_left (both its edge-ends are at pos).  On failure
+    every counter, left included, is back where it started.
     """
     qvs = sorted(q_vertices)
     us, vs = h.us, h.vs
     has_out = [False] * h.n
     oriented: dict[int, tuple[int, int]] = {}
     paths: dict[int, tuple[int, ...]] = {}
+    out_left = 0
+    pending = sum(left[u] for u in qvs)
 
     def start_next(i: int) -> bool:
+        nonlocal pending
         if i == len(qvs):
             return all((left[x] == 0) == has_out[x] for x in range(h.n))
         v = qvs[i]
-        return grow(i, v, [], {v})
+        pending -= left[v]
+        if grow(i, v, [], {v}):
+            return True
+        pending += left[v]
+        return False
 
     def grow(i: int, pos: int, arcs_acc: list[int], visited: set[int]) -> bool:
+        nonlocal out_left, pending
         v = qvs[i]
         if arcs_acc:
             paths[v] = tuple(arcs_acc)
@@ -365,11 +382,10 @@ def _search_paths(
         if has_out[pos]:
             return False  # an inner vertex of an earlier path
         # the final-arc bound of the docstring, pos counted as marked
-        marked_left = left[pos] + sum(left[u] for u in qvs[i + 1:])
-        marked_left += sum(left[x] for x in range(h.n) if has_out[x])
-        if marked_left > 2 * (len(qvs) - i):
+        if left[pos] + pending + out_left > 2 * (len(qvs) - i):
             return False
         has_out[pos] = True
+        out_left += left[pos]
         for eid in h.incident_edges(pos):
             if eid in oriented or eid in q_edges:
                 continue
@@ -384,6 +400,10 @@ def _search_paths(
             left[pos] -= 1
             left[nxt] -= 1
             if left[pos] >= 0 and left[nxt] >= 0:
+                taken = 1 + has_out[nxt]  # 2 for a loop arc: nxt is pos
+                unstarted = nxt > v and nxt in q_vertices
+                out_left -= taken
+                pending -= unstarted
                 oriented[eid] = (pos, nxt)
                 arcs_acc.append(eid)
                 if closing:
@@ -398,8 +418,11 @@ def _search_paths(
                     visited.discard(nxt)
                 arcs_acc.pop()
                 del oriented[eid]
+                out_left += taken
+                pending += unstarted
             left[pos] += 1
             left[nxt] += 1
+        out_left -= left[pos]
         has_out[pos] = False
         return False
 

@@ -3,16 +3,19 @@
 Everything here recomputes from raw edge data with its own naive
 algorithms; none of it calls the library's search or matching code, so
 engine results can be checked against a genuinely independent path.
-The hypothesis strategies at the end draw the random inputs they are
-compared on.
+The seeded samplers and hypothesis strategies at the end draw the inputs
+they are compared on.
 """
 
 from __future__ import annotations
 
+import pathlib
+import random
 from itertools import combinations, combinations_with_replacement, permutations
 
 from hypothesis import strategies as st
 
+from dpdp.catalog import read_graph6_file
 from dpdp.graph import Multigraph
 
 
@@ -100,6 +103,37 @@ def oracle_connected_multigraphs(max_edges: int) -> set[tuple[int, tuple]]:
 def edge_list_text(g: Multigraph) -> str:
     lines = [f"{g.n} {g.m}"] + [f"{e.u} {e.v}" for e in g.edges]
     return "\n".join(lines) + "\n"
+
+
+def random_looped_multigraphs(count: int, seed: int) -> list[Multigraph]:
+    """count random labelled multigraphs on 1-6 vertices with no isolated
+    vertex, from random.Random(seed).  Each has n to 2n + 1 edges; an edge
+    is a loop with probability 1/4, and otherwise joins two vertices drawn
+    independently (so also a loop when they coincide), which makes
+    parallel edges common.  Drafts with an isolated vertex are redrawn."""
+    rng = random.Random(seed)
+    hosts: list[Multigraph] = []
+    while len(hosts) < count:
+        n = rng.randint(1, 6)
+        edges = []
+        for _ in range(rng.randint(n, 2 * n + 1)):
+            u = rng.randrange(n)
+            edges.append((u, u if rng.random() < 0.25 else rng.randrange(n)))
+        if {x for e in edges for x in e} == set(range(n)):
+            hosts.append(Multigraph(n, edges))
+    return hosts
+
+
+def simple_n8_sample(k: int = 150) -> list[Multigraph]:
+    """k graphs of tests/fixtures/simple_n8.g6 chosen by
+    random.Random(3).sample, in the order drawn.  The fixture holds one
+    representative per class, so every class is equally likely, but a
+    fixed seed picks one particular k of the 11,117: the sample is not
+    spread evenly over edge counts or any other class property, and it
+    says nothing about random labelled graphs."""
+    fixture = pathlib.Path(__file__).parent / "fixtures" / "simple_n8.g6"
+    graphs = read_graph6_file(fixture.read_text())
+    return random.Random(3).sample(graphs, k)
 
 
 @st.composite

@@ -44,7 +44,13 @@ from dpdp.graph import Multigraph
 from dpdp.minimality import is_minimal_by_deletion
 from dpdp.subdivision import build_s2
 
-from helpers import based_alphas, oracle_dominating, oracle_pairing_exists
+from helpers import (
+    based_alphas,
+    multigraphs,
+    oracle_dominating,
+    oracle_pairing_exists,
+    random_looped_multigraphs,
+)
 
 
 CUBIC_CERTIFICATES_SHA256 = (
@@ -53,6 +59,11 @@ CUBIC_CERTIFICATES_SHA256 = (
 # the same over the 470 connected multigraphs with up to 6 edges
 MULTIGRAPHS_LE6_CERTIFICATES_SHA256 = (
     "babe04ad025e01cd6e282713d258a11c5c6e3ed2cce99228395f9be452c56b15"
+)
+
+# the same over random_looped_multigraphs(3000, seed=1)
+LOOPED_CERTIFICATES_SHA256 = (
+    "e8a9bf075d772738bd8ad5c1b0bd5eccf327063b78b1bd0ec9ae9c5238097a7e"
 )
 
 # (q_edges, arcs in dict order) of the first good subgraph of K7 and K8:
@@ -226,17 +237,18 @@ def test_one_verification_per_question(monkeypatch):
 
 
 def _count_search_work(monkeypatch, hosts, count_grow: bool = True) -> Counter:
-    """The Q sets _q_sets hands out, the path searches (by |Q|) and, with
+    """The Q sets _q_sets hands out, the path searches (by |Q|; a Q set
+    that fails the final-arc bound up front gets none) and, with
     count_grow, their grow steps while find_good_subgraph runs on every
     host."""
     counts: Counter = Counter()
     real_q_sets = dpdp.goodsub._q_sets
     real_search = dpdp.goodsub._search_paths
 
-    def q_sets(h, eligible, size):
-        for combo in real_q_sets(h, eligible, size):
+    def q_sets(h, eligible):
+        for combo, left in real_q_sets(h, eligible):
             counts["q_sets"] += 1
-            yield combo
+            yield combo, left
 
     def search_paths(h, q_vertices, q_edges, left):
         counts["search"] += 1
@@ -273,9 +285,11 @@ def test_dead_q_prefixes_and_path_families_are_cut(monkeypatch):
         for g in enumerate_connected_simple(n)
     ]
     counts = _count_search_work(monkeypatch, bases)
-    # the walk hands out a Q set only when it is next to be searched
-    assert counts["q_sets"] == counts["search"] == 2444
-    assert counts["grow"] <= 50_000
+    # the walk hands out a Q set only when it is next to be searched, and
+    # 570 of them fail the final-arc bound before a path search is set up
+    assert counts["q_sets"] == 2444
+    assert counts["search"] == 1874
+    assert counts["grow"] <= 22_741
 
 
 def _reference_q_sets(h: Multigraph, eligible: list[int], size: int) -> list:
@@ -322,21 +336,40 @@ def _reference_q_sets(h: Multigraph, eligible: list[int], size: int) -> list:
     return sorted(survivors, key=components)
 
 
-def test_q_sets_match_reference_order(multigraphs_le5):
-    # every size, on the eligible edges find_good_subgraph would pass and
-    # on all edges; the walk hands out exactly the reference list
+def _check_q_sets(h: Multigraph) -> int:
+    """Assert that the walk hands out exactly the reference list, every
+    size in turn, each Q set with the edge-ends outside it, on the
+    eligible edges find_good_subgraph would pass and on all edges; return
+    the number of Q sets compared."""
+    allowed = set(range(h.n)) - h.leaves() - h.supports()
+    eligible = [e.id for e in h.edges if e.u in allowed and e.v in allowed]
     checked = 0
-    for h in [*multigraphs_le5, complete(5), complete(6)]:
-        allowed = set(range(h.n)) - h.leaves() - h.supports()
-        eligible = [e.id for e in h.edges if e.u in allowed and e.v in allowed]
-        for edges in (eligible, list(range(h.m))):
-            for size in range(1, len(edges) + 1):
-                want = _reference_q_sets(h, edges, size)
-                assert list(dpdp.goodsub._q_sets(h, edges, size)) == want, (
-                    h.edge_multiset(), edges, size,
-                )
-                checked += len(want)
+    for edges in (eligible, list(range(h.m))):
+        want = []
+        for size in range(1, len(edges) + 1):
+            for combo in _reference_q_sets(h, edges, size):
+                outside = [h.degree(x) for x in range(h.n)]
+                for eid in combo:
+                    outside[h.edges[eid].u] -= 1
+                    outside[h.edges[eid].v] -= 1
+                want.append((combo, outside))
+        got = [(q, left[:]) for q, left in dpdp.goodsub._q_sets(h, edges)]
+        assert got == want, (h.edge_multiset(), edges)
+        checked += len(want)
+    return checked
+
+
+def test_q_sets_match_reference_order(multigraphs_le5):
+    checked = sum(_check_q_sets(h) for h in [*multigraphs_le5, complete(5), complete(6)])
     assert checked > 10_000
+
+
+@settings(max_examples=300, deadline=None)
+@given(multigraphs(max_n=6, max_m=9))
+def test_q_sets_match_reference_on_random_multigraphs(h):
+    # loops and parallel edges: a loop sets one bit of its vertex's mask
+    # and takes two of its edge-ends
+    _check_q_sets(h)
 
 
 def test_k7_builds_few_q_sets(monkeypatch):
@@ -399,6 +432,13 @@ def test_multigraph_certificates_pinned():
     hosts = enumerate_connected_multigraphs(6)
     assert len(hosts) == 470
     assert certificates_digest(hosts) == MULTIGRAPHS_LE6_CERTIFICATES_SHA256
+
+
+def test_looped_multigraph_certificates_pinned():
+    # loops and parallel edges on up to 6 vertices, where a loop arc's
+    # two edge-ends at one vertex enter the path search's running sums
+    hosts = random_looped_multigraphs(3000, seed=1)
+    assert certificates_digest(hosts) == LOOPED_CERTIFICATES_SHA256
 
 
 def test_first_q_set_needs_little_memory():
