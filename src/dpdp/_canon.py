@@ -42,35 +42,36 @@ The first leaf's form depends on the vertex labels, so it is not a
 canonical form; the dedup uses it only as a goal that an isomorphic
 graph's tree is known to reach.
 
-The dedup (``_classes`` for plain ``(n, ends)`` candidates, and
-``classes_by_isomorphism``) searches only when a candidate collides with
-a representative.  Representatives sit in buckets keyed by the hash of the
-label-free root key: n, m, the sorted start colours, the root invariant
-and the cell sizes.  A candidate whose bucket is empty becomes a
-representative without any search.  Otherwise each representative in the
-bucket gets its goal, the trace and form of its first leaf, once, by a
-search from its own edges, and ``_match`` walks the candidate's tree
-without any pruning, following a child only while some representative's
-trace has the child's invariant at its depth; a leaf whose relabelled
-edge multiset is that representative's form is a match.  This is exact:
+The dedup is one add-or-match step, ``_Seen.add``: ``_classes`` (plain
+``(n, ends)`` candidates) and ``classes_by_isomorphism`` run it on each
+candidate, and the cubic enumerator also on partial graphs.  It searches
+only when a graph collides with one recorded before.  Recorded graphs sit
+in buckets keyed by the hash of the label-free root key: n, m, the sorted
+start colours, the root invariant and the cell sizes.  A graph whose
+bucket is empty is recorded without any search.  Otherwise each recorded
+graph in the bucket gets its goal, the trace and form of its first leaf,
+once, by the first descent of its own tree alone, and ``_match`` walks
+the new graph's tree without any pruning, following a child only while
+some goal's trace has the child's invariant at its depth; a leaf whose
+relabelled edge multiset is that goal's form is a match.  This is exact:
 
-- (a) Isomorphic candidates have equal root keys, because the start colours
+- (a) Isomorphic graphs have equal root keys, because the start colours
   and the refinement never read a vertex label.
-- (b) A match is an explicit isomorphism: the leaf and the representative's
-  first leaf are discrete colourings of n vertices under which both edge
-  multisets relabel to the same form.  So a shared invariant, or a hash
-  collision between root keys or trace entries, costs time, never
-  correctness.
-- (c) If the candidate is isomorphic to a representative R, by some phi,
-  then phi maps R's tree onto the candidate's unpruned tree: the target
+- (b) A match is an explicit isomorphism: the leaf and the recorded
+  graph's first leaf are discrete colourings of n vertices under which
+  both edge multisets relabel to the same form.  So a shared invariant,
+  or a hash collision between root keys or trace entries, costs time,
+  never correctness.
+- (c) If the new graph is isomorphic to a recorded graph R, by some phi,
+  then phi maps R's tree onto the new graph's unpruned tree: the target
   cell and the refinements are label-free, so the image of R's first leaf
   path has R's invariant at every depth, ends at the same depth, and its
-  leaf relabels the candidate to R's form.  So the walk reaches it.
+  leaf relabels the new graph to R's form.  So the walk reaches it.
 
 Hence every class keeps its first candidate, whichever leaf a goal uses,
 and the representatives, their edge order and the output order do not
 depend on the search.  A Multigraph is built only for a representative.
-Exact and dependency-free; fine at desk scale (n <= 10).
+Exact and dependency-free; fine at desk scale (n <= 14).
 """
 
 from __future__ import annotations
@@ -212,16 +213,16 @@ def _root(n: int, ends: Sequence[tuple[int, int]]) -> tuple[tuple, tuple]:
     return (around, color, cells, inv), key
 
 
-def _search(
-    n: int, ends: Sequence[tuple[int, int]], root: tuple
-) -> tuple[Form, list[list[int]], list[int]]:
-    """The first leaf's form, the automorphisms found on the way and the
-    first leaf's trace (the invariants from the root down), searched from
-    the root state that _root returned for the same (n, ends)."""
-    around, color, cells, inv = root
+def _automorphisms(n: int, ends: Sequence[tuple[int, int]]) -> list[list[int]]:
+    """Automorphisms of the multigraph on vertices 0..n-1 with edges ends
+    that the first-path search finds (each a list a with a[v] the image of
+    v).  They generate a subgroup of Aut, possibly all of it; none are
+    found when the refined root colouring is discrete, as Aut is then
+    trivial."""
+    around, color, cells, inv = _root(n, ends)[0]
     trace = [inv]  # trace[k] is the invariant of the first path's node at depth k
     if cells == n:
-        return _relabel(ends, color), [], trace
+        return []
 
     first: tuple | None = None  # (form, path, colouring) of the first leaf
     autos: list[list[int]] = []
@@ -254,15 +255,7 @@ def _search(
         elif form == first[0]:
             autos.append(_automorphism(first[2], child))
             del stack[_common_prefix(first[1], child_path) + 1:]
-    return first[0], autos, trace
-
-
-def _automorphisms(n: int, ends: Sequence[tuple[int, int]]) -> list[list[int]]:
-    """Automorphisms of the multigraph on vertices 0..n-1 with edges ends
-    that the search finds (each a list a with a[v] the image of v).  They
-    generate a subgroup of Aut, possibly all of it; none are found when the
-    refined root colouring is discrete, as Aut is then trivial."""
-    return _search(n, ends, _root(n, ends)[0])[1]
+    return autos
 
 
 def _match(
@@ -318,11 +311,45 @@ def _class_order(g: Multigraph) -> tuple:
     )
 
 
-def _goal(g: Multigraph) -> tuple[list, Form]:
-    """The trace and form of a representative's first leaf."""
-    ends = list(zip(g.us, g.vs))
-    form, _, trace = _search(g.n, ends, _root(g.n, ends)[0])
-    return trace, form
+def _goal(n: int, ends: Sequence[tuple[int, int]]) -> tuple[list, Form]:
+    """The trace and form of the first leaf of the search tree of (n, ends):
+    the first descent alone, which individualizes the first vertex of each
+    target cell, as the search's first path does."""
+    around, color, cells, inv = _root(n, ends)[0]
+    trace = [inv]
+    while cells < n:
+        color, cells, inv = _refine(
+            _individualize(color, _target_cell(color)[0]), cells + 1, around
+        )
+        trace.append(inv)
+    return trace, _relabel(ends, color)
+
+
+class _Seen:
+    """Multigraphs recorded up to isomorphism: the add-or-match step of the
+    dedup in the module docstring, kept open so that a generator can also
+    ask it about partial objects as it meets them."""
+
+    __slots__ = ("buckets",)
+
+    def __init__(self) -> None:
+        # hash of the root key -> [[n, ends, goal or None], ...]
+        self.buckets: dict[int, list[list]] = {}
+
+    def add(self, n: int, ends: Sequence[tuple[int, int]]) -> bool:
+        """Record (n, ends) and answer True, unless it is isomorphic to a
+        graph recorded before: then answer False.  ends is kept, not
+        copied."""
+        root, key = _root(n, ends)
+        bucket = self.buckets.setdefault(hash(key), [])
+        if bucket:
+            for entry in bucket:
+                if entry[2] is None:
+                    entry[2] = _goal(entry[0], entry[1])
+            if _match(n, ends, root, [entry[2] for entry in bucket]) is not None:
+                return False
+        bucket.append([n, ends, None])
+        return True
 
 
 def _dedup(
@@ -331,20 +358,11 @@ def _dedup(
     """The first candidate seen of each class, sorted by _class_order; a
     candidate (n, ends, g) is kept as g, or as Multigraph(n, ends) when g
     is None.  See the module docstring for why this is exact."""
-    buckets: dict[int, list[list]] = {}  # hash of the root key -> [[rep, goal], ...]
-    reps = []
-    for n, ends, g in candidates:
-        root, key = _root(n, ends)
-        bucket = buckets.setdefault(hash(key), [])
-        if bucket:
-            for entry in bucket:
-                if entry[1] is None:
-                    entry[1] = _goal(entry[0])
-            if _match(n, ends, root, [goal for _, goal in bucket]) is not None:
-                continue
-        g = Multigraph(n, ends) if g is None else g
-        bucket.append([g, None])
-        reps.append(g)
+    seen = _Seen()
+    reps = [
+        Multigraph(n, ends) if g is None else g
+        for n, ends, g in candidates if seen.add(n, ends)
+    ]
     reps.sort(key=_class_order)
     return reps
 

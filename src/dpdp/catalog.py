@@ -5,7 +5,8 @@ pair), complete and complete bipartite graphs, stars, double stars, and
 corona graphs with per-vertex pendant counts.
 
 Enumerations keep one representative per isomorphism class and are cached
-for the repeated sweeps; all but cubic add a vertex or edge to smaller ones.
+for the repeated sweeps; all but cubic add a vertex or edge to smaller ones,
+and cubic prunes a backtracker with the dedup's own isomorphism test.
 Candidates are plain edge lists, and only the first of each class becomes
 a Multigraph.  The dedup (``_canon._classes``) buckets candidates by a
 label-free key of their refined root colouring and searches only when a
@@ -32,6 +33,36 @@ each class is never skipped, so the classes, their representatives (edge
 order included) and the output order are those of growing every base by
 every neighbour set.
 
+Cubic graphs come from a backtracker that prunes its search tree by
+isomorph rejection of partial graphs (McKay, *Isomorph-free exhaustive
+generation*, 1998).  A node is a partial graph P on all n vertices; its
+children join P's lowest vertex v of degree below 3 to each vertex that v
+may still take.  Every vertex below v has degree 3, and the untouched
+vertices are an isolated suffix, since a join takes only the first
+untouched vertex above v.  Each time v moves up, P is handed to the
+add-or-match step of the dedup (``_canon._Seen``), and the subtree of P is
+pruned when P is isomorphic to a partial graph recorded before.  This is
+exact:
+
+- The leaves below P, connected or not, are every cubic simple completion
+  of P, each up to a relabelling of P's untouched suffix: whatever edge a
+  completion adds at v, the backtracker tries it, after renaming an
+  untouched end to the first untouched vertex, which fixes P.
+- So isomorphic partial graphs have the same completion classes: an
+  isomorphism phi from P to P' maps each completion of P to one of P'.
+- A recorded P' was met before P and has P's edge count, so P is not
+  below P', and in the depth-first order of the unpruned tree every leaf
+  below P' comes before every leaf below P.  The leaves below P' hold a
+  copy of every class below P, so a pruned subtree never holds the first
+  candidate of a class in the unpruned order.
+
+Hence the classes, representatives, edge order and output order are those
+of the unpruned backtracker.  Only v <= n - 4 is tested: at v > n - 4, at
+most three vertices still lack edges, they can only be joined to each
+other, and a simple graph on at most three vertices is fixed by its
+degrees, so every leaf of the subtree is one labelled graph, and the final
+dedup drops its copies as cheaply.
+
 Codecs: graph6 (simple graphs, single-byte size, n <= 62) and the plain
 edge-list text format, the only lossless multigraph interchange here.
 """
@@ -45,13 +76,13 @@ from itertools import combinations
 from typing import Iterable, Iterator, Sequence
 
 from .graph import MAX_EDGE_LIST_VERTICES, Multigraph
-from ._canon import _automorphisms, _classes
+from ._canon import _Seen, _automorphisms, _classes
 
 #: connected simple graphs on n=1..8 vertices, up to isomorphism
 CONNECTED_SIMPLE_COUNTS = (1, 1, 2, 6, 21, 112, 853, 11117)
 
-#: connected cubic graphs on 4, 6, 8, 10 vertices, up to isomorphism
-CONNECTED_CUBIC_COUNTS = {4: 1, 6: 2, 8: 5, 10: 19}
+#: connected cubic graphs on 4, 6, ..., 14 vertices, up to isomorphism
+CONNECTED_CUBIC_COUNTS = {4: 1, 6: 2, 8: 5, 10: 19, 12: 85, 14: 509}
 
 
 # -- named families ---------------------------------------------------------
@@ -266,20 +297,29 @@ def enumerate_connected_multigraphs(max_edges: int) -> tuple[Multigraph, ...]:
     vertex, one per isomorphism class (loops and parallel edges included),
     in (m, n, sorted degrees, edge list) order.
 
-    Each m-edge class is an (m-1)-edge class on n vertices plus one edge
-    (u, v), 0 <= u < n, u <= v <= n: G minus an edge on a cycle (a loop or
-    a parallel pair counts) is connected, and a tree minus a leaf is a tree.
-    Deduplicated in sorted edge-list order, a class keeps its least one."""
+    Each m-edge class is an (m-1)-edge class B on n vertices plus one edge
+    x = (u, v), 0 <= u < n, u <= v <= n: G minus an edge on a cycle (a loop
+    or a parallel pair counts) is connected, and a tree minus a leaf is a
+    tree.  Deduplicated in sorted edge-list order, a class keeps its least
+    one.  An x that an automorphism of B (one _canon finds, with the new
+    vertex n fixed) maps onto a smaller pair x' is skipped: B + x' is a copy
+    of B + x, and sorted(B + x') < sorted(B + x), since x' < x.  So the
+    least candidate of each class is never skipped."""
     if not (1 <= max_edges <= 6):
         raise ValueError("enumerate_connected_multigraphs supports 1 <= max_edges <= 6")
     if max_edges == 1:
         return (Multigraph(1, [(0, 0)]), Multigraph(2, [(0, 1)]))
     smaller = enumerate_connected_multigraphs(max_edges - 1)
-    candidates = [
-        (max(g.n, v + 1), tuple(sorted(g.edge_multiset() + ((u, v),))))
-        for g in smaller if g.m == max_edges - 1
-        for u in range(g.n) for v in range(u, g.n + 1)
-    ]
+    candidates = []
+    for g in smaller:
+        if g.m < max_edges - 1:
+            continue
+        base = g.edge_multiset()
+        autos = [a + [g.n] for a in _automorphisms(g.n, base)]
+        for u in range(g.n):
+            for v in range(u, g.n + 1):
+                if not any(sorted((a[u], a[v])) < [u, v] for a in autos):
+                    candidates.append((max(g.n, v + 1), tuple(sorted(base + ((u, v),)))))
     candidates.sort(key=lambda c: c[1])
     return smaller + tuple(_classes(candidates))
 
@@ -299,16 +339,31 @@ def enumerate_trees(n: int) -> tuple[Multigraph, ...]:
 
 @lru_cache(maxsize=None)
 def enumerate_connected_cubic(n: int) -> tuple[Multigraph, ...]:
-    """All connected cubic (3-regular) simple graphs on n vertices, one per
-    isomorphism class.  Backtracking over neighbour choices with new
-    vertices used smallest-first; duplicates removed by isomorphism."""
+    """All connected cubic (3-regular) simple graphs on n <= 14 vertices,
+    one per isomorphism class.
+
+    A backtracker joins the lowest vertex of degree below 3 to each
+    later vertex it may still take (an untouched vertex only if it is the
+    first untouched one), and keeps each connected cubic graph it
+    completes.  Each time that lowest vertex moves up to a v <= n - 4, the
+    partial graph goes through the add-or-match step of the dedup, and its
+    subtree is pruned when it is isomorphic to a partial graph recorded
+    before; the module docstring proves that this keeps the first
+    candidate of every class.  At n = 10 the backtracker hands 131 graphs
+    to the dedup (4,384 without the pruning).  Class counts match OEIS
+    A002851: 1, 2, 5, 19, 85, 509 for n = 4..14.  The representatives and
+    order for n <= 10 are those of the unpruned backtracker; 12 and 14 had
+    no enumerator before, so theirs are new.
+    """
     if n < 4 or n % 2:
         return ()
-    if n > 10:
-        raise ValueError("enumerate_connected_cubic supports n <= 10")
+    if n > 14:
+        raise ValueError("enumerate_connected_cubic supports n <= 14")
     found: list[tuple[int, list[tuple[int, int]]]] = []
     adj: list[set[int]] = [set() for _ in range(n)]
     deg = [0] * n
+    edges: list[tuple[int, int]] = []  # the partial graph, in the order added
+    partial = _Seen()
 
     def candidates_for(v: int) -> list[int]:
         out = []
@@ -323,8 +378,9 @@ def enumerate_connected_cubic(n: int) -> tuple[Multigraph, ...]:
                 out.append(u)
         return out
 
-    def extend() -> None:
-        v = next((x for x in range(n) if deg[x] < 3), None)
+    def extend(last: int) -> None:
+        # last is the lowest vertex of degree below 3 at the parent node
+        v = next((x for x in range(last, n) if deg[x] < 3), None)
         if v is None:
             reached = {0}
             todo = [0]
@@ -335,18 +391,22 @@ def enumerate_connected_cubic(n: int) -> tuple[Multigraph, ...]:
             if len(reached) == n:
                 found.append((n, [(u, w) for u in range(n) for w in sorted(adj[u]) if u < w]))
             return
+        if last < v <= n - 4 and not partial.add(n, tuple(edges)):
+            return
         for u in candidates_for(v):
             adj[v].add(u)
             adj[u].add(v)
             deg[v] += 1
             deg[u] += 1
-            extend()
+            edges.append((v, u))
+            extend(v)
+            edges.pop()
             adj[v].remove(u)
             adj[u].remove(v)
             deg[v] -= 1
             deg[u] -= 1
 
-    extend()
+    extend(0)
     return tuple(_classes(found))
 
 

@@ -24,7 +24,6 @@ import functools
 import io
 import os
 import sys
-from concurrent.futures import ProcessPoolExecutor
 from itertools import chain
 from json.encoder import encode_basestring_ascii as _escape
 
@@ -192,6 +191,8 @@ def _pool_map(fn, items):
     workers = min(_workers(), len(items))
     if workers <= 1:
         return [fn(x) for x in items]
+    from concurrent.futures import ProcessPoolExecutor  # only a pool pays for the import
+
     with ProcessPoolExecutor(max_workers=workers) as pool:
         return list(pool.map(fn, items))
 

@@ -34,7 +34,7 @@ from dpdp._canon import (
 from dpdp.catalog import complete, complete_bipartite, cycle, enumerate_connected_cubic
 from dpdp.graph import Multigraph
 
-from helpers import multigraphs
+from helpers import cubic_backtrack, multigraphs
 
 
 def petersen() -> Multigraph:
@@ -267,29 +267,18 @@ def test_dedup_keeps_the_first_of_each_class(candidates):
 def test_bucket_key_decides_only_the_work(monkeypatch):
     # every orbit-minimum growth of the 6-vertex classes (many copies of
     # each 7-vertex class) and every labelled cubic 8-vertex graph the
-    # backtracking finds, deduplicated with one bucket for all
+    # unpruned backtracking finds, deduplicated with one bucket for all
     grown = []
     for g in dpdp.catalog.enumerate_connected_simple(6):
         base = ends(g)
         for mask in dpdp.catalog._orbit_minima(range(1, 64), _automorphisms(6, base)):
             grown.append((7, base + [(v, 6) for v in range(6) if mask >> v & 1]))
-    want = [_listed(dpdp.catalog.enumerate_connected_simple(7))]
-    handed = []
-
-    def recording(candidates):
-        handed.extend(candidates)
-        return _classes(handed)
-
-    dpdp.catalog.enumerate_connected_cubic.cache_clear()
-    monkeypatch.setattr(dpdp.catalog, "_classes", recording)
-    try:
-        cubic = dpdp.catalog.enumerate_connected_cubic(8)
-    finally:
-        dpdp.catalog.enumerate_connected_cubic.cache_clear()
-    assert len(grown) == 3771 and len(handed) > 5 * len(cubic)
-    want.append(_listed(cubic))
+    cubic = cubic_backtrack(8)
+    assert len(grown) == 3771 and len(cubic) == 236
+    want = [_listed(dpdp.catalog.enumerate_connected_simple(7)),
+            _listed(dpdp.catalog.enumerate_connected_cubic(8))]
     monkeypatch.setattr(dpdp._canon, "_root", _one_bucket)
-    assert [_listed(_classes(grown)), _listed(_classes(handed))] == want
+    assert [_listed(_classes(grown)), _listed(_classes(cubic))] == want
 
 
 def _triangle_free_cubic_10() -> list[Multigraph]:
@@ -311,7 +300,7 @@ def test_match_separates_classes_that_share_a_root_key(group):
         "cubic10": _triangle_free_cubic_10,
     }[group]()
     assert len(classes) == (6 if group == "cubic10" else 2)
-    goals = [_goal(g) for g in classes]
+    goals = [_goal(g.n, ends(g)) for g in classes]
     rng = random.Random(group)
     keys = set()
     moved = 0  # copies whose own first leaf has another form than their class's
@@ -324,7 +313,7 @@ def test_match_separates_classes_that_share_a_root_key(group):
             others = goals[:i] + goals[i + 1:]
             assert _match(copy.n, edges, root, others) is None
             assert _match(copy.n, edges, root, [goals[i]]) == 0
-            moved += _goal(copy)[1] != goals[i][1]
+            moved += _goal(copy.n, edges)[1] != goals[i][1]
     assert len(keys) == 1  # the root colouring alone cannot tell them apart
     if group == "cubic10":
         # some copy's own first leaf differs from its class's, so the match

@@ -36,7 +36,7 @@ from dpdp.catalog import (
 )
 from dpdp.graph import Multigraph, is_cycle_graph, is_path_graph
 
-from helpers import multigraphs, oracle_connected_multigraphs
+from helpers import cubic_backtrack, multigraphs, oracle_connected_multigraphs
 
 
 def test_family_examples():
@@ -265,12 +265,13 @@ def test_cubic_fixture_file():
 
     fixture = pathlib.Path(__file__).parent / "fixtures" / "cubic_le10.g6"
     graphs = read_graph6_file(fixture.read_text())
-    assert len(graphs) == sum(CONNECTED_CUBIC_COUNTS.values())  # 27
+    upto10 = {n: k for n, k in CONNECTED_CUBIC_COUNTS.items() if n <= 10}
+    assert len(graphs) == sum(upto10.values())  # 27
     by_n: dict[int, list[Multigraph]] = {}
     for g in graphs:
         assert g.is_connected() and all(g.degree(v) == 3 for v in range(g.n))
         by_n.setdefault(g.n, []).append(g)
-    assert {n: len(v) for n, v in by_n.items()} == CONNECTED_CUBIC_COUNTS
+    assert {n: len(v) for n, v in by_n.items()} == upto10
     # pairwise non-isomorphic
     for n, batch in by_n.items():
         assert len(classes_by_isomorphism(batch)) == len(batch)
@@ -291,6 +292,46 @@ def test_cubic_fixture_is_the_enumerators_output_in_order():
     fixture = pathlib.Path(__file__).parent / "fixtures" / "cubic_le10.g6"
     got = [write_graph6(g) for n in (4, 6, 8, 10) for g in enumerate_connected_cubic(n)]
     assert got == fixture.read_text().splitlines()
+
+
+def _listed(graphs) -> list[tuple]:
+    return [(g.n, g.us, g.vs) for g in graphs]
+
+
+@pytest.mark.parametrize("n", [4, 6, 8, 10])
+def test_cubic_pruning_keeps_the_unpruned_output(n):
+    # the partial-graph pruning against the backtracking without it, both
+    # through the same dedup: representatives, edge order and output order
+    assert _listed(enumerate_connected_cubic(n)) == _listed(
+        dpdp.catalog._classes(cubic_backtrack(n))
+    )
+
+
+def test_cubic_12_classes():
+    # OEIS A002851; told apart pairwise by networkx, used as an oracle: two
+    # graphs with different sorted distance profiles are not isomorphic,
+    # and VF2 decides the pairs that share one
+    nx = pytest.importorskip("networkx")
+    got = enumerate_connected_cubic(12)
+    assert len(got) == CONNECTED_CUBIC_COUNTS[12] == 85
+    groups: dict[tuple, list] = {}
+    for g in got:
+        assert g.n == 12 and g.is_simple() and g.is_connected()
+        assert all(g.degree(v) == 3 for v in range(g.n))
+        h = nx.Graph(list(zip(g.us, g.vs)))
+        profile = tuple(sorted(
+            tuple(sorted(lengths.values())) for _, lengths in nx.all_pairs_shortest_path_length(h)
+        ))
+        groups.setdefault(profile, []).append(h)
+    for group in groups.values():
+        for i, h in enumerate(group):
+            assert not any(nx.is_isomorphic(h, k) for k in group[i + 1:])
+
+
+def test_cubic_range():
+    assert enumerate_connected_cubic(2) == enumerate_connected_cubic(13) == ()
+    with pytest.raises(ValueError):
+        enumerate_connected_cubic(16)
 
 
 def test_simple_n7_fixture_file():
@@ -370,45 +411,73 @@ def test_enumeration_work_pinned(monkeypatch):
     assert len(built) == classes == 996
 
 
+def test_cubic_work_pinned(monkeypatch):
+    # the partial-graph pruning hands 23 labelled graphs to the dedup at
+    # n = 8 and 131 at n = 10, against 236 and 4,384 unpruned
+    handed = []
+    dedup = dpdp.catalog._classes
+
+    def counting(candidates):
+        candidates = list(candidates)
+        handed.append(len(candidates))
+        return dedup(candidates)
+
+    enumerate_connected_cubic.cache_clear()
+    monkeypatch.setattr(dpdp.catalog, "_classes", counting)
+    try:
+        classes = [len(enumerate_connected_cubic(n)) for n in (8, 10)]
+    finally:
+        enumerate_connected_cubic.cache_clear()
+    assert classes == [5, 19] and handed == [23, 131]
+
+
 @pytest.mark.parametrize(
     "enumerate_, sizes, refines",
-    [(enumerate_connected_simple, range(1, 8), 2022), (enumerate_connected_cubic, [10], 14952)],
+    [(enumerate_connected_simple, range(1, 8), 1979), (enumerate_connected_cubic, [10], 1448)],
     ids=["simple", "cubic"],
 )
 def test_dedup_work_pinned(monkeypatch, enumerate_, sizes, refines):
-    # the dedup searches no candidate whose root key is new, matches one
-    # that collides against the first leaves of the representatives' trees,
-    # and searches each representative's tree at most once (6,112 and 30,760
-    # refinements when every candidate was labelled)
-    refine, search, automorphisms, goal = (
-        dpdp._canon._refine, dpdp._canon._search, dpdp.catalog._automorphisms,
-        dpdp._canon._goal,
-    )
-    calls = {"refine": 0, "search": 0, "automorphisms": 0}
+    # the add-or-match step searches no graph whose root key is new,
+    # matches one that collides against the first leaves of the recorded
+    # graphs' trees, and takes each recorded graph's first leaf at most
+    # once, by its first descent alone (one refinement per depth, no tree
+    # search); the recorded graphs are the classes and, for cubic, the
+    # partial graphs the pruning records.  (2,022 and 14,952 refinements
+    # before the one-descent goals and, for cubic, the pruning; 6,112 and
+    # 30,760 when every candidate was labelled)
+    refine, goal, add = dpdp._canon._refine, dpdp._canon._goal, dpdp._canon._Seen.add
+    refines_made = 0
     goals = []
+    recorded = []
 
-    def counting(name, fn):
-        def counted(*args):
-            calls[name] += 1
-            return fn(*args)
-        return counted
+    def counting_refine(*args):
+        nonlocal refines_made
+        refines_made += 1
+        return refine(*args)
 
-    def recording_goal(g):
-        goals.append((g.n, g.us, g.vs))
-        return goal(g)
+    def recording_goal(n, ends):
+        before = refines_made
+        trace, form = goal(n, ends)
+        assert refines_made - before == len(trace)
+        goals.append((n, tuple(ends)))
+        return trace, form
+
+    def recording_add(self, n, ends):
+        new = add(self, n, ends)
+        recorded.append(new)
+        return new
 
     enumerate_.cache_clear()
-    monkeypatch.setattr(dpdp._canon, "_refine", counting("refine", refine))
-    monkeypatch.setattr(dpdp._canon, "_search", counting("search", search))
-    monkeypatch.setattr(dpdp.catalog, "_automorphisms", counting("automorphisms", automorphisms))
+    monkeypatch.setattr(dpdp._canon, "_refine", counting_refine)
     monkeypatch.setattr(dpdp._canon, "_goal", recording_goal)
+    monkeypatch.setattr(dpdp._canon._Seen, "add", recording_add)
     try:
-        classes = sum(len(enumerate_(n)) for n in sizes)
+        for n in sizes:
+            enumerate_(n)
     finally:
         enumerate_.cache_clear()
-    assert calls["refine"] == refines
-    assert calls["search"] == calls["automorphisms"] + len(goals)  # bases, goals
-    assert len(set(goals)) == len(goals) <= classes
+    assert refines_made == refines
+    assert len(set(goals)) == len(goals) <= sum(recorded)
 
 
 def test_write_dot():
@@ -435,10 +504,6 @@ def _orbit_minimum_candidates(bases, masks) -> list[tuple[int, tuple]]:
         for mask in dpdp.catalog._orbit_minima(masks(g.n), _automorphisms(g.n, ends)):
             out.append((i, (g.n + 1, ends + [(v, g.n) for v in range(g.n) if mask >> v & 1])))
     return out
-
-
-def _listed(graphs) -> list[tuple]:
-    return [(g.n, g.us, g.vs) for g in graphs]
 
 
 @pytest.mark.parametrize(

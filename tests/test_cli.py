@@ -226,7 +226,7 @@ def test_pool_is_sized_by_the_input(capsys, monkeypatch):
     # xcheck --max-edges 2 has 6 graphs: DPDP_WORKERS=500 asks for 6
     # workers, not 500.  The stand-in pool records its size and maps
     # serially, so no process is started
-    import dpdp.cli as cli_mod
+    import concurrent.futures
 
     sizes = []
 
@@ -243,7 +243,8 @@ def test_pool_is_sized_by_the_input(capsys, monkeypatch):
         def map(self, fn, items):
             return map(fn, items)
 
-    monkeypatch.setattr(cli_mod, "ProcessPoolExecutor", SerialPool)
+    # _pool_map imports the pool class when it runs, so it is patched at its source
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", SerialPool)
     monkeypatch.setenv("DPDP_WORKERS", "1")
     _, serial = run_cli(capsys, "xcheck", "--max-edges", "2")
     assert sizes == []
@@ -511,6 +512,20 @@ def test_standard_library_only():
             [sys.executable, "-S", *args], capture_output=True, text=True, env=env
         )
         assert proc.returncode == 0, proc.stderr
+
+
+def test_one_worker_imports_no_process_pool():
+    # the pool machinery, multiprocessing included, is imported only when a
+    # pool of two or more workers runs, so one-worker commands start lighter
+    src = str(Path(dpdp.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=src, DPDP_WORKERS="1")
+    code = (
+        "import sys, dpdp.cli\n"
+        "assert dpdp.cli.main(['xcheck', '--max-edges', '2']) == 0\n"
+        "assert 'concurrent.futures.process' not in sys.modules\n"
+    )
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env)
+    assert proc.returncode == 0, proc.stderr
 
 
 def test_graph6_input_format(tmp_path, capsys):
