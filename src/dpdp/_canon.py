@@ -76,7 +76,8 @@ Exact and dependency-free; fine at desk scale (n <= 14).
 
 from __future__ import annotations
 
-from typing import Iterable, Sequence
+from collections.abc import Iterable, Sequence
+from itertools import chain
 
 from .graph import Multigraph
 
@@ -333,22 +334,26 @@ class _Seen:
     __slots__ = ("buckets",)
 
     def __init__(self) -> None:
-        # hash of the root key -> [[n, ends, goal or None], ...]
+        # hash of the root key -> [[n, flat ends, goal or None], ...]
         self.buckets: dict[int, list[list]] = {}
 
     def add(self, n: int, ends: Sequence[tuple[int, int]]) -> bool:
         """Record (n, ends) and answer True, unless it is isomorphic to a
-        graph recorded before: then answer False.  ends is kept, not
-        copied."""
+        graph recorded before: then answer False.  The edges are kept
+        flat, u0 v0 u1 v1 ..., as one bytes object when every vertex id is
+        below 256, and are paired up again only if a collision asks for
+        the graph's goal."""
         root, key = _root(n, ends)
         bucket = self.buckets.setdefault(hash(key), [])
         if bucket:
             for entry in bucket:
                 if entry[2] is None:
-                    entry[2] = _goal(entry[0], entry[1])
+                    flat = entry[1]
+                    entry[2] = _goal(entry[0], list(zip(flat[::2], flat[1::2])))
             if _match(n, ends, root, [entry[2] for entry in bucket]) is not None:
                 return False
-        bucket.append([n, ends, None])
+        flat = chain.from_iterable(ends)
+        bucket.append([n, bytes(flat) if n <= 256 else tuple(flat), None])
         return True
 
 

@@ -71,9 +71,9 @@ from __future__ import annotations
 
 import heapq
 import random
+from collections.abc import Iterable, Iterator, Sequence
 from functools import lru_cache
 from itertools import combinations
-from typing import Iterable, Iterator, Sequence
 
 from .graph import MAX_EDGE_LIST_VERTICES, Multigraph
 from ._canon import _Seen, _automorphisms, _classes
@@ -223,22 +223,31 @@ def _has_earlier_parent(rows: list[int], degrees: tuple[int, ...], mask: int) ->
     leaves a connected graph with (m, sorted degrees) less than the base's?
 
     C - w has m - deg(w) + |mask| edges, so a w of degree below |mask|
-    never qualifies and one of degree above it always has fewer edges."""
+    never qualifies and one of degree above it always has fewer edges.
+    Deleting w lowers only its neighbours' degrees, so C's degree list is
+    built once and each w of degree |mask| changes just those entries."""
     n = len(rows)  # the new vertex
     new = 1 << n
     adj = [r | new if mask >> v & 1 else r for v, r in enumerate(rows)]
     adj.append(mask)
     k = mask.bit_count()
+    deg = [r.bit_count() for r in adj]
     every = (new << 1) - 1
     for w in range(n):
-        row = adj[w]
-        d = row.bit_count()
+        d = deg[w]
         if d < k:
             continue
-        if d == k and tuple(sorted(
-            adj[v].bit_count() - (row >> v & 1) for v in range(n + 1) if v != w
-        )) >= degrees:
-            continue
+        if d == k:
+            left = deg.copy()
+            row = adj[w]
+            while row:
+                low = row & -row
+                left[low.bit_length() - 1] -= 1
+                row ^= low
+            del left[w]
+            left.sort()
+            if tuple(left) >= degrees:
+                continue
         rest = every ^ 1 << w
         seen = frontier = new
         while frontier:

@@ -300,18 +300,22 @@ def _q_sets(h: Multigraph, eligible: list[int]):
 
 
 def _component_count(h: Multigraph, q_edges: tuple[int, ...]) -> int:
-    """Connected components of the subgraph formed by q_edges: the roots
-    of a union-find over their endpoints."""
-    root: dict[int, int] = {}
-
-    def find(x: int) -> int:
-        while root.setdefault(x, x) != x:
-            x = root[x]
-        return x
-
+    """Connected components of the subgraph formed by q_edges: each edge's
+    endpoint bitmask is merged with every part it meets, so the parts stay
+    the components' vertex sets."""
+    us, vs = h.us, h.vs
+    parts: list[int] = []
     for eid in q_edges:
-        root[find(h.us[eid])] = find(h.vs[eid])
-    return sum(x == r for x, r in root.items())
+        part = 1 << us[eid] | 1 << vs[eid]
+        apart = []
+        for other in parts:
+            if other & part:
+                part |= other
+            else:
+                apart.append(other)
+        apart.append(part)
+        parts = apart
+    return len(parts)
 
 
 def _search_paths(

@@ -14,8 +14,7 @@ view for callers that want records, built on first use.
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass
-from typing import Iterable
+from collections.abc import Iterable
 
 #: the most vertices a graph built from outside input may have: the largest
 #: count an edge-list header may declare, and the largest 2-subdivision
@@ -24,13 +23,44 @@ from typing import Iterable
 MAX_EDGE_LIST_VERTICES = 1_000_000
 
 
-@dataclass(frozen=True, slots=True)
 class EdgeRecord:
-    """One edge: unordered endpoints u, v; u == v encodes a loop."""
+    """One edge: unordered endpoints u, v; u == v encodes a loop.
 
+    A frozen value: equal and hashable by (id, u, v) like a frozen
+    dataclass, written out by hand so the graph layer imports no
+    dataclasses machinery."""
+
+    __slots__ = ("id", "u", "v")
+    __match_args__ = ("id", "u", "v")
     id: int
     u: int
     v: int
+
+    def __init__(self, id: int, u: int, v: int):
+        put = object.__setattr__
+        put(self, "id", id)
+        put(self, "u", u)
+        put(self, "v", v)
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.id, self.u, self.v) == (other.id, other.u, other.v)
+
+    def __hash__(self) -> int:
+        return hash((self.id, self.u, self.v))
+
+    def __repr__(self) -> str:
+        return f"EdgeRecord(id={self.id!r}, u={self.u!r}, v={self.v!r})"
+
+    def __reduce__(self):
+        return (EdgeRecord, (self.id, self.u, self.v))
+
+    def __setattr__(self, name, value):
+        raise AttributeError("EdgeRecord is immutable")
+
+    def __delattr__(self, name):
+        raise AttributeError("EdgeRecord is immutable")
 
     def is_loop(self) -> bool:
         return self.u == self.v

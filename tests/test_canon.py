@@ -213,6 +213,19 @@ def test_classes_keep_first_seen_representative():
     assert any(r is copies[0] for r in reps) and any(r is star for r in reps)
 
 
+def test_dedup_past_byte_sized_vertex_ids():
+    # the dedup keeps a recorded graph's edges as bytes only while every
+    # vertex id fits in one; a collision on a 300-vertex graph still
+    # matches its relabelled copy and tells it from another tree
+    rng = random.Random(300)
+    tree = dpdp.catalog.random_tree(300, rng)
+    copy = relabel(tree, rng)
+    path = dpdp.catalog.path(300)
+    reps = classes_by_isomorphism([tree, copy, path, relabel(path, rng)])
+    assert len(reps) == 2
+    assert any(r is tree for r in reps) and any(r is path for r in reps)
+
+
 # -- the dedup: label only on collision ---------------------------------------
 
 
