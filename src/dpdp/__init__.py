@@ -8,7 +8,10 @@ with a built-in cross-validation harness.
 The package namespace is lazy (PEP 562): `import dpdp` loads no submodule,
 and a public name imports the submodule that defines it on first use.  So
 `import dpdp.catalog` loads only graph, _canon and catalog, and an
-enumeration never compiles the engines it does not run.
+enumeration never compiles the engines it does not run.  `import
+dpdp.cli` loads graph and the four engines but not catalog or _canon,
+which only `xcheck --max-edges` imports; no submodule imports
+`dataclasses` or `typing`.
 """
 
 from importlib import import_module

@@ -1,4 +1,4 @@
-"""Graph generators, exhaustive small-graph enumeration, and file codecs.
+"""Graph generators and exhaustive small-graph enumeration.
 
 Families: paths, cycles (cycle(1) is a loop vertex, cycle(2) a parallel
 pair), complete and complete bipartite graphs, stars, double stars, and
@@ -63,8 +63,9 @@ other, and a simple graph on at most three vertices is fixed by its
 degrees, so every leaf of the subtree is one labelled graph, and the final
 dedup drops its copies as cheaply.
 
-Codecs: graph6 (simple graphs, single-byte size, n <= 62) and the plain
-edge-list text format, the only lossless multigraph interchange here.
+The file codecs (read_graph6, write_graph6, read_graph6_file,
+read_edge_list, write_edge_list, write_dot) live in ``graph`` and are
+re-exported here under the same names, as the same objects.
 """
 
 from __future__ import annotations
@@ -75,7 +76,15 @@ from collections.abc import Iterable, Iterator, Sequence
 from functools import lru_cache
 from itertools import combinations
 
-from .graph import MAX_EDGE_LIST_VERTICES, Multigraph
+from .graph import (  # the codecs live in graph; catalog re-exports them
+    Multigraph,
+    read_edge_list,
+    read_graph6,
+    read_graph6_file,
+    write_dot,
+    write_edge_list,
+    write_graph6,
+)
 from ._canon import _Seen, _automorphisms, _classes
 
 #: connected simple graphs on n=1..8 vertices, up to isomorphism
@@ -417,117 +426,3 @@ def enumerate_connected_cubic(n: int) -> tuple[Multigraph, ...]:
 
     extend(0)
     return tuple(_classes(found))
-
-
-# -- graph6 codec -------------------------------------------------------------
-
-
-def write_graph6(g: Multigraph) -> str:
-    """Encode a simple graph: size byte n+63, then the upper triangle in
-    column order packed big-endian into 6-bit groups, each offset by 63."""
-    if not g.is_simple():
-        raise ValueError("graph6 encodes simple graphs only")
-    if g.n > 62:
-        raise ValueError("graph6 writer supports n <= 62")
-    adj = [[False] * g.n for _ in range(g.n)]
-    for u, v in zip(g.us, g.vs):
-        adj[u][v] = adj[v][u] = True
-    bits = []
-    for j in range(1, g.n):
-        for i in range(j):
-            bits.append(1 if adj[i][j] else 0)
-    while len(bits) % 6:
-        bits.append(0)
-    out = [chr(g.n + 63)]
-    for k in range(0, len(bits), 6):
-        val = 0
-        for b in bits[k : k + 6]:
-            val = val << 1 | b
-        out.append(chr(val + 63))
-    return "".join(out)
-
-
-def read_graph6(text: str) -> Multigraph:
-    """Decode one graph6 line (optional '>>graph6<<' header tolerated)."""
-    s = text.strip()
-    if s.startswith(">>graph6<<"):
-        s = s[len(">>graph6<<") :].strip()
-    if not s:
-        raise ValueError("empty graph6 string")
-    n = ord(s[0]) - 63
-    if n < 0:
-        raise ValueError("malformed graph6 size byte")
-    if n >= 63:
-        raise ValueError("graph6 reader supports n <= 62 (single-byte size)")
-    need = (n * (n - 1) // 2 + 5) // 6
-    body = s[1:]
-    if len(body) != need:
-        raise ValueError(f"graph6 body has {len(body)} bytes, expected {need}")
-    bits = []
-    for ch in body:
-        val = ord(ch) - 63
-        if not (0 <= val < 64):
-            raise ValueError("graph6 byte out of range")
-        bits.extend((val >> k) & 1 for k in range(5, -1, -1))
-    edges = []
-    idx = 0
-    for j in range(1, n):
-        for i in range(j):
-            if bits[idx]:
-                edges.append((i, j))
-            idx += 1
-    return Multigraph(n, edges)
-
-
-def read_graph6_file(text: str) -> list[Multigraph]:
-    """One graph per non-empty line."""
-    return [read_graph6(line) for line in text.splitlines() if line.strip()]
-
-
-# -- edge-list codec ----------------------------------------------------------
-
-
-def read_edge_list(text: str) -> Multigraph:
-    """Parse the canonical multigraph format: header ``n m`` then m lines
-    ``u v`` (0-indexed; ``u u`` is a loop, repeats are parallel edges).
-    Lines starting with ``#`` are comments."""
-    rows = [line for line in map(str.strip, text.splitlines()) if line and line[0] != "#"]
-    if not rows:
-        raise ValueError("empty edge-list input")
-    head = rows[0].split()
-    if len(head) != 2:
-        raise ValueError(f"bad header line {rows[0]!r}, expected 'n m'")
-    try:
-        n, m = int(head[0]), int(head[1])
-    except ValueError:
-        raise ValueError(f"bad header line {rows[0]!r}") from None
-    if n > MAX_EDGE_LIST_VERTICES:
-        raise ValueError(f"{n} vertices exceed the limit of {MAX_EDGE_LIST_VERTICES}")
-    if len(rows) - 1 != m:
-        raise ValueError(f"expected {m} edge lines, found {len(rows) - 1}")
-    edges = []
-    for line in rows[1:]:
-        parts = line.split()
-        if len(parts) != 2:
-            raise ValueError(f"bad edge line {line!r}")
-        try:
-            u, v = int(parts[0]), int(parts[1])
-        except ValueError:
-            raise ValueError(f"bad edge line {line!r}") from None
-        edges.append((u, v))
-    return Multigraph(n, edges)
-
-
-def write_edge_list(g: Multigraph) -> str:
-    lines = [f"{g.n} {g.m}"]
-    lines += [f"{u} {v}" for u, v in zip(g.us, g.vs)]
-    return "\n".join(lines) + "\n"
-
-
-def write_dot(g: Multigraph, name: str = "g") -> str:
-    """Plain structural DOT dump (undirected)."""
-    lines = [f"graph {name} {{"]
-    lines += [f"  {v};" for v in range(g.n)]
-    lines += [f"  {u} -- {v};" for u, v in zip(g.us, g.vs)]
-    lines.append("}")
-    return "\n".join(lines) + "\n"

@@ -13,13 +13,18 @@ Survey and xcheck fan out over a process pool of DPDP_WORKERS processes
 (an environment variable; default: available parallelism), but never more
 processes than inputs, and run in-process when that is one; results are
 emitted in input order regardless.
+
+Start-up is most of a small command's time.  The codecs come from graph,
+so the enumerator (catalog and _canon) is imported only inside xcheck
+--max-edges, the one command that enumerates, and csv only inside survey.
+The engines stay imported at the top: deferring them would only move
+their compile time into the first command that runs them.
 """
 
 from __future__ import annotations
 
 import argparse
 import contextlib
-import csv
 import functools
 import io
 import os
@@ -30,18 +35,11 @@ from json.encoder import encode_basestring_ascii as _escape
 from . import __version__
 
 # engines in the eager package init's old load order: peak RSS moves with import order
-from .graph import Multigraph
+from .graph import Multigraph, read_edge_list, read_graph6, write_dot, write_edge_list
 from .domination import DpPair, enumerate_dp_pairs, find_dp_pair
 from .subdivision import S2Labeling, build_s2, invert_s2
 from .goodsub import find_good_subgraph
 from .minimality import _pairs_and_witness, xcheck
-from .catalog import (
-    enumerate_connected_multigraphs,
-    read_edge_list,
-    read_graph6,
-    write_dot,
-    write_edge_list,
-)
 
 
 class _Parser(argparse.ArgumentParser):
@@ -308,6 +306,8 @@ def _survey_row(item: tuple[int, str]) -> list[str]:
 
 
 def cmd_survey(args) -> int:
+    import csv  # only survey writes CSV
+
     rows = _pool_map(_survey_row, _g6_lines(args.g6file))
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
@@ -346,6 +346,8 @@ def cmd_xcheck(args) -> int:
     if (args.max_edges is None) == (args.g6file is None):
         raise ValueError("xcheck needs exactly one of --max-edges or a g6 file")
     if args.max_edges is not None:
+        from .catalog import enumerate_connected_multigraphs  # the one enumerating command
+
         outcomes = _pool_map(_xcheck_one, enumerate_connected_multigraphs(args.max_edges))
         input_id = f"--max-edges {args.max_edges}"
     else:

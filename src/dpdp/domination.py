@@ -46,21 +46,29 @@ re-verifies under is_dp_pair on the graph it describes.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Callable
+from collections.abc import Callable
 
-from .graph import Multigraph
+from .graph import Multigraph, _FrozenRecord
 
 _UNSET, _D, _P = 0, 1, 2
 
 
-@dataclass(frozen=True)
-class DpPair:
-    """Certificate of DPDP-ness: the partition plus a matching on P."""
+class DpPair(_FrozenRecord):
+    """Certificate of DPDP-ness: the partition plus a matching on P.
 
+    A frozen value, equal and hashable by (d, p, matching)."""
+
+    __slots__ = ("d", "p", "matching")
+    __match_args__ = __slots__
     d: frozenset[int]
     p: frozenset[int]
     matching: tuple[int, ...]
+
+    def __init__(self, d: frozenset[int], p: frozenset[int], matching: tuple[int, ...]):
+        put = object.__setattr__
+        put(self, "d", d)
+        put(self, "p", p)
+        put(self, "matching", matching)
 
     def partition(self) -> tuple[frozenset[int], frozenset[int]]:
         return (self.d, self.p)

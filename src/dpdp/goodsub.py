@@ -20,35 +20,62 @@ subgraph with a verifying DP-pair.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections.abc import Iterable
 from itertools import combinations
-from typing import Iterable
 
 from .domination import DpPair, dp_pair_problem, is_dp_pair
-from .graph import Multigraph
+from .graph import Multigraph, _Record
 from .subdivision import build_s2
 
 
-@dataclass
-class GoodSubgraphCertificate:
+class GoodSubgraphCertificate(_Record):
     """Witness of non-minimality of the 2-subdivision of the host."""
 
+    __slots__ = ("q_vertices", "q_edges", "e_set", "arcs", "paths")
+    __match_args__ = __slots__
     q_vertices: frozenset[int]
     q_edges: frozenset[int]
     e_set: frozenset[int]
     arcs: dict[int, tuple[int, int]]  # edge id -> (tail, head)
     paths: dict[int, tuple[int, ...]]  # Q-vertex -> arc ids in order
 
+    def __init__(
+        self,
+        q_vertices: frozenset[int],
+        q_edges: frozenset[int],
+        e_set: frozenset[int],
+        arcs: dict[int, tuple[int, int]],
+        paths: dict[int, tuple[int, ...]],
+    ):
+        self.q_vertices = q_vertices
+        self.q_edges = q_edges
+        self.e_set = e_set
+        self.arcs = arcs
+        self.paths = paths
 
-@dataclass
-class ReductionPlan:
+
+class ReductionPlan(_Record):
     """Edges to remove from the 2-subdivision plus the DP-pair of the
     reduced graph (matching ids refer to the reduced graph)."""
 
+    __slots__ = ("removed_edges", "d_prime", "p_prime", "matching")
+    __match_args__ = __slots__
     removed_edges: frozenset[int]
     d_prime: frozenset[int]
     p_prime: frozenset[int]
     matching: tuple[int, ...]
+
+    def __init__(
+        self,
+        removed_edges: frozenset[int],
+        d_prime: frozenset[int],
+        p_prime: frozenset[int],
+        matching: tuple[int, ...],
+    ):
+        self.removed_edges = removed_edges
+        self.d_prime = d_prime
+        self.p_prime = p_prime
+        self.matching = matching
 
 
 def edge_boundary(h: Multigraph, q_edges: Iterable[int]) -> frozenset[int]:

@@ -1,4 +1,4 @@
-"""Immutable finite multigraph with loops and parallel edges.
+"""Immutable finite multigraph with loops and parallel edges, and its file codecs.
 
 Vertices are dense integer ids 0..n-1.  Edges carry stable ids 0..m-1 in
 construction order, so certificates can reference them.  The degree of a
@@ -9,6 +9,12 @@ Storage is flat: edge i joins us[i] and vs[i], two int tuples, and each
 vertex keeps a tuple of its incident edge ids; no object is built per
 edge.  The engines read us and vs.  edges, one EdgeRecord per edge, is a
 view for callers that want records, built on first use.
+
+Codecs: graph6 (simple graphs, single-byte size, n <= 62) and the plain
+edge-list text format, the only lossless multigraph interchange here,
+plus a DOT writer.  They live here, with the graph they build, so a
+command that only reads and writes graphs loads no enumerator;
+``catalog`` re-exports them.
 """
 
 from __future__ import annotations
@@ -23,15 +29,56 @@ from collections.abc import Iterable
 MAX_EDGE_LIST_VERTICES = 1_000_000
 
 
-class EdgeRecord:
+class _Record:
+    """Base of the package's value classes, which are written out by hand
+    so that no module imports the dataclasses machinery.  A subclass lists
+    its fields, in order, as __slots__, and gets from here a dataclass's
+    field-wise equality and repr; it is unhashable, as a mutable dataclass
+    is, unless it defines __hash__."""
+
+    __slots__ = ()
+    __hash__ = None
+
+    def _values(self) -> tuple:
+        return tuple(getattr(self, name) for name in self.__slots__)
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._values() == other._values()
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self.__slots__)
+        return f"{self.__class__.__name__}({fields})"
+
+
+class _FrozenRecord(_Record):
+    """A _Record that is immutable like a frozen dataclass: hashable by its
+    fields, and pickled through its constructor.  A subclass's __init__
+    sets the fields with object.__setattr__."""
+
+    __slots__ = ()
+
+    def __hash__(self) -> int:
+        return hash(self._values())
+
+    def __reduce__(self):
+        return (self.__class__, self._values())
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"{self.__class__.__name__} is immutable")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"{self.__class__.__name__} is immutable")
+
+
+class EdgeRecord(_FrozenRecord):
     """One edge: unordered endpoints u, v; u == v encodes a loop.
 
-    A frozen value: equal and hashable by (id, u, v) like a frozen
-    dataclass, written out by hand so the graph layer imports no
-    dataclasses machinery."""
+    A frozen value, equal and hashable by (id, u, v)."""
 
     __slots__ = ("id", "u", "v")
-    __match_args__ = ("id", "u", "v")
+    __match_args__ = __slots__
     id: int
     u: int
     v: int
@@ -41,26 +88,6 @@ class EdgeRecord:
         put(self, "id", id)
         put(self, "u", u)
         put(self, "v", v)
-
-    def __eq__(self, other: object) -> bool:
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return (self.id, self.u, self.v) == (other.id, other.u, other.v)
-
-    def __hash__(self) -> int:
-        return hash((self.id, self.u, self.v))
-
-    def __repr__(self) -> str:
-        return f"EdgeRecord(id={self.id!r}, u={self.u!r}, v={self.v!r})"
-
-    def __reduce__(self):
-        return (EdgeRecord, (self.id, self.u, self.v))
-
-    def __setattr__(self, name, value):
-        raise AttributeError("EdgeRecord is immutable")
-
-    def __delattr__(self, name):
-        raise AttributeError("EdgeRecord is immutable")
 
     def is_loop(self) -> bool:
         return self.u == self.v
@@ -257,3 +284,117 @@ def is_cycle_graph(g: Multigraph) -> bool:
     if g.n == 0 or not g.is_connected():
         return False
     return g.m == g.n and all(g.degree(v) == 2 for v in range(g.n))
+
+
+# -- graph6 codec -------------------------------------------------------------
+
+
+def write_graph6(g: Multigraph) -> str:
+    """Encode a simple graph: size byte n+63, then the upper triangle in
+    column order packed big-endian into 6-bit groups, each offset by 63."""
+    if not g.is_simple():
+        raise ValueError("graph6 encodes simple graphs only")
+    if g.n > 62:
+        raise ValueError("graph6 writer supports n <= 62")
+    adj = [[False] * g.n for _ in range(g.n)]
+    for u, v in zip(g.us, g.vs):
+        adj[u][v] = adj[v][u] = True
+    bits = []
+    for j in range(1, g.n):
+        for i in range(j):
+            bits.append(1 if adj[i][j] else 0)
+    while len(bits) % 6:
+        bits.append(0)
+    out = [chr(g.n + 63)]
+    for k in range(0, len(bits), 6):
+        val = 0
+        for b in bits[k : k + 6]:
+            val = val << 1 | b
+        out.append(chr(val + 63))
+    return "".join(out)
+
+
+def read_graph6(text: str) -> Multigraph:
+    """Decode one graph6 line (optional '>>graph6<<' header tolerated)."""
+    s = text.strip()
+    if s.startswith(">>graph6<<"):
+        s = s[len(">>graph6<<") :].strip()
+    if not s:
+        raise ValueError("empty graph6 string")
+    n = ord(s[0]) - 63
+    if n < 0:
+        raise ValueError("malformed graph6 size byte")
+    if n >= 63:
+        raise ValueError("graph6 reader supports n <= 62 (single-byte size)")
+    need = (n * (n - 1) // 2 + 5) // 6
+    body = s[1:]
+    if len(body) != need:
+        raise ValueError(f"graph6 body has {len(body)} bytes, expected {need}")
+    bits = []
+    for ch in body:
+        val = ord(ch) - 63
+        if not (0 <= val < 64):
+            raise ValueError("graph6 byte out of range")
+        bits.extend((val >> k) & 1 for k in range(5, -1, -1))
+    edges = []
+    idx = 0
+    for j in range(1, n):
+        for i in range(j):
+            if bits[idx]:
+                edges.append((i, j))
+            idx += 1
+    return Multigraph(n, edges)
+
+
+def read_graph6_file(text: str) -> list[Multigraph]:
+    """One graph per non-empty line."""
+    return [read_graph6(line) for line in text.splitlines() if line.strip()]
+
+
+# -- edge-list codec ----------------------------------------------------------
+
+
+def read_edge_list(text: str) -> Multigraph:
+    """Parse the canonical multigraph format: header ``n m`` then m lines
+    ``u v`` (0-indexed; ``u u`` is a loop, repeats are parallel edges).
+    Lines starting with ``#`` are comments."""
+    rows = [line for line in map(str.strip, text.splitlines()) if line and line[0] != "#"]
+    if not rows:
+        raise ValueError("empty edge-list input")
+    head = rows[0].split()
+    if len(head) != 2:
+        raise ValueError(f"bad header line {rows[0]!r}, expected 'n m'")
+    try:
+        n, m = int(head[0]), int(head[1])
+    except ValueError:
+        raise ValueError(f"bad header line {rows[0]!r}") from None
+    if n > MAX_EDGE_LIST_VERTICES:
+        raise ValueError(f"{n} vertices exceed the limit of {MAX_EDGE_LIST_VERTICES}")
+    if len(rows) - 1 != m:
+        raise ValueError(f"expected {m} edge lines, found {len(rows) - 1}")
+    edges = []
+    for line in rows[1:]:
+        parts = line.split()
+        if len(parts) != 2:
+            raise ValueError(f"bad edge line {line!r}")
+        try:
+            u, v = int(parts[0]), int(parts[1])
+        except ValueError:
+            raise ValueError(f"bad edge line {line!r}") from None
+        edges.append((u, v))
+    return Multigraph(n, edges)
+
+
+def write_edge_list(g: Multigraph) -> str:
+    lines = [f"{g.n} {g.m}"]
+    lines += [f"{u} {v}" for u, v in zip(g.us, g.vs)]
+    return "\n".join(lines) + "\n"
+
+
+def write_dot(g: Multigraph, name: str = "g") -> str:
+    """Plain structural DOT dump (undirected)."""
+    lines = [f"graph {name} {{"]
+    lines += [f"  {v};" for v in range(g.n)]
+    lines += [f"  {u} -- {v};" for u, v in zip(g.us, g.vs)]
+    lines.append("}")
+    return "\n".join(lines) + "\n"

@@ -14,18 +14,20 @@ share one evaluator that runs each engine once.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from .domination import DpPair, _dp_search, is_dominating
 from .goodsub import GoodSubgraphCertificate, find_good_subgraph
-from .graph import Multigraph, is_cycle_graph
+from .graph import Multigraph, _Record, is_cycle_graph
 from .subdivision import S2Labeling, build_s2, invert_s2
 
 
-@dataclass
-class MinimalityReport:
+class MinimalityReport(_Record):
     """All engine outputs for one graph."""
 
+    __slots__ = (
+        "is_dpdp", "minimal_by_deletion", "inversion", "good_subgraph",
+        "dp_pair_count_capped", "verdicts_consistent",
+    )
+    __match_args__ = __slots__
     is_dpdp: bool
     minimal_by_deletion: bool
     inversion: tuple[Multigraph, dict[int, int]] | None
@@ -33,16 +35,50 @@ class MinimalityReport:
     dp_pair_count_capped: int
     verdicts_consistent: bool
 
+    def __init__(
+        self,
+        is_dpdp: bool,
+        minimal_by_deletion: bool,
+        inversion: tuple[Multigraph, dict[int, int]] | None,
+        good_subgraph: GoodSubgraphCertificate | None,
+        dp_pair_count_capped: int,
+        verdicts_consistent: bool,
+    ):
+        self.is_dpdp = is_dpdp
+        self.minimal_by_deletion = minimal_by_deletion
+        self.inversion = inversion
+        self.good_subgraph = good_subgraph
+        self.dp_pair_count_capped = dp_pair_count_capped
+        self.verdicts_consistent = verdicts_consistent
 
-@dataclass
-class XcheckResult:
+
+class XcheckResult(_Record):
     """Three-way verdict for the 2-subdivision of a given base graph."""
 
+    __slots__ = (
+        "base_n", "base_m", "minimal_by_deletion", "no_good_subgraph",
+        "unique_pair_or_small_cycle",
+    )
+    __match_args__ = __slots__
     base_n: int
     base_m: int
     minimal_by_deletion: bool
     no_good_subgraph: bool
     unique_pair_or_small_cycle: bool
+
+    def __init__(
+        self,
+        base_n: int,
+        base_m: int,
+        minimal_by_deletion: bool,
+        no_good_subgraph: bool,
+        unique_pair_or_small_cycle: bool,
+    ):
+        self.base_n = base_n
+        self.base_m = base_m
+        self.minimal_by_deletion = minimal_by_deletion
+        self.no_good_subgraph = no_good_subgraph
+        self.unique_pair_or_small_cycle = unique_pair_or_small_cycle
 
     @property
     def consistent(self) -> bool:

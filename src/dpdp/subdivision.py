@@ -16,33 +16,56 @@ induce a perfect matching (one pair per base edge).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Callable
+from collections.abc import Callable
 
 from .domination import DpPair
-from .graph import MAX_EDGE_LIST_VERTICES, Multigraph
+from .graph import MAX_EDGE_LIST_VERTICES, Multigraph, _Record
 
 Tag = tuple  # ("old", v) | ("copy", leaf, i) | ("new", edge, side)
 
 
-@dataclass
-class S2Labeling:
+class S2Labeling(_Record):
     """Provenance of every product vertex over (base, alpha).
 
     Treat as immutable.  The lookup tables map base vertices and edges to
     vertex and edge ids of the graph labelled, build_s2's product or
     invert_s2's input; one builder fills them for both, in build_s2's
-    layout.
+    layout.  Each table left out starts as a new empty dict.
     """
 
+    __slots__ = (
+        "base", "alpha", "provenance",
+        "old_vertex", "copy_vertices", "new_vertex", "middle_edge", "attach_edges",
+    )
+    __match_args__ = __slots__
     base: Multigraph
     alpha: dict[int, int]
     provenance: tuple[Tag, ...]
-    old_vertex: dict[int, int] = field(default_factory=dict)
-    copy_vertices: dict[int, tuple[int, ...]] = field(default_factory=dict)
-    new_vertex: dict[tuple[int, int], int] = field(default_factory=dict)
-    middle_edge: dict[int, int] = field(default_factory=dict)
-    attach_edges: dict[tuple[int, int], tuple[int, ...]] = field(default_factory=dict)
+    old_vertex: dict[int, int]
+    copy_vertices: dict[int, tuple[int, ...]]
+    new_vertex: dict[tuple[int, int], int]
+    middle_edge: dict[int, int]
+    attach_edges: dict[tuple[int, int], tuple[int, ...]]
+
+    def __init__(
+        self,
+        base: Multigraph,
+        alpha: dict[int, int],
+        provenance: tuple[Tag, ...],
+        old_vertex: dict[int, int] | None = None,
+        copy_vertices: dict[int, tuple[int, ...]] | None = None,
+        new_vertex: dict[tuple[int, int], int] | None = None,
+        middle_edge: dict[int, int] | None = None,
+        attach_edges: dict[tuple[int, int], tuple[int, ...]] | None = None,
+    ):
+        self.base = base
+        self.alpha = alpha
+        self.provenance = provenance
+        self.old_vertex = {} if old_vertex is None else old_vertex
+        self.copy_vertices = {} if copy_vertices is None else copy_vertices
+        self.new_vertex = {} if new_vertex is None else new_vertex
+        self.middle_edge = {} if middle_edge is None else middle_edge
+        self.attach_edges = {} if attach_edges is None else attach_edges
 
     def old_part(self) -> frozenset[int]:
         """V^o: old vertices plus all leaf copies."""

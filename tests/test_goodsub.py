@@ -7,7 +7,6 @@ import sys
 import time
 import tracemalloc
 from collections import Counter
-from dataclasses import replace
 from itertools import combinations
 
 import pytest
@@ -79,6 +78,12 @@ K8_CERTIFICATE = (
     [(6, (0, 7)), (12, (1, 7)), (17, (2, 7)), (21, (3, 7)), (24, (4, 7)),
      (25, (5, 6)), (27, (6, 7)), (26, (7, 5))],
 )
+
+
+def replace(cert: GoodSubgraphCertificate, **changes) -> GoodSubgraphCertificate:
+    """cert with the named fields changed, rebuilt field by field."""
+    fields = {f: getattr(cert, f) for f in ("q_vertices", "q_edges", "e_set", "arcs", "paths")}
+    return GoodSubgraphCertificate(**{**fields, **changes})
 
 
 def p6_certificate() -> GoodSubgraphCertificate:

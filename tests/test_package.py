@@ -1,6 +1,7 @@
-"""The lazy package namespace, checked in fresh interpreters: the pytest
-process has every engine imported already (conftest.py), so only a new
-process sees what `import dpdp` and its submodules load by themselves."""
+"""The lazy package namespace and what each entry point imports, checked
+in fresh interpreters: the pytest process has every engine imported
+already (conftest.py), so only a new process sees what `import dpdp`, its
+submodules and the CLI's commands load by themselves."""
 
 from __future__ import annotations
 
@@ -48,6 +49,56 @@ def test_enumeration_path_loads_no_engine(module):
     proc = run_fresh(code, "-S")
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.split() == []
+
+
+# what no command but xcheck --max-edges loads: the enumerator, and the
+# standard-library modules that only dataclasses and typing would bring
+NOT_ON_COMMAND_PATH = ("dataclasses", "inspect", "typing", "dpdp.catalog", "dpdp._canon")
+
+CODECS = (
+    "read_graph6", "write_graph6", "read_graph6_file",
+    "read_edge_list", "write_edge_list", "write_dot",
+)
+
+XCHECK_LE2 = """{
+  "command": "xcheck",
+  "engine_version": "0.1.0",
+  "input": "--max-edges 2",
+  "result": {
+    "consistent": true,
+    "disagreements": [],
+    "graphs_checked": 6
+  }
+}
+"""
+
+
+def test_commands_load_no_enumerator(tmp_path):
+    el, g6 = tmp_path / "p4.el", tmp_path / "two.g6"
+    el.write_text("4 3\n0 1\n1 2\n2 3\n")
+    g6.write_text("Bw\nCr\n")  # K3 and C4
+    commands = [
+        ["check", str(el)], ["pairs", str(el)], ["minimal", str(el)],
+        ["invert", str(el)], ["goodsub", str(el)], ["s2", str(el)],
+        ["survey", str(g6)], ["xcheck", str(g6)],
+    ]
+    loaded = f"[m for m in {NOT_ON_COMMAND_PATH!r} if m in sys.modules]"
+    code = (
+        "import contextlib, io, sys\n"
+        "import dpdp.cli\n"
+        f"assert {loaded} == [], {loaded}\n"
+        f"for argv in {commands!r}:\n"
+        "    with contextlib.redirect_stdout(io.StringIO()):\n"
+        "        assert dpdp.cli.main(argv) == 0, argv\n"
+        f"    assert {loaded} == [], (argv, {loaded})\n"
+        "dpdp.cli.main(['xcheck', '--max-edges', '2'])\n"
+        "import dpdp.catalog, dpdp.graph\n"
+        f"for name in {CODECS!r}:\n"
+        "    assert getattr(dpdp.catalog, name) is getattr(dpdp.graph, name), name\n"
+    )
+    proc = run_fresh(code, "-S")
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == XCHECK_LE2
 
 
 def test_readme_example_runs():
