@@ -42,8 +42,6 @@ _EXPORTS = {
         "find_good_subgraph",
         "reduce_via_good_subgraph",
         "apply_reduction",
-        "tree_find_good_subtree",
-        "forest_good_decomposition_check",
     ),
     "minimality": (
         "MinimalityReport",

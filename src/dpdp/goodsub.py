@@ -16,12 +16,18 @@ vertex.  Out-degree is capped at 1 globally.  The existence of a good
 subgraph certifies that the 2-subdivision graph of H is not minimal; the
 reduction below turns a certificate into an explicit proper spanning
 subgraph with a verifying DP-pair.
+
+find_good_subgraph walks the candidate Q sets in a fixed order and runs
+one path search per set, except on sets that cannot succeed: a set that
+breaks a counting bound, and a set that an automorphism of H (a swap of
+twin vertices, parallel edges or loops) maps onto a set met earlier in
+the walk, whose search has already failed.  The first good set, and so
+the certificate, is the one a search of every set would give.
 """
 
 from __future__ import annotations
 
 from collections.abc import Iterable
-from itertools import combinations
 
 from .domination import DpPair, dp_pair_problem, is_dp_pair
 from .graph import Multigraph, _Record
@@ -222,22 +228,44 @@ def find_good_subgraph(h: Multigraph) -> GoodSubgraphCertificate | None:
     bound of _search_paths before its first path starts gets no search:
     the first hit, and so the certificate, is the one the unpruned order
     would give.
+
+    A Q set that one of the automorphisms listed by _swaps maps onto a
+    lexicographically smaller set gets no search either (the lex-leader
+    rule of Crawford, Ginsberg, Luks and Roy, KR 1996), and the first hit
+    is still the same.  Proof: an automorphism s of h keeps leaves and
+    supports, so s(Q) is a subset of eligible; it keeps the size, the
+    component count, cuts (a) and (b) of _q_sets and the final-arc
+    bound; and it turns a certificate for Q into one for s(Q) and back,
+    so Q is good iff s(Q) is.  So _q_sets hands s(Q) out in the same
+    (size, component count) group as Q and, being lexicographically
+    smaller, before Q.  If Q were good, s(Q) would be a good set handed
+    out earlier, so the first good set is never skipped; every set handed
+    out before it is not good, skipped or not, and its search fails.  The
+    loop therefore reaches the first good set with the same left and
+    returns the same certificate.  The first set that passes the bound
+    cannot be skipped (its image would pass the bound and come first), so
+    the list is built only after its search has failed.
     """
     if any(h.degree(v) == 0 for v in range(h.n)):
         raise ValueError("host graph must have no isolated vertex")
     allowed = frozenset(range(h.n)) - h.leaves() - h.supports()
     us, vs = h.us, h.vs
     eligible = [eid for eid in range(h.m) if us[eid] in allowed and vs[eid] in allowed]
+    swaps = None  # _swaps(h), once a path search has failed
     for combo, left in _q_sets(h, eligible):
         q_vertices = frozenset(us[eid] for eid in combo) | frozenset(vs[eid] for eid in combo)
         # the final-arc bound of _search_paths before path 0 starts
         if sum(left[x] for x in q_vertices) > 2 * len(q_vertices):
+            continue
+        if swaps and _maps_below(combo, swaps):
             continue
         cert = _search_paths(h, q_vertices, frozenset(combo), left)
         if cert is not None:
             ok, why = verify_good_certificate(h, cert)
             assert ok, why
             return cert
+        if swaps is None:
+            swaps = _swaps(h)
     return None
 
 
@@ -324,6 +352,80 @@ def _q_sets(h: Multigraph, eligible: list[int]):
                 for eid in q:
                     left[us[eid]] += 1
                     left[vs[eid]] += 1
+
+
+def _swaps(h: Multigraph) -> list[tuple[tuple[int, int], ...]]:
+    """Automorphisms of h that swap edge ids in pairs, each as its swapped
+    pairs (lo, hi) of one-bit edge masks, lo < hi, ascending in lo:
+
+    - two parallel edges, or two loops at one vertex, consecutive in id
+      order; the vertices stay;
+    - twins a and b, consecutive in a group of vertices with one degree
+      and one plain neighbourhood, open (a, b apart) or closed (a, b
+      adjacent), whose edges to each other vertex x and whose loops agree
+      in number: the k-th a-x edge swaps with the k-th b-x edge, the k-th
+      loop at a with the k-th loop at b, and the a-b edges stay.  With
+      equal degrees, comparing a's edge counts against b's covers all of
+      b's.
+
+    One pass over the edges and one over the vertices, hashing each
+    neighbourhood once: O(n + m), with no canonical labelling.  Full
+    Aut(h) would need one; any subset of it is sound for the skip.
+    """
+    us, vs = h.us, h.vs
+    swaps = []
+    last: dict[tuple[int, int], int] = {}  # endpoints -> the latest edge id
+    for eid, (u, v) in enumerate(zip(us, vs)):
+        key = (u, v) if u <= v else (v, u)
+        if key in last:
+            swaps.append(((1 << last[key], 1 << eid),))
+        last[key] = eid
+    groups: dict[tuple, list[int]] = {}
+    for a in range(h.n):
+        nb = h.plain_neighbors(a)
+        groups.setdefault((h.degree(a), nb), []).append(a)
+        if nb:
+            groups.setdefault((h.degree(a), nb | {a}), []).append(a)
+    for group in groups.values():
+        if len(group) < 2:
+            continue
+        rows: dict[int, dict[int, list[int]]] = {}  # other end -> edge ids
+        for a in group:
+            row = rows[a] = {}
+            for eid in h.incident_edges(a):
+                row.setdefault(vs[eid] if us[eid] == a else us[eid], []).append(eid)
+        for a, b in zip(group, group[1:]):
+            pairs = []
+            theirs = rows[b]
+            for x, ids in rows[a].items():
+                if x != b:
+                    other = theirs.get(b if x == a else x, ())
+                    if len(other) != len(ids):
+                        break
+                    pairs += zip(ids, other)
+            else:
+                if pairs:  # else every edge at a or b joins the two
+                    swaps.append(tuple(sorted((1 << min(p), 1 << max(p)) for p in pairs)))
+    return swaps
+
+
+def _maps_below(combo: tuple[int, ...], swaps) -> bool:
+    """Whether a swap of _swaps maps the edge set combo onto a
+    lexicographically smaller set.  Of two sets of one size the smaller
+    holds the least edge of their symmetric difference; for a swap that
+    is the lo of its first pair with one end in combo, and the image holds
+    it iff combo holds the pair's hi."""
+    q = 0
+    for eid in combo:
+        q |= 1 << eid
+    for pairs in swaps:
+        for lo, hi in pairs:
+            if q & lo:
+                if not q & hi:
+                    break
+            elif q & hi:
+                return True
+    return False
 
 
 def _component_count(h: Multigraph, q_edges: tuple[int, ...]) -> int:
@@ -586,83 +688,3 @@ def apply_reduction(g_s2: Multigraph, plan: ReductionPlan) -> Multigraph:
     reduced, _ = g_s2.delete_edges(plan.removed_edges)
     return reduced
 
-
-# -- trees and forests ---------------------------------------------------------
-
-
-def _is_forest(h: Multigraph) -> bool:
-    return h.is_simple() and h.m == h.n - len(h.connected_components())
-
-
-def tree_find_good_subtree(h: Multigraph) -> frozenset[int] | None:
-    """On a tree: a connected vertex set S, |S| >= 2, where every member
-    has exactly one neighbour outside S and that neighbour has degree at
-    least 2.  Equivalent to hosting a good subgraph (the induced subtree);
-    agrees with find_good_subgraph on trees by construction and by test.
-    """
-    if not (_is_forest(h) and h.is_connected() and h.n >= 1):
-        raise ValueError("input is not a tree")
-    allowed = sorted(frozenset(range(h.n)) - h.leaves() - h.supports())
-    for size in range(2, len(allowed) + 1):
-        for combo in combinations(allowed, size):
-            s = frozenset(combo)
-            if not _connected_in(h, s):
-                continue
-            good = True
-            for x in s:
-                outside = h.plain_neighbors(x) - s
-                if len(outside) != 1 or h.degree(next(iter(outside))) < 2:
-                    good = False
-                    break
-            if good:
-                return s
-    return None
-
-
-def _connected_in(h: Multigraph, s: frozenset[int]) -> bool:
-    start = min(s)
-    seen = {start}
-    stack = [start]
-    while stack:
-        x = stack.pop()
-        for u in h.plain_neighbors(x):
-            if u in s and u not in seen:
-                seen.add(u)
-                stack.append(u)
-    return seen == s
-
-
-def forest_good_decomposition_check(
-    h: Multigraph, cert: GoodSubgraphCertificate
-) -> int:
-    """Index (components of Q ordered by smallest vertex) of a component
-    of Q that is a good subgraph of h on its own.  Existence is
-    guaranteed for forests; absence is an internal error."""
-    if not _is_forest(h):
-        raise ValueError("host is not a forest")
-    ok, why = verify_good_certificate(h, cert)
-    if not ok:
-        raise ValueError(f"Q is not a good subgraph: {why}")
-
-    us, vs = h.us, h.vs
-    q = Multigraph(h.n, [(us[eid], vs[eid]) for eid in sorted(cert.q_edges)])
-    comps = [c for c in q.connected_components() if c & cert.q_vertices]
-    for idx, comp in enumerate(comps):
-        sub_edges = frozenset(
-            eid
-            for eid in cert.q_edges
-            if us[eid] in comp and vs[eid] in comp
-        )
-        sub_paths = {v: cert.paths[v] for v in sorted(comp)}
-        sub_arc_ids = frozenset(a for arcs in sub_paths.values() for a in arcs)
-        sub = GoodSubgraphCertificate(
-            q_vertices=comp,
-            q_edges=sub_edges,
-            e_set=sub_arc_ids,
-            arcs={a: cert.arcs[a] for a in sub_arc_ids},
-            paths=sub_paths,
-        )
-        ok, _ = verify_good_certificate(h, sub)
-        if ok:
-            return idx
-    raise AssertionError("no component of a good forest re-verified alone")

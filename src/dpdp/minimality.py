@@ -8,13 +8,14 @@ graph is a cycle of length 3, 6 or 9), or the recovered base graph has no
 good subgraph.  xcheck asserts the three verdicts agree; any disagreement
 is a hard failure of the whole artifact.  _first_deletion is the one
 scan over edge deletions; a question that also needs g's own DP-pairs
-asks both of one DP search (_pairs_and_witness), and classify and xcheck
-share one evaluator that runs each engine once.
+asks both of one DP search (_pairs_and_witness), whose pairs then decide
+the deletions they survive, and classify and xcheck share one evaluator
+that runs each engine once.
 """
 
 from __future__ import annotations
 
-from .domination import DpPair, _dp_search, is_dominating
+from .domination import DpPair, _dp_search, dp_pair_problem, is_dominating, is_dp_pair
 from .goodsub import GoodSubgraphCertificate, find_good_subgraph
 from .graph import Multigraph, _Record, is_cycle_graph
 from .subdivision import S2Labeling, build_s2, invert_s2
@@ -104,24 +105,68 @@ def deletion_witness(g: Multigraph) -> int | None:
     re-verifies its pair there).  A deletion that isolates a vertex, and
     every deletion from a g whose core is contradictory, is decided
     without a search."""
-    return _first_deletion(_dp_search(g), g.m)
+    return _first_deletion(g, _dp_search(g), [])
 
 
 def _pairs_and_witness(g: Multigraph, cap: int) -> tuple[list[DpPair], int | None]:
     """enumerate_dp_pairs(g, cap) and, if it finds a pair,
-    deletion_witness(g), both from one DP search set up once."""
+    deletion_witness(g), both from one DP search set up once; the pairs
+    found decide the deletions they survive."""
     search = _dp_search(g)
     pairs = search(cap)
-    return pairs, _first_deletion(search, g.m) if pairs else None
+    return pairs, _first_deletion(g, search, pairs) if pairs else None
 
 
-def _first_deletion(search, m: int) -> int | None:
-    """The deletion scan of deletion_witness on a search set up by
-    _dp_search on an m-edge graph."""
-    for eid in range(m):
+def _first_deletion(g: Multigraph, search, pairs: list[DpPair]) -> int | None:
+    """The deletion scan of deletion_witness on the search _dp_search set
+    up on g, given DP-pairs of g already found.
+
+    A pair of g that is still a DP-pair of G - e decides e without a
+    search, and _kept_by finds the lowest such e of each pair.  The masked
+    searches run on every lower edge, in order, so the witness is the one
+    the searches alone would give, and a None (g minimal) still needs
+    every masked search to fail.  A pair that decides the witness is
+    re-verified on the real G - e, in its edge ids, with is_dp_pair and
+    the Obs 4.2 containments, as a hit of the search is."""
+    known, pair = g.m, None
+    for p in pairs:
+        eid = _kept_by(g, p)
+        if eid < known:
+            known, pair = eid, p
+    for eid in range(known):
         if search(1, eid):
             return eid
-    return None
+    if pair is None:
+        return None
+    h, id_map = g.delete_edge(known)
+    kept = DpPair(pair.d, pair.p, tuple(id_map[eid] for eid in pair.matching))
+    assert h.leaves() <= kept.d and h.supports() <= kept.p
+    assert is_dp_pair(h, kept), dp_pair_problem(h, kept)
+    return known
+
+
+def _kept_by(g: Multigraph, pair: DpPair) -> int:
+    """The lowest edge id e such that pair, a DP-pair of g, is a DP-pair of
+    G - e, or g.m if there is none.  Loops count for neither domination
+    nor matching, and an edge inside D or P dominates nothing, so pair
+    survives deleting a loop or a same-side edge outside its matching.  A
+    D-P edge is the only thing that lets its D-end be dominated by P and
+    its P-end by D, so pair survives deleting it iff both ends keep
+    another D-P edge."""
+    d = pair.d
+    cross = [0] * g.n  # D-P edges at each vertex, parallel ones counted
+    for u, v in zip(g.us, g.vs):
+        if (u in d) != (v in d):
+            cross[u] += 1
+            cross[v] += 1
+    matched = set(pair.matching)
+    for eid, (u, v) in enumerate(zip(g.us, g.vs)):
+        if (u in d) == (v in d):
+            if eid not in matched:
+                return eid
+        elif cross[u] > 1 and cross[v] > 1:
+            return eid
+    return g.m
 
 
 def check_reducible_pattern(h: Multigraph) -> tuple[int, int, int, int] | None:

@@ -3,6 +3,8 @@
 Everything here recomputes from raw edge data with its own naive
 algorithms; none of it calls the library's search or matching code, so
 engine results can be checked against a genuinely independent path.
+The forest check splits a found certificate and re-verifies each part
+with the library's certificate checker, which is not a search.
 The seeded samplers and hypothesis strategies at the end draw the inputs
 they are compared on.
 """
@@ -16,6 +18,7 @@ from itertools import combinations, combinations_with_replacement, permutations
 from hypothesis import strategies as st
 
 from dpdp.catalog import read_graph6_file
+from dpdp.goodsub import GoodSubgraphCertificate, verify_good_certificate
 from dpdp.graph import Multigraph
 
 
@@ -149,6 +152,88 @@ def cubic_backtrack(n: int) -> list[tuple[int, list[tuple[int, int]]]]:
 
     extend()
     return found
+
+
+# -- trees and forests ---------------------------------------------------------
+
+
+def _is_forest(h: Multigraph) -> bool:
+    return h.is_simple() and h.m == h.n - len(h.connected_components())
+
+
+def tree_find_good_subtree(h: Multigraph) -> frozenset[int] | None:
+    """On a tree: a connected vertex set S, |S| >= 2, where every member
+    has exactly one neighbour outside S and that neighbour has degree at
+    least 2.  Equivalent to hosting a good subgraph (the induced subtree);
+    an oracle for find_good_subgraph on trees: it tries vertex subsets
+    against the paper's tree criterion, not Q sets and path families.
+    """
+    if not (_is_forest(h) and h.is_connected() and h.n >= 1):
+        raise ValueError("input is not a tree")
+    allowed = sorted(frozenset(range(h.n)) - h.leaves() - h.supports())
+    for size in range(2, len(allowed) + 1):
+        for combo in combinations(allowed, size):
+            s = frozenset(combo)
+            if not _connected_in(h, s):
+                continue
+            good = True
+            for x in s:
+                outside = h.plain_neighbors(x) - s
+                if len(outside) != 1 or h.degree(next(iter(outside))) < 2:
+                    good = False
+                    break
+            if good:
+                return s
+    return None
+
+
+def _connected_in(h: Multigraph, s: frozenset[int]) -> bool:
+    start = min(s)
+    seen = {start}
+    stack = [start]
+    while stack:
+        x = stack.pop()
+        for u in h.plain_neighbors(x):
+            if u in s and u not in seen:
+                seen.add(u)
+                stack.append(u)
+    return seen == s
+
+
+def forest_good_decomposition_check(
+    h: Multigraph, cert: GoodSubgraphCertificate
+) -> int:
+    """Index (components of Q ordered by smallest vertex) of a component
+    of Q that is a good subgraph of h on its own.  Existence is
+    guaranteed for forests; absence is an internal error."""
+    if not _is_forest(h):
+        raise ValueError("host is not a forest")
+    ok, why = verify_good_certificate(h, cert)
+    if not ok:
+        raise ValueError(f"Q is not a good subgraph: {why}")
+
+    us, vs = h.us, h.vs
+    q = Multigraph(h.n, [(us[eid], vs[eid]) for eid in sorted(cert.q_edges)])
+    comps = [c for c in q.connected_components() if c & cert.q_vertices]
+    for idx, comp in enumerate(comps):
+        sub_edges = frozenset(
+            eid
+            for eid in cert.q_edges
+            if us[eid] in comp and vs[eid] in comp
+        )
+        sub_paths = {v: cert.paths[v] for v in sorted(comp)}
+        sub_arc_ids = frozenset(a for arcs in sub_paths.values() for a in arcs)
+        sub = GoodSubgraphCertificate(
+            q_vertices=comp,
+            q_edges=sub_edges,
+            e_set=sub_arc_ids,
+            arcs={a: cert.arcs[a] for a in sub_arc_ids},
+            paths=sub_paths,
+        )
+        ok, _ = verify_good_certificate(h, sub)
+        if ok:
+            return idx
+    raise AssertionError("no component of a good forest re-verified alone")
 
 
 def edge_list_text(g: Multigraph) -> str:

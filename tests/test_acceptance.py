@@ -29,12 +29,17 @@ from dpdp.domination import (
     has_perfect_matching_on,
     is_dpdp,
 )
-from dpdp.goodsub import find_good_subgraph, forest_good_decomposition_check, tree_find_good_subtree
+from dpdp.goodsub import find_good_subgraph
 from dpdp.graph import Multigraph, is_cycle_graph, is_path_graph
 from dpdp.minimality import is_minimal_by_deletion, minimal_pair_properties
 from dpdp.subdivision import build_s2
 
-from helpers import adjacency, oracle_pairing_exists
+from helpers import (
+    adjacency,
+    forest_good_decomposition_check,
+    oracle_pairing_exists,
+    tree_find_good_subtree,
+)
 
 FIXTURES = pathlib.Path(__file__).parent / "fixtures"
 

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import hashlib
+import pathlib
 import random
 
 import pytest
@@ -14,6 +15,7 @@ from dpdp.catalog import (
     enumerate_connected_simple,
     enumerate_trees,
     path,
+    read_graph6_file,
 )
 from dpdp.domination import (
     DpPair,
@@ -391,7 +393,8 @@ def test_dp_search_bytes_pinned():
 
 def test_dp_search_work_pinned(monkeypatch):
     # every unmasked component matching goes through the public entry; a
-    # forcing rule that prunes more may lower the count, never raise it
+    # forcing rule that prunes more, or a found pair that decides a
+    # deletion without a masked search, may lower the count, never raise it
     calls = 0
     real = has_perfect_matching_on
 
@@ -404,4 +407,19 @@ def test_dp_search_work_pinned(monkeypatch):
     for n in range(2, 7):
         for h in enumerate_connected_simple(n):
             _pairs_and_witness(build_s2(h)[0], 2)
-    assert calls == 1721
+    assert calls == 1651
+
+
+def test_found_pairs_keep_the_deletion_witness():
+    # the scan of _pairs_and_witness lets a found pair that survives a
+    # deletion decide it; the witness must be the one the masked searches
+    # alone give, with one pair handed over and with two
+    fixture = pathlib.Path(__file__).parent / "fixtures" / "simple_n7.g6"
+    s2_n7 = (build_s2(h)[0] for h in read_graph6_file(fixture.read_text()))
+    checked = 0
+    for g in (*dp_search_hosts(), *s2_n7):
+        witness = deletion_witness(g)
+        for cap in (1, 2):
+            assert _pairs_and_witness(g, cap)[1] == witness, (cap, g.edge_multiset())
+        checked += 1
+    assert checked == 1517 + 853

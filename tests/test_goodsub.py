@@ -34,9 +34,7 @@ from dpdp.goodsub import (
     apply_reduction,
     edge_boundary,
     find_good_subgraph,
-    forest_good_decomposition_check,
     reduce_via_good_subgraph,
-    tree_find_good_subtree,
     verify_good_certificate,
 )
 from dpdp.graph import Multigraph
@@ -45,10 +43,12 @@ from dpdp.subdivision import build_s2
 
 from helpers import (
     based_alphas,
+    forest_good_decomposition_check,
     multigraphs,
     oracle_dominating,
     oracle_pairing_exists,
     random_looped_multigraphs,
+    tree_find_good_subtree,
 )
 
 
@@ -242,18 +242,24 @@ def test_one_verification_per_question(monkeypatch):
 
 
 def _count_search_work(monkeypatch, hosts, count_grow: bool = True) -> Counter:
-    """The Q sets _q_sets hands out, the path searches (by |Q|; a Q set
-    that fails the final-arc bound up front gets none) and, with
-    count_grow, their grow steps while find_good_subgraph runs on every
-    host."""
+    """The Q sets _q_sets hands out, those skipped because a swap maps them
+    onto a smaller set, the path searches (by |Q|; a Q set that fails the
+    final-arc bound up front gets none) and, with count_grow, their grow
+    steps while find_good_subgraph runs on every host."""
     counts: Counter = Counter()
     real_q_sets = dpdp.goodsub._q_sets
+    real_maps_below = dpdp.goodsub._maps_below
     real_search = dpdp.goodsub._search_paths
 
     def q_sets(h, eligible):
         for combo, left in real_q_sets(h, eligible):
             counts["q_sets"] += 1
             yield combo, left
+
+    def maps_below(combo, swaps):
+        skip = real_maps_below(combo, swaps)
+        counts["symmetric"] += skip
+        return skip
 
     def search_paths(h, q_vertices, q_edges, left):
         counts["search"] += 1
@@ -268,6 +274,7 @@ def _count_search_work(monkeypatch, hosts, count_grow: bool = True) -> Counter:
             counts["grow"] += 1
 
     monkeypatch.setattr(dpdp.goodsub, "_q_sets", q_sets)
+    monkeypatch.setattr(dpdp.goodsub, "_maps_below", maps_below)
     monkeypatch.setattr(dpdp.goodsub, "_search_paths", search_paths)
     previous = sys.gettrace()
     if count_grow:
@@ -290,11 +297,13 @@ def test_dead_q_prefixes_and_path_families_are_cut(monkeypatch):
         for g in enumerate_connected_simple(n)
     ]
     counts = _count_search_work(monkeypatch, bases)
-    # the walk hands out a Q set only when it is next to be searched, and
-    # 570 of them fail the final-arc bound before a path search is set up
+    # the walk hands out a Q set only when it is next to be searched; 570
+    # of them fail the final-arc bound before a path search is set up, and
+    # 795 more map onto a smaller set under a twin swap
     assert counts["q_sets"] == 2444
-    assert counts["search"] == 1874
-    assert counts["grow"] <= 22_741
+    assert counts["symmetric"] == 795
+    assert counts["search"] == 1079
+    assert counts["grow"] <= 12_900
 
 
 def _reference_q_sets(h: Multigraph, eligible: list[int], size: int) -> list:
@@ -377,6 +386,90 @@ def test_q_sets_match_reference_on_random_multigraphs(h):
     _check_q_sets(h)
 
 
+def _swap_permutation(h: Multigraph, swap) -> list[int]:
+    """The edge-id permutation of one swap of _swaps, after checking its
+    form: disjoint pairs (lo, hi) of one-bit masks, lo < hi, ascending
+    in lo, at least one."""
+    perm = list(range(h.m))
+    los = []
+    for lo, hi in swap:
+        e, f = lo.bit_length() - 1, hi.bit_length() - 1
+        assert lo == 1 << e and hi == 1 << f and e < f < h.m
+        assert perm[e] == e and perm[f] == f
+        perm[e], perm[f] = f, e
+        los.append(e)
+    assert los and los == sorted(los)
+    return perm
+
+
+def _maps_endpoints_consistently(h: Multigraph, perm: list[int]) -> bool:
+    """Whether some vertex permutation carries every edge e onto edge
+    perm[e]: then each vertex's incident edge ids (a loop twice) map onto
+    another vertex's, and the vertices can be paired up one to one."""
+    ends: list[list[int]] = [[] for _ in range(h.n)]
+    for e in h.edges:
+        ends[e.u].append(e.id)
+        ends[e.v].append(e.id)
+    rows = Counter(tuple(sorted(ids)) for ids in ends)
+    images = Counter(tuple(sorted(perm[eid] for eid in ids)) for ids in ends)
+    return images == rows
+
+
+def test_swaps_examples():
+    swaps = dpdp.goodsub._swaps
+    # K4: four twins, consecutive in one group, give three swaps
+    assert len(swaps(complete(4))) == 3
+    assert swaps(path(4)) == []
+    # edges 0 and 2 are parallel, 1 and 3 loops at 0; 0 and 1 differ
+    assert swaps(Multigraph(2, [(0, 1), (0, 0), (1, 0), (0, 0)])) == [
+        ((1 << 0, 1 << 2),), ((1 << 1, 1 << 3),)
+    ]
+    # twins 0 and 1, each joined to 2 twice: the k-th 0-2 edge swaps with
+    # the k-th 1-2 edge
+    assert swaps(Multigraph(3, [(0, 2), (1, 2), (0, 2), (1, 2)])) == [
+        ((1 << 0, 1 << 2),), ((1 << 1, 1 << 3),), ((1 << 0, 1 << 1), (1 << 2, 1 << 3)),
+    ]
+    # adjacent twins keep their joining edges: K3 plus a loop at 0 and 1
+    h = Multigraph(3, [(0, 1), (0, 2), (1, 2), (0, 0), (1, 1)])
+    assert swaps(h) == [((1 << 1, 1 << 2), (1 << 3, 1 << 4))]
+
+
+@settings(max_examples=300, deadline=None)
+@given(multigraphs(max_n=6, max_m=10))
+def test_every_swap_is_an_automorphism(h):
+    for swap in dpdp.goodsub._swaps(h):
+        perm = _swap_permutation(h, swap)
+        assert _maps_endpoints_consistently(h, perm), (h.edge_multiset(), swap)
+
+
+def test_symmetry_skip_keeps_every_certificate(monkeypatch):
+    # with no swaps every Q set past the final-arc bound is searched
+    fixture = pathlib.Path(__file__).parent / "fixtures" / "simple_n7.g6"
+    bases = (read_graph6(write_graph6(g)) for n in range(2, 7) for g in enumerate_connected_simple(n))
+    hosts = [
+        *enumerate_connected_multigraphs(6),
+        *bases,
+        *random.Random(1).sample(read_graph6_file(fixture.read_text()), 300),
+    ]
+    assert len(hosts) == 470 + 142 + 300
+    found = [certificate_fields(find_good_subgraph(h)) for h in hosts]
+    monkeypatch.setattr(dpdp.goodsub, "_swaps", lambda h: [])
+    assert [certificate_fields(find_good_subgraph(h)) for h in hosts] == found
+
+
+@settings(max_examples=300, deadline=None)
+@given(multigraphs(max_n=6, max_m=10))
+def test_symmetry_skip_keeps_the_certificate_on_random_multigraphs(h):
+    # the drawn vertices that some edge touches, renumbered in order
+    used = sorted({x for pair in zip(h.us, h.vs) for x in pair})
+    new = {x: i for i, x in enumerate(used)}
+    h = Multigraph(len(used), [(new[u], new[v]) for u, v in zip(h.us, h.vs)])
+    found = certificate_fields(find_good_subgraph(h))
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(dpdp.goodsub, "_swaps", lambda h: [])
+        assert certificate_fields(find_good_subgraph(h)) == found
+
+
 def test_k7_builds_few_q_sets(monkeypatch):
     # K7's first good Q has 14 of its 21 edges; every smaller Q set has a
     # vertex set whose boundary cannot fit in 7 arcs, and the first
@@ -412,17 +505,20 @@ def test_complete_graph_certificates_pinned():
         assert (sorted(c.q_edges), list(c.arcs.items())) == pinned
 
 
+def certificate_fields(c: GoodSubgraphCertificate | None):
+    """Every field of a certificate, dict order included, or None."""
+    return None if c is None else (
+        sorted(c.q_vertices), sorted(c.q_edges), sorted(c.e_set),
+        list(c.arcs.items()), list(c.paths.items()),
+    )
+
+
 def certificates_digest(hosts) -> str:
     """SHA-256 over every certificate field, dict order included, of
     find_good_subgraph on each host in turn."""
     digest = hashlib.sha256()
     for h in hosts:
-        c = find_good_subgraph(h)
-        fields = None if c is None else (
-            sorted(c.q_vertices), sorted(c.q_edges), sorted(c.e_set),
-            list(c.arcs.items()), list(c.paths.items()),
-        )
-        digest.update(repr(fields).encode() + b"\n")
+        digest.update(repr(certificate_fields(find_good_subgraph(h))).encode() + b"\n")
     return digest.hexdigest()
 
 

@@ -123,33 +123,36 @@ def dp_searches(monkeypatch):
 
 def test_one_dp_search_per_question(dp_searches, tmp_path, capsys):
     # S2(P6) is P16, whose lowest deletable edge is 4: one set-up, one
-    # capped enumeration, then one search per edge 0..4 and no repeated
-    # is_dpdp
+    # capped enumeration, then one search per edge 0..3 and no repeated
+    # is_dpdp; edge 4 is decided by a pair the enumeration found, which
+    # survives its deletion
     xcheck(path(6))
-    assert dp_searches == ["setup", 2, 1, 1, 1, 1, 1]
+    assert dp_searches == ["setup", 2, 1, 1, 1, 1]
     dp_searches.clear()
     classify(build_s2(path(6))[0])
-    assert dp_searches == ["setup", 2, 1, 1, 1, 1, 1]
+    assert dp_searches == ["setup", 2, 1, 1, 1, 1]
     dp_searches.clear()
-    # dpdp minimal on K4: the pair, then K4 minus edge 0 is DPDP, both
-    # from one engine
+    # dpdp minimal on K4: the pair, which survives deleting edge 0, so K4
+    # minus edge 0 is DPDP without a masked search
     f = tmp_path / "k4.el"
     f.write_text(edge_list_text(complete(4)))
     assert dpdp.cli.main(["minimal", str(f)]) == 0
     capsys.readouterr()
-    assert dp_searches == ["setup", 1, 1]
+    assert dp_searches == ["setup", 1]
     dp_searches.clear()
     assert is_minimal_by_deletion(build_s2(path(6))[0]) is False
-    assert dp_searches == ["setup", 1, 1, 1, 1, 1, 1]
+    assert dp_searches == ["setup", 1, 1, 1, 1, 1]
     dp_searches.clear()
     # greedy extraction from K4: one engine answers whether K4 is DPDP and
-    # its first deletion (edge 0), then one engine per smaller graph
+    # its first deletion (edge 0, decided by K4's pair), then one engine
+    # per smaller graph, which has no pair to hand to its scan
     minimal_spanning_dpdp_subgraph(complete(4))
     assert dp_searches == [
-        "setup", 1, 1, "setup", 1, "setup", 1, 1, 1, "setup", 1, 1, 1
+        "setup", 1, "setup", 1, "setup", 1, 1, 1, "setup", 1, 1, 1
     ]
     dp_searches.clear()
-    # P4 is minimal: one engine, one enumeration, a failed deletion per edge
+    # P4 is minimal: one engine, one enumeration, a failed deletion per
+    # edge, since no deletion keeps P4's pair
     minimal_spanning_dpdp_subgraph(path(4))
     assert dp_searches == ["setup", 1, 1, 1, 1]
 

@@ -124,8 +124,9 @@ def test_every_public_name_is_its_submodules_object():
     )
     proc = run_fresh(code)
     assert proc.returncode == 0, proc.stderr
-    # the 38 names the eager init exported, plus __version__
-    assert len(set(dpdp.__all__)) == 39 and dpdp.__all__[-1] == "__version__"
+    # the 36 public names (the tree and forest helpers moved to
+    # tests/helpers.py), plus __version__
+    assert len(set(dpdp.__all__)) == 37 and dpdp.__all__[-1] == "__version__"
 
 
 def test_star_import_binds_every_public_name():
