@@ -112,9 +112,13 @@ def _json_text(obj, newline: str = "\n") -> str:
     payload types: dicts with str keys, lists, ints, bools, None and str;
     newline is "\n" plus the indentation of obj's own line.  With indent
     set the standard library encodes in pure Python, one generator step
-    per token; this writer joins whole containers instead, and a list of
-    int lists, such as edge triples, in one step.  It recurses once per
-    nesting level, and payloads nest at most five deep."""
+    per token; this writer joins whole containers instead.  A list of
+    non-empty rows of ints and strings, such as edge triples and
+    provenance tags, takes one %-format call: a template with one "%s"
+    per scalar, laid out row by row, over the flattened scalars, strings
+    already escaped (the template holds no other "%", and formatting does
+    not read what it inserts).  It recurses once per nesting level, and
+    payloads nest at most five deep."""
     kind = type(obj)
     if kind is list:
         if not obj:
@@ -122,15 +126,21 @@ def _json_text(obj, newline: str = "\n") -> str:
         inner = newline + "  "
         kinds = set(map(type, obj))
         if kinds == {int}:  # a bool is an int but prints as true/false
-            items = map(str, obj)
-        elif kinds == {list} and set(map(type, chain.from_iterable(obj))) <= {int}:
-            deeper = inner + "  "
-            items = [
-                "[" + deeper + ("," + deeper).join(map(str, x)) + inner + "]" if x else "[]"
-                for x in obj
-            ]
-        else:
-            items = [_json_text(x, inner) for x in obj]
+            return "[" + inner + ("," + inner).join(map(str, obj)) + newline + "]"
+        if kinds == {list} and all(obj):
+            scalars = list(chain.from_iterable(obj))
+            scalar_kinds = set(map(type, scalars))
+            if scalar_kinds <= {int, str}:
+                if str in scalar_kinds:
+                    scalars = [_escape(x) if type(x) is str else x for x in scalars]
+                deeper = inner + "  "
+                rows = {
+                    k: "[" + deeper + ("," + deeper).join(["%s"] * k) + inner + "]"
+                    for k in set(map(len, obj))
+                }
+                template = ("," + inner).join([rows[len(x)] for x in obj])
+                return "[" + inner + template % tuple(scalars) + newline + "]"
+        items = [_json_text(x, inner) for x in obj]
         return "[" + inner + ("," + inner).join(items) + newline + "]"
     if kind is dict:
         if not obj:

@@ -16,11 +16,21 @@ neither domination nor matching):
 
 Forcing leaves into D and supports into P (Obs 4.2) follows: a leaf's
 one neighbour goes to P by (1), and the leaf, whose only neighbour is
-then in P and so cannot dominate it from D, can only join D.  A connected
-component of G[P] whose vertices have no unassigned neighbour is final:
-it is checked for a perfect matching as soon as it closes, and the branch
-is pruned if it has none.  A complete assignment therefore has a matched
-component everywhere, and its matching is the union of theirs.
+then in P and so cannot dominate it from D, can only join D.  Every rule,
+and every way a vertex can fail, needs the vertex to have at most one
+unassigned neighbour, so a vertex is settled only when it has.
+
+A connected component of G[P] whose vertices have no unassigned
+neighbour is final: it is checked for a perfect matching as soon as it
+closes, and the branch is pruned if it has none.  The check walks a
+component only up to its first vertex with an unassigned neighbour.  A
+component that closes is pushed, with its matching, onto a record stack,
+tagged with the length of the assignment trail; undoing the trail to a
+mark drops the records tagged past it.  A final component stays final
+and is never walked again on its branch, since every vertex assigned
+later is no neighbour of it.  So a complete assignment has one record per
+component of G[P], and its matching is the union of theirs; P itself is
+read from the assignment, and the pair is re-verified.
 
 The search is set up once per graph g.  Set-up settles every vertex from
 the empty assignment and propagates: the core, which every DP-pair of g
@@ -30,14 +40,19 @@ without building G - e: with edge e masked, only its endpoints' neighbour
 rows and counters change, and settling the two endpoints, propagation
 and the final-component check start there (a vertex the deletion
 isolates fails at once, and a new leaf and its support are forced by the
-same rules).  Only a core that survives is searched, in G - e's BFS
-order.  The lists are those of a search on the real G - e, in the same
-order: the depth-first search in a fixed vertex order, D before P, emits
-pairs in lexicographic order, and sound extra forcing only prunes.  A
-component holding both ends of e is matched without e; every other
-component's induced subgraph is g's own and shares one memo.  Only a hit
-builds the real G - e, once, to re-verify the pair there in G - e's edge
-ids.
+same rules).  That check walks again every core component at or next to
+an end of e, whether it holds one or not, and pushes a new record for
+it; the pair's matching skips the core's record of such a component and
+takes the new one, which is the one that holds in G - e (losing e can
+split a component in two, each with its own record).  A masked search
+drops its own records on exit.  Only a core that survives is searched,
+in G - e's BFS order.  The lists are those of a search on the real G -
+e, in the same order: the depth-first search in a fixed vertex order, D
+before P, emits pairs in lexicographic order, and sound extra forcing
+only prunes.  A component holding both ends of e is matched without e;
+every other component's induced subgraph is g's own and shares one
+memo.  Only a hit builds the real G - e, once, to re-verify the pair
+there in G - e's edge ids.
 
 Two pairs are the same iff their (D, P) partitions agree; matchings are
 witnesses, not identity.  Every positive verdict carries a pair that
@@ -237,6 +252,9 @@ def _dp_search(g: Multigraph) -> Callable[..., list[DpPair]]:
     # cnt[v][s] = neighbours of v in state s (unassigned, D, P)
     cnt = [[len(row), 0, 0] for row in nbrs]
     trail: list[int] = []
+    # (trail length, vertices, matching) of every final P-component closed
+    # on the current branch, the core's first
+    closed: list[tuple[int, list[int], tuple[int, ...]]] = []
     # perfect matching (or None) of every final P-component met so far; a
     # component holding both ends of the masked edge is the only one whose
     # induced subgraph the mask changes, and it goes to that search's memo
@@ -256,6 +274,12 @@ def _dp_search(g: Multigraph) -> Callable[..., list[DpPair]]:
         (both forces at once is a conflict propagate() reports).  A
         P-vertex with one candidate partner c left fails if another
         P-neighbour of c has c as its only candidate too (rule 2).
+
+        Each of these needs v to have at most one unassigned neighbour:
+        with two or more, v has a P- or unassigned neighbour and a D- or
+        unassigned one, no lone unassigned neighbour to force, and two
+        candidate partners.  So settle(v) does nothing then, and
+        propagate() and the set-up call it only while cnt[v][0] < 2.
         """
         ucnt, dcnt, pcnt = cnt[v]
         if pcnt + ucnt < 1:
@@ -301,18 +325,20 @@ def _dp_search(g: Multigraph) -> Callable[..., list[DpPair]]:
                 c = cnt[y]
                 c[0] -= 1
                 c[s] += 1
-                if not settle(y, queue):
+                if c[0] < 2 and not settle(y, queue):
                     # finish x's counter moves, so that undo() can take x back
                     for z in row[row.index(y) + 1 :]:
                         c = cnt[z]
                         c[0] -= 1
                         c[s] += 1
                     return False
-            if not settle(x, queue):
+            if cnt[x][0] < 2 and not settle(x, queue):
                 return False
         return True
 
     def undo(mark: int) -> None:
+        while closed and closed[-1][0] > mark:
+            closed.pop()
         while len(trail) > mark:
             x = trail.pop()
             s = state[x]
@@ -320,17 +346,6 @@ def _dp_search(g: Multigraph) -> Callable[..., list[DpPair]]:
             for u in nbrs[x]:
                 cnt[u][0] += 1
                 cnt[u][s] -= 1
-
-    def p_component(z: int) -> list[int]:
-        """The connected component of G[P] around the P-vertex z."""
-        comp = [z]
-        seen = {z}
-        for y in comp:
-            for w in nbrs[y]:
-                if state[w] == _P and w not in seen:
-                    seen.add(w)
-                    comp.append(w)
-        return comp
 
     def component_matching(key: frozenset[int]) -> tuple[int, ...] | None:
         memo, skip = shared, None
@@ -349,18 +364,29 @@ def _dp_search(g: Multigraph) -> Callable[..., list[DpPair]]:
     def final_components_match(starts: list[int]) -> bool:
         """False if a P-component at or next to a vertex of starts is final
         (none of its vertices has an unassigned neighbour) and has no
-        perfect matching."""
+        perfect matching; every other final one is pushed onto closed."""
         done: set[int] = set()
         for x in starts:
             for z in (x, *nbrs[x]):
                 if state[z] != _P or cnt[z][0] or z in done:
                     continue
-                comp = p_component(z)
-                done.update(comp)
-                if any(cnt[y][0] for y in comp):
-                    continue
-                if len(comp) % 2 or component_matching(frozenset(comp)) is None:
-                    return False
+                # walk z's component in G[P] up to its first vertex with an
+                # unassigned neighbour
+                comp = [z]
+                seen = {z}
+                for y in comp:
+                    if cnt[y][0]:
+                        break
+                    for w in nbrs[y]:
+                        if state[w] == _P and w not in seen:
+                            seen.add(w)
+                            comp.append(w)
+                else:
+                    matching = None if len(comp) % 2 else component_matching(frozenset(comp))
+                    if matching is None:
+                        return False
+                    closed.append((len(trail), comp, matching))
+                done |= seen
         return True
 
     def walk(cap: int) -> list[DpPair]:
@@ -371,25 +397,27 @@ def _dp_search(g: Multigraph) -> Callable[..., list[DpPair]]:
         # and the map from g's edge ids to its own: g's, or G - skip's,
         # built at the first hit
         host = g_host if masked is None else None
+        # closed[:top] is the core's records, then the masked set-up's
+        top = len(closed)
         results: list[DpPair] = []
 
         def emit() -> None:
             nonlocal host
             p = frozenset(v for v in range(n) if state[v] == _P)
             d = frozenset(range(n)) - p
-            # every component of G[P] is final here and was matched when it
-            # closed
-            matching: list[int] = []
-            done: set[int] = set()
-            for z in p:
-                if z not in done:
-                    comp = frozenset(p_component(z))
-                    done |= comp
-                    matching.extend(component_matching(comp))
             if host is None:
                 h, id_map = g.delete_edge(masked[0])
-                host = (h, h.leaves(), h.supports(), id_map)
-            h, leaves, supports, id_map = host
+                # the masked set-up closed again every core component at or
+                # next to an end of the edge; its records replace those
+                fresh = closed[ncore:top]
+                again = {v for _, comp, _ in fresh for v in comp}
+                base = [eid for _, comp, m in closed[:ncore] if comp[0] not in again for eid in m]
+                base += [eid for _, _, m in fresh for eid in m]
+                host = (h, h.leaves(), h.supports(), id_map, base)
+            h, leaves, supports, id_map, base = host
+            # every component of G[P] is final here and has one record, made
+            # when it closed
+            matching = base + [eid for _, _, m in closed[top:] for eid in m]
             if id_map is not None:
                 matching = [id_map[eid] for eid in matching]
             pair = DpPair(d, p, tuple(sorted(matching)))
@@ -478,6 +506,7 @@ def _dp_search(g: Multigraph) -> Callable[..., list[DpPair]]:
         )
         results = walk(cap) if ok else []
         undo(core)
+        del closed[ncore:]
         if cut:
             nbrs[a], nbrs[b] = rows
             cnt[a][state[b]] += 1
@@ -488,12 +517,12 @@ def _dp_search(g: Multigraph) -> Callable[..., list[DpPair]]:
     # the core: every vertex settled from the empty assignment, propagated
     queue = []
     alive = (
-        all(settle(v, queue) for v in range(n))
+        all(settle(v, queue) for v in range(n) if cnt[v][0] < 2)
         and propagate(queue)
         and final_components_match(trail)
     )
-    core = len(trail)
-    g_host = (g, g.leaves(), g.supports(), None)
+    core, ncore = len(trail), len(closed)
+    g_host = (g, g.leaves(), g.supports(), None, [eid for _, _, m in closed for eid in m])
     return search
 
 

@@ -105,7 +105,7 @@ def deletion_witness(g: Multigraph) -> int | None:
     re-verifies its pair there).  A deletion that isolates a vertex, and
     every deletion from a g whose core is contradictory, is decided
     without a search."""
-    return _first_deletion(g, _dp_search(g), [])
+    return _first_deletion(g, _dp_search(g), [])[0]
 
 
 def _pairs_and_witness(g: Multigraph, cap: int) -> tuple[list[DpPair], int | None]:
@@ -114,12 +114,15 @@ def _pairs_and_witness(g: Multigraph, cap: int) -> tuple[list[DpPair], int | Non
     found decide the deletions they survive."""
     search = _dp_search(g)
     pairs = search(cap)
-    return pairs, _first_deletion(g, search, pairs) if pairs else None
+    return pairs, _first_deletion(g, search, pairs)[0] if pairs else None
 
 
-def _first_deletion(g: Multigraph, search, pairs: list[DpPair]) -> int | None:
+def _first_deletion(
+    g: Multigraph, search, pairs: list[DpPair]
+) -> tuple[int, DpPair] | tuple[None, None]:
     """The deletion scan of deletion_witness on the search _dp_search set
-    up on g, given DP-pairs of g already found.
+    up on g, given DP-pairs of g already found: the witness e and a DP-pair
+    of G - e, in G - e's edge ids, that shows it, or (None, None).
 
     A pair of g that is still a DP-pair of G - e decides e without a
     search, and _kept_by finds the lowest such e of each pair.  The masked
@@ -134,15 +137,16 @@ def _first_deletion(g: Multigraph, search, pairs: list[DpPair]) -> int | None:
         if eid < known:
             known, pair = eid, p
     for eid in range(known):
-        if search(1, eid):
-            return eid
+        hits = search(1, eid)
+        if hits:
+            return eid, hits[0]
     if pair is None:
-        return None
+        return None, None
     h, id_map = g.delete_edge(known)
     kept = DpPair(pair.d, pair.p, tuple(id_map[eid] for eid in pair.matching))
     assert h.leaves() <= kept.d and h.supports() <= kept.p
     assert is_dp_pair(h, kept), dp_pair_problem(h, kept)
-    return known
+    return known, kept
 
 
 def _kept_by(g: Multigraph, pair: DpPair) -> int:
@@ -195,13 +199,17 @@ def check_reducible_pattern(h: Multigraph) -> tuple[int, int, int, int] | None:
 def minimal_spanning_dpdp_subgraph(g: Multigraph) -> Multigraph | None:
     """Greedy extraction: repeatedly delete the lowest-id edge whose removal
     keeps the graph DPDP.  None iff g is not DPDP.  Whether g is DPDP and
-    its first deletion come from one DP search."""
-    pairs, eid = _pairs_and_witness(g, 1)
+    its first deletion come from one DP search; the pair that shows a
+    deletion keeps the graph DPDP is a DP-pair of the smaller graph, and
+    that graph's scan starts from it."""
+    search = _dp_search(g)
+    pairs = search(1)
     if not pairs:
         return None
+    eid, pair = _first_deletion(g, search, pairs)
     while eid is not None:
         g, _ = g.delete_edge(eid)
-        eid = deletion_witness(g)
+        eid, pair = _first_deletion(g, _dp_search(g), [pair])
     return g
 
 

@@ -1,6 +1,8 @@
 from __future__ import annotations
 
+import contextlib
 import hashlib
+import io
 import json
 import os
 import random
@@ -95,42 +97,53 @@ def test_minimal_witness_on_k4(tmp_path, capsys):
     assert res["witness_edge"] is not None
 
 
-def s2_tree_digest(tmp_path, capsys, monkeypatch, *argv) -> str:
+def cli_digest(graphs, *argv) -> str:
     """SHA-256 of the concatenated stdout of dpdp argv[0] FILE argv[1:] on
-    the S2 graphs of 16 random trees on 20-30 vertices, alpha in {1, 2, 3}."""
-    monkeypatch.chdir(tmp_path)  # the input path is part of the output
-    rng = random.Random(2026)
+    each graph in turn, FILE being t<i>.el written to the current
+    directory; dpdp.cli.main runs in process and must exit 0."""
     digest = hashlib.sha256()
-    for i in range(16):
-        t = random_tree(rng.randint(20, 30), rng)
-        g, _ = build_s2(t, {v: rng.randint(1, 3) for v in sorted(t.leaves())})
+    for i, g in enumerate(graphs):
         name = f"t{i}.el"
-        (tmp_path / name).write_text(edge_list_text(g))
-        code, out = run_cli(capsys, argv[0], name, *argv[1:])
+        Path(name).write_text(edge_list_text(g))
+        out = io.StringIO()
+        with contextlib.redirect_stdout(out):
+            code = main([argv[0], name, *argv[1:]])
         assert code == 0
-        digest.update(out.encode())
+        digest.update(out.getvalue().encode())
     return digest.hexdigest()
 
 
-def test_minimal_outputs_pinned(tmp_path, capsys, monkeypatch):
+def s2_tree_digest(tmp_path, monkeypatch, *argv) -> str:
+    """cli_digest on the S2 graphs of 16 random trees on 20-30 vertices,
+    alpha in {1, 2, 3}."""
+    monkeypatch.chdir(tmp_path)  # the input path is part of the output
+    rng = random.Random(2026)
+    graphs = []
+    for _ in range(16):
+        t = random_tree(rng.randint(20, 30), rng)
+        graphs.append(build_s2(t, {v: rng.randint(1, 3) for v in sorted(t.leaves())})[0])
+    return cli_digest(graphs, *argv)
+
+
+def test_minimal_outputs_pinned(tmp_path, monkeypatch):
     # 14 witness edges and 2 minimal graphs, so a change of witness edge,
     # pair or matching shows here
-    digest = s2_tree_digest(tmp_path, capsys, monkeypatch, "minimal")
+    digest = s2_tree_digest(tmp_path, monkeypatch, "minimal")
     assert digest == MINIMAL_S2_TREES_SHA256
 
 
-def test_check_and_pairs_outputs_pinned(tmp_path, capsys, monkeypatch):
+def test_check_and_pairs_outputs_pinned(tmp_path, monkeypatch):
     # the first pair and the first ten pairs of the DFS, with their
     # matchings: a change of search order or matching shows here
-    digest = s2_tree_digest(tmp_path, capsys, monkeypatch, "check")
+    digest = s2_tree_digest(tmp_path, monkeypatch, "check")
     assert digest == CHECK_S2_TREES_SHA256
-    digest = s2_tree_digest(tmp_path, capsys, monkeypatch, "pairs", "--cap", "10")
+    digest = s2_tree_digest(tmp_path, monkeypatch, "pairs", "--cap", "10")
     assert digest == PAIRS_S2_TREES_SHA256
 
 
-def test_invert_outputs_pinned(tmp_path, capsys, monkeypatch):
+def test_invert_outputs_pinned(tmp_path, monkeypatch):
     # base, alpha and provenance of all 16 inversions
-    digest = s2_tree_digest(tmp_path, capsys, monkeypatch, "invert")
+    digest = s2_tree_digest(tmp_path, monkeypatch, "invert")
     assert digest == INVERT_S2_TREES_SHA256
 
 
@@ -538,18 +551,27 @@ def test_graph6_input_format(tmp_path, capsys):
 
 PAYLOAD_STRINGS = st.one_of(
     st.text(max_size=8),
-    # quotes, backslashes, control characters, non-ASCII, a lone surrogate
+    # quotes, backslashes, control characters, non-ASCII, a lone surrogate,
+    # and the %-format markers that the row template must not read
     st.sampled_from(
-        ['"', "\\", '\\"', "\n\t\x00\x1f\x7f", "\u00e9", "\u2603", "\U0001f600", "\ud800"]
+        ['"', "\\", '\\"', "\n\t\x00\x1f\x7f", "\u00e9", "\u2603", "\U0001f600", "\ud800",
+         "%", "%s", "%d", "%%", "a%sb%%c"]
     ),
 )
+PAYLOAD_SCALARS = (
+    st.none() | st.booleans() | st.integers(-(10**20), 10**20) | PAYLOAD_STRINGS
+)
 PAYLOADS = st.recursive(
-    st.none() | st.booleans() | st.integers(-(10**20), 10**20) | PAYLOAD_STRINGS,
+    PAYLOAD_SCALARS,
     lambda inner: st.lists(inner, max_size=5)
     # bools mixed into int lists, which must not print as 0 and 1
     | st.lists(st.integers(-5, 5) | st.booleans(), max_size=5)
     # lists of int lists such as edge triples, empty ones and bools included
     | st.lists(st.lists(st.integers(-5, 5) | st.booleans(), max_size=4), max_size=5)
+    # rows of unequal length mixing strings and ints, such as provenance
+    # tags, which the writer formats in one call; then bools and None too
+    | st.lists(st.lists(st.integers(-5, 5) | PAYLOAD_STRINGS, min_size=1, max_size=4), max_size=5)
+    | st.lists(st.lists(PAYLOAD_SCALARS, max_size=4), max_size=5)
     | st.dictionaries(PAYLOAD_STRINGS, inner, max_size=5),
     max_leaves=30,
 )
@@ -565,7 +587,8 @@ def test_json_writer_edge_cases():
     for obj in ({}, [], {"a": {}, "b": []}, [[], {}], [-1, 0, True, False, None],
                 {'k"\\\n\u00e9': ["\x01", "\u2603"]}, [[]], [[], []], [[0, 1, 2], [3, 4, 5]],
                 [[1, True], [False], []], [[1, 2], [3, [4]]], [[1], "x"], [[1], None],
-                {"e": [[0, 1, 0]], "m": [[2, 3, 1], []]}):
+                {"e": [[0, 1, 0]], "m": [[2, 3, 1], []]},
+                [["old", 0], ["copy", 1, 2], ["new", 3, 1]], [["%s", 1]], [["%", "%%"]]):
         assert _json_text(obj) == json.dumps(obj, sort_keys=True, indent=2)
     with pytest.raises(TypeError):
         _json_text({"x": 1.5})

@@ -5,7 +5,7 @@ import pathlib
 import random
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 import dpdp.domination
 from dpdp.catalog import (
@@ -270,8 +270,14 @@ def test_capped_search_is_a_prefix(g, k):
     assert enumerate_dp_pairs(g, cap=k) == enumerate_dp_pairs(g, cap=10**6)[:k]
 
 
+# the masked edge is the loop at 0: the masked set-up closes the core
+# component {1, 2} again, next to 0 but holding neither end
+CLOSED_AGAIN = Multigraph(4, [(0, 0), (0, 1), (1, 2), (2, 3)])
+
+
 @settings(max_examples=200, deadline=None)
 @given(multigraphs(max_n=9, max_m=14))
+@example(CLOSED_AGAIN)
 def test_masked_search_equals_search_on_deleted_graph(g):
     search = _dp_search(g)
     for eid in range(g.m):
@@ -282,6 +288,14 @@ def test_masked_search_equals_search_on_deleted_graph(g):
         for pair in want:
             masked = _matching(g, pair.p, eid)
             assert tuple(id_map[e] for e in masked) == pair.matching
+
+
+def test_masked_search_matches_a_core_component_closed_again_once():
+    # with the loop masked, emit takes {1, 2}'s matching from the masked
+    # set-up's record alone, not from the core's record too
+    pair = DpPair(frozenset({0, 3}), frozenset({1, 2}), (1,))
+    assert _dp_search(CLOSED_AGAIN)(10, 0) == [pair]
+    assert enumerate_dp_pairs(CLOSED_AGAIN.delete_edge(0)[0], 10) == [pair]
 
 
 def test_masked_search_checks_the_component_the_deletion_closes():

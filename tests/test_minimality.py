@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import random
 from collections import Counter
 from itertools import product
 
@@ -9,7 +10,7 @@ from hypothesis import given, settings
 import dpdp.cli
 import dpdp.domination
 import dpdp.minimality
-from dpdp.catalog import complete, corona, cycle, enumerate_connected_simple, path
+from dpdp.catalog import complete, corona, cycle, enumerate_connected_simple, path, random_tree
 from dpdp.domination import enumerate_dp_pairs, is_dpdp
 from dpdp.goodsub import find_good_subgraph
 from dpdp.graph import Multigraph
@@ -145,16 +146,54 @@ def test_one_dp_search_per_question(dp_searches, tmp_path, capsys):
     dp_searches.clear()
     # greedy extraction from K4: one engine answers whether K4 is DPDP and
     # its first deletion (edge 0, decided by K4's pair), then one engine
-    # per smaller graph, which has no pair to hand to its scan
+    # per smaller graph, whose scan starts from the pair that showed the
+    # deletion before it: that pair decides K4 - 0's first deletion with
+    # no masked search, and the next graph's after two
     minimal_spanning_dpdp_subgraph(complete(4))
-    assert dp_searches == [
-        "setup", 1, "setup", 1, "setup", 1, 1, 1, "setup", 1, 1, 1
-    ]
+    assert dp_searches == ["setup", 1, "setup", "setup", 1, 1, "setup", 1, 1, 1]
     dp_searches.clear()
     # P4 is minimal: one engine, one enumeration, a failed deletion per
     # edge, since no deletion keeps P4's pair
     minimal_spanning_dpdp_subgraph(path(4))
     assert dp_searches == ["setup", 1, 1, 1, 1]
+
+
+def test_greedy_extraction_hands_each_scan_the_pair_before_it(monkeypatch):
+    # the scan of each smaller graph starts from the pair that showed the
+    # deletion before it; the output is the plain deletion_witness loop's
+    # and the masked searches fall from 951 (that loop) to 915
+    rng = random.Random(77)
+    trees = []
+    while len(trees) < 40:
+        t = random_tree(rng.randint(8, 20), rng)
+        if is_dpdp(t):
+            trees.append(t)
+    sample = [*trees, complete(5), complete(6), cycle(12), cycle(15)]
+
+    def by_deletion_witness(g):
+        eid = deletion_witness(g)
+        while eid is not None:
+            g, _ = g.delete_edge(eid)
+            eid = deletion_witness(g)
+        return g
+
+    want = [by_deletion_witness(g) for g in sample]
+    real = dpdp.minimality._dp_search
+    masked = 0
+
+    def counted_engine(g):
+        search = real(g)
+
+        def counted(cap, skip=None):
+            nonlocal masked
+            masked += skip is not None
+            return search(cap, skip)
+
+        return counted
+
+    monkeypatch.setattr(dpdp.minimality, "_dp_search", counted_engine)
+    assert [minimal_spanning_dpdp_subgraph(g) for g in sample] == want
+    assert masked == 915
 
 
 def test_reducible_pattern_examples():
@@ -271,9 +310,6 @@ def test_corona_minimal_spot():
 def test_spanning_minimal_subgraph_of_dpdp_tree():
     # the extracted spanning minimal subgraph of a DPDP tree is always the
     # 2-subdivision of a forest without isolated vertices or good subgraphs
-    import random
-
-    from dpdp.catalog import random_tree
     from dpdp.subdivision import invert_s2
 
     rng = random.Random(77)
