@@ -21,8 +21,14 @@ find_good_subgraph walks the candidate Q sets in a fixed order and runs
 one path search per set, except on sets that cannot succeed: a set that
 breaks a counting bound, and a set that an automorphism of H (a swap of
 twin vertices, parallel edges or loops) maps onto a set met earlier in
-the walk, whose search has already failed.  The first good set, and so
-the certificate, is the one a search of every set would give.
+the walk, whose search has already failed.  The sharpest bound counts
+edges against arcs: the vertices with an out-arc number as many as the
+arcs, so the part of H that no arc touches, which avoids Q's vertex set
+S, needs m - |Q| - n more edges than vertices, and the 2-core of H - S
+says at once whether any part of it has that many.  The walk cuts a
+prefix of Q as soon as its S fails this, so most Q sets are never built.
+The first good set, and so the certificate, is the one a search of
+every set would give.
 """
 
 from __future__ import annotations
@@ -234,9 +240,10 @@ def find_good_subgraph(h: Multigraph) -> GoodSubgraphCertificate | None:
     rule of Crawford, Ginsberg, Luks and Roy, KR 1996), and the first hit
     is still the same.  Proof: an automorphism s of h keeps leaves and
     supports, so s(Q) is a subset of eligible; it keeps the size, the
-    component count, cuts (a) and (b) of _q_sets and the final-arc
-    bound; and it turns a certificate for Q into one for s(Q) and back,
-    so Q is good iff s(Q) is.  So _q_sets hands s(Q) out in the same
+    component count, the edge-end cut (a) and the core excess cut (b) of
+    _q_sets (s maps h - S onto h - s(S)) and the final-arc bound; and it
+    turns a certificate for Q into one for s(Q) and back, so Q is good
+    iff s(Q) is.  So _q_sets hands s(Q) out in the same
     (size, component count) group as Q and, being lexicographically
     smaller, before Q.  If Q were good, s(Q) would be a good set handed
     out earlier, so the first good set is never skipped; every set handed
@@ -278,17 +285,40 @@ def _q_sets(h: Multigraph, eligible: list[int]):
     changes in it before asking for the next pair.
 
     (a) Every Q-vertex keeps an edge-end outside Q for its outgoing arc.
-    (b) The Q boundary fits in n arcs: arcs have pairwise distinct tails
-        (out-degree is capped at 1), so at most n edges are oriented.
-        Every Q edge touches the vertex set S of Q, so the boundary has
-        (edges touching S) - |Q| edges.
-    Both only get worse as a prefix grows (edge-ends outside Q fall, S
-    grows), so a prefix that breaks one, measured against the full size,
-    is cut with every set that extends it.  (a) is two decrements of
-    left per edge.  For (b) each vertex has one bitmask of its incident
-    edges, built once per host (a loop sets one bit), and each depth of
-    the index stack holds the OR of its prefix's masks, the edges
-    touching S; backtracking pops it.
+    (b) With S the vertex set of Q, i(Y) the number of edges (loops
+        included) with both ends in Y, and m and n those of h: some
+        Y inside V - S has i(Y) - |Y| >= m - |Q| - n.
+    Proof of (b):
+    - Necessity.  Take any certificate for Q, and let X be the set of
+      vertices that have an out-arc.  Condition (1) puts S inside X, and
+      every vertex of X - S is an inner vertex of some path.  Conditions
+      (1) and (2) use up every non-Q edge-end at a vertex of X, so every
+      non-Q edge that touches X is an arc.  Out-degree is at most 1, so
+      there are exactly |X| arcs.  Every edge inside Y = V - X is a non-Q
+      edge, so (m - |Q|) - i(Y) = n - |Y|, and Y lies inside V - S.
+    - 2-core lemma.  The maximum of i(Y) - |Y| over Y inside V - S is
+      i(C) - |C| for the 2-core C of h - S (0 when C is empty).
+      Deleting a vertex of degree <= 1 never lowers i - |Y| (a loop
+      counts 2 towards degree), so peeling Y to its own 2-core, which
+      lies in C, never lowers it.  If a set R inside C is removed, at
+      least |R| edges go with it, because every vertex of R has degree
+      >= 2 in C; so no subset of C beats C.
+    - Monotone.  As the prefix grows, S grows, V - S shrinks and the core
+      excess can only fall.  The walk runs one size at a time, so the
+      threshold m - size - n is fixed while it runs.
+    - Same certificates.  The cut removes only Q sets that cannot be
+      good.  It is invariant under automorphisms, so the lex-leader proof
+      in find_good_subgraph still holds.  The first good set, and with it
+      the certificate, stays the same.
+    (b) also says that the Q boundary, the edges touching S minus Q, fits
+    in n arcs: i(V - S) >= i(C) >= m - |Q| - n.  (a) only gets worse as
+    the prefix grows too, so a prefix that breaks either, measured
+    against the full size, is cut with every set that extends it.  (a)
+    is two decrements of left per edge.  For (b) each depth of the index
+    stack holds the vertex bitmask of its prefix's S, and the core excess
+    is computed once per S for the host and kept; the excess is never
+    negative (take Y empty), so it is looked at only when the threshold is
+    positive, and trees, cycles and theta graphs never pay for it.
 
     The walk meets the survivors in lexicographic order.  Components order
     survivors but never cut a prefix, so they are counted once per
@@ -301,16 +331,13 @@ def _q_sets(h: Multigraph, eligible: list[int]):
     """
     us, vs = h.us, h.vs
     left = [h.degree(x) for x in range(h.n)]
-    incident = [0] * h.n
-    for eid in range(h.m):
-        incident[us[eid]] |= 1 << eid
-        incident[vs[eid]] |= 1 << eid
+    excess: dict[int, int] = {}  # S bitmask -> core excess of h - S
     k = len(eligible)
     for size in range(1, k + 1):
-        limit = h.n + size
+        need = h.m - size - h.n
         disconnected: dict[int, list[tuple[int, ...]]] = {}
         picked: list[int] = []  # indices into eligible, ascending
-        touching = [0]  # touching[d]: mask of the edges touching the first d picked
+        spans = [0]  # spans[d]: vertex mask of the first d picked
         i = 0
         while True:
             if len(picked) + k - i >= size:
@@ -318,8 +345,14 @@ def _q_sets(h: Multigraph, eligible: list[int]):
                 u, v = us[eid], vs[eid]
                 left[u] -= 1
                 left[v] -= 1
-                mask = touching[-1] | incident[u] | incident[v]
-                if left[u] >= 1 and left[v] >= 1 and mask.bit_count() <= limit:
+                s = spans[-1] | 1 << u | 1 << v
+                fits = left[u] >= 1 and left[v] >= 1
+                if fits and need > 0:
+                    ex = excess.get(s)
+                    if ex is None:
+                        ex = excess[s] = _core_excess(h, s)
+                    fits = ex >= need
+                if fits:
                     if len(picked) + 1 == size:
                         q = (*(eligible[j] for j in picked), eid)
                         count = _component_count(h, q)
@@ -329,7 +362,7 @@ def _q_sets(h: Multigraph, eligible: list[int]):
                             disconnected.setdefault(count, []).append(q)
                     else:
                         picked.append(i)
-                        touching.append(mask)
+                        spans.append(s)
                         i += 1
                         continue
                 left[u] += 1
@@ -337,7 +370,7 @@ def _q_sets(h: Multigraph, eligible: list[int]):
                 i += 1
             elif picked:
                 i = picked.pop()
-                touching.pop()
+                spans.pop()
                 left[us[eligible[i]]] += 1
                 left[vs[eligible[i]]] += 1
                 i += 1
@@ -352,6 +385,29 @@ def _q_sets(h: Multigraph, eligible: list[int]):
                 for eid in q:
                     left[us[eid]] += 1
                     left[vs[eid]] += 1
+
+
+def _core_excess(h: Multigraph, s: int) -> int:
+    """i(C) - |C| for the 2-core C of h minus the vertex bitmask s, where
+    i counts the edges, loops included, with both ends in C: the most
+    that i(Y) - |Y| reaches over vertex sets Y that avoid s (proof in
+    _q_sets).  Peels every vertex of degree <= 1 (a loop counts 2) in
+    rounds until none is left."""
+    rest = (1 << h.n) - 1 & ~s
+    inside = [(u, v) for u, v in zip(h.us, h.vs) if rest >> u & 1 and rest >> v & 1]
+    while True:
+        degree = [0] * h.n
+        for u, v in inside:
+            degree[u] += 1
+            degree[v] += 1
+        low = 0
+        for x in range(h.n):
+            if degree[x] <= 1 and rest >> x & 1:
+                low |= 1 << x
+        if not low:
+            return len(inside) - rest.bit_count()
+        rest &= ~low
+        inside = [(u, v) for u, v in inside if not (low >> u & 1 or low >> v & 1)]
 
 
 def _swaps(h: Multigraph) -> list[tuple[tuple[int, int], ...]]:

@@ -272,6 +272,25 @@ def simple_n8_sample(k: int = 150) -> list[Multigraph]:
     return random.Random(3).sample(graphs, k)
 
 
+def gnp9_sample(k: int = 60) -> list[Multigraph]:
+    """k connected labelled G(9, p) graphs from random.Random(9): each
+    draft draws p uniformly from [0.25, 0.75] and then each of the 36
+    vertex pairs independently with probability p, and a disconnected
+    draft is redrawn, p included.  The sample is not uniform over classes:
+    a class with many labellings, and one whose edge count suits the
+    drawn p, comes up more often, classes recur, and sparse and very dense
+    graphs are rare."""
+    rng = random.Random(9)
+    everything = frozenset(range(9))
+    hosts: list[Multigraph] = []
+    while len(hosts) < k:
+        p = rng.uniform(0.25, 0.75)
+        g = Multigraph(9, [e for e in combinations(range(9), 2) if rng.random() < p])
+        if _connected_in(g, everything):
+            hosts.append(g)
+    return hosts
+
+
 @st.composite
 def multigraphs(draw, max_n: int, max_m: int):
     """Random multigraphs with loops and parallel edges."""

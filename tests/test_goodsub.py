@@ -11,6 +11,7 @@ from itertools import combinations
 
 import pytest
 from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import dpdp.goodsub
 from dpdp.catalog import (
@@ -44,6 +45,7 @@ from dpdp.subdivision import build_s2
 from helpers import (
     based_alphas,
     forest_good_decomposition_check,
+    gnp9_sample,
     multigraphs,
     oracle_dominating,
     oracle_pairing_exists,
@@ -63,6 +65,11 @@ MULTIGRAPHS_LE6_CERTIFICATES_SHA256 = (
 # the same over random_looped_multigraphs(3000, seed=1)
 LOOPED_CERTIFICATES_SHA256 = (
     "e8a9bf075d772738bd8ad5c1b0bd5eccf327063b78b1bd0ec9ae9c5238097a7e"
+)
+
+# the same over helpers.gnp9_sample(), 60 connected G(9, p) graphs
+GNP9_CERTIFICATES_SHA256 = (
+    "8942d156e8132dacf797be1b55a83e4660e9934a2a0197081f1d37cefb35802b"
 )
 
 # (q_edges, arcs in dict order) of the first good subgraph of K7 and K8:
@@ -289,21 +296,32 @@ def _count_search_work(monkeypatch, hosts, count_grow: bool = True) -> Counter:
 
 def test_dead_q_prefixes_and_path_families_are_cut(monkeypatch):
     # the 142 connected simple graphs on 2..6 vertices, labelled as in
-    # graph6; without the prefix cut and the final-arc bound the search
-    # builds 81,522 Q sets and makes 511,447 grow calls
+    # graph6; without the prefix cuts and the final-arc bound the search
+    # builds 81,522 Q sets and makes 511,447 grow calls, and with a
+    # boundary cut (edges touching S at most n + |Q|) in place of the core
+    # excess cut it hands out 2,444 Q sets and makes 12,900 grow calls
     bases = [
         read_graph6(write_graph6(g))
         for n in range(2, 7)
         for g in enumerate_connected_simple(n)
     ]
     counts = _count_search_work(monkeypatch, bases)
-    # the walk hands out a Q set only when it is next to be searched; 570
-    # of them fail the final-arc bound before a path search is set up, and
-    # 795 more map onto a smaller set under a twin swap
-    assert counts["q_sets"] == 2444
-    assert counts["symmetric"] == 795
-    assert counts["search"] == 1079
-    assert counts["grow"] <= 12_900
+    # the walk hands out a Q set only when it is next to be searched; 4 of
+    # them fail the final-arc bound before a path search is set up, and 85
+    # more map onto a smaller set under a twin swap
+    assert counts["q_sets"] == 296
+    assert counts["symmetric"] == 85
+    assert counts["search"] == 207
+    assert counts["grow"] <= 2_251
+
+
+def _excesses(h: Multigraph, s: set[int]):
+    """i(Y) - |Y| for every vertex set Y outside s, where i(Y) counts the
+    edges, loops included, with both ends in Y."""
+    rest = [x for x in range(h.n) if x not in s]
+    for r in range(len(rest) + 1):
+        for y in map(set, combinations(rest, r)):
+            yield sum(e.u in y and e.v in y for e in h.edges) - len(y)
 
 
 def _reference_q_sets(h: Multigraph, eligible: list[int], size: int) -> list:
@@ -321,9 +339,8 @@ def _reference_q_sets(h: Multigraph, eligible: list[int], size: int) -> list:
         # (a) each Q-vertex keeps an edge-end outside Q
         if any(outside[x] < 1 for x in s):
             return False
-        # (b) the Q boundary fits in n arcs
-        boundary = [e for e in h.edges if e.id not in combo and (e.u in s or e.v in s)]
-        return len(boundary) <= h.n
+        # (b) some Y outside S has i(Y) - |Y| >= m - |Q| - n
+        return any(x >= h.m - len(combo) - h.n for x in _excesses(h, s))
 
     def components(combo) -> int:
         adj: dict[int, set[int]] = {}
@@ -384,6 +401,45 @@ def test_q_sets_match_reference_on_random_multigraphs(h):
     # loops and parallel edges: a loop sets one bit of its vertex's mask
     # and takes two of its edge-ends
     _check_q_sets(h)
+
+
+@settings(max_examples=300, deadline=None)
+@given(multigraphs(max_n=7, max_m=14), st.integers(0, (1 << 7) - 1))
+def test_core_excess_is_the_best_vertex_set(h, s):
+    # the 2-core peeling of _core_excess against every Y outside S
+    s &= (1 << h.n) - 1
+    outside = {x for x in range(h.n) if s >> x & 1}
+    assert dpdp.goodsub._core_excess(h, s) == max(_excesses(h, outside))
+
+
+def test_every_good_q_set_passes_the_core_excess_cut():
+    # every subset of the eligible edges that keeps an edge-end outside Q
+    # at each Q-vertex, cut (a), whether _q_sets would hand it out or not;
+    # each good one passes the cut and the walk hands it out
+    bases = [read_graph6(write_graph6(g)) for n in range(2, 7) for g in enumerate_connected_simple(n)]
+    q_sets = good = 0
+    for h in [*enumerate_connected_multigraphs(6), *bases, *random_looped_multigraphs(1000, seed=1)]:
+        allowed = set(range(h.n)) - h.leaves() - h.supports()
+        eligible = [e.id for e in h.edges if e.u in allowed and e.v in allowed]
+        walked = {q for q, _ in dpdp.goodsub._q_sets(h, eligible)}
+        for size in range(1, len(eligible) + 1):
+            for combo in combinations(eligible, size):
+                left = [h.degree(x) for x in range(h.n)]
+                for eid in combo:
+                    left[h.us[eid]] -= 1
+                    left[h.vs[eid]] -= 1
+                q_vertices = frozenset(h.us[eid] for eid in combo) | frozenset(h.vs[eid] for eid in combo)
+                if any(left[x] < 1 for x in q_vertices):
+                    continue
+                q_sets += 1
+                # _search_paths leaves left as the found family left it
+                if dpdp.goodsub._search_paths(h, q_vertices, frozenset(combo), left[:]) is None:
+                    continue
+                good += 1
+                s = sum(1 << x for x in q_vertices)
+                assert dpdp.goodsub._core_excess(h, s) >= h.m - size - h.n, (h.edge_multiset(), combo)
+                assert combo in walked, (h.edge_multiset(), combo)
+    assert (q_sets, good) == (219_957, 45_024)
 
 
 def _swap_permutation(h: Multigraph, swap) -> list[int]:
@@ -540,6 +596,12 @@ def test_looped_multigraph_certificates_pinned():
     # two edge-ends at one vertex enter the path search's running sums
     hosts = random_looped_multigraphs(3000, seed=1)
     assert certificates_digest(hosts) == LOOPED_CERTIFICATES_SHA256
+
+
+def test_gnp9_certificates_pinned():
+    # labelled 9-vertex hosts, denser and less symmetric than the
+    # fixtures, where the core excess cut removes most Q sets
+    assert certificates_digest(gnp9_sample()) == GNP9_CERTIFICATES_SHA256
 
 
 def test_first_q_set_needs_little_memory():
