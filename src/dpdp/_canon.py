@@ -304,11 +304,24 @@ def is_isomorphic(a: Multigraph, b: Multigraph) -> bool:
 
 
 def _class_order(g: Multigraph) -> tuple:
+    """Sort key of the classes: (n, m, sorted degrees, sorted edge codes),
+    where the edge {u, v} with u <= v has the code u*n + v.
+
+    It orders graphs exactly as (n, m, sorted degrees, edge_multiset())
+    does, ties included.  The codes are compared only between graphs with
+    equal n and m.  For a fixed n, (u, v) -> u*n + v is strictly increasing
+    in the lexicographic order of the pairs with 0 <= u <= v < n, because
+    v < n; so it maps the sorted pairs onto the sorted codes, and two
+    equally long lists of codes compare as their pair lists do.  A code
+    is one int, at most 255 for n <= 16 and so a cached small int, where
+    a pair is a tuple: the keys of a sorted level take a fraction of the
+    memory."""
+    n = g.n
     return (
-        g.n,
+        n,
         g.m,
-        tuple(sorted(g.degree(v) for v in range(g.n))),
-        g.edge_multiset(),
+        tuple(sorted(map(g.degree, range(n)))),
+        tuple(sorted(u * n + v if u <= v else v * n + u for u, v in zip(g.us, g.vs))),
     )
 
 
@@ -368,6 +381,7 @@ def _dedup(
         Multigraph(n, ends) if g is None else g
         for n, ends, g in candidates if seen.add(n, ends)
     ]
+    del seen  # freed before the sort keys are built, so the two never peak together
     reps.sort(key=_class_order)
     return reps
 

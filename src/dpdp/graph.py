@@ -5,10 +5,13 @@ construction order, so certificates can reference them.  The degree of a
 vertex counts edge-ends: a loop contributes 2.  The neighbourhood N(v) is a
 set and contains v itself exactly when a loop is present at v.
 
-Storage is flat: edge i joins us[i] and vs[i], two int tuples, and each
-vertex keeps a tuple of its incident edge ids; no object is built per
-edge.  The engines read us and vs.  edges, one EdgeRecord per edge, is a
-view for callers that want records, built on first use.
+Storage is flat: edge i joins us[i] and vs[i], two int tuples, beside
+the degree tuple; no object is built per edge or per vertex.  The
+adjacency index (each vertex's plain neighbours and incident edge ids,
+and the looped vertices) is built on first use, so a graph that is only
+stored, compared or written, as most enumerated classes are, never pays
+for it.  The engines read us and vs.  edges, one EdgeRecord per edge, is
+a view for callers that want records, also built on first use.
 
 Codecs: graph6 (simple graphs, single-byte size, n <= 62) and the plain
 edge-list text format, the only lossless multigraph interchange here,
@@ -24,8 +27,10 @@ from collections.abc import Iterable
 
 #: the most vertices a graph built from outside input may have: the largest
 #: count an edge-list header may declare, and the largest 2-subdivision
-#: build_s2 makes; building a Multigraph peaks near 610 bytes per vertex,
-#: so one input stays under 0.65 GB
+#: build_s2 makes; building a Multigraph takes 16 bytes per vertex plus 32
+#: per edge, and its adjacency index, which every engine builds, lifts the
+#: tracemalloc peak to about 530 bytes per vertex with no edges and 660 on
+#: a path, so one input stays under 0.7 GB
 MAX_EDGE_LIST_VERTICES = 1_000_000
 
 
@@ -112,10 +117,13 @@ class Multigraph:
     """Finite multigraph, immutable after construction.
 
     us[i] and vs[i] are the endpoints of edge i, in the order given.  All
-    query methods are pure; instances are safe to share between threads.
+    query methods are pure.  plain_neighbors, neighborhood, incident_edges,
+    is_simple and connected_components read the adjacency index, which the
+    first of them to run builds and publishes in one assignment; so
+    instances are safe to share between threads.
     """
 
-    __slots__ = ("n", "us", "vs", "_degree", "_plain", "_incident", "_looped", "_edges")
+    __slots__ = ("n", "us", "vs", "_degree", "_adj", "_edges")
     n: int
     us: tuple[int, ...]
     vs: tuple[int, ...]
@@ -126,34 +134,44 @@ class Multigraph:
         us: list[int] = []
         vs: list[int] = []
         degree = [0] * n
-        plain: list[set[int]] = [set() for _ in range(n)]
-        incident: list[list[int]] = [[] for _ in range(n)]
-        looped: set[int] = set()
         for i, (u, v) in enumerate(edges):
             if not (0 <= u < n and 0 <= v < n):
                 raise ValueError(f"edge {i} endpoint out of range: ({u}, {v})")
             us.append(u)
             vs.append(v)
-            incident[u].append(i)
-            if u == v:
-                degree[u] += 2
-                looped.add(u)
-            else:
-                degree[u] += 1
-                degree[v] += 1
-                plain[u].add(v)
-                plain[v].add(u)
-                incident[v].append(i)
+            degree[u] += 1
+            degree[v] += 1
         # __setattr__ refuses every assignment, so the slots are set past it
         put = object.__setattr__
         put(self, "n", n)
         put(self, "us", tuple(us))
         put(self, "vs", tuple(vs))
         put(self, "_degree", tuple(degree))
-        put(self, "_plain", tuple(map(frozenset, plain)))
-        put(self, "_incident", tuple(map(tuple, incident)))
+        put(self, "_adj", None)
         put(self, "_edges", None)
-        put(self, "_looped", frozenset(looped))
+
+    def _index(self) -> tuple:
+        """The adjacency index (plain, incident, looped): per vertex its
+        non-loop neighbours as a frozenset and its incident edge ids as a
+        tuple, and the looped vertices as a frozenset.  Built on first use
+        and published in one assignment, so a concurrent reader sees either
+        no index or a complete one; two threads may both build it, and
+        they build equal ones."""
+        n = self.n
+        plain: list[set[int]] = [set() for _ in range(n)]
+        incident: list[list[int]] = [[] for _ in range(n)]
+        looped: set[int] = set()
+        for i, (u, v) in enumerate(zip(self.us, self.vs)):
+            incident[u].append(i)
+            if u == v:
+                looped.add(u)
+            else:
+                plain[u].add(v)
+                plain[v].add(u)
+                incident[v].append(i)
+        adj = (tuple(map(frozenset, plain)), tuple(map(tuple, incident)), frozenset(looped))
+        object.__setattr__(self, "_adj", adj)
+        return adj
 
     # -- basic queries ----------------------------------------------------
 
@@ -176,22 +194,24 @@ class Multigraph:
 
     def plain_neighbors(self, v: int) -> frozenset[int]:
         """Neighbours of v via non-loop edges (v itself never included)."""
-        return self._plain[v]
+        return (self._adj or self._index())[0][v]
 
     def neighborhood(self, v: int) -> frozenset[int]:
         """N(v); contains v itself iff a loop is present at v."""
-        if v in self._looped:
-            return self._plain[v] | {v}
-        return self._plain[v]
+        plain, _, looped = self._adj or self._index()
+        if v in looped:
+            return plain[v] | {v}
+        return plain[v]
 
     def incident_edges(self, v: int) -> tuple[int, ...]:
         """Ids of edges incident with v (loops included once)."""
-        return self._incident[v]
+        return (self._adj or self._index())[1][v]
 
     def is_simple(self) -> bool:
         """No loops and no parallel edges: every non-loop edge adds a
         neighbour at each end."""
-        return not self._looped and sum(map(len, self._plain)) == 2 * self.m
+        plain, _, looped = self._adj or self._index()
+        return not looped and sum(map(len, plain)) == 2 * self.m
 
     # -- leaf / support vocabulary ----------------------------------------
 
@@ -223,6 +243,7 @@ class Multigraph:
 
     def connected_components(self) -> list[frozenset[int]]:
         """Vertex sets of components, each sorted by smallest member."""
+        plain = (self._adj or self._index())[0]
         seen = [False] * self.n
         comps = []
         for start in range(self.n):
@@ -233,7 +254,7 @@ class Multigraph:
             queue = deque([start])
             while queue:
                 v = queue.popleft()
-                for w in self._plain[v]:
+                for w in plain[v]:
                     if not seen[w]:
                         seen[w] = True
                         comp.add(w)

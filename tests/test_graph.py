@@ -2,6 +2,8 @@ from __future__ import annotations
 
 import pickle
 import random
+import sys
+import threading
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -143,8 +145,13 @@ def test_structure_predicates():
 
 
 def test_immutability():
+    # _adj is the one adjacency slot; once the index is built, it stays
+    # read-only like every other slot
+    assert Multigraph.__slots__ == ("n", "us", "vs", "_degree", "_adj", "_edges")
     g = Multigraph(3, [(0, 1), (1, 1)])
     g.edges  # the view is built and cached; its slot stays read-only too
+    g.plain_neighbors(0)
+    assert g._adj is not None
     for name in (*Multigraph.__slots__, "edges", "m", "fresh_name"):
         with pytest.raises(AttributeError):
             setattr(g, name, None)
@@ -194,6 +201,47 @@ def _key(u: int, v: int) -> tuple[int, int]:
     return (u, v) if u <= v else (v, u)
 
 
+#: the accessors that read the adjacency index, any of which may be the
+#: first to touch it
+INDEXED = ("plain_neighbors", "neighborhood", "incident_edges", "is_simple", "connected_components")
+
+
+def _raw_answers(n: int, edges: list[tuple[int, int]]) -> dict[str, object]:
+    """What each accessor of INDEXED must answer, from the raw edge list."""
+    plain = [set() for _ in range(n)]
+    for u, v in edges:
+        if u != v:
+            plain[u].add(v)
+            plain[v].add(u)
+    looped = {u for u, v in edges if u == v}
+    keys = [_key(u, v) for u, v in edges]
+    comps, seen = [], set()
+    for x in range(n):
+        if x not in seen:
+            comp, todo = {x}, [x]
+            while todo:
+                for w in plain[todo.pop()] - comp:
+                    comp.add(w)
+                    todo.append(w)
+            seen |= comp
+            comps.append(comp)
+    return {
+        # ascending ids, a loop listed once
+        "incident_edges": [tuple(i for i, e in enumerate(edges) if x in e) for x in range(n)],
+        "plain_neighbors": plain,
+        "neighborhood": [plain[x] | {x} if x in looped else plain[x] for x in range(n)],
+        "is_simple": not looped and len(set(keys)) == len(keys),
+        "connected_components": comps,
+    }
+
+
+def _answers(g: Multigraph, name: str):
+    """The accessor's answers: per vertex, or one value for the graph."""
+    if name in ("is_simple", "connected_components"):
+        return getattr(g, name)()
+    return [getattr(g, name)(x) for x in range(g.n)]
+
+
 @settings(max_examples=300, deadline=None)
 @given(raw_multigraphs())
 def test_queries_match_the_raw_edge_list(n_edges):
@@ -206,14 +254,17 @@ def test_queries_match_the_raw_edge_list(n_edges):
         degree[u] += 1
         degree[v] += 1
     assert [g.degree(x) for x in range(n)] == degree
-    for x in range(n):
-        # ascending ids, a loop listed once
-        assert g.incident_edges(x) == tuple(i for i, e in enumerate(edges) if x in e)
-        plain = {v for u, v in edges if u == x and v != x}
-        plain |= {u for u, v in edges if v == x and u != x}
-        assert g.plain_neighbors(x) == plain
-        looped = (x, x) in edges
-        assert g.neighborhood(x) == (plain | {x} if looped else plain)
+    want = _raw_answers(n, edges)
+    # each indexed accessor in turn is the first to touch a fresh graph;
+    # the one that builds the index and those that read it all answer right
+    for first in INDEXED:
+        fresh = Multigraph(n, edges)
+        assert fresh._adj is None
+        assert _answers(fresh, first) == want[first], first
+        # a per-vertex accessor on a graph with no vertex is never called
+        assert (fresh._adj is not None) == (n > 0 or first in ("is_simple", "connected_components"))
+        for name in INDEXED:
+            assert _answers(fresh, name) == want[name], (first, name)
     leaves = {x for x in range(n) if degree[x] == 1}
     assert g.leaves() == leaves
     assert g.supports() == {
@@ -221,7 +272,6 @@ def test_queries_match_the_raw_edge_list(n_edges):
         if any((u == x and v in leaves) or (v == x and u in leaves) for u, v in edges)
     }
     keys = [_key(u, v) for u, v in edges]
-    assert g.is_simple() == (all(u != v for u, v in edges) and len(set(keys)) == len(keys))
     assert g.edge_multiset() == tuple(sorted(keys))
 
 
@@ -246,6 +296,46 @@ def test_pickle_keeps_equality_and_edge_ids(n_edges):
     assert back == g and hash(back) == hash(g)
     assert (back.us, back.vs) == (g.us, g.vs)
     assert back.edges == g.edges
+    # __reduce__ rebuilds from the edge list, so the copy of an indexed
+    # graph starts without an index and builds an equal one
+    for name in INDEXED:
+        _answers(g, name)
+    back = pickle.loads(pickle.dumps(g))
+    assert back._adj is None
+    assert [_answers(back, name) for name in INDEXED] == [_answers(g, name) for name in INDEXED]
+    assert [back.degree(x) for x in range(back.n)] == [g.degree(x) for x in range(g.n)]
+
+
+def test_threads_building_the_index_at_once_agree():
+    # four threads touch one fresh graph at once, switching often;
+    # whichever builds the index, every reader sees a complete one
+    rng = random.Random(4)
+    n = 400
+    edges = [(rng.randrange(n), rng.randrange(n)) for _ in range(3 * n)]
+    want = _raw_answers(n, edges)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for first in INDEXED:
+            g = Multigraph(n, edges)
+            start = threading.Barrier(4, timeout=60)
+            got = []
+
+            def touch():
+                start.wait()
+                got.append([_answers(g, name) for name in (first, *INDEXED)])
+
+            threads = [threading.Thread(target=touch) for _ in range(4)]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=60)
+                assert not t.is_alive()
+            assert len(got) == 4
+            for answers in got:
+                assert answers == [want[first]] + [want[name] for name in INDEXED], first
+    finally:
+        sys.setswitchinterval(interval)
 
 
 @settings(max_examples=100, deadline=None)
