@@ -44,24 +44,31 @@ graph's tree is known to reach.
 
 The dedup is one add-or-match step, ``_Seen.add``: ``_classes`` (plain
 ``(n, ends)`` candidates) and ``classes_by_isomorphism`` run it on each
-candidate, and the cubic enumerator also on partial graphs.  It searches
-only when a graph collides with one recorded before.  Recorded graphs sit
-in buckets keyed by the hash of the label-free root key: n, m, the sorted
-start colours, the root invariant and the cell sizes.  A graph whose
-bucket is empty is recorded without any search.  Otherwise each recorded
-graph in the bucket gets its goal, the trace and form of its first leaf,
-once, by the first descent of its own tree alone, and ``_match`` walks
-the new graph's tree without any pruning, following a child only while
-some goal's trace has the child's invariant at its depth; a leaf whose
-relabelled edge multiset is that goal's form is a match.  This is exact:
+candidate, and the cubic enumerator also on partial graphs.  It labels
+only what collides, with a key of two levels.  Recorded graphs sit in
+buckets keyed by the hash of the label-free start key: n, m and the
+sorted start colours.  A graph whose bucket is empty is recorded with no
+refinement and no search.  Otherwise its start colouring is refined, from
+the state that gave its start key, and its root key is taken: the root
+invariant and the cell sizes.  Each recorded graph in the bucket gets its
+root key once, when its bucket first holds a collision (a graph recorded
+into an occupied bucket keeps the root key it was just given), and only
+those whose root key equals the new graph's take part: each gets its
+goal, the trace and form of its first leaf, once, by the first descent of
+its own tree alone, and ``_match`` walks the new graph's tree without any
+pruning, following a child only while some goal's trace has the child's
+invariant at its depth; a leaf whose relabelled edge multiset is that
+goal's form is a match.  This is exact:
 
-- (a) Isomorphic graphs have equal root keys, because the start colours
-  and the refinement never read a vertex label.
+- (a) Isomorphic graphs have equal start keys and equal root keys,
+  because the start colours and the refinement never read a vertex
+  label.  So a recorded graph isomorphic to the new one is in its bucket
+  and takes part.
 - (b) A match is an explicit isomorphism: the leaf and the recorded
   graph's first leaf are discrete colourings of n vertices under which
   both edge multisets relabel to the same form.  So a shared invariant,
-  or a hash collision between root keys or trace entries, costs time,
-  never correctness.
+  or a hash collision between start keys, root keys or trace entries,
+  costs time, never correctness.
 - (c) If the new graph is isomorphic to a recorded graph R, by some phi,
   then phi maps R's tree onto the new graph's unpruned tree: the target
   cell and the refinements are label-free, so the image of R's first leaf
@@ -180,38 +187,53 @@ def _common_prefix(a: tuple, b: tuple) -> int:
     return k
 
 
-def _root(n: int, ends: Sequence[tuple[int, int]]) -> tuple[tuple, tuple]:
-    """The refined root colouring of the multigraph on vertices 0..n-1 with
-    edges ends, as (around, colouring, cell count, invariant), and its
-    label-free key: n, m, the sorted start colours, the root invariant and
-    the cell sizes in colour order."""
-    around: list[list[int]] = [[] for _ in range(n)]
+def _start(n: int, ends: Sequence[tuple[int, int]]) -> tuple[tuple, tuple]:
+    """The start colouring of the multigraph on vertices 0..n-1 with edges
+    ends, as (ends, colouring, cell count), and its label-free key: n, m
+    and the sorted start colours."""
+    degree = [0] * n
     loops = [0] * n
     rows = [0] * n  # distinct non-loop neighbours as bitmasks
     for u, v in ends:
+        degree[u] += 1
+        degree[v] += 1
         if u == v:
             loops[u] += 1
         else:
-            around[u].append(v)
-            around[v].append(u)
             rows[u] |= 1 << v
             rows[v] |= 1 << u
-    start = []
+    twice = [0] * n  # each triangle at v is seen from both of its edges at v
     for v, row in enumerate(rows):
-        twice = 0  # each triangle at v is seen from both of its other ends
-        rest = row
+        rest = row >> v + 1 << v + 1  # each distinct edge once, from its lower end
         while rest:
             low = rest & -rest
-            twice += (rows[low.bit_length() - 1] & row).bit_count()
+            w = low.bit_length() - 1
+            common = (rows[w] & row).bit_count()
+            twice[v] += common
+            twice[w] += common
             rest ^= low
-        start.append((len(around[v]) + 2 * loops[v], loops[v], twice >> 1))
+    start = [(d, c, t >> 1) for d, c, t in zip(degree, loops, twice)]
     rank = {s: i for i, s in enumerate(sorted(set(start)))}
-    color, cells, inv = _refine([rank[s] for s in start], len(rank), around)
+    key = (n, len(ends), tuple(sorted(start)))
+    return (ends, [rank[s] for s in start], len(rank)), key
+
+
+def _refined(start: tuple) -> tuple[tuple, tuple]:
+    """The refinement of a start colouring (_start's state) as the root
+    state (around, colouring, cell count, invariant), where around[v]
+    lists the far ends of v's non-loop edges, and its label-free key: the
+    root invariant and the cell sizes in colour order."""
+    ends, color, cells = start
+    around: list[list[int]] = [[] for _ in color]
+    for u, v in ends:
+        if u != v:
+            around[u].append(v)
+            around[v].append(u)
+    color, cells, inv = _refine(color, cells, around)
     sizes = [0] * cells
     for c in color:
         sizes[c] += 1
-    key = (n, len(ends), tuple(sorted(start)), inv, tuple(sizes))
-    return (around, color, cells, inv), key
+    return (around, color, cells, inv), (inv, tuple(sizes))
 
 
 def _automorphisms(n: int, ends: Sequence[tuple[int, int]]) -> list[list[int]]:
@@ -220,7 +242,7 @@ def _automorphisms(n: int, ends: Sequence[tuple[int, int]]) -> list[list[int]]:
     v).  They generate a subgroup of Aut, possibly all of it; none are
     found when the refined root colouring is discrete, as Aut is then
     trivial."""
-    around, color, cells, inv = _root(n, ends)[0]
+    around, color, cells, inv = _refined(_start(n, ends)[0])[0]
     trace = [inv]  # trace[k] is the invariant of the first path's node at depth k
     if cells == n:
         return []
@@ -265,8 +287,8 @@ def _match(
     """Index of a goal (trace, form) that a leaf of this graph's search tree
     reproduces, or None.  The tree is searched depth first with no pruning
     by automorphisms, and a child is followed only while some goal's trace
-    has the child's invariant at the child's depth.  root is _root's state
-    for (n, ends)."""
+    has the child's invariant at the child's depth.  root is the root state
+    of (n, ends), as _refined gives it."""
     around, color, cells, inv = root
     live = [i for i, (trace, _) in enumerate(goals) if trace[0] == inv]
     if not live:
@@ -325,11 +347,13 @@ def _class_order(g: Multigraph) -> tuple:
     )
 
 
-def _goal(n: int, ends: Sequence[tuple[int, int]]) -> tuple[list, Form]:
-    """The trace and form of the first leaf of the search tree of (n, ends):
-    the first descent alone, which individualizes the first vertex of each
-    target cell, as the search's first path does."""
-    around, color, cells, inv = _root(n, ends)[0]
+def _goal(ends: Sequence[tuple[int, int]], root: tuple) -> tuple[list, Form]:
+    """The trace and form of the first leaf of the search tree of a graph
+    with edges ends and root state root (as _refined gives it): the first
+    descent alone, which individualizes the first vertex of each target
+    cell, as the search's first path does."""
+    around, color, cells, inv = root
+    n = len(around)
     trace = [inv]
     while cells < n:
         color, cells, inv = _refine(
@@ -347,7 +371,8 @@ class _Seen:
     __slots__ = ("buckets",)
 
     def __init__(self) -> None:
-        # hash of the root key -> [[n, flat ends, goal or None], ...]
+        # hash of the start key -> [[n, flat ends, hash of the root key or
+        # None, goal or None], ...]
         self.buckets: dict[int, list[list]] = {}
 
     def add(self, n: int, ends: Sequence[tuple[int, int]]) -> bool:
@@ -355,18 +380,30 @@ class _Seen:
         graph recorded before: then answer False.  The edges are kept
         flat, u0 v0 u1 v1 ..., as one bytes object when every vertex id is
         below 256, and are paired up again only if a collision asks for
-        the graph's goal."""
-        root, key = _root(n, ends)
+        the graph's root key or goal."""
+        start, key = _start(n, ends)
         bucket = self.buckets.setdefault(hash(key), [])
+        root_key = None
         if bucket:
+            root, key = _refined(start)
+            root_key = hash(key)
+            goals = []
             for entry in bucket:
-                if entry[2] is None:
+                if entry[3] is None and entry[2] in (None, root_key):
+                    # its root key is not known yet, or it takes part and
+                    # has no goal yet
                     flat = entry[1]
-                    entry[2] = _goal(entry[0], list(zip(flat[::2], flat[1::2])))
-            if _match(n, ends, root, [entry[2] for entry in bucket]) is not None:
+                    pairs = list(zip(flat[::2], flat[1::2]))
+                    own, key = _refined(_start(entry[0], pairs)[0])
+                    entry[2] = hash(key)
+                    if entry[2] == root_key:
+                        entry[3] = _goal(pairs, own)
+                if entry[2] == root_key:
+                    goals.append(entry[3])
+            if goals and _match(n, ends, root, goals) is not None:
                 return False
         flat = chain.from_iterable(ends)
-        bucket.append([n, bytes(flat) if n <= 256 else tuple(flat), None])
+        bucket.append([n, bytes(flat) if n <= 256 else tuple(flat), root_key, None])
         return True
 
 

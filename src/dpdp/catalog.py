@@ -9,9 +9,10 @@ for the repeated sweeps; all but cubic add a vertex or edge to smaller ones,
 and cubic prunes a backtracker with the dedup's own isomorphism test.
 Candidates are plain edge lists, and only the first of each class becomes
 a Multigraph.  The dedup (``_canon._classes``) buckets candidates by a
-label-free key of their refined root colouring and searches only when a
-candidate lands in an occupied bucket, where it is matched against the
-first leaves of the representatives' search trees; ``_canon`` proves that
+label-free key of their start colouring, refines a candidate only when
+it lands in an occupied bucket, and searches only when a representative
+there also shares its refined root key, matching it against the first
+leaves of those representatives' search trees; ``_canon`` proves that
 this keeps the first candidate of each class.  Growing by a vertex
 skips two kinds of candidate that are provably not the first of their
 class, before any reaches the dedup:
@@ -32,6 +33,23 @@ Induction over the candidate order then shows that the first candidate of
 each class is never skipped, so the classes, their representatives (edge
 order included) and the output order are those of growing every base by
 every neighbour set.
+
+A degree bound spares the earliest-parent test most of the neighbour sets
+it would reject.  Let top be the largest degree in the base B of a vertex
+w for which B - w is connected (a leaf of a spanning tree is one such w).
+Lemma: the test rejects every neighbour set M with 2 <= |M| < top.
+Proof: the new vertex x is joined to M, so in C = B + x the vertex w has
+degree deg_B(w) + [w in M], and C - w has m + |M| - deg_B(w) - [w in M]
+< m edges, as |M| < top = deg_B(w); so (m, sorted degrees) of C - w is
+less than B's.  C - w is B - w, which is connected, plus x joined to
+M - {w}, which is nonempty, as |M| >= 2; so C - w is connected, and w is
+the vertex the test looks for.  Hence ``_grow`` drops those masks before
+the orbit skip.  An automorphism maps a mask onto one with as many
+vertices, so the masks it keeps are still in increasing order and closed
+under the base's automorphisms, as ``_orbit_minima`` asks, every orbit is
+kept or dropped whole, and the orbit minima kept are those of all masks
+less the ones the test rejects anyway: the candidates are unchanged.  A
+single-vertex mask is never dropped, so growing trees computes no bound.
 
 Cubic graphs come from a backtracker that prunes its search tree by
 isomorph rejection of partial graphs (McKay, *Isomorph-free exhaustive
@@ -225,6 +243,22 @@ def _rows(g: Multigraph) -> list[int]:
     return rows
 
 
+def _reach(adj: list[int], seed: int, within: int) -> int:
+    """The vertices (as a bitmask) that paths inside the vertex set within
+    reach from the vertex set seed, a subset of within, in the graph with
+    bitmask rows adj."""
+    seen = frontier = seed
+    while frontier:
+        reach = 0
+        while frontier:
+            low = frontier & -frontier
+            reach |= adj[low.bit_length() - 1]
+            frontier ^= low
+        frontier = reach & within & ~seen
+        seen |= frontier
+    return seen
+
+
 def _has_earlier_parent(rows: list[int], degrees: tuple[int, ...], mask: int) -> bool:
     """The earliest-parent test of the module docstring: does the base with
     bitmask rows `rows` and sorted degrees `degrees`, grown by a new vertex
@@ -233,18 +267,21 @@ def _has_earlier_parent(rows: list[int], degrees: tuple[int, ...], mask: int) ->
 
     C - w has m - deg(w) + |mask| edges, so a w of degree below |mask|
     never qualifies and one of degree above it always has fewer edges.
-    Deleting w lowers only its neighbours' degrees, so C's degree list is
-    built once and each w of degree |mask| changes just those entries."""
+    C - w has n vertices, so it is connected only if it keeps at least
+    n - 1 edges, and a w of larger degree needs no walk.  Deleting w lowers only
+    its neighbours' degrees, so C's degree list is built once and each w
+    of degree |mask| changes just those entries."""
     n = len(rows)  # the new vertex
     new = 1 << n
     adj = [r | new if mask >> v & 1 else r for v, r in enumerate(rows)]
     adj.append(mask)
     k = mask.bit_count()
     deg = [r.bit_count() for r in adj]
+    most = (sum(deg) >> 1) - n + 1  # the largest degree whose deletion can leave C connected
     every = (new << 1) - 1
     for w in range(n):
         d = deg[w]
-        if d < k:
+        if d < k or d > most:
             continue
         if d == k:
             left = deg.copy()
@@ -258,31 +295,45 @@ def _has_earlier_parent(rows: list[int], degrees: tuple[int, ...], mask: int) ->
             if tuple(left) >= degrees:
                 continue
         rest = every ^ 1 << w
-        seen = frontier = new
-        while frontier:
-            reach = 0
-            while frontier:
-                low = frontier & -frontier
-                reach |= adj[low.bit_length() - 1]
-                frontier ^= low
-            frontier = reach & rest & ~seen
-            seen |= frontier
-        if seen == rest:
+        if _reach(adj, new, rest) == rest:
             return True
     return False
+
+
+def _top_degree(rows: list[int]) -> int:
+    """The largest degree of a vertex w of the simple graph with bitmask
+    rows `rows` for which the graph minus w is connected (the bound of the
+    module docstring), or 0 if no such w has an edge."""
+    every = (1 << len(rows)) - 1
+    top = 0
+    for w, row in enumerate(rows):
+        d = row.bit_count()
+        if d <= top:
+            continue
+        rest = every ^ 1 << w
+        if _reach(rows, rest & -rest, rest) == rest:
+            top = d
+    return top
 
 
 def _grow(bases: Iterable[Multigraph], masks: Sequence[int]) -> Iterator[tuple[int, list]]:
     """The (n, edge list) candidates of the module docstring: each base
     grown by a new vertex joined to each neighbour set in masks (bitmasks
-    in increasing order, closed under the base's automorphisms) that is the
-    least of its orbit under the automorphisms _canon finds and that the
-    earliest-parent test keeps."""
+    in increasing order, closed under the base's automorphisms) that the
+    degree bound keeps, that is the least of its orbit under the
+    automorphisms _canon finds and that the earliest-parent test keeps.
+    The bound never drops a single-vertex mask, so when masks holds no
+    other (as when growing trees) no bound is computed."""
+    several = any(mask & mask - 1 for mask in masks)
     for g in bases:
         base = list(zip(g.us, g.vs))
         rows = _rows(g)
         degrees = tuple(sorted(g.degree(v) for v in range(g.n)))
-        for mask in _orbit_minima(masks, _automorphisms(g.n, base)):
+        tried = masks
+        if several:
+            top = _top_degree(rows)
+            tried = [mask for mask in masks if not 1 < mask.bit_count() < top]
+        for mask in _orbit_minima(tried, _automorphisms(g.n, base)):
             if not _has_earlier_parent(rows, degrees, mask):
                 yield g.n + 1, base + [(v, g.n) for v in range(g.n) if mask >> v & 1]
 

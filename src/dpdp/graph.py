@@ -11,7 +11,8 @@ adjacency index (each vertex's plain neighbours and incident edge ids,
 and the looped vertices) is built on first use, so a graph that is only
 stored, compared or written, as most enumerated classes are, never pays
 for it.  The engines read us and vs.  edges, one EdgeRecord per edge, is
-a view for callers that want records, also built on first use.
+a view for callers that want records, built on each access and never
+kept, so a stored graph holds no records however often it was read.
 
 Codecs: graph6 (simple graphs, single-byte size, n <= 62) and the plain
 edge-list text format, the only lossless multigraph interchange here,
@@ -123,7 +124,7 @@ class Multigraph:
     instances are safe to share between threads.
     """
 
-    __slots__ = ("n", "us", "vs", "_degree", "_adj", "_edges")
+    __slots__ = ("n", "us", "vs", "_degree", "_adj")
     n: int
     us: tuple[int, ...]
     vs: tuple[int, ...]
@@ -148,7 +149,6 @@ class Multigraph:
         put(self, "vs", tuple(vs))
         put(self, "_degree", tuple(degree))
         put(self, "_adj", None)
-        put(self, "_edges", None)
 
     def _index(self) -> tuple:
         """The adjacency index (plain, incident, looped): per vertex its
@@ -178,11 +178,8 @@ class Multigraph:
     @property
     def edges(self) -> tuple[EdgeRecord, ...]:
         """One EdgeRecord per edge, in id order: a view of us and vs,
-        built on first use and kept."""
-        if self._edges is None:
-            records = tuple(map(EdgeRecord, range(self.m), self.us, self.vs))
-            object.__setattr__(self, "_edges", records)
-        return self._edges
+        built afresh on each access and not kept."""
+        return tuple(map(EdgeRecord, range(self.m), self.us, self.vs))
 
     @property
     def m(self) -> int:

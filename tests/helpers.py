@@ -23,13 +23,13 @@ from dpdp.graph import Multigraph
 
 
 def adjacency(g: Multigraph) -> list[set[int]]:
-    """Neighbour sets from raw edge records (loops ignored: they never
+    """Neighbour sets from the raw edge list (loops ignored: they never
     matter for domination or matching)."""
     adj: list[set[int]] = [set() for _ in range(g.n)]
-    for e in g.edges:
-        if e.u != e.v:
-            adj[e.u].add(e.v)
-            adj[e.v].add(e.u)
+    for u, v in zip(g.us, g.vs):
+        if u != v:
+            adj[u].add(v)
+            adj[v].add(u)
     return adj
 
 

@@ -4,10 +4,10 @@ oracles.
 networkx decides isomorphism with its own VF2 matcher, which counts
 parallel edges and loops on a MultiGraph; hypothesis checks that the
 dedup does not depend on vertex labels or edge order and that every
-automorphism found preserves the edge multiset.  The dedup, which searches
-only when a candidate's root key collides with a representative's, is
-checked against a reference that keeps the first candidate of each class
-by VF2.
+automorphism found preserves the edge multiset.  The dedup, which refines
+a candidate only when its start key collides with a representative's and
+searches only when its root key does too, is checked against a reference
+that keeps the first candidate of each class by VF2.
 """
 
 from __future__ import annotations
@@ -27,7 +27,9 @@ from dpdp._canon import (
     _classes,
     _goal,
     _match,
-    _root,
+    _refined,
+    _Seen,
+    _start,
     classes_by_isomorphism,
     is_isomorphic,
 )
@@ -245,8 +247,16 @@ def _reference_classes(candidates) -> list[tuple]:
     return _listed(sorted((g for g, _ in firsts), key=_class_order))
 
 
-def _one_bucket(n, ends):
-    return _root(n, ends)[0], 0  # every candidate collides with every class
+def _one_bucket(mp: pytest.MonkeyPatch) -> None:
+    """Give every graph the start key 0 and the root key 0, so that every
+    candidate collides with every class at both levels of the dedup."""
+    start, refined = dpdp._canon._start, dpdp._canon._refined
+    mp.setattr(dpdp._canon, "_start", lambda n, ends: (start(n, ends)[0], 0))
+    mp.setattr(dpdp._canon, "_refined", lambda state: (refined(state)[0], 0))
+
+
+def _root(n, ends) -> tuple:
+    return _refined(_start(n, ends)[0])[0]
 
 
 @st.composite
@@ -273,7 +283,7 @@ def test_dedup_keeps_the_first_of_each_class(candidates):
     want = _reference_classes(candidates)
     assert _listed(_classes(candidates)) == want
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(dpdp._canon, "_root", _one_bucket)
+        _one_bucket(mp)
         assert _listed(_classes(candidates)) == want
 
 
@@ -290,8 +300,31 @@ def test_bucket_key_decides_only_the_work(monkeypatch):
     assert len(grown) == 3771 and len(cubic) == 236
     want = [_listed(dpdp.catalog.enumerate_connected_simple(7)),
             _listed(dpdp.catalog.enumerate_connected_cubic(8))]
-    monkeypatch.setattr(dpdp._canon, "_root", _one_bucket)
+    _one_bucket(monkeypatch)
     assert [_listed(_classes(grown)), _listed(_classes(cubic))] == want
+
+
+def test_shared_start_key_with_another_root_key(monkeypatch):
+    # two trees with degrees 3, 2, 2, 1, 1, 1 and no triangles share their
+    # start key, but refinement splits the broom's two degree-2 vertices
+    # and not the spider's: they share a bucket, neither gets a goal, and a
+    # copy of the spider is matched against the spider alone
+    broom = [(0, 1), (0, 2), (0, 3), (1, 4), (4, 5)]
+    spider = [(0, 1), (0, 2), (0, 3), (1, 4), (2, 5)]
+    perm = [5, 3, 1, 2, 4, 0]
+    copy = [(perm[v], perm[u]) for u, v in reversed(spider)]
+    (broom_state, broom_key), (spider_state, spider_key) = _start(6, broom), _start(6, spider)
+    assert broom_key == spider_key == _start(6, copy)[1]
+    assert _refined(broom_state)[1] != _refined(spider_state)[1]
+    goal, goals = dpdp._canon._goal, []
+    monkeypatch.setattr(
+        dpdp._canon, "_goal", lambda ends, root: goals.append(list(ends)) or goal(ends, root)
+    )
+    seen = _Seen()
+    assert seen.add(6, broom) and seen.add(6, spider)
+    assert goals == [] and len(seen.buckets) == 1
+    assert not seen.add(6, copy)
+    assert goals == [spider]
 
 
 def _triangle_free_cubic_10() -> list[Multigraph]:
@@ -313,20 +346,21 @@ def test_match_separates_classes_that_share_a_root_key(group):
         "cubic10": _triangle_free_cubic_10,
     }[group]()
     assert len(classes) == (6 if group == "cubic10" else 2)
-    goals = [_goal(g.n, ends(g)) for g in classes]
+    goals = [_goal(ends(g), _root(g.n, ends(g))) for g in classes]
     rng = random.Random(group)
     keys = set()
     moved = 0  # copies whose own first leaf has another form than their class's
     for i, g in enumerate(classes):
         for copy in [g] + [relabel(g, rng) for _ in range(3)]:
             edges = ends(copy)
-            root, key = _root(copy.n, edges)
-            keys.add(key)
+            state, start_key = _start(copy.n, edges)
+            root, key = _refined(state)
+            keys.add((start_key, key))
             assert _match(copy.n, edges, root, goals) == i
             others = goals[:i] + goals[i + 1:]
             assert _match(copy.n, edges, root, others) is None
             assert _match(copy.n, edges, root, [goals[i]]) == 0
-            moved += _goal(copy.n, edges)[1] != goals[i][1]
+            moved += _goal(edges, root)[1] != goals[i][1]
     assert len(keys) == 1  # the root colouring alone cannot tell them apart
     if group == "cubic10":
         # some copy's own first leaf differs from its class's, so the match

@@ -387,12 +387,94 @@ def test_found_automorphisms_give_the_full_orbits_on_six_vertices():
     assert kept == 3771
 
 
+@st.composite
+def connected_simple_bases(draw):
+    """Connected simple graphs on 1-7 vertices: a random spanning tree
+    plus random chords."""
+    n = draw(st.integers(1, 7))
+    edges = {(draw(st.integers(0, v - 1)), v) for v in range(1, n)}
+    if n > 2:
+        pairs = [(u, v) for v in range(n) for u in range(v)]
+        edges |= set(draw(st.lists(st.sampled_from(pairs), max_size=12)))
+    return Multigraph(n, sorted(edges))
+
+
+def _connected_without(g: Multigraph, w: int) -> bool:
+    left = [v for v in range(g.n) if v != w]
+    seen = set(left[:1])
+    todo = list(seen)
+    while todo:
+        x = todo.pop()
+        for u, v in zip(g.us, g.vs):
+            for a, b in ((u, v), (v, u)):
+                if a == x and b != w and b not in seen:
+                    seen.add(b)
+                    todo.append(b)
+    return len(seen) == len(left)
+
+
+def _has_earlier_parent_by_definition(g: Multigraph, mask: int) -> bool:
+    """Does g grown by a new vertex joined to mask have a vertex w of g
+    with C - w connected and (m, sorted degrees) of C - w below g's?"""
+    n = g.n
+    c = Multigraph(n + 1, list(zip(g.us, g.vs)) + [(v, n) for v in range(n) if mask >> v & 1])
+    base = (g.m, sorted(g.degree(v) for v in range(n)))
+    for w in range(n):
+        kept = [(u, v) for u, v in zip(c.us, c.vs) if w not in (u, v)]
+        degree = [sum((u, v).count(x) for u, v in kept) for x in range(n + 1) if x != w]
+        if (len(kept), sorted(degree)) < base and _connected_without(c, w):
+            return True
+    return False
+
+
+@settings(max_examples=150, deadline=None)
+@given(connected_simple_bases())
+def test_degree_bound_drops_only_what_the_earliest_parent_test_rejects(g):
+    # the earliest-parent test against its definition, on every mask; the
+    # bound is the largest degree of a vertex whose deletion leaves the
+    # base connected, and every mask of 2 .. bound - 1 vertices it drops is
+    # one the test rejects, so _grow hands on exactly the candidates of the
+    # orbit skip and that test alone, for every mask and for the trees'
+    # single-vertex masks, which need no bound at all
+    catalog = dpdp.catalog
+    rows = catalog._rows(g)
+    degrees = tuple(sorted(g.degree(v) for v in range(g.n)))
+    top = catalog._top_degree(rows)
+    assert top == max(g.degree(w) for w in range(g.n) if _connected_without(g, w))
+    every = range(1, 1 << g.n)
+    for mask in every:
+        rejected = _has_earlier_parent_by_definition(g, mask)
+        assert catalog._has_earlier_parent(rows, degrees, mask) == rejected, mask
+        if 1 < mask.bit_count() < top:
+            assert rejected, mask
+    base = list(zip(g.us, g.vs))
+    autos = _automorphisms(g.n, base)
+    for masks in (every, [1 << v for v in range(g.n)]):
+        want = [
+            (g.n + 1, base + [(v, g.n) for v in range(g.n) if mask >> v & 1])
+            for mask in catalog._orbit_minima(masks, autos)
+            if not catalog._has_earlier_parent(rows, degrees, mask)
+        ]
+        with pytest.MonkeyPatch.context() as mp:
+            if masks is not every:
+                mp.setattr(catalog, "_top_degree", None)  # never called
+            assert list(catalog._grow([g], masks)) == want
+
+
 def test_enumeration_work_pinned(monkeypatch):
-    # the orbit skip and the earliest-parent test hand 1,033 candidates to
-    # the dedup for n = 2..7 (4,159 with the orbit skip alone, 7,815 with
-    # neither), and only the first of each class becomes a Multigraph
+    # the degree bound, the orbit skip and the earliest-parent test hand
+    # 1,033 candidates to the dedup for n = 2..7 (4,159 with the orbit skip
+    # alone, 7,815 with neither), and only the first of each class becomes
+    # a Multigraph; the bound leaves the earliest-parent test 2,717 masks
+    # (4,159 without it)
     handed = []
     dedup = dpdp.catalog._classes
+    tested = []
+    has_earlier_parent = dpdp.catalog._has_earlier_parent
+
+    def counting_test(*args):
+        tested.append(1)
+        return has_earlier_parent(*args)
 
     def counting(candidates):
         candidates = list(candidates)
@@ -408,12 +490,14 @@ def test_enumeration_work_pinned(monkeypatch):
 
     enumerate_connected_simple.cache_clear()
     monkeypatch.setattr(dpdp.catalog, "_classes", counting)
+    monkeypatch.setattr(dpdp.catalog, "_has_earlier_parent", counting_test)
     monkeypatch.setattr(Multigraph, "__init__", counting_init)
     try:
         classes = sum(len(enumerate_connected_simple(n)) for n in range(1, 8))
     finally:
         enumerate_connected_simple.cache_clear()
     assert handed == [1, 2, 6, 21, 113, 890]
+    assert len(tested) == 2717
     assert len(built) == classes == 996
 
 
@@ -439,16 +523,18 @@ def test_cubic_work_pinned(monkeypatch):
 
 @pytest.mark.parametrize(
     "enumerate_, sizes, refines",
-    [(enumerate_connected_simple, range(1, 8), 1979), (enumerate_connected_cubic, [10], 1448)],
+    [(enumerate_connected_simple, range(1, 8), 1144), (enumerate_connected_cubic, [10], 1367)],
     ids=["simple", "cubic"],
 )
 def test_dedup_work_pinned(monkeypatch, enumerate_, sizes, refines):
-    # the add-or-match step searches no graph whose root key is new,
-    # matches one that collides against the first leaves of the recorded
-    # graphs' trees, and takes each recorded graph's first leaf at most
-    # once, by its first descent alone (one refinement per depth, no tree
+    # the add-or-match step refines no graph whose start key is new and
+    # searches none whose root key is new, matches one that collides at
+    # both levels against the first leaves of the recorded graphs' trees,
+    # and takes each recorded graph's first leaf at most once, by its first
+    # descent alone (one refinement per depth below the root, no tree
     # search); the recorded graphs are the classes and, for cubic, the
-    # partial graphs the pruning records.  (2,022 and 14,952 refinements
+    # partial graphs the pruning records.  (1,979 and 1,448 refinements
+    # when every candidate's root colouring was refined; 2,022 and 14,952
     # before the one-descent goals and, for cubic, the pruning; 6,112 and
     # 30,760 when every candidate was labelled)
     refine, goal, add = dpdp._canon._refine, dpdp._canon._goal, dpdp._canon._Seen.add
@@ -461,11 +547,11 @@ def test_dedup_work_pinned(monkeypatch, enumerate_, sizes, refines):
         refines_made += 1
         return refine(*args)
 
-    def recording_goal(n, ends):
+    def recording_goal(ends, root):
         before = refines_made
-        trace, form = goal(n, ends)
-        assert refines_made - before == len(trace)
-        goals.append((n, tuple(ends)))
+        trace, form = goal(ends, root)
+        assert refines_made - before == len(trace) - 1
+        goals.append((len(root[0]), tuple(ends)))
         return trace, form
 
     def recording_add(self, n, ends):

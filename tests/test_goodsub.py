@@ -321,18 +321,19 @@ def _excesses(h: Multigraph, s: set[int]):
     rest = [x for x in range(h.n) if x not in s]
     for r in range(len(rest) + 1):
         for y in map(set, combinations(rest, r)):
-            yield sum(e.u in y and e.v in y for e in h.edges) - len(y)
+            yield sum(u in y and v in y for u, v in zip(h.us, h.vs)) - len(y)
 
 
 def _reference_q_sets(h: Multigraph, eligible: list[int], size: int) -> list:
     """The size-subsets of eligible that pass the Q-set cuts, from their
     definitions, stable-sorted by a component count of their own."""
+    edges = h.edges  # the view is built on each access: read it once
 
     def passes(combo) -> bool:
         outside = [h.degree(x) for x in range(h.n)]  # edge-ends outside Q
         s = set()
         for eid in combo:
-            e = h.edges[eid]
+            e = edges[eid]
             outside[e.u] -= 1
             outside[e.v] -= 1
             s.update((e.u, e.v))
@@ -345,7 +346,7 @@ def _reference_q_sets(h: Multigraph, eligible: list[int], size: int) -> list:
     def components(combo) -> int:
         adj: dict[int, set[int]] = {}
         for eid in combo:
-            e = h.edges[eid]
+            e = edges[eid]
             adj.setdefault(e.u, set()).add(e.v)
             adj.setdefault(e.v, set()).add(e.u)
         seen: set[int] = set()
@@ -373,7 +374,8 @@ def _check_q_sets(h: Multigraph) -> int:
     eligible edges find_good_subgraph would pass and on all edges; return
     the number of Q sets compared."""
     allowed = set(range(h.n)) - h.leaves() - h.supports()
-    eligible = [e.id for e in h.edges if e.u in allowed and e.v in allowed]
+    records = h.edges  # the view is built on each access: read it once
+    eligible = [e.id for e in records if e.u in allowed and e.v in allowed]
     checked = 0
     for edges in (eligible, list(range(h.m))):
         want = []
@@ -381,8 +383,8 @@ def _check_q_sets(h: Multigraph) -> int:
             for combo in _reference_q_sets(h, edges, size):
                 outside = [h.degree(x) for x in range(h.n)]
                 for eid in combo:
-                    outside[h.edges[eid].u] -= 1
-                    outside[h.edges[eid].v] -= 1
+                    outside[records[eid].u] -= 1
+                    outside[records[eid].v] -= 1
                 want.append((combo, outside))
         got = [(q, left[:]) for q, left in dpdp.goodsub._q_sets(h, edges)]
         assert got == want, (h.edge_multiset(), edges)

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import gc
 import pickle
 import random
 import sys
@@ -147,9 +148,8 @@ def test_structure_predicates():
 def test_immutability():
     # _adj is the one adjacency slot; once the index is built, it stays
     # read-only like every other slot
-    assert Multigraph.__slots__ == ("n", "us", "vs", "_degree", "_adj", "_edges")
+    assert Multigraph.__slots__ == ("n", "us", "vs", "_degree", "_adj")
     g = Multigraph(3, [(0, 1), (1, 1)])
-    g.edges  # the view is built and cached; its slot stays read-only too
     g.plain_neighbors(0)
     assert g._adj is not None
     for name in (*Multigraph.__slots__, "edges", "m", "fresh_name"):
@@ -160,7 +160,7 @@ def test_immutability():
 
 def test_assignment_after_construction_raises():
     # __init__ sets the slots past the guard; afterwards every assignment
-    # raises, before the edges view is built too, and changes nothing
+    # raises and changes nothing
     g = Multigraph(3, [(0, 1), (1, 1)])
     for name in (*Multigraph.__slots__, "edges", "m", "fresh_name"):
         with pytest.raises(AttributeError, match="immutable"):
@@ -343,9 +343,14 @@ def test_threads_building_the_index_at_once_agree():
 def test_edge_records_view(n_edges):
     n, edges = n_edges
     g = Multigraph(n, edges)
-    assert g.edges is g.edges  # built once
+    records = g.edges
+    # equal views on each access, and the graph keeps no records
+    assert records == g.edges
+    assert not any(
+        isinstance(x, tuple) and x and isinstance(x[0], EdgeRecord) for x in gc.get_referents(g)
+    )
     for i, (u, v) in enumerate(edges):
-        e = g.edges[i]
+        e = records[i]
         assert e == EdgeRecord(i, u, v) and (e.id, e.u, e.v) == (i, u, v)
         assert e.is_loop() == (u == v)
         assert e.endpoints() == (u, v)
