@@ -43,22 +43,28 @@ canonical form; the dedup uses it only as a goal that an isomorphic
 graph's tree is known to reach.
 
 The dedup is one add-or-match step, ``_Seen.add``: ``_classes`` (plain
-``(n, ends)`` candidates) and ``classes_by_isomorphism`` run it on each
-candidate, and the cubic enumerator also on partial graphs.  It labels
-only what collides, with a key of two levels.  Recorded graphs sit in
-buckets keyed by the hash of the label-free start key: n, m and the
-sorted start colours.  A graph whose bucket is empty is recorded with no
-refinement and no search.  Otherwise its start colouring is refined, from
-the state that gave its start key, and its root key is taken: the root
-invariant and the cell sizes.  Each recorded graph in the bucket gets its
-root key once, when its bucket first holds a collision (a graph recorded
-into an occupied bucket keeps the root key it was just given), and only
-those whose root key equals the new graph's take part: each gets its
-goal, the trace and form of its first leaf, once, by the first descent of
-its own tree alone, and ``_match`` walks the new graph's tree without any
-pruning, following a child only while some goal's trace has the child's
-invariant at its depth; a leaf whose relabelled edge multiset is that
-goal's form is a match.  This is exact:
+``(n, ends)`` candidates), ``_classes_by_start`` and
+``classes_by_isomorphism`` run it on each candidate, and the cubic
+enumerator also on partial graphs.  It labels only what collides, with a
+key of two levels.  Recorded graphs sit in buckets keyed by the hash of
+the label-free start key: n, m and the sorted start colours.  A graph
+grown from a smaller class by one vertex (``catalog._grow``, through
+``_classes_by_start``) brings its start colours, derived from the counts
+of its base rather than recounted from its edges; they are the colours
+``_start`` would count, and ``_ranked``, which ``_start`` ends in too,
+turns them into the colouring and the key, so the key and everything
+below are those of a recount.  A graph whose bucket is empty is recorded
+with no refinement and no search.  Otherwise its start colouring is
+refined, from the state that gave its start key, and its root key is
+taken: the root invariant and the cell sizes.  Each recorded graph in
+the bucket gets its root key once, when its bucket first holds a
+collision (a graph recorded into an occupied bucket keeps the root key
+it was just given), and only those whose root key equals the new graph's
+take part: each gets its goal, the trace and form of its first leaf,
+once, by the first descent of its own tree alone, and ``_match`` walks
+the new graph's tree without any pruning, following a child only while
+some goal's trace has the child's invariant at its depth; a leaf whose
+relabelled edge multiset is that goal's form is a match.  This is exact:
 
 - (a) Isomorphic graphs have equal start keys and equal root keys,
   because the start colours and the refinement never read a vertex
@@ -212,7 +218,13 @@ def _start(n: int, ends: Sequence[tuple[int, int]]) -> tuple[tuple, tuple]:
             twice[v] += common
             twice[w] += common
             rest ^= low
-    start = [(d, c, t >> 1) for d, c, t in zip(degree, loops, twice)]
+    return _ranked(n, ends, [(d, c, t >> 1) for d, c, t in zip(degree, loops, twice)])
+
+
+def _ranked(n: int, ends: Sequence[tuple[int, int]], start: list[tuple]) -> tuple[tuple, tuple]:
+    """_start's result from the start colours start, one (degree, loop
+    count, triangles) per vertex: the colouring ranks them, and the key
+    is n, m and their sorted list."""
     rank = {s: i for i, s in enumerate(sorted(set(start)))}
     key = (n, len(ends), tuple(sorted(start)))
     return (ends, [rank[s] for s in start], len(rank)), key
@@ -375,13 +387,16 @@ class _Seen:
         # None, goal or None], ...]
         self.buckets: dict[int, list[list]] = {}
 
-    def add(self, n: int, ends: Sequence[tuple[int, int]]) -> bool:
+    def add(
+        self, n: int, ends: Sequence[tuple[int, int]], colours: list[tuple] | None = None
+    ) -> bool:
         """Record (n, ends) and answer True, unless it is isomorphic to a
-        graph recorded before: then answer False.  The edges are kept
-        flat, u0 v0 u1 v1 ..., as one bytes object when every vertex id is
-        below 256, and are paired up again only if a collision asks for
-        the graph's root key or goal."""
-        start, key = _start(n, ends)
+        graph recorded before: then answer False.  colours, if given, are
+        the graph's start colours, as _start would count them.  The edges
+        are kept flat, u0 v0 u1 v1 ..., as one bytes object when every
+        vertex id is below 256, and are paired up again only if a
+        collision asks for the graph's root key or goal."""
+        start, key = _start(n, ends) if colours is None else _ranked(n, ends, colours)
         bucket = self.buckets.setdefault(hash(key), [])
         root_key = None
         if bucket:
@@ -435,3 +450,16 @@ def _classes(candidates: Iterable[tuple[int, Sequence[tuple[int, int]]]]) -> lis
     a Multigraph is built only for the first candidate seen of each class,
     with the edges in the order given."""
     return _dedup((n, ends, None) for n, ends in candidates)
+
+
+def _classes_by_start(
+    candidates: Iterable[tuple[int, Sequence[tuple[int, int]], list[tuple]]]
+) -> list[Multigraph]:
+    """_classes for candidates given as (n, edge list, start colours), the
+    colours counted by the caller (``catalog._grow`` derives a grown
+    graph's from its base's)."""
+    seen = _Seen()
+    reps = [Multigraph(n, ends) for n, ends, colours in candidates if seen.add(n, ends, colours)]
+    del seen  # as in _dedup
+    reps.sort(key=_class_order)
+    return reps

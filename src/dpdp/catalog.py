@@ -8,7 +8,9 @@ Enumerations keep one representative per isomorphism class and are cached
 for the repeated sweeps; all but cubic add a vertex or edge to smaller ones,
 and cubic prunes a backtracker with the dedup's own isomorphism test.
 Candidates are plain edge lists, and only the first of each class becomes
-a Multigraph.  The dedup (``_canon._classes``) buckets candidates by a
+a Multigraph; one grown by a vertex also carries its start colours, which
+``_grow`` derives from its base's.  The dedup (``_canon._classes``, and
+``_classes_by_start`` for grown candidates) buckets candidates by a
 label-free key of their start colouring, refines a candidate only when
 it lands in an occupied bucket, and searches only when a representative
 there also shares its refined root key, matching it against the first
@@ -35,21 +37,27 @@ order included) and the output order are those of growing every base by
 every neighbour set.
 
 A degree bound spares the earliest-parent test most of the neighbour sets
-it would reject.  Let top be the largest degree in the base B of a vertex
-w for which B - w is connected (a leaf of a spanning tree is one such w).
-Lemma: the test rejects every neighbour set M with 2 <= |M| < top.
-Proof: the new vertex x is joined to M, so in C = B + x the vertex w has
-degree deg_B(w) + [w in M], and C - w has m + |M| - deg_B(w) - [w in M]
-< m edges, as |M| < top = deg_B(w); so (m, sorted degrees) of C - w is
-less than B's.  C - w is B - w, which is connected, plus x joined to
+it would reject.  Call a vertex w of the base B non-cut when B - w is
+connected (a leaf of a spanning tree is one).  Lemma: the test rejects
+every neighbour set M with |M| >= 2 for which some non-cut w has
+deg_B(w) + [w in M] > |M|.  Proof: the new vertex x is joined to M, so in
+C = B + x the vertex w has degree deg_B(w) + [w in M], and C - w has
+m + |M| - deg_B(w) - [w in M] < m edges; so (m, sorted degrees) of C - w
+is less than B's.  C - w is B - w, which is connected, plus x joined to
 M - {w}, which is nonempty, as |M| >= 2; so C - w is connected, and w is
-the vertex the test looks for.  Hence ``_grow`` drops those masks before
-the orbit skip.  An automorphism maps a mask onto one with as many
-vertices, so the masks it keeps are still in increasing order and closed
-under the base's automorphisms, as ``_orbit_minima`` asks, every orbit is
-kept or dropped whole, and the orbit minima kept are those of all masks
-less the ones the test rejects anyway: the candidates are unchanged.  A
-single-vertex mask is never dropped, so growing trees computes no bound.
+the vertex the test looks for.  With top the largest degree of a non-cut
+vertex, the condition reads |M| < top, or |M| = top and M holds a
+non-cut vertex of degree top (``_non_cut_top`` gives top and those
+vertices); the vertices w outside M alone give |M| < top.  Hence
+``_grow`` drops those masks before the orbit skip.  An automorphism maps
+a mask onto one with as many vertices, and non-cut vertices onto non-cut
+vertices of the same degree, so the condition holds for all of an orbit
+or none: the masks ``_grow`` keeps are still in increasing order and
+closed under the base's automorphisms, as ``_orbit_minima`` asks, every
+orbit is kept or dropped whole, and the orbit minima kept are those of
+all masks less the ones the test rejects anyway: the candidates are
+unchanged.  A single-vertex mask is never dropped, so growing trees
+computes no bound.
 
 Cubic graphs come from a backtracker that prunes its search tree by
 isomorph rejection of partial graphs (McKay, *Isomorph-free exhaustive
@@ -103,7 +111,7 @@ from .graph import (  # the codecs live in graph; catalog re-exports them
     write_edge_list,
     write_graph6,
 )
-from ._canon import _Seen, _automorphisms, _classes
+from ._canon import _Seen, _automorphisms, _classes, _classes_by_start
 
 #: connected simple graphs on n=1..8 vertices, up to isomorphism
 CONNECTED_SIMPLE_COUNTS = (1, 1, 2, 6, 21, 112, 853, 11117)
@@ -212,10 +220,33 @@ def random_tree(n: int, rng: random.Random) -> Multigraph:
 # -- exhaustive enumeration up to isomorphism --------------------------------
 
 
+def _image_tables(a: list[int]) -> list[list[int]]:
+    """Tables that map a vertex set (a bitmask) through the permutation a,
+    one per byte of the mask: table i gives, for each value x of bits
+    8i .. 8i+7, the image of x << 8i.  A table is built by doubling: the
+    entries whose highest bit is j are the ones below 2^j, each joined to
+    the image of vertex 8i + j."""
+    tables = []
+    for low in range(0, len(a), 8):
+        table = [0]
+        for w in a[low:low + 8]:
+            bit = 1 << w
+            table += [y | bit for y in table]
+        tables.append(table)
+    return tables
+
+
 def _orbit_minima(masks: Iterable[int], autos: list[list[int]]) -> Iterator[int]:
     """The masks (vertex sets as bitmasks, given in increasing order, closed
     under the automorphisms autos) that the group autos generates maps onto
-    no smaller one: the least member of each orbit."""
+    no smaller one: the least member of each orbit.
+
+    An automorphism maps a mask by one lookup per byte of the mask, in
+    its _image_tables, built once per call (once per base): one table of
+    2^n entries when n <= 8, and one of at most 256 entries per byte
+    beyond.  One 2^n table for every n would cost more to build than it
+    saves on the n single-vertex masks of a tree."""
+    tables = [_image_tables(a) for a in autos]
     seen: set[int] = set()
     for mask in masks:
         if mask in seen:
@@ -224,11 +255,14 @@ def _orbit_minima(masks: Iterable[int], autos: list[list[int]]) -> Iterator[int]
         todo = [mask]
         while todo:
             x = todo.pop()
-            for a in autos:
-                y = 0
-                for v, w in enumerate(a):
-                    if x >> v & 1:
-                        y |= 1 << w
+            for t in tables:
+                if len(t) == 1:
+                    y = t[0][x]
+                else:
+                    y = shift = 0
+                    for table in t:
+                        y |= table[x >> shift & 255]
+                        shift += 8
                 if y not in seen:
                     seen.add(y)
                     todo.append(y)
@@ -300,42 +334,83 @@ def _has_earlier_parent(rows: list[int], degrees: tuple[int, ...], mask: int) ->
     return False
 
 
-def _top_degree(rows: list[int]) -> int:
-    """The largest degree of a vertex w of the simple graph with bitmask
-    rows `rows` for which the graph minus w is connected (the bound of the
-    module docstring), or 0 if no such w has an edge."""
+def _non_cut_top(rows: list[int]) -> tuple[int, int]:
+    """(top, at) for the simple graph with bitmask rows `rows`: the largest
+    degree top of a vertex w for which the graph minus w is connected (a
+    non-cut vertex), and the non-cut vertices of degree top, as a bitmask.
+    The degree bound of the module docstring needs no more: a non-cut
+    vertex of degree above |M| drops M wherever it lies, which |M| < top
+    tells, and one of degree |M| drops M from inside it, which adds to
+    that only at |M| = top.  The vertices are tried in decreasing degree,
+    so the walks stop below top."""
     every = (1 << len(rows)) - 1
-    top = 0
-    for w, row in enumerate(rows):
-        d = row.bit_count()
-        if d <= top:
-            continue
+    top = at = 0
+    for w in sorted(range(len(rows)), key=lambda v: -rows[v].bit_count()):
+        d = rows[w].bit_count()
+        if d < top:
+            break
         rest = every ^ 1 << w
         if _reach(rows, rest & -rest, rest) == rest:
             top = d
-    return top
+            at |= 1 << w
+    return top, at
 
 
-def _grow(bases: Iterable[Multigraph], masks: Sequence[int]) -> Iterator[tuple[int, list]]:
-    """The (n, edge list) candidates of the module docstring: each base
-    grown by a new vertex joined to each neighbour set in masks (bitmasks
-    in increasing order, closed under the base's automorphisms) that the
-    degree bound keeps, that is the least of its orbit under the
-    automorphisms _canon finds and that the earliest-parent test keeps.
-    The bound never drops a single-vertex mask, so when masks holds no
-    other (as when growing trees) no bound is computed."""
+def _grow(
+    bases: Iterable[Multigraph], masks: Sequence[int]
+) -> Iterator[tuple[int, list, list[tuple]]]:
+    """The (n, edge list, start colours) candidates of the module
+    docstring: each base grown by a new vertex joined to each neighbour set
+    in masks (bitmasks in increasing order, closed under the base's
+    automorphisms) that the degree bound keeps, that is the least of its
+    orbit under the automorphisms _canon finds and that the
+    earliest-parent test keeps.  The bound never drops a single-vertex
+    mask, so when masks holds no other (as when growing trees) no bound
+    is computed.
+
+    The start colours, (degree, loop count, triangles) per vertex as
+    ``_canon._start`` counts them, come from the base's: joining x to mask
+    gives each v in mask one more edge and one triangle per neighbour of v
+    in mask, and x has degree |mask| and one triangle per base edge inside
+    mask."""
     several = any(mask & mask - 1 for mask in masks)
     for g in bases:
+        n = g.n
         base = list(zip(g.us, g.vs))
         rows = _rows(g)
-        degrees = tuple(sorted(g.degree(v) for v in range(g.n)))
+        degree = [row.bit_count() for row in rows]
+        degrees = tuple(sorted(degree))
+        twice = [0] * n  # each triangle at v is seen from both of its edges at v
+        for u, v in base:
+            common = (rows[u] & rows[v]).bit_count()
+            twice[u] += common
+            twice[v] += common
+        triangles = [t >> 1 for t in twice]
+        start = [(d, 0, t) for d, t in zip(degree, triangles)]
         tried = masks
-        if several:
-            top = _top_degree(rows)
-            tried = [mask for mask in masks if not 1 < mask.bit_count() < top]
-        for mask in _orbit_minima(tried, _automorphisms(g.n, base)):
-            if not _has_earlier_parent(rows, degrees, mask):
-                yield g.n + 1, base + [(v, g.n) for v in range(g.n) if mask >> v & 1]
+        if several:  # the degree bound of the module docstring
+            top, at = _non_cut_top(rows)
+            tried = [
+                mask for mask in masks
+                if (k := mask.bit_count()) < 2 or k > top or k == top and not mask & at
+            ]
+        for mask in _orbit_minima(tried, _automorphisms(n, base)):
+            if _has_earlier_parent(rows, degrees, mask):
+                continue
+            ends = base.copy()
+            colours = start.copy()
+            inside = 0  # twice the base edges inside mask
+            rest = mask
+            while rest:  # the vertices of mask, in increasing order
+                low = rest & -rest
+                v = low.bit_length() - 1
+                ends.append((v, n))
+                common = (rows[v] & mask).bit_count()
+                colours[v] = (degree[v] + 1, 0, triangles[v] + common)
+                inside += common
+                rest ^= low
+            colours.append((mask.bit_count(), 0, inside >> 1))
+            yield n + 1, ends, colours
 
 
 @lru_cache(maxsize=None)
@@ -357,7 +432,8 @@ def enumerate_connected_simple(n: int) -> tuple[Multigraph, ...]:
         raise ValueError("enumerate_connected_simple supports 1 <= n <= 8")
     if n == 1:
         return (Multigraph(1, []),)
-    return tuple(_classes(_grow(enumerate_connected_simple(n - 1), range(1, 1 << (n - 1)))))
+    bases = enumerate_connected_simple(n - 1)
+    return tuple(_classes_by_start(_grow(bases, range(1, 1 << (n - 1)))))
 
 
 @lru_cache(maxsize=None)
@@ -403,7 +479,7 @@ def enumerate_trees(n: int) -> tuple[Multigraph, ...]:
         raise ValueError("enumerate_trees needs n >= 1")
     if n == 1:
         return (Multigraph(1, []),)
-    return tuple(_classes(_grow(enumerate_trees(n - 1), [1 << v for v in range(n - 1)])))
+    return tuple(_classes_by_start(_grow(enumerate_trees(n - 1), [1 << v for v in range(n - 1)])))
 
 
 @lru_cache(maxsize=None)

@@ -216,8 +216,17 @@ class Multigraph:
         return frozenset(v for v in range(self.n) if self._degree[v] == 1)
 
     def supports(self) -> frozenset[int]:
-        lv = self.leaves()
-        return frozenset(v for v in range(self.n) if self.neighborhood(v) & lv)
+        """The vertices adjacent to a leaf: the far end of each leaf's one
+        edge (a loop adds 2 to the degree, so that edge is never a loop),
+        in one pass over the edges."""
+        degree = self._degree
+        out = set()
+        for u, v in zip(self.us, self.vs):
+            if degree[u] == 1:
+                out.add(v)
+            if degree[v] == 1:
+                out.add(u)
+        return frozenset(out)
 
     # -- edits (return new graphs; vertex ids are stable) ------------------
 

@@ -4,7 +4,7 @@ import hashlib
 import pathlib
 import random
 import tracemalloc
-from itertools import permutations
+from itertools import combinations, permutations
 
 import pytest
 from hypothesis import given, settings
@@ -431,21 +431,25 @@ def _has_earlier_parent_by_definition(g: Multigraph, mask: int) -> bool:
 @given(connected_simple_bases())
 def test_degree_bound_drops_only_what_the_earliest_parent_test_rejects(g):
     # the earliest-parent test against its definition, on every mask; the
-    # bound is the largest degree of a vertex whose deletion leaves the
-    # base connected, and every mask of 2 .. bound - 1 vertices it drops is
-    # one the test rejects, so _grow hands on exactly the candidates of the
-    # orbit skip and that test alone, for every mask and for the trees'
-    # single-vertex masks, which need no bound at all
+    # bound drops a mask M of two or more vertices when a vertex w whose
+    # deletion leaves the base connected has deg(w) + [w in M] > |M|, and
+    # every mask it drops is one the test rejects, so _grow hands on
+    # exactly the candidates of the orbit skip and that test alone, for
+    # every mask and for the trees' single-vertex masks, which need no
+    # bound at all
     catalog = dpdp.catalog
     rows = catalog._rows(g)
     degrees = tuple(sorted(g.degree(v) for v in range(g.n)))
-    top = catalog._top_degree(rows)
-    assert top == max(g.degree(w) for w in range(g.n) if _connected_without(g, w))
+    non_cut = [w for w in range(g.n) if _connected_without(g, w)]
+    top = max(g.degree(w) for w in non_cut)
+    at = sum(1 << w for w in non_cut if g.degree(w) == top)
+    assert catalog._non_cut_top(rows) == (top, at)
     every = range(1, 1 << g.n)
     for mask in every:
         rejected = _has_earlier_parent_by_definition(g, mask)
         assert catalog._has_earlier_parent(rows, degrees, mask) == rejected, mask
-        if 1 < mask.bit_count() < top:
+        k = mask.bit_count()
+        if k > 1 and any(g.degree(w) + (mask >> w & 1) > k for w in non_cut):
             assert rejected, mask
     base = list(zip(g.us, g.vs))
     autos = _automorphisms(g.n, base)
@@ -457,18 +461,97 @@ def test_degree_bound_drops_only_what_the_earliest_parent_test_rejects(g):
         ]
         with pytest.MonkeyPatch.context() as mp:
             if masks is not every:
-                mp.setattr(catalog, "_top_degree", None)  # never called
-            assert list(catalog._grow([g], masks)) == want
+                mp.setattr(catalog, "_non_cut_top", None)  # never called
+            assert [(n, ends) for n, ends, _ in catalog._grow([g], masks)] == want
+
+
+def _orbit(mask: int, perms) -> set[int]:
+    """The orbit of mask under the group the permutations perms generate,
+    each image taken bit by bit."""
+    orbit = {mask}
+    todo = [mask]
+    while todo:
+        x = todo.pop()
+        for p in perms:
+            y = _mask_image(x, p)
+            if y not in orbit:
+                orbit.add(y)
+                todo.append(y)
+    return orbit
+
+
+@st.composite
+def permutation_lists(draw):
+    """(n, perms): up to three permutations of 0..n-1, n <= 16, that move
+    only the points of one drawn set of at most seven, anywhere in 0..n-1,
+    so that the orbits stay small."""
+    n = draw(st.integers(1, 16))
+    moved = draw(st.lists(st.integers(0, n - 1), unique=True, max_size=7))
+    perms = []
+    for _ in range(draw(st.integers(0, 3))):
+        p = list(range(n))
+        for v, w in zip(moved, draw(st.permutations(moved))):
+            p[v] = w
+        perms.append(p)
+    return n, perms
+
+
+@settings(max_examples=200, deadline=None)
+@given(permutation_lists(), st.data())
+def test_orbit_minima_by_table_against_the_definition(n_perms, data):
+    # on more than 8 points a mask's image takes one table lookup per
+    # byte; the masks are the orbits of random seeds, in increasing order,
+    # as _orbit_minima asks, and it gives the least member of each orbit
+    n, perms = n_perms
+    seeds = data.draw(st.lists(st.integers(1, (1 << n) - 1), min_size=1, max_size=6))
+    orbits = {frozenset(_orbit(mask, perms)) for mask in seeds}
+    masks = sorted(set().union(*orbits))
+    assert list(dpdp.catalog._orbit_minima(masks, perms)) == sorted(map(min, orbits))
+
+
+def _start_colours_by_definition(n: int, ends) -> list[tuple]:
+    """(degree, loop count, triangles) per vertex of a simple graph, the
+    triangles counted over every pair of neighbours."""
+    nbrs = [set() for _ in range(n)]
+    for u, v in ends:
+        nbrs[u].add(v)
+        nbrs[v].add(u)
+    return [
+        (len(nbrs[v]), 0, sum(1 for a, b in combinations(sorted(nbrs[v]), 2) if b in nbrs[a]))
+        for v in range(n)
+    ]
+
+
+@pytest.mark.parametrize(
+    "enumerate_, masks, sizes, candidates",
+    [
+        (enumerate_connected_simple, lambda k: range(1, 1 << k), range(2, 8), 1033),
+        (enumerate_trees, lambda k: [1 << v for v in range(k)], range(2, 11), 257),
+    ],
+    ids=["simple", "trees"],
+)
+def test_grown_start_colours_are_the_counted_ones(enumerate_, masks, sizes, candidates):
+    # on every candidate _grow hands on, the start colours it derives from
+    # the base are those counted from the candidate's edges, and give
+    # _start's colouring and key
+    grown = 0
+    for n in sizes:
+        for k, ends, colours in dpdp.catalog._grow(enumerate_(n - 1), masks(n - 1)):
+            assert colours == _start_colours_by_definition(k, ends), ends
+            assert dpdp._canon._ranked(k, ends, colours) == dpdp._canon._start(k, ends)
+            grown += 1
+    assert grown == candidates
 
 
 def test_enumeration_work_pinned(monkeypatch):
     # the degree bound, the orbit skip and the earliest-parent test hand
     # 1,033 candidates to the dedup for n = 2..7 (4,159 with the orbit skip
     # alone, 7,815 with neither), and only the first of each class becomes
-    # a Multigraph; the bound leaves the earliest-parent test 2,717 masks
-    # (4,159 without it)
+    # a Multigraph; the bound leaves the earliest-parent test 2,032 masks
+    # (2,717 when it covered only vertices w outside the mask, 4,159
+    # without it)
     handed = []
-    dedup = dpdp.catalog._classes
+    dedup = dpdp.catalog._classes_by_start
     tested = []
     has_earlier_parent = dpdp.catalog._has_earlier_parent
 
@@ -489,7 +572,7 @@ def test_enumeration_work_pinned(monkeypatch):
         init(self, *args, **kwargs)
 
     enumerate_connected_simple.cache_clear()
-    monkeypatch.setattr(dpdp.catalog, "_classes", counting)
+    monkeypatch.setattr(dpdp.catalog, "_classes_by_start", counting)
     monkeypatch.setattr(dpdp.catalog, "_has_earlier_parent", counting_test)
     monkeypatch.setattr(Multigraph, "__init__", counting_init)
     try:
@@ -497,7 +580,7 @@ def test_enumeration_work_pinned(monkeypatch):
     finally:
         enumerate_connected_simple.cache_clear()
     assert handed == [1, 2, 6, 21, 113, 890]
-    assert len(tested) == 2717
+    assert len(tested) == 2032
     assert len(built) == classes == 996
 
 
@@ -554,8 +637,8 @@ def test_dedup_work_pinned(monkeypatch, enumerate_, sizes, refines):
         goals.append((len(root[0]), tuple(ends)))
         return trace, form
 
-    def recording_add(self, n, ends):
-        new = add(self, n, ends)
+    def recording_add(self, n, ends, *colours):
+        new = add(self, n, ends, *colours)
         recorded.append(new)
         return new
 
@@ -668,15 +751,15 @@ def test_dropped_candidates_have_an_earlier_copy(monkeypatch, enumerate_, masks,
     # dedup is isomorphic (networkx) to one it hands over from an earlier base
     nx = pytest.importorskip("networkx")
     handed: dict[int, list] = {}
-    dedup = dpdp.catalog._classes
+    dedup = dpdp.catalog._classes_by_start
 
     def recording(candidates):
         candidates = list(candidates)
-        handed[candidates[0][0]] = [(n, list(ends)) for n, ends in candidates]
+        handed[candidates[0][0]] = [(n, list(ends)) for n, ends, _ in candidates]
         return dedup(candidates)
 
     enumerate_.cache_clear()
-    monkeypatch.setattr(dpdp.catalog, "_classes", recording)
+    monkeypatch.setattr(dpdp.catalog, "_classes_by_start", recording)
     try:
         enumerate_(top)
     finally:

@@ -275,6 +275,18 @@ def test_queries_match_the_raw_edge_list(n_edges):
     assert g.edge_multiset() == tuple(sorted(keys))
 
 
+@settings(max_examples=300, deadline=None)
+@given(raw_multigraphs(max_n=10, max_m=16))
+def test_supports_one_pass_against_the_definition(n_edges):
+    # the far ends of the leaves' edges, found in one pass over the edges
+    # and with no adjacency index, are the vertices whose neighbourhood
+    # meets the leaves
+    g = Multigraph(*n_edges)
+    got = g.supports()
+    assert g._adj is None
+    assert got == frozenset(v for v in range(g.n) if g.neighborhood(v) & g.leaves())
+
+
 @settings(max_examples=200, deadline=None)
 @given(raw_multigraphs(), st.data())
 def test_delete_edges_matches_the_raw_edge_list(n_edges, data):
