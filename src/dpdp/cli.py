@@ -9,10 +9,15 @@ verdict), 1 = input error or internal error (one stderr line, no
 traceback; for a bad line of a graph6 file it names the line number),
 2 = cross-validation disagreement.
 
-Survey and xcheck fan out over a process pool of DPDP_WORKERS processes
-(an environment variable; default: available parallelism), but never more
-processes than inputs, and run in-process when that is one; results are
-emitted in input order regardless.
+Survey and xcheck are sweeps: one driver runs a check on each graph of a
+source, the enumerated multigraphs of xcheck --max-edges or the lines of
+a graph6 file.  One reader reads every line of the file before any check
+runs, so a malformed line is named first.  The driver fans the checks
+out over a process pool of DPDP_WORKERS processes (an environment
+variable; default: the CPUs this process may run on, or the CPU count
+where the platform cannot tell), but never more processes than graphs,
+and runs in-process when that is one; results come in input order
+regardless.
 
 Start-up is most of a small command's time.  The codecs come from graph,
 so the enumerator (catalog and _canon) is imported only inside xcheck
@@ -24,7 +29,6 @@ their compile time into the first command that runs them.
 from __future__ import annotations
 
 import argparse
-import contextlib
 import functools
 import io
 import os
@@ -56,20 +60,24 @@ def _load_graph(path: str, fmt: str) -> Multigraph:
     return read_edge_list(text)
 
 
-def _g6_lines(path: str) -> list[tuple[int, str]]:
-    """The non-blank lines of a graph6 file, stripped, each with its 1-based
-    line number."""
-    with open(path, "r", encoding="utf-8") as f:
-        return [(k, ln.strip()) for k, ln in enumerate(f, 1) if ln.strip()]
-
-
-@contextlib.contextmanager
-def _at_line(k: int):
-    """Prefix a ValueError raised inside with the input line it concerns."""
+def _at_line(k: int | None, fn, *args):
+    """fn(*args), a ValueError from it prefixed with the input line k it
+    concerns, if there is one."""
     try:
-        yield
+        return fn(*args)
     except ValueError as exc:
+        if k is None:
+            raise
         raise ValueError(f"line {k}: {exc}") from None
+
+
+def _g6_graphs(path: str) -> list[tuple[int, str, Multigraph]]:
+    """(line number, line, graph) for each non-blank line of a graph6
+    file, stripped, numbered from 1; all of them are parsed before a sweep
+    checks any."""
+    with open(path, "r", encoding="utf-8") as f:
+        lines = [(k, line.strip()) for k, line in enumerate(f, 1) if line.strip()]
+    return [(k, line, _at_line(k, read_graph6, line)) for k, line in lines]
 
 
 def _edge_triples(g: Multigraph, eids) -> list[list[int]]:
@@ -193,18 +201,33 @@ def _workers() -> int:
         except ValueError:
             raise ValueError(f"DPDP_WORKERS must be an integer, got {env!r}")
         return max(1, k)
+    if hasattr(os, "sched_getaffinity"):  # the CPUs this process may run on
+        return len(os.sched_getaffinity(0))
     return os.cpu_count() or 1
 
 
-def _pool_map(fn, items):
-    items = list(items)
+def _check_at(check, item):
+    k, line, g = item
+    return _at_line(k, check, g, line)
+
+
+def _sweep(check, items: list[tuple[int | None, str | None, Multigraph]]):
+    """check(graph, line) for each (line number, line, graph) of items, in
+    input order, on min(_workers(), len(items)) processes; a ValueError
+    names its line.  In process, each item is set to None as its check
+    starts, so no checked graph, nor the adjacency index its check built,
+    outlives the check."""
     workers = min(_workers(), len(items))
+    run = functools.partial(_check_at, check)
     if workers <= 1:
-        return [fn(x) for x in items]
+        for i, item in enumerate(items):
+            items[i] = None
+            yield run(item)
+        return
     from concurrent.futures import ProcessPoolExecutor  # only a pool pays for the import
 
     with ProcessPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(fn, items))
+        yield from pool.map(run, items)
 
 
 # -- subcommands ----------------------------------------------------------------
@@ -292,10 +315,7 @@ def cmd_goodsub(args) -> int:
     return 0
 
 
-def _survey_row(item: tuple[int, str]) -> list[str]:
-    k, line = item
-    with _at_line(k):
-        g = read_graph6(line)
+def _survey_row(g: Multigraph, line: str) -> list[str]:
     pairs, witness = _pairs_and_witness(g, 1)
     dpdp = bool(pairs)
     minimal = dpdp and witness is None
@@ -318,14 +338,14 @@ def _survey_row(item: tuple[int, str]) -> list[str]:
 def cmd_survey(args) -> int:
     import csv  # only survey writes CSV
 
-    rows = _pool_map(_survey_row, _g6_lines(args.g6file))
+    graphs = _g6_graphs(args.g6file)
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
     writer.writerow(
         ["input", "n", "m", "dpdp", "minimal", "is_2_subdivision",
          "good_subgraph_found"]
     )
-    writer.writerows(rows)
+    writer.writerows(_sweep(_survey_row, graphs))
     if args.out:
         with open(args.out, "w", encoding="utf-8") as f:
             f.write(buf.getvalue())
@@ -334,7 +354,7 @@ def cmd_survey(args) -> int:
     return 0
 
 
-def _xcheck_one(h: Multigraph) -> tuple[bool, dict]:
+def _xcheck_one(h: Multigraph, line: str | None) -> tuple[bool, dict]:
     r = xcheck(h)
     detail = {
         "n": r.base_n,
@@ -346,35 +366,27 @@ def _xcheck_one(h: Multigraph) -> tuple[bool, dict]:
     return r.consistent, detail
 
 
-def _xcheck_line(item: tuple[int, Multigraph]) -> tuple[bool, dict]:
-    k, h = item
-    with _at_line(k):
-        return _xcheck_one(h)
-
-
 def cmd_xcheck(args) -> int:
     if (args.max_edges is None) == (args.g6file is None):
         raise ValueError("xcheck needs exactly one of --max-edges or a g6 file")
     if args.max_edges is not None:
         from .catalog import enumerate_connected_multigraphs  # the one enumerating command
 
-        outcomes = _pool_map(_xcheck_one, enumerate_connected_multigraphs(args.max_edges))
+        graphs = [(None, None, h) for h in enumerate_connected_multigraphs(args.max_edges)]
         input_id = f"--max-edges {args.max_edges}"
     else:
-        numbered = []  # every line is read before any is checked
-        for k, line in _g6_lines(args.g6file):
-            with _at_line(k):
-                numbered.append((k, read_graph6(line)))
-        outcomes = _pool_map(_xcheck_line, numbered)
+        # xcheck reports no line: not holding them keeps the pool's peak RSS down
+        graphs = [(k, None, g) for k, _, g in _g6_graphs(args.g6file)]
         input_id = args.g6file
     disagreements = [
-        dict(detail, index=i) for i, (okay, detail) in enumerate(outcomes) if not okay
+        dict(detail, index=i)
+        for i, (okay, detail) in enumerate(_sweep(_xcheck_one, graphs)) if not okay
     ]
     _emit(
         "xcheck",
         input_id,
         {
-            "graphs_checked": len(outcomes),
+            "graphs_checked": len(graphs),
             "consistent": not disagreements,
             "disagreements": disagreements,
         },

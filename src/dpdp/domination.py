@@ -79,12 +79,6 @@ class DpPair(_FrozenRecord):
     p: frozenset[int]
     matching: tuple[int, ...]
 
-    def __init__(self, d: frozenset[int], p: frozenset[int], matching: tuple[int, ...]):
-        put = object.__setattr__
-        put(self, "d", d)
-        put(self, "p", p)
-        put(self, "matching", matching)
-
     def partition(self) -> tuple[frozenset[int], frozenset[int]]:
         return (self.d, self.p)
 

@@ -51,20 +51,6 @@ class GoodSubgraphCertificate(_Record):
     arcs: dict[int, tuple[int, int]]  # edge id -> (tail, head)
     paths: dict[int, tuple[int, ...]]  # Q-vertex -> arc ids in order
 
-    def __init__(
-        self,
-        q_vertices: frozenset[int],
-        q_edges: frozenset[int],
-        e_set: frozenset[int],
-        arcs: dict[int, tuple[int, int]],
-        paths: dict[int, tuple[int, ...]],
-    ):
-        self.q_vertices = q_vertices
-        self.q_edges = q_edges
-        self.e_set = e_set
-        self.arcs = arcs
-        self.paths = paths
-
 
 class ReductionPlan(_Record):
     """Edges to remove from the 2-subdivision plus the DP-pair of the
@@ -76,18 +62,6 @@ class ReductionPlan(_Record):
     d_prime: frozenset[int]
     p_prime: frozenset[int]
     matching: tuple[int, ...]
-
-    def __init__(
-        self,
-        removed_edges: frozenset[int],
-        d_prime: frozenset[int],
-        p_prime: frozenset[int],
-        matching: tuple[int, ...],
-    ):
-        self.removed_edges = removed_edges
-        self.d_prime = d_prime
-        self.p_prime = p_prime
-        self.matching = matching
 
 
 def edge_boundary(h: Multigraph, q_edges: Iterable[int]) -> frozenset[int]:

@@ -39,11 +39,22 @@ class _Record:
     """Base of the package's value classes, which are written out by hand
     so that no module imports the dataclasses machinery.  A subclass lists
     its fields, in order, as __slots__, and gets from here a dataclass's
+    constructor (each field once, by position or keyword, else TypeError),
     field-wise equality and repr; it is unhashable, as a mutable dataclass
     is, unless it defines __hash__."""
 
     __slots__ = ()
     __hash__ = None
+
+    def __init__(self, *args, **kwargs):
+        names = self.__slots__
+        if kwargs:  # the fields after the positional ones, in order
+            args += tuple(kwargs.pop(name) for name in names[len(args):] if name in kwargs)
+        if kwargs or len(args) != len(names):  # a field unknown, repeated, missing or surplus
+            fields = ", ".join(names)
+            raise TypeError(f"{self.__class__.__name__}() takes the fields {fields}, each once")
+        for name, value in zip(names, args):  # past a frozen subclass's __setattr__
+            object.__setattr__(self, name, value)
 
     def _values(self) -> tuple:
         return tuple(getattr(self, name) for name in self.__slots__)
@@ -60,8 +71,7 @@ class _Record:
 
 class _FrozenRecord(_Record):
     """A _Record that is immutable like a frozen dataclass: hashable by its
-    fields, and pickled through its constructor.  A subclass's __init__
-    sets the fields with object.__setattr__."""
+    fields, and pickled through its constructor."""
 
     __slots__ = ()
 
@@ -88,12 +98,6 @@ class EdgeRecord(_FrozenRecord):
     id: int
     u: int
     v: int
-
-    def __init__(self, id: int, u: int, v: int):
-        put = object.__setattr__
-        put(self, "id", id)
-        put(self, "u", u)
-        put(self, "v", v)
 
     def is_loop(self) -> bool:
         return self.u == self.v

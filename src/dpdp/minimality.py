@@ -36,22 +36,6 @@ class MinimalityReport(_Record):
     dp_pair_count_capped: int
     verdicts_consistent: bool
 
-    def __init__(
-        self,
-        is_dpdp: bool,
-        minimal_by_deletion: bool,
-        inversion: tuple[Multigraph, dict[int, int]] | None,
-        good_subgraph: GoodSubgraphCertificate | None,
-        dp_pair_count_capped: int,
-        verdicts_consistent: bool,
-    ):
-        self.is_dpdp = is_dpdp
-        self.minimal_by_deletion = minimal_by_deletion
-        self.inversion = inversion
-        self.good_subgraph = good_subgraph
-        self.dp_pair_count_capped = dp_pair_count_capped
-        self.verdicts_consistent = verdicts_consistent
-
 
 class XcheckResult(_Record):
     """Three-way verdict for the 2-subdivision of a given base graph."""
@@ -66,20 +50,6 @@ class XcheckResult(_Record):
     minimal_by_deletion: bool
     no_good_subgraph: bool
     unique_pair_or_small_cycle: bool
-
-    def __init__(
-        self,
-        base_n: int,
-        base_m: int,
-        minimal_by_deletion: bool,
-        no_good_subgraph: bool,
-        unique_pair_or_small_cycle: bool,
-    ):
-        self.base_n = base_n
-        self.base_m = base_m
-        self.minimal_by_deletion = minimal_by_deletion
-        self.no_good_subgraph = no_good_subgraph
-        self.unique_pair_or_small_cycle = unique_pair_or_small_cycle
 
     @property
     def consistent(self) -> bool:

@@ -226,19 +226,22 @@ def test_survey_isolated_vertex_goodsub_na(tmp_path, capsys):
 
 
 def test_survey_parallel_matches_serial(tmp_path, capsys, monkeypatch):
+    # xcheck FILE goes through the same driver
     g6 = tmp_path / "graphs.g6"
     g6.write_text("\n".join(write_graph6(g) for g in (path(4), path(7), complete(4))) + "\n")
-    monkeypatch.setenv("DPDP_WORKERS", "1")
-    _, serial = run_cli(capsys, "survey", str(g6))
-    monkeypatch.setenv("DPDP_WORKERS", "2")
-    _, parallel = run_cli(capsys, "survey", str(g6))
-    assert serial == parallel
+    for command in ("survey", "xcheck"):
+        monkeypatch.setenv("DPDP_WORKERS", "1")
+        _, serial = run_cli(capsys, command, str(g6))
+        monkeypatch.setenv("DPDP_WORKERS", "2")
+        _, parallel = run_cli(capsys, command, str(g6))
+        assert serial == parallel
 
 
-def test_pool_is_sized_by_the_input(capsys, monkeypatch):
-    # xcheck --max-edges 2 has 6 graphs: DPDP_WORKERS=500 asks for 6
-    # workers, not 500.  The stand-in pool records its size and maps
-    # serially, so no process is started
+def test_pool_is_sized_by_the_input(tmp_path, capsys, monkeypatch):
+    # each source has 6 graphs: DPDP_WORKERS=500 asks for 6 workers, not
+    # 500, and with DPDP_WORKERS unset a process allowed on one CPU gets
+    # no pool.  The stand-in pool records its size and maps serially, so
+    # no process is started
     import concurrent.futures
 
     sizes = []
@@ -256,16 +259,29 @@ def test_pool_is_sized_by_the_input(capsys, monkeypatch):
         def map(self, fn, items):
             return map(fn, items)
 
-    # _pool_map imports the pool class when it runs, so it is patched at its source
+    # the driver imports the pool class when it runs, so it is patched at its source
     monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", SerialPool)
-    monkeypatch.setenv("DPDP_WORKERS", "1")
-    _, serial = run_cli(capsys, "xcheck", "--max-edges", "2")
-    assert sizes == []
-    monkeypatch.setenv("DPDP_WORKERS", "500")
-    _, pooled = run_cli(capsys, "xcheck", "--max-edges", "2")
-    assert sizes == [6]
-    assert pooled == serial
-    assert json.loads(serial)["result"]["graphs_checked"] == 6
+    g6 = tmp_path / "graphs.g6"
+    g6.write_text("".join(write_graph6(path(n)) + "\n" for n in range(2, 8)))
+    for argv in (["xcheck", "--max-edges", "2"], ["xcheck", str(g6)], ["survey", str(g6)]):
+        sizes.clear()
+        monkeypatch.setenv("DPDP_WORKERS", "1")
+        _, serial = run_cli(capsys, *argv)
+        assert sizes == []
+        monkeypatch.setenv("DPDP_WORKERS", "500")
+        _, pooled = run_cli(capsys, *argv)
+        assert sizes == [6]
+        assert pooled == serial
+        with monkeypatch.context() as m:
+            m.delenv("DPDP_WORKERS")
+            m.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
+            _, default = run_cli(capsys, *argv)
+        assert sizes == [6]
+        assert default == serial
+        if argv[0] == "xcheck":
+            assert json.loads(serial)["result"]["graphs_checked"] == 6
+        else:
+            assert len(serial.splitlines()) == 7
 
 
 def test_non_integer_workers_is_a_one_line_error(capsys, monkeypatch):

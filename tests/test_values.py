@@ -1,6 +1,7 @@
 """The engines' value classes behave as the dataclasses they replace did:
-the same constructor, field-wise equality, repr text and hashing.  The
-repr strings and the hash below were printed by the dataclass versions."""
+the same constructor, TypeError included, field-wise equality, repr text
+and hashing.  The repr strings and the hash below were printed by the
+dataclass versions."""
 
 from __future__ import annotations
 
@@ -72,6 +73,12 @@ def test_construction_equality_and_repr(cls, values, text):
     others = [c(*v) for c, v, _ in CASES if c is not cls]
     assert all(positional != other for other in others)
     assert positional != values
+    # a field missing, unknown, repeated or surplus
+    first = cls.__match_args__[0]
+    for args, kwargs in [(values[:2], {}), (values[:-1], {"other": 1}), (values, {"other": 1}),
+                         (values, {first: values[0]}), (values + (None,), {})]:
+        with pytest.raises(TypeError):
+            cls(*args, **kwargs)
 
 
 @pytest.mark.parametrize("cls, values, text", CASES[1:], ids=IDS[1:])
