@@ -9,6 +9,14 @@ verdict), 1 = input error or internal error (one stderr line, no
 traceback; for a bad line of a graph6 file it names the line number),
 2 = cross-validation disagreement.
 
+Check, pairs, minimal, invert and goodsub each map one graph to its
+JSON result; one runner loads the graph of the input file (edge list, or
+a graph6 file of exactly one non-blank line), calls the command's result
+function and emits the verdict.  One table registers these commands and
+s2, the commands that read one graph file, in the order --help lists
+them.  One writer puts every output of s2 and survey into the file its
+flag names, or the main output onto stdout.
+
 Survey and xcheck are sweeps: one driver runs a check on each graph of a
 source, the enumerated multigraphs of xcheck --max-edges or the lines of
 a graph6 file.  One reader reads every line of the file before any check
@@ -52,14 +60,6 @@ class _Parser(argparse.ArgumentParser):
         self.exit(1, f"{self.prog}: error: {message}\n")
 
 
-def _load_graph(path: str, fmt: str) -> Multigraph:
-    with open(path, "r", encoding="utf-8") as f:
-        text = f.read()
-    if fmt == "g6":
-        return read_graph6(text)
-    return read_edge_list(text)
-
-
 def _at_line(k: int | None, fn, *args):
     """fn(*args), a ValueError from it prefixed with the input line k it
     concerns, if there is one."""
@@ -78,6 +78,18 @@ def _g6_graphs(path: str) -> list[tuple[int, str, Multigraph]]:
     with open(path, "r", encoding="utf-8") as f:
         lines = [(k, line.strip()) for k, line in enumerate(f, 1) if line.strip()]
     return [(k, line, _at_line(k, read_graph6, line)) for k, line in lines]
+
+
+def _load_graph(path: str, fmt: str) -> Multigraph:
+    """The one graph of an edge-list file, or of a graph6 file of one
+    non-blank line."""
+    if fmt == "g6":
+        graphs = _g6_graphs(path)
+        if len(graphs) != 1:
+            raise ValueError(f"graph6 file has {len(graphs)} non-blank lines, expected 1")
+        return graphs[0][2]
+    with open(path, "r", encoding="utf-8") as f:
+        return read_edge_list(f.read())
 
 
 def _edge_triples(g: Multigraph, eids) -> list[list[int]]:
@@ -233,85 +245,62 @@ def _sweep(check, items: list[tuple[int | None, str | None, Multigraph]]):
 # -- subcommands ----------------------------------------------------------------
 
 
-def cmd_check(args) -> int:
-    g = _load_graph(args.file, args.format)
+def _check(g: Multigraph, args) -> dict:
     pair = find_dp_pair(g)
-    _emit(
-        "check",
-        args.file,
-        {"dpdp": pair is not None, "n": g.n, "m": g.m,
-         "pair": _pair_json(g, pair) if pair else None},
-    )
-    return 0
+    return {"dpdp": pair is not None, "n": g.n, "m": g.m,
+            "pair": _pair_json(g, pair) if pair else None}
 
 
-def cmd_pairs(args) -> int:
-    g = _load_graph(args.file, args.format)
+def _pairs(g: Multigraph, args) -> dict:
     pairs = enumerate_dp_pairs(g, cap=args.cap)
-    _emit(
-        "pairs",
-        args.file,
-        {"cap": args.cap, "count": len(pairs),
-         "pairs": [_pair_json(g, p) for p in pairs]},
-    )
-    return 0
+    return {"cap": args.cap, "count": len(pairs), "pairs": [_pair_json(g, p) for p in pairs]}
 
 
-def cmd_minimal(args) -> int:
-    g = _load_graph(args.file, args.format)
+def _minimal(g: Multigraph, args) -> dict:
     pairs, witness = _pairs_and_witness(g, 1)
     pair = pairs[0] if pairs else None
-    minimal = pair is not None and witness is None
-    result = {
+    return {
         "dpdp": pair is not None,
-        "minimal": minimal,
+        "minimal": pair is not None and witness is None,
         "witness_edge": _edge_triples(g, [witness])[0] if witness is not None else None,
         "pair": _pair_json(g, pair) if pair else None,
     }
-    _emit("minimal", args.file, result)
+
+
+def _invert(g: Multigraph, args) -> dict:
+    inv = invert_s2(g)
+    labeling = _labeling_json(inv[2]) if inv else dict.fromkeys(("base", "alpha", "provenance"))
+    return {"is_2_subdivision": inv is not None, **labeling}
+
+
+def _goodsub(h: Multigraph, args) -> dict:
+    cert = find_good_subgraph(h)
+    return {"found": cert is not None, "certificate": _cert_json(h, cert) if cert else None}
+
+
+def _run(result, args) -> int:
+    """A single-graph command: result(graph, args) on the graph of
+    args.file, emitted as the verdict of args.command."""
+    _emit(args.command, args.file, result(_load_graph(args.file, args.format), args))
     return 0
+
+
+def _write(path: str | None, text: str) -> None:
+    """text into the file path, or onto stdout when no path is given."""
+    if not path:
+        sys.stdout.write(text)
+        return
+    with open(path, "w", encoding="utf-8") as f:
+        f.write(text)
 
 
 def cmd_s2(args) -> int:
-    h = _load_graph(args.file, args.format)
-    alpha = _parse_alpha(args.alpha)
-    g, lab = build_s2(h, alpha)
-    text = write_edge_list(g)
-    if args.out:
-        with open(args.out, "w", encoding="utf-8") as f:
-            f.write(text)
-    else:
-        sys.stdout.write(text)
+    g, lab = build_s2(_load_graph(args.file, args.format), _parse_alpha(args.alpha))
+    _write(args.out, write_edge_list(g))
     if args.labeling:
-        with open(args.labeling, "w", encoding="utf-8") as f:
-            f.write(_json_text(_labeling_json(lab)) + "\n")
+        _write(args.labeling, _json_text(_labeling_json(lab)) + "\n")
     if args.dot:
-        with open(args.dot, "w", encoding="utf-8") as f:
-            f.write(write_dot(g))
-    return 0
-
-
-def cmd_invert(args) -> int:
-    g = _load_graph(args.file, args.format)
-    inv = invert_s2(g)
-    if inv is None:
-        _emit("invert", args.file,
-              {"is_2_subdivision": False, "base": None, "alpha": None,
-               "provenance": None})
-        return 0
-    _emit("invert", args.file, {"is_2_subdivision": True, **_labeling_json(inv[2])})
-    return 0
-
-
-def cmd_goodsub(args) -> int:
-    h = _load_graph(args.file, args.format)
-    cert = find_good_subgraph(h)
-    _emit(
-        "goodsub",
-        args.file,
-        {"found": cert is not None,
-         "certificate": _cert_json(h, cert) if cert else None},
-    )
+        _write(args.dot, write_dot(g))
     return 0
 
 
@@ -346,11 +335,7 @@ def cmd_survey(args) -> int:
          "good_subgraph_found"]
     )
     writer.writerows(_sweep(_survey_row, graphs))
-    if args.out:
-        with open(args.out, "w", encoding="utf-8") as f:
-            f.write(buf.getvalue())
-    else:
-        sys.stdout.write(buf.getvalue())
+    _write(args.out, buf.getvalue())
     return 0
 
 
@@ -394,48 +379,39 @@ def cmd_xcheck(args) -> int:
     return 2 if disagreements else 0
 
 
+# The commands that read one graph file, in the order dpdp --help lists
+# them: (name, help line, the function main runs on the parsed arguments)
+_ONE_GRAPH = (
+    ("check", "DPDP recognition with certificate", functools.partial(_run, _check)),
+    ("pairs", "enumerate DP-pairs", functools.partial(_run, _pairs)),
+    ("minimal", "minimality by edge deletion", functools.partial(_run, _minimal)),
+    ("s2", "build the 2-subdivision graph", cmd_s2),
+    ("invert", "recognize and invert a 2-subdivision", functools.partial(_run, _invert)),
+    ("goodsub", "search for a good subgraph", functools.partial(_run, _goodsub)),
+)
+
+
 @functools.cache
 def build_parser() -> _Parser:
     """The dpdp argument parser, built once per process: parse_args keeps
     no state between calls."""
     parser = _Parser(prog="dpdp", description=__doc__.splitlines()[0])
     sub = parser.add_subparsers(dest="command", required=True)
-
-    def add_input(p):
+    one_graph = {}
+    for name, summary, func in _ONE_GRAPH:
+        p = one_graph[name] = sub.add_parser(name, help=summary)
         p.add_argument("file", help="input graph file")
         p.add_argument(
             "--format", choices=("el", "g6"), default="el",
             help="input format: edge list (default) or graph6",
         )
-
-    p = sub.add_parser("check", help="DPDP recognition with certificate")
-    add_input(p)
-    p.set_defaults(func=cmd_check)
-
-    p = sub.add_parser("pairs", help="enumerate DP-pairs")
-    add_input(p)
-    p.add_argument("--cap", type=int, default=10, help="max pairs to list")
-    p.set_defaults(func=cmd_pairs)
-
-    p = sub.add_parser("minimal", help="minimality by edge deletion")
-    add_input(p)
-    p.set_defaults(func=cmd_minimal)
-
-    p = sub.add_parser("s2", help="build the 2-subdivision graph")
-    add_input(p)
+        p.set_defaults(func=func)
+    one_graph["pairs"].add_argument("--cap", type=int, default=10, help="max pairs to list")
+    p = one_graph["s2"]
     p.add_argument("--alpha", help="leaf multiplicities, e.g. 0:2,3:1")
     p.add_argument("--out", help="write the product edge list here")
     p.add_argument("--labeling", help="write the labeling sidecar JSON here")
     p.add_argument("--dot", help="write a DOT dump of the product here")
-    p.set_defaults(func=cmd_s2)
-
-    p = sub.add_parser("invert", help="recognize and invert a 2-subdivision")
-    add_input(p)
-    p.set_defaults(func=cmd_invert)
-
-    p = sub.add_parser("goodsub", help="search for a good subgraph")
-    add_input(p)
-    p.set_defaults(func=cmd_goodsub)
 
     p = sub.add_parser("survey", help="per-graph CSV over a graph6 file")
     p.add_argument("g6file", help="graph6 input, one graph per line")

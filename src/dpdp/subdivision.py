@@ -30,7 +30,7 @@ class S2Labeling(_Record):
     Treat as immutable.  The lookup tables map base vertices and edges to
     vertex and edge ids of the graph labelled, build_s2's product or
     invert_s2's input; one builder fills them for both, in build_s2's
-    layout.  Each table left out starts as a new empty dict.
+    layout.  Its constructor, _Record's, takes every field; none has a default.
     """
 
     __slots__ = (
@@ -46,26 +46,6 @@ class S2Labeling(_Record):
     new_vertex: dict[tuple[int, int], int]
     middle_edge: dict[int, int]
     attach_edges: dict[tuple[int, int], tuple[int, ...]]
-
-    def __init__(
-        self,
-        base: Multigraph,
-        alpha: dict[int, int],
-        provenance: tuple[Tag, ...],
-        old_vertex: dict[int, int] | None = None,
-        copy_vertices: dict[int, tuple[int, ...]] | None = None,
-        new_vertex: dict[tuple[int, int], int] | None = None,
-        middle_edge: dict[int, int] | None = None,
-        attach_edges: dict[tuple[int, int], tuple[int, ...]] | None = None,
-    ):
-        self.base = base
-        self.alpha = alpha
-        self.provenance = provenance
-        self.old_vertex = {} if old_vertex is None else old_vertex
-        self.copy_vertices = {} if copy_vertices is None else copy_vertices
-        self.new_vertex = {} if new_vertex is None else new_vertex
-        self.middle_edge = {} if middle_edge is None else middle_edge
-        self.attach_edges = {} if attach_edges is None else attach_edges
 
     def old_part(self) -> frozenset[int]:
         """V^o: old vertices plus all leaf copies."""

@@ -15,10 +15,10 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import dpdp
-from dpdp.catalog import complete, cycle, path, random_tree, write_graph6
+from dpdp.catalog import complete, cycle, enumerate_trees, path, random_tree, write_graph6
 from dpdp.cli import _json_text, main
 from dpdp.domination import DpPair, is_dp_pair
-from dpdp.graph import MAX_EDGE_LIST_VERTICES, Multigraph
+from dpdp.graph import MAX_EDGE_LIST_VERTICES, Multigraph, read_graph6
 from dpdp.subdivision import build_s2
 
 from helpers import edge_list_text
@@ -37,6 +37,16 @@ PAIRS_S2_TREES_SHA256 = (
 )
 INVERT_S2_TREES_SHA256 = (
     "33dac6370659562e215f4d45df08277251485870de0b9cc8ceb44c763bf91f20"
+)
+# SHA-256 of the concatenated stdout of dpdp goodsub on the 106 trees on
+# 10 vertices (test_goodsub_outputs_pinned)
+GOODSUB_TREES10_SHA256 = (
+    "dd622dbe5f05fdc061744e11ed07b5b0805f22c895a2a4bfd20eb86aff3cc2cc"
+)
+# SHA-256 of the --out, --labeling and --dot files of dpdp s2 --alpha on 6
+# random trees (test_s2_files_pinned)
+S2_FILES_SHA256 = (
+    "53a67185d8c1dedd37dc5d1855449d8cada485476b51be00baaf33ec49f7e772"
 )
 
 
@@ -145,6 +155,34 @@ def test_invert_outputs_pinned(tmp_path, monkeypatch):
     # base, alpha and provenance of all 16 inversions
     digest = s2_tree_digest(tmp_path, monkeypatch, "invert")
     assert digest == INVERT_S2_TREES_SHA256
+
+
+def test_goodsub_outputs_pinned(tmp_path, monkeypatch):
+    # 34 of the 106 trees have a certificate, so a change of Q, E, arcs or
+    # paths shows here
+    monkeypatch.chdir(tmp_path)
+    assert cli_digest(enumerate_trees(10), "goodsub") == GOODSUB_TREES10_SHA256
+
+
+def test_s2_files_pinned(tmp_path, monkeypatch):
+    # trees on 8-15 vertices, every leaf given 1-3 copies; s2 prints
+    # nothing when --out is given
+    monkeypatch.chdir(tmp_path)
+    rng = random.Random(7)
+    digest = hashlib.sha256()
+    for _ in range(6):
+        t = random_tree(rng.randint(8, 15), rng)
+        alpha = ",".join(f"{v}:{rng.randint(1, 3)}" for v in sorted(t.leaves()))
+        Path("t.el").write_text(edge_list_text(t))
+        argv = ["s2", "t.el", "--alpha", alpha, "--out", "s2.el", "--labeling", "lab.json",
+                "--dot", "s2.dot"]
+        out = io.StringIO()
+        with contextlib.redirect_stdout(out):
+            assert main(argv) == 0
+        assert out.getvalue() == ""
+        for name in ("s2.el", "lab.json", "s2.dot"):
+            digest.update(Path(name).read_bytes())
+    assert digest.hexdigest() == S2_FILES_SHA256
 
 
 def test_pairs_cap(tmp_path, capsys):
@@ -347,21 +385,29 @@ def test_exit_code_1_on_input_errors(tmp_path, capsys):
 @pytest.mark.parametrize("workers", ["1", "2"])
 def test_graph6_errors_name_the_line(tmp_path, capsys, monkeypatch, workers):
     # line numbers count blank lines; xcheck reads every line before it
-    # checks any, so a malformed line is reported before a disconnected one
+    # checks any, so a malformed line is reported before a disconnected one.
+    # A single-graph command given --format g6 reads a file of one graph:
+    # any other count of non-blank lines is the error, not a body length
     monkeypatch.setenv("DPDP_WORKERS", workers)
     good = write_graph6(path(3))
     disconnected = write_graph6(Multigraph(3, [(0, 1)]))
     cut = write_graph6(path(4))[:1]  # the size byte alone
+    check_g6, s2_g6 = ["check", "--format", "g6"], ["s2", "--format", "g6"]
     cases = [
-        ("xcheck", [good, good, "", disconnected], "line 4: xcheck needs a connected base graph"),
-        ("xcheck", [good, "", good, disconnected, cut],
+        (["xcheck"], [good, good, "", disconnected], "line 4: xcheck needs a connected base graph"),
+        (["xcheck"], [good, "", good, disconnected, cut],
          "line 5: graph6 body has 0 bytes, expected 1"),
-        ("survey", [good, "", cut, good], "line 3: graph6 body has 0 bytes, expected 1"),
+        (["survey"], [good, "", cut, good], "line 3: graph6 body has 0 bytes, expected 1"),
+        (check_g6, ["", cut], "line 2: graph6 body has 0 bytes, expected 1"),
+        (check_g6, [good, good], "graph6 file has 2 non-blank lines, expected 1"),
+        (check_g6, [""], "graph6 file has 0 non-blank lines, expected 1"),
+        (s2_g6, [good, "", good, cut], "line 4: graph6 body has 0 bytes, expected 1"),
+        (s2_g6, [good, "", good, good], "graph6 file has 3 non-blank lines, expected 1"),
     ]
     g6 = tmp_path / "bad.g6"
-    for command, lines, message in cases:
+    for argv, lines, message in cases:
         g6.write_text("\n".join(lines) + "\n")
-        assert main([command, str(g6)]) == 1
+        assert main([*argv, str(g6)]) == 1
         out, err = capsys.readouterr()
         assert (out, err) == ("", f"dpdp: error: {message}\n")
 
@@ -563,6 +609,21 @@ def test_graph6_input_format(tmp_path, capsys):
     code, out = run_cli(capsys, "check", str(f), "--format", "g6")
     assert code == 0
     assert json.loads(out)["result"]["dpdp"] is True
+    # every single-graph command gives the same result on a graph6 line as
+    # on the edge list of the graph the graph6 reader builds from it (its
+    # edge ids)
+    el = tmp_path / "g.el"
+    for h in (path(6), build_s2(path(4))[0]):
+        line = write_graph6(h)
+        f.write_text(line + "\n")
+        el.write_text(edge_list_text(read_graph6(line)))
+        for command in ("check", "pairs", "minimal", "invert", "goodsub"):
+            results = []
+            for source, fmt in ((f, "g6"), (el, "el")):
+                code, out = run_cli(capsys, command, str(source), "--format", fmt)
+                assert code == 0
+                results.append(json.loads(out)["result"])
+            assert results[0] == results[1], command
 
 
 PAYLOAD_STRINGS = st.one_of(

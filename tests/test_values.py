@@ -100,14 +100,6 @@ def test_dp_pair_is_a_frozen_hashable_value():
     assert pair.d == frozenset({0, 2})
 
 
-def test_s2_labeling_tables_default_to_fresh_dicts():
-    a = S2Labeling(Multigraph(1), {}, ())
-    b = S2Labeling(Multigraph(1), {}, ())
-    tables = ("old_vertex", "copy_vertices", "new_vertex", "middle_edge", "attach_edges")
-    for name in tables:
-        assert getattr(a, name) == {} and getattr(a, name) is not getattr(b, name)
-
-
 def test_values_survive_pickle():
     pair = DpPair(*CASES[0][1])
     _, lab = build_s2(path(3))
