@@ -198,10 +198,12 @@ def _parse_alpha(spec: str | None) -> dict[int, int]:
         if not item:
             continue
         try:
-            leaf, count = item.split(":")
-            alpha[int(leaf)] = int(count)
+            leaf, count = map(int, item.split(":"))
         except ValueError:
             raise ValueError(f"bad --alpha entry {item!r}, expected leafId:count")
+        if leaf in alpha:
+            raise ValueError(f"--alpha names leaf {leaf} twice")
+        alpha[leaf] = count
     return alpha
 
 

@@ -18,17 +18,14 @@ reduction below turns a certificate into an explicit proper spanning
 subgraph with a verifying DP-pair.
 
 find_good_subgraph walks the candidate Q sets in a fixed order and runs
-one path search per set, except on sets that cannot succeed: a set that
-breaks a counting bound, and a set that an automorphism of H (a swap of
-twin vertices, parallel edges or loops) maps onto a set met earlier in
-the walk, whose search has already failed.  The sharpest bound counts
-edges against arcs: the vertices with an out-arc number as many as the
-arcs, so the part of H that no arc touches, which avoids Q's vertex set
-S, needs m - |Q| - n more edges than vertices, and the 2-core of H - S
-says at once whether any part of it has that many.  The walk cuts a
-prefix of Q as soon as its S fails this, so most Q sets are never built.
-The first good set, and so the certificate, is the one a search of
-every set would give.
+one path search per set, except on sets that break a counting bound and
+so cannot succeed.  The sharpest bound counts edges against arcs: the
+vertices with an out-arc number as many as the arcs, so the part of H
+that no arc touches, which avoids Q's vertex set S, needs m - |Q| - n
+more edges than vertices, and the 2-core of H - S says at once whether
+any part of it has that many.  The walk cuts a prefix of Q as soon as
+its S fails this, so most Q sets are never built.  The first good set,
+and so the certificate, is the one a search of every set would give.
 """
 
 from __future__ import annotations
@@ -208,45 +205,22 @@ def find_good_subgraph(h: Multigraph) -> GoodSubgraphCertificate | None:
     bound of _search_paths before its first path starts gets no search:
     the first hit, and so the certificate, is the one the unpruned order
     would give.
-
-    A Q set that one of the automorphisms listed by _swaps maps onto a
-    lexicographically smaller set gets no search either (the lex-leader
-    rule of Crawford, Ginsberg, Luks and Roy, KR 1996), and the first hit
-    is still the same.  Proof: an automorphism s of h keeps leaves and
-    supports, so s(Q) is a subset of eligible; it keeps the size, the
-    component count, the edge-end cut (a) and the core excess cut (b) of
-    _q_sets (s maps h - S onto h - s(S)) and the final-arc bound; and it
-    turns a certificate for Q into one for s(Q) and back, so Q is good
-    iff s(Q) is.  So _q_sets hands s(Q) out in the same
-    (size, component count) group as Q and, being lexicographically
-    smaller, before Q.  If Q were good, s(Q) would be a good set handed
-    out earlier, so the first good set is never skipped; every set handed
-    out before it is not good, skipped or not, and its search fails.  The
-    loop therefore reaches the first good set with the same left and
-    returns the same certificate.  The first set that passes the bound
-    cannot be skipped (its image would pass the bound and come first), so
-    the list is built only after its search has failed.
     """
     if any(h.degree(v) == 0 for v in range(h.n)):
         raise ValueError("host graph must have no isolated vertex")
     allowed = frozenset(range(h.n)) - h.leaves() - h.supports()
     us, vs = h.us, h.vs
     eligible = [eid for eid in range(h.m) if us[eid] in allowed and vs[eid] in allowed]
-    swaps = None  # _swaps(h), once a path search has failed
     for combo, left in _q_sets(h, eligible):
         q_vertices = frozenset(us[eid] for eid in combo) | frozenset(vs[eid] for eid in combo)
         # the final-arc bound of _search_paths before path 0 starts
         if sum(left[x] for x in q_vertices) > 2 * len(q_vertices):
-            continue
-        if swaps and _maps_below(combo, swaps):
             continue
         cert = _search_paths(h, q_vertices, frozenset(combo), left)
         if cert is not None:
             ok, why = verify_good_certificate(h, cert)
             assert ok, why
             return cert
-        if swaps is None:
-            swaps = _swaps(h)
     return None
 
 
@@ -281,18 +255,19 @@ def _q_sets(h: Multigraph, eligible: list[int]):
       excess can only fall.  The walk runs one size at a time, so the
       threshold m - size - n is fixed while it runs.
     - Same certificates.  The cut removes only Q sets that cannot be
-      good.  It is invariant under automorphisms, so the lex-leader proof
-      in find_good_subgraph still holds.  The first good set, and with it
-      the certificate, stays the same.
+      good.  The first good set, and with it the certificate, stays the
+      same.
     (b) also says that the Q boundary, the edges touching S minus Q, fits
     in n arcs: i(V - S) >= i(C) >= m - |Q| - n.  (a) only gets worse as
     the prefix grows too, so a prefix that breaks either, measured
     against the full size, is cut with every set that extends it.  (a)
     is two decrements of left per edge.  For (b) each depth of the index
     stack holds the vertex bitmask of its prefix's S, and the core excess
-    is computed once per S for the host and kept; the excess is never
-    negative (take Y empty), so it is looked at only when the threshold is
-    positive, and trees, cycles and theta graphs never pay for it.
+    and the 2-core of h - S are computed once per S for the host and kept;
+    a prefix extended to S' peels its core from the core of its own S
+    minus S' (_core_excess).  The excess is never negative (take Y empty),
+    so it is looked at only when the threshold is positive, and trees,
+    cycles and theta graphs never pay for it.
 
     The walk meets the survivors in lexicographic order.  Components order
     survivors but never cut a prefix, so they are counted once per
@@ -305,7 +280,9 @@ def _q_sets(h: Multigraph, eligible: list[int]):
     """
     us, vs = h.us, h.vs
     left = [h.degree(x) for x in range(h.n)]
-    excess: dict[int, int] = {}  # S bitmask -> core excess of h - S
+    # S bitmask -> (core excess, 2-core bitmask) of h - S; the empty S
+    # only starts the first peels from all of h, its excess is never read
+    cores = {0: (0, (1 << h.n) - 1)}
     k = len(eligible)
     for size in range(1, k + 1):
         need = h.m - size - h.n
@@ -322,10 +299,10 @@ def _q_sets(h: Multigraph, eligible: list[int]):
                 s = spans[-1] | 1 << u | 1 << v
                 fits = left[u] >= 1 and left[v] >= 1
                 if fits and need > 0:
-                    ex = excess.get(s)
-                    if ex is None:
-                        ex = excess[s] = _core_excess(h, s)
-                    fits = ex >= need
+                    if s not in cores:
+                        # the prefix passed (b) at this size: its core is kept
+                        cores[s] = _core_excess(h, cores[spans[-1]][1] & ~s)
+                    fits = cores[s][0] >= need
                 if fits:
                     if len(picked) + 1 == size:
                         q = (*(eligible[j] for j in picked), eid)
@@ -361,101 +338,45 @@ def _q_sets(h: Multigraph, eligible: list[int]):
                     left[vs[eid]] += 1
 
 
-def _core_excess(h: Multigraph, s: int) -> int:
-    """i(C) - |C| for the 2-core C of h minus the vertex bitmask s, where
-    i counts the edges, loops included, with both ends in C: the most
-    that i(Y) - |Y| reaches over vertex sets Y that avoid s (proof in
-    _q_sets).  Peels every vertex of degree <= 1 (a loop counts 2) in
-    rounds until none is left."""
-    rest = (1 << h.n) - 1 & ~s
-    inside = [(u, v) for u, v in zip(h.us, h.vs) if rest >> u & 1 and rest >> v & 1]
-    while True:
-        degree = [0] * h.n
-        for u, v in inside:
+def _core_excess(h: Multigraph, rest: int) -> tuple[int, int]:
+    """(i(C) - |C|, C) for the 2-core C of the subgraph of h induced by
+    the vertex bitmask rest, C as a bitmask, where i counts the edges,
+    loops included, with both ends in C.  With rest = V - S this is the
+    most that i(Y) - |Y| reaches over vertex sets Y that avoid S (proof in
+    _q_sets).  Counts the degrees inside rest once (a loop counts 2),
+    then peels one vertex of degree <= 1 at a time from a stack, pushing
+    each neighbour whose degree falls to 1.  A vertex of degree <= 1 has
+    no loop, so its removal takes only the edge to a neighbour still in
+    rest, if there is one.
+
+    For S inside S', the 2-core of h - S' is that of the subgraph induced
+    by C - S', C the 2-core of h - S, so _q_sets peels there instead of
+    from all of h.  Proof: the 2-core is the largest subgraph of minimum
+    degree >= 2, the union of all such subgraphs.  The core K' of h - S'
+    lies in h - S, so in C, and avoids S', so it lies in C - S'; having
+    minimum degree >= 2 there, it lies in the core of C - S'.  That core
+    in turn lies in h - S' with minimum degree >= 2, so in K'.  The two
+    are equal, excess included, so cut (b) is unchanged."""
+    us, vs = h.us, h.vs
+    degree = [0] * h.n
+    edges = 0
+    for u, v in zip(us, vs):
+        if rest >> u & 1 and rest >> v & 1:
             degree[u] += 1
             degree[v] += 1
-        low = 0
-        for x in range(h.n):
-            if degree[x] <= 1 and rest >> x & 1:
-                low |= 1 << x
-        if not low:
-            return len(inside) - rest.bit_count()
-        rest &= ~low
-        inside = [(u, v) for u, v in inside if not (low >> u & 1 or low >> v & 1)]
-
-
-def _swaps(h: Multigraph) -> list[tuple[tuple[int, int], ...]]:
-    """Automorphisms of h that swap edge ids in pairs, each as its swapped
-    pairs (lo, hi) of one-bit edge masks, lo < hi, ascending in lo:
-
-    - two parallel edges, or two loops at one vertex, consecutive in id
-      order; the vertices stay;
-    - twins a and b, consecutive in a group of vertices with one degree
-      and one plain neighbourhood, open (a, b apart) or closed (a, b
-      adjacent), whose edges to each other vertex x and whose loops agree
-      in number: the k-th a-x edge swaps with the k-th b-x edge, the k-th
-      loop at a with the k-th loop at b, and the a-b edges stay.  With
-      equal degrees, comparing a's edge counts against b's covers all of
-      b's.
-
-    One pass over the edges and one over the vertices, hashing each
-    neighbourhood once: O(n + m), with no canonical labelling.  Full
-    Aut(h) would need one; any subset of it is sound for the skip.
-    """
-    us, vs = h.us, h.vs
-    swaps = []
-    last: dict[tuple[int, int], int] = {}  # endpoints -> the latest edge id
-    for eid, (u, v) in enumerate(zip(us, vs)):
-        key = (u, v) if u <= v else (v, u)
-        if key in last:
-            swaps.append(((1 << last[key], 1 << eid),))
-        last[key] = eid
-    groups: dict[tuple, list[int]] = {}
-    for a in range(h.n):
-        nb = h.plain_neighbors(a)
-        groups.setdefault((h.degree(a), nb), []).append(a)
-        if nb:
-            groups.setdefault((h.degree(a), nb | {a}), []).append(a)
-    for group in groups.values():
-        if len(group) < 2:
-            continue
-        rows: dict[int, dict[int, list[int]]] = {}  # other end -> edge ids
-        for a in group:
-            row = rows[a] = {}
-            for eid in h.incident_edges(a):
-                row.setdefault(vs[eid] if us[eid] == a else us[eid], []).append(eid)
-        for a, b in zip(group, group[1:]):
-            pairs = []
-            theirs = rows[b]
-            for x, ids in rows[a].items():
-                if x != b:
-                    other = theirs.get(b if x == a else x, ())
-                    if len(other) != len(ids):
-                        break
-                    pairs += zip(ids, other)
-            else:
-                if pairs:  # else every edge at a or b joins the two
-                    swaps.append(tuple(sorted((1 << min(p), 1 << max(p)) for p in pairs)))
-    return swaps
-
-
-def _maps_below(combo: tuple[int, ...], swaps) -> bool:
-    """Whether a swap of _swaps maps the edge set combo onto a
-    lexicographically smaller set.  Of two sets of one size the smaller
-    holds the least edge of their symmetric difference; for a swap that
-    is the lo of its first pair with one end in combo, and the image holds
-    it iff combo holds the pair's hi."""
-    q = 0
-    for eid in combo:
-        q |= 1 << eid
-    for pairs in swaps:
-        for lo, hi in pairs:
-            if q & lo:
-                if not q & hi:
-                    break
-            elif q & hi:
-                return True
-    return False
+            edges += 1
+    low = [x for x in range(h.n) if degree[x] <= 1 and rest >> x & 1]
+    while low:
+        x = low.pop()
+        rest &= ~(1 << x)
+        for eid in h.incident_edges(x):
+            y = vs[eid] if us[eid] == x else us[eid]
+            if rest >> y & 1:
+                edges -= 1
+                degree[y] -= 1
+                if degree[y] == 1:
+                    low.append(y)
+    return edges - rest.bit_count(), rest
 
 
 def _component_count(h: Multigraph, q_edges: tuple[int, ...]) -> int:

@@ -4,7 +4,8 @@ Everything here recomputes from raw edge data with its own naive
 algorithms; none of it calls the library's search or matching code, so
 engine results can be checked against a genuinely independent path.
 The forest check splits a found certificate and re-verifies each part
-with the library's certificate checker, which is not a search.
+with the library's certificate checker, which is not a search.  The ILP
+oracle hands its 0/1 program to scipy and checks the answer itself.
 The seeded samplers and hypothesis strategies at the end draw the inputs
 they are compared on.
 """
@@ -15,6 +16,7 @@ import pathlib
 import random
 from itertools import combinations, combinations_with_replacement, permutations
 
+import pytest
 from hypothesis import strategies as st
 
 from dpdp.catalog import read_graph6_file
@@ -71,6 +73,52 @@ def oracle_dp_partitions(g: Multigraph) -> list[frozenset[int]]:
             if oracle_pairing_exists(g, p):
                 hits.append(frozenset(d))
     return sorted(hits, key=sorted)
+
+
+def oracle_dp_ilp(g: Multigraph) -> bool:
+    """Whether g is a DPDP-graph, by a 0/1 program that scipy's milp
+    (HiGHS) decides; skips the calling test when scipy is missing.
+
+    x_v = 1 iff v is in P, and one y per adjacent pair of distinct
+    vertices, on its lowest edge id, says whether that edge is in the
+    matching.  Each v gives three rows: x_v + sum of x over N(v) >= 1
+    (P dominates), x_v <= sum of 1 - x over N(v) (D dominates P; D
+    dominates itself), and the y at v sum to x_v (a perfect matching of
+    G[P]).  A feasible answer is re-checked here before it counts."""
+    pytest.importorskip("scipy")
+    import numpy as np
+    from scipy.optimize import Bounds, LinearConstraint, milp
+
+    adj = adjacency(g)
+    pairs: dict[tuple[int, int], int] = {}  # (u, v), u < v -> lowest edge id
+    for eid, (u, v) in enumerate(zip(g.us, g.vs)):
+        if u != v:
+            pairs.setdefault((min(u, v), max(u, v)), eid)
+    n, width = g.n, g.n + len(pairs)
+    rows = np.zeros((3 * n, width))
+    lower, upper = np.zeros(3 * n), np.zeros(3 * n)
+    for v in range(n):
+        rows[v, v] = rows[n + v, v] = 1
+        rows[v, list(adj[v])] = rows[n + v, list(adj[v])] = 1
+        lower[v], upper[v] = 1, np.inf
+        lower[n + v], upper[n + v] = -np.inf, len(adj[v])
+        rows[2 * n + v, v] = -1
+    for k, (u, v) in enumerate(pairs):
+        rows[2 * n + u, n + k] = rows[2 * n + v, n + k] = 1
+    res = milp(
+        np.zeros(width),
+        constraints=LinearConstraint(rows, lower, upper),
+        integrality=np.ones(width),
+        bounds=Bounds(0, 1),
+    )
+    assert res.status in (0, 2), res.message  # 0 solved, 2 infeasible
+    if res.status == 2:
+        return False
+    p = {v for v in range(n) if res.x[v] > 0.5}
+    matched = [x for k, pair in enumerate(pairs) if res.x[n + k] > 0.5 for x in pair]
+    assert sorted(matched) == sorted(p), "the matching does not pair up P"
+    assert oracle_dominating(g, p) and oracle_dominating(g, set(range(n)) - p)
+    return True
 
 
 def oracle_connected_multigraphs(max_edges: int) -> set[tuple[int, tuple]]:

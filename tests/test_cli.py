@@ -216,6 +216,16 @@ def test_s2_alpha_flag(tmp_path, capsys):
     assert out.splitlines()[0] == "7 6"
 
 
+def test_s2_alpha_names_each_leaf_once(tmp_path, capsys):
+    # a leaf named twice is an input error, not "the last count wins"
+    f = tmp_path / "p7.el"
+    f.write_text(edge_list_text(path(7)))
+    assert main(["s2", str(f), "--alpha", "0:2,0:3"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "dpdp: error: --alpha names leaf 0 twice\n"
+
+
 def test_s2_dot_export(tmp_path, capsys, p6_file):
     dot = tmp_path / "g.dot"
     run_cli(capsys, "s2", p6_file, "--out", str(tmp_path / "x.el"),

@@ -249,24 +249,17 @@ def test_one_verification_per_question(monkeypatch):
 
 
 def _count_search_work(monkeypatch, hosts, count_grow: bool = True) -> Counter:
-    """The Q sets _q_sets hands out, those skipped because a swap maps them
-    onto a smaller set, the path searches (by |Q|; a Q set that fails the
-    final-arc bound up front gets none) and, with count_grow, their grow
-    steps while find_good_subgraph runs on every host."""
+    """The Q sets _q_sets hands out, the path searches (by |Q|; a Q set that
+    fails the final-arc bound up front gets none) and, with count_grow,
+    their grow steps while find_good_subgraph runs on every host."""
     counts: Counter = Counter()
     real_q_sets = dpdp.goodsub._q_sets
-    real_maps_below = dpdp.goodsub._maps_below
     real_search = dpdp.goodsub._search_paths
 
     def q_sets(h, eligible):
         for combo, left in real_q_sets(h, eligible):
             counts["q_sets"] += 1
             yield combo, left
-
-    def maps_below(combo, swaps):
-        skip = real_maps_below(combo, swaps)
-        counts["symmetric"] += skip
-        return skip
 
     def search_paths(h, q_vertices, q_edges, left):
         counts["search"] += 1
@@ -281,7 +274,6 @@ def _count_search_work(monkeypatch, hosts, count_grow: bool = True) -> Counter:
             counts["grow"] += 1
 
     monkeypatch.setattr(dpdp.goodsub, "_q_sets", q_sets)
-    monkeypatch.setattr(dpdp.goodsub, "_maps_below", maps_below)
     monkeypatch.setattr(dpdp.goodsub, "_search_paths", search_paths)
     previous = sys.gettrace()
     if count_grow:
@@ -307,12 +299,10 @@ def test_dead_q_prefixes_and_path_families_are_cut(monkeypatch):
     ]
     counts = _count_search_work(monkeypatch, bases)
     # the walk hands out a Q set only when it is next to be searched; 4 of
-    # them fail the final-arc bound before a path search is set up, and 85
-    # more map onto a smaller set under a twin swap
+    # them fail the final-arc bound before a path search is set up
     assert counts["q_sets"] == 296
-    assert counts["symmetric"] == 85
-    assert counts["search"] == 207
-    assert counts["grow"] <= 2_251
+    assert counts["search"] == 292
+    assert counts["grow"] <= 3_421
 
 
 def _excesses(h: Multigraph, s: set[int]):
@@ -322,6 +312,20 @@ def _excesses(h: Multigraph, s: set[int]):
     for r in range(len(rest) + 1):
         for y in map(set, combinations(rest, r)):
             yield sum(u in y and v in y for u, v in zip(h.us, h.vs)) - len(y)
+
+
+def _two_core(h: Multigraph, s: set[int]) -> int:
+    """The 2-core of h - s as a vertex bitmask: the union of every vertex
+    set Y outside s in which each vertex has degree >= 2 inside Y (a loop
+    counts 2)."""
+    rest = [x for x in range(h.n) if x not in s]
+    core = 0
+    for r in range(len(rest) + 1):
+        for y in map(set, combinations(rest, r)):
+            degree = Counter(x for u, v in zip(h.us, h.vs) if u in y and v in y for x in (u, v))
+            if all(degree[x] >= 2 for x in y):
+                core |= sum(1 << x for x in y)
+    return core
 
 
 def _reference_q_sets(h: Multigraph, eligible: list[int], size: int) -> list:
@@ -411,7 +415,22 @@ def test_core_excess_is_the_best_vertex_set(h, s):
     # the 2-core peeling of _core_excess against every Y outside S
     s &= (1 << h.n) - 1
     outside = {x for x in range(h.n) if s >> x & 1}
-    assert dpdp.goodsub._core_excess(h, s) == max(_excesses(h, outside))
+    excess, core = dpdp.goodsub._core_excess(h, (1 << h.n) - 1 & ~s)
+    assert excess == max(_excesses(h, outside))
+    assert core == _two_core(h, outside)
+
+
+@settings(max_examples=300, deadline=None)
+@given(multigraphs(max_n=7, max_m=14), st.integers(0, (1 << 7) - 1), st.integers(0, (1 << 7) - 1))
+def test_core_peels_from_the_core_of_a_smaller_set(h, s, more):
+    # for S inside S', peeling the 2-core of h - S minus S' gives the
+    # excess and core of a peel of h - S' from scratch
+    everything = (1 << h.n) - 1
+    s &= everything
+    s_prime = s | more & everything
+    core_excess = dpdp.goodsub._core_excess
+    _, core = core_excess(h, everything & ~s)
+    assert core_excess(h, core & ~s_prime) == core_excess(h, everything & ~s_prime)
 
 
 def test_every_good_q_set_passes_the_core_excess_cut():
@@ -438,94 +457,10 @@ def test_every_good_q_set_passes_the_core_excess_cut():
                 if dpdp.goodsub._search_paths(h, q_vertices, frozenset(combo), left[:]) is None:
                     continue
                 good += 1
-                s = sum(1 << x for x in q_vertices)
-                assert dpdp.goodsub._core_excess(h, s) >= h.m - size - h.n, (h.edge_multiset(), combo)
+                rest = sum(1 << x for x in range(h.n) if x not in q_vertices)
+                assert dpdp.goodsub._core_excess(h, rest)[0] >= h.m - size - h.n, (h.edge_multiset(), combo)
                 assert combo in walked, (h.edge_multiset(), combo)
     assert (q_sets, good) == (219_957, 45_024)
-
-
-def _swap_permutation(h: Multigraph, swap) -> list[int]:
-    """The edge-id permutation of one swap of _swaps, after checking its
-    form: disjoint pairs (lo, hi) of one-bit masks, lo < hi, ascending
-    in lo, at least one."""
-    perm = list(range(h.m))
-    los = []
-    for lo, hi in swap:
-        e, f = lo.bit_length() - 1, hi.bit_length() - 1
-        assert lo == 1 << e and hi == 1 << f and e < f < h.m
-        assert perm[e] == e and perm[f] == f
-        perm[e], perm[f] = f, e
-        los.append(e)
-    assert los and los == sorted(los)
-    return perm
-
-
-def _maps_endpoints_consistently(h: Multigraph, perm: list[int]) -> bool:
-    """Whether some vertex permutation carries every edge e onto edge
-    perm[e]: then each vertex's incident edge ids (a loop twice) map onto
-    another vertex's, and the vertices can be paired up one to one."""
-    ends: list[list[int]] = [[] for _ in range(h.n)]
-    for e in h.edges:
-        ends[e.u].append(e.id)
-        ends[e.v].append(e.id)
-    rows = Counter(tuple(sorted(ids)) for ids in ends)
-    images = Counter(tuple(sorted(perm[eid] for eid in ids)) for ids in ends)
-    return images == rows
-
-
-def test_swaps_examples():
-    swaps = dpdp.goodsub._swaps
-    # K4: four twins, consecutive in one group, give three swaps
-    assert len(swaps(complete(4))) == 3
-    assert swaps(path(4)) == []
-    # edges 0 and 2 are parallel, 1 and 3 loops at 0; 0 and 1 differ
-    assert swaps(Multigraph(2, [(0, 1), (0, 0), (1, 0), (0, 0)])) == [
-        ((1 << 0, 1 << 2),), ((1 << 1, 1 << 3),)
-    ]
-    # twins 0 and 1, each joined to 2 twice: the k-th 0-2 edge swaps with
-    # the k-th 1-2 edge
-    assert swaps(Multigraph(3, [(0, 2), (1, 2), (0, 2), (1, 2)])) == [
-        ((1 << 0, 1 << 2),), ((1 << 1, 1 << 3),), ((1 << 0, 1 << 1), (1 << 2, 1 << 3)),
-    ]
-    # adjacent twins keep their joining edges: K3 plus a loop at 0 and 1
-    h = Multigraph(3, [(0, 1), (0, 2), (1, 2), (0, 0), (1, 1)])
-    assert swaps(h) == [((1 << 1, 1 << 2), (1 << 3, 1 << 4))]
-
-
-@settings(max_examples=300, deadline=None)
-@given(multigraphs(max_n=6, max_m=10))
-def test_every_swap_is_an_automorphism(h):
-    for swap in dpdp.goodsub._swaps(h):
-        perm = _swap_permutation(h, swap)
-        assert _maps_endpoints_consistently(h, perm), (h.edge_multiset(), swap)
-
-
-def test_symmetry_skip_keeps_every_certificate(monkeypatch):
-    # with no swaps every Q set past the final-arc bound is searched
-    fixture = pathlib.Path(__file__).parent / "fixtures" / "simple_n7.g6"
-    bases = (read_graph6(write_graph6(g)) for n in range(2, 7) for g in enumerate_connected_simple(n))
-    hosts = [
-        *enumerate_connected_multigraphs(6),
-        *bases,
-        *random.Random(1).sample(read_graph6_file(fixture.read_text()), 300),
-    ]
-    assert len(hosts) == 470 + 142 + 300
-    found = [certificate_fields(find_good_subgraph(h)) for h in hosts]
-    monkeypatch.setattr(dpdp.goodsub, "_swaps", lambda h: [])
-    assert [certificate_fields(find_good_subgraph(h)) for h in hosts] == found
-
-
-@settings(max_examples=300, deadline=None)
-@given(multigraphs(max_n=6, max_m=10))
-def test_symmetry_skip_keeps_the_certificate_on_random_multigraphs(h):
-    # the drawn vertices that some edge touches, renumbered in order
-    used = sorted({x for pair in zip(h.us, h.vs) for x in pair})
-    new = {x: i for i, x in enumerate(used)}
-    h = Multigraph(len(used), [(new[u], new[v]) for u, v in zip(h.us, h.vs)])
-    found = certificate_fields(find_good_subgraph(h))
-    with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(dpdp.goodsub, "_swaps", lambda h: [])
-        assert certificate_fields(find_good_subgraph(h)) == found
 
 
 def test_k7_builds_few_q_sets(monkeypatch):

@@ -52,8 +52,11 @@ def test_enumeration_path_loads_no_engine(module):
 
 
 # what no command but xcheck --max-edges loads: the enumerator, and the
-# standard-library modules that only dataclasses and typing would bring
-NOT_ON_COMMAND_PATH = ("dataclasses", "inspect", "typing", "dpdp.catalog", "dpdp._canon")
+# standard-library modules that only dataclasses and typing would bring;
+# no command loads the test oracles' scipy and numpy
+NOT_ON_COMMAND_PATH = (
+    "dataclasses", "inspect", "typing", "dpdp.catalog", "dpdp._canon", "scipy", "numpy",
+)
 
 CODECS = (
     "read_graph6", "write_graph6", "read_graph6_file",
