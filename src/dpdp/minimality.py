@@ -9,20 +9,37 @@ good subgraph.  xcheck asserts the three verdicts agree; any disagreement
 is a hard failure of the whole artifact.  _first_deletion is the one
 scan over edge deletions; a question that also needs g's own DP-pairs
 asks both of one DP search (_pairs_and_witness), whose pairs then decide
-the deletions they survive, and classify and xcheck share one evaluator
-that runs each engine once.
+the deletions they survive, and classify and xcheck share one evaluator.
+
+On a 2-subdivision the evaluator answers each "yes" from the deletion
+witness and each "no" from an exhaustive search.  The witness pair of
+S2(H) - e yields a verified good-subgraph certificate of H and, its
+partition not being the canonical one, a second DP-pair of S2(H), so
+find_good_subgraph runs only on a minimal S2(H) or where the read
+fails, and the capped DP-pair enumeration only on a minimal S2(H).  xcheck still catches a minimal
+base on which either exhaustive engine finds what the deletion scan
+says cannot exist, and a non-minimal one on which a read fails and the
+engine it falls back to finds nothing.  That the exhaustive engines find
+a certificate and a second pair on every non-minimal base is checked by
+the tests instead (simple_n7.g6 engine by engine, and the certificate
+digests), not by each xcheck.
 """
 
 from __future__ import annotations
 
 from .domination import DpPair, _dp_search, dp_pair_problem, is_dominating, is_dp_pair
-from .goodsub import GoodSubgraphCertificate, find_good_subgraph
+from .goodsub import GoodSubgraphCertificate, _read_certificate, find_good_subgraph
 from .graph import Multigraph, _Record, is_cycle_graph
-from .subdivision import S2Labeling, build_s2, invert_s2
+from .subdivision import S2Labeling, build_s2, canonical_dp_pair, invert_s2
 
 
 class MinimalityReport(_Record):
-    """All engine outputs for one graph."""
+    """All engine outputs for one graph.
+
+    good_subgraph is a verified certificate for the recovered base, but
+    not necessarily find_good_subgraph's first: on a non-minimal
+    2-subdivision it is read off the deletion witness's DP-pair.  dpdp
+    goodsub keeps the walk's first certificate."""
 
     __slots__ = (
         "is_dpdp", "minimal_by_deletion", "inversion", "good_subgraph",
@@ -190,24 +207,51 @@ def is_small_cycle_369(g: Multigraph) -> bool:
 
 def _evaluate(
     g: Multigraph, lab: S2Labeling | None
-) -> tuple[list[DpPair], bool, GoodSubgraphCertificate | None, bool, bool]:
-    """Every engine once on g, whose 2-subdivision labeling is lab (None if
-    g is none): the first two DP-pairs, the deletion verdict, the base's
-    good-subgraph certificate, and the good-subgraph and uniqueness
-    verdicts, which hold only on a connected non-empty base (the Theorem)."""
-    pairs, witness = _pairs_and_witness(g, 2)
-    minimal = bool(pairs) and witness is None
+) -> tuple[int, bool, GoodSubgraphCertificate | None, bool, bool]:
+    """Every question once on g, whose 2-subdivision labeling is lab (None
+    if g is none): g's DP-pair count capped at 2, the deletion verdict, a
+    good-subgraph certificate of the base, and the good-subgraph and
+    uniqueness verdicts, which hold only on a connected non-empty base
+    (the Theorem).
+
+    On an S2 graph each "yes" is certified from the deletion witness and
+    each "no" comes from an exhaustive search.  The canonical pair is
+    re-verified but decides no deletion (_kept_by: each of its D-P edges
+    has an end with no other), so the scan is deletion_witness's, a
+    masked search on every edge up to the witness, all of which fail
+    before g is called minimal.  A witness e comes with a DP-pair of
+    S2(H) - e, and so of g.  Its D gives a good-subgraph certificate of H
+    (_read_certificate, verified).  Its partition is a second DP-pair of
+    g, since the canonical partition is that of no DP-pair of S2(H) - e:
+    a middle edge is the only P-neighbour of both its ends, and an
+    attachment is the only D-P edge at its new vertex (the old end a
+    non-leaf) or at its leaf copy.  find_good_subgraph runs only on a
+    minimal g, to prove the "no", or where the read missed, and search(2)
+    only on a minimal g.
+    """
     if lab is None:
-        return pairs, minimal, None, False, False
-    if len(pairs) == 1:
-        # a unique pair is necessarily the canonical one; assert it anyway
-        assert pairs[0].partition() == (lab.old_part(), lab.new_part())
+        pairs, witness = _pairs_and_witness(g, 2)
+        return len(pairs), bool(pairs) and witness is None, None, False, False
+    search = _dp_search(g)
+    canonical = canonical_dp_pair(lab)
+    assert is_dp_pair(g, canonical), dp_pair_problem(g, canonical)
+    witness, kept = _first_deletion(g, search, [])
     base = lab.base
-    cert = find_good_subgraph(base) if base.n else None
+    cert = _read_certificate(lab, kept.d) if witness is not None else None
+    if cert is None and base.n:
+        cert = find_good_subgraph(base)
+    if witness is None:
+        pairs = search(2)
+        count = len(pairs)
+        # a unique pair is necessarily the canonical one; assert it anyway
+        assert pairs and (count == 2 or pairs[0].partition() == canonical.partition())
+    else:
+        assert kept.partition() != canonical.partition()
+        count = 2
     theorem_applies = base.n > 0 and base.is_connected()
     by_goodsub = theorem_applies and cert is None
-    by_unique = theorem_applies and (is_small_cycle_369(g) or len(pairs) == 1)
-    return pairs, minimal, cert, by_goodsub, by_unique
+    by_unique = theorem_applies and (is_small_cycle_369(g) or count == 1)
+    return count, witness is None, cert, by_goodsub, by_unique
 
 
 def classify(g: Multigraph) -> MinimalityReport:
@@ -218,17 +262,17 @@ def classify(g: Multigraph) -> MinimalityReport:
     """
     inv = invert_s2(g)
     lab = inv[2] if inv is not None else None
-    pairs, minimal, cert, by_goodsub, by_unique = _evaluate(g, lab)
+    count, minimal, cert, by_goodsub, by_unique = _evaluate(g, lab)
     if g.n >= 3 and g.is_connected():
         consistent = minimal == by_unique == by_goodsub
     else:
         consistent = True
     return MinimalityReport(
-        is_dpdp=bool(pairs),
+        is_dpdp=count > 0,
         minimal_by_deletion=minimal,
         inversion=inv[:2] if inv is not None else None,
         good_subgraph=cert,
-        dp_pair_count_capped=len(pairs),
+        dp_pair_count_capped=count,
         verdicts_consistent=consistent,
     )
 

@@ -1,6 +1,9 @@
 from __future__ import annotations
 
+import json
+import pathlib
 import random
+import time
 from collections import Counter
 from itertools import product
 
@@ -10,11 +13,23 @@ from hypothesis import given, settings
 import dpdp.cli
 import dpdp.domination
 import dpdp.minimality
-from dpdp.catalog import complete, corona, cycle, enumerate_connected_simple, path, random_tree
-from dpdp.domination import enumerate_dp_pairs, is_dpdp
-from dpdp.goodsub import find_good_subgraph
+from dpdp.catalog import (
+    complete,
+    corona,
+    cycle,
+    enumerate_connected_cubic,
+    enumerate_connected_multigraphs,
+    enumerate_connected_simple,
+    enumerate_trees,
+    path,
+    random_tree,
+    read_graph6_file,
+)
+from dpdp.domination import _dp_search, enumerate_dp_pairs, is_dpdp
+from dpdp.goodsub import _read_certificate, find_good_subgraph, verify_good_certificate
 from dpdp.graph import Multigraph
 from dpdp.minimality import (
+    _first_deletion,
     check_reducible_pattern,
     classify,
     deletion_witness,
@@ -123,15 +138,15 @@ def dp_searches(monkeypatch):
 
 
 def test_one_dp_search_per_question(dp_searches, tmp_path, capsys):
-    # S2(P6) is P16, whose lowest deletable edge is 4: one set-up, one
-    # capped enumeration, then one search per edge 0..3 and no repeated
-    # is_dpdp; edge 4 is decided by a pair the enumeration found, which
-    # survives its deletion
+    # S2(P6) is P16, whose lowest deletable edge is 4: one set-up and one
+    # masked search per edge 0..4, with no capped enumeration and no
+    # repeated is_dpdp; the witness pair of edge 4 is not the canonical
+    # one, so it is P16's second DP-pair
     xcheck(path(6))
-    assert dp_searches == ["setup", 2, 1, 1, 1, 1]
+    assert dp_searches == ["setup", 1, 1, 1, 1, 1]
     dp_searches.clear()
     classify(build_s2(path(6))[0])
-    assert dp_searches == ["setup", 2, 1, 1, 1, 1]
+    assert dp_searches == ["setup", 1, 1, 1, 1, 1]
     dp_searches.clear()
     # dpdp minimal on K4: the pair, which survives deleting edge 0, so K4
     # minus edge 0 is DPDP without a masked search
@@ -286,6 +301,82 @@ def test_xcheck_simple_connected_6_vertices():
     for n in range(2, 7):
         for h in enumerate_connected_simple(n):
             assert xcheck(h).consistent, (n, h.edge_multiset())
+
+
+FIXTURES = pathlib.Path(__file__).parent / "fixtures"
+
+
+def test_witness_pair_reads_a_certificate_on_every_nonminimal_base():
+    # xcheck reads "has a good subgraph" off the witness pair of the
+    # deletion scan and falls back to find_good_subgraph when the read
+    # fails, so a read that starts failing would show only as a slower
+    # xcheck.  Here the read must give a certificate that verifies on
+    # every non-minimal base of four families
+    families = {
+        "simple_n7": read_graph6_file((FIXTURES / "simple_n7.g6").read_text()),
+        "multigraphs_le6": enumerate_connected_multigraphs(6),
+        "cubic12": enumerate_connected_cubic(12),
+        "trees_le12": [t for n in range(2, 13) for t in enumerate_trees(n)],
+    }
+    nonminimal = Counter()
+    for name, bases in families.items():
+        for h in bases:
+            g, lab = build_s2(h)
+            eid, kept = _first_deletion(g, _dp_search(g), [])
+            if eid is None:
+                continue
+            nonminimal[name] += 1
+            cert = _read_certificate(lab, kept.d)
+            assert cert is not None, (name, h.edge_multiset())
+            assert verify_good_certificate(h, cert) == (True, None)
+    assert nonminimal == {
+        "simple_n7": 793, "multigraphs_le6": 310, "cubic12": 85, "trees_le12": 365,
+    }
+
+
+def test_exhaustive_engines_agree_with_each_other_and_with_xcheck():
+    # xcheck no longer runs find_good_subgraph or the capped enumeration
+    # on a non-minimal base; here each engine runs alone on every base of
+    # simple_n7.g6 and on the connected multigraphs with up to 6 edges,
+    # loops included
+    bases = [
+        *read_graph6_file((FIXTURES / "simple_n7.g6").read_text()),
+        *enumerate_connected_multigraphs(6),
+    ]
+    assert len(bases) == 853 + 470
+    for h in bases:
+        g, _ = build_s2(h)
+        minimal = deletion_witness(g) is None
+        assert (find_good_subgraph(h) is None) == minimal, h.edge_multiset()
+        unique = len(enumerate_dp_pairs(g, 2)) == 1 or is_small_cycle_369(g)
+        assert unique == minimal, h.edge_multiset()
+        r = xcheck(h)
+        verdicts = (r.minimal_by_deletion, r.no_good_subgraph, r.unique_pair_or_small_cycle)
+        assert verdicts == (minimal,) * 3, h.edge_multiset()
+
+
+def test_hard_14_vertex_bases_are_crosschecked_in_under_a_second(capsys):
+    # hard_goodsub14.g6: draws 8 (26 edges) and 7 (27 edges) of the
+    # connected G(14, 0.2) row of one random.Random(11), after 10 + 10 + 10
+    # connected draws at (10, 0.3), (11, 0.3) and (12, 0.25); each draw
+    # takes the vertex pairs of combinations(range(n), 2) with probability
+    # p, and a disconnected draw is dropped.  find_good_subgraph took
+    # 18.5 s and 152.6 s on them (2-core VM, Python 3.11.7), and xcheck as
+    # long; both have a deletion witness, whose pair gives the certificate
+    fixture = FIXTURES / "hard_goodsub14.g6"
+    bases = read_graph6_file(fixture.read_text())
+    assert [(h.n, h.m) for h in bases] == [(14, 26), (14, 27)]
+    for h in bases:
+        t0 = time.process_time()
+        r = xcheck(h)
+        elapsed = time.process_time() - t0
+        assert (r.minimal_by_deletion, r.no_good_subgraph, r.unique_pair_or_small_cycle) == (
+            False, False, False,
+        )
+        assert elapsed < 1.0, f"xcheck took {elapsed:.2f} s of CPU time"
+    assert dpdp.cli.main(["xcheck", str(fixture)]) == 0
+    result = json.loads(capsys.readouterr().out)["result"]
+    assert result["consistent"] is True and result["graphs_checked"] == 2
 
 
 def test_minimal_pair_properties_on_examples():
