@@ -26,6 +26,10 @@ more edges than vertices, and the 2-core of H - S says at once whether
 any part of it has that many.  The walk cuts a prefix of Q as soon as
 its S fails this, so most Q sets are never built.  The first good set,
 and so the certificate, is the one a search of every set would give.
+
+The path search is one loop over an explicit stack of frames, one per
+vertex a path stands on, so a path may be as long as memory allows, not
+only as deep as Python's recursion limit.
 """
 
 from __future__ import annotations
@@ -201,10 +205,10 @@ def find_good_subgraph(h: Multigraph) -> GoodSubgraphCertificate | None:
     hit.  Output is deterministic.
 
     The Q sets come from _q_sets in exactly that order, with only sets
-    missing that could never succeed, and one that breaks the final-arc
-    bound of _search_paths before its first path starts gets no search:
-    the first hit, and so the certificate, is the one the unpruned order
-    would give.
+    missing that could never succeed, and _search_paths ends a set that
+    breaks its final-arc bound before the first path leaves at its first
+    check: the first hit, and so the certificate, is the one the unpruned
+    order would give.
     """
     if any(h.degree(v) == 0 for v in range(h.n)):
         raise ValueError("host graph must have no isolated vertex")
@@ -212,7 +216,7 @@ def find_good_subgraph(h: Multigraph) -> GoodSubgraphCertificate | None:
     us, vs = h.us, h.vs
     eligible = [eid for eid in range(h.m) if us[eid] in allowed and vs[eid] in allowed]
     for combo, left in _q_sets(h, eligible):
-        cert = _decide(h, frozenset(combo), left)
+        cert = _search_paths(h, frozenset(combo), left)
         if cert is not None:
             return cert
     return None
@@ -393,143 +397,127 @@ def _component_count(h: Multigraph, q_edges: tuple[int, ...]) -> int:
 
 
 def _search_paths(
-    h: Multigraph,
-    q_vertices: frozenset[int],
-    q_edges: frozenset[int],
-    left: list[int],
-) -> GoodSubgraphCertificate | None:
-    """Grow one oriented path per Q-vertex (ascending) over non-Q edges.
-
-    left[x] counts the edge-ends at x outside Q that no placed arc uses
-    (an arc uses one at each end, a loop arc two); no arc takes it below 0.
-    The growth rules already make arcs disjoint, paths chain without
-    repeating a vertex, and out-degree at most 1, exactly 1 at Q-vertices.
-    The vertices with an out-arc are then the Q-vertices and the inner
-    vertices, so conditions (1) and (2) and coverage of the Q boundary say
-    left == 0 there, and (3) says left > 0 at every other path end (other
-    vertices have no arc and degree >= 1).
-
-    That gives a bound that cuts dead families early.  When path i is
-    about to leave pos, call a vertex marked if it is pos, has its out-arc
-    (has_out), or is a Q-vertex whose path has not started: each must end
-    with left == 0.  A marked vertex still takes at most one tail, and only
-    pos and the unstarted Q-vertices, len(qvs) - i of them, still need
-    one.  Every other arc into a marked vertex is a path's final arc (a
-    Q-vertex or a vertex with its out-arc ends the path), each path has
-    one, and len(qvs) - i paths are open.  So the sum of left over marked
-    vertices is at most 2 * (len(qvs) - i), or no completion exists.  At
-    pos == qvs[i] this is the bound before path i starts: the sum of left
-    over has_out vertices plus of left - 1 over qvs[i:] is at most
-    len(qvs) - i.
-
-    The two sums of the bound are running totals, out_left over the
-    has_out vertices and pending over the unstarted Q-vertices; they
-    change where left, has_out or the current path do, and a loop arc
-    takes 2 off out_left (both its edge-ends are at pos).  On failure
-    every counter, left included, is back where it started.
-    """
-    qvs = sorted(q_vertices)
-    us, vs = h.us, h.vs
-    has_out = [False] * h.n
-    oriented: dict[int, tuple[int, int]] = {}
-    paths: dict[int, tuple[int, ...]] = {}
-    out_left = 0
-    pending = sum(left[u] for u in qvs)
-
-    def start_next(i: int) -> bool:
-        nonlocal pending
-        if i == len(qvs):
-            return all((left[x] == 0) == has_out[x] for x in range(h.n))
-        v = qvs[i]
-        pending -= left[v]
-        if grow(i, v, [], {v}):
-            return True
-        pending += left[v]
-        return False
-
-    def grow(i: int, pos: int, arcs_acc: list[int], visited: set[int]) -> bool:
-        nonlocal out_left, pending
-        v = qvs[i]
-        if arcs_acc:
-            paths[v] = tuple(arcs_acc)
-            if start_next(i + 1):
-                return True
-            del paths[v]
-            if pos in q_vertices:
-                return False  # a path reaching a Q-vertex must stop there
-        if has_out[pos]:
-            return False  # an inner vertex of an earlier path
-        # the final-arc bound of the docstring, pos counted as marked
-        if left[pos] + pending + out_left > 2 * (len(qvs) - i):
-            return False
-        has_out[pos] = True
-        out_left += left[pos]
-        for eid in h.incident_edges(pos):
-            if eid in oriented or eid in q_edges:
-                continue
-            nxt = vs[eid] if us[eid] == pos else us[eid]
-            # the final arc may end at the start v: a walk closing around
-            # parallel edges, or a loop at v.  A loop anywhere else ends in
-            # visited and is skipped: it lies outside the Q boundary, so
-            # leaving it out keeps a certificate valid.
-            closing = nxt == v
-            if nxt in visited and not closing:
-                continue
-            left[pos] -= 1
-            left[nxt] -= 1
-            if left[pos] >= 0 and left[nxt] >= 0:
-                taken = 1 + has_out[nxt]  # 2 for a loop arc: nxt is pos
-                unstarted = nxt > v and nxt in q_vertices
-                out_left -= taken
-                pending -= unstarted
-                oriented[eid] = (pos, nxt)
-                arcs_acc.append(eid)
-                if closing:
-                    paths[v] = tuple(arcs_acc)
-                    if start_next(i + 1):
-                        return True
-                    del paths[v]
-                else:
-                    visited.add(nxt)
-                    if grow(i, nxt, arcs_acc, visited):
-                        return True
-                    visited.discard(nxt)
-                arcs_acc.pop()
-                del oriented[eid]
-                out_left += taken
-                pending += unstarted
-            left[pos] += 1
-            left[nxt] += 1
-        out_left -= left[pos]
-        has_out[pos] = False
-        return False
-
-    if not start_next(0):
-        return None
-    return GoodSubgraphCertificate(
-        q_vertices=q_vertices,
-        q_edges=q_edges,
-        e_set=frozenset(oriented),
-        arcs=dict(oriented),
-        paths=dict(paths),
-    )
-
-
-def _decide(
     h: Multigraph, q_edges: frozenset[int], left: list[int]
 ) -> GoodSubgraphCertificate | None:
-    """_search_paths on the one Q set q_edges, left as _q_sets gives it, or
-    None at once if Q breaks the search's final-arc bound before its first
-    path starts; a hit is verified with verify_good_certificate."""
+    """The first good subgraph on the Q set q_edges in the search order, or
+    None; a hit is verified with verify_good_certificate.
+
+    One oriented path grows per Q-vertex, in ascending order, over non-Q
+    edges: depth first, arcs in incident_edges order, and at each vertex
+    reached the path stops before it extends.  left[x] counts the
+    edge-ends at x outside Q that no placed arc uses (an arc uses one at
+    each end, a loop arc two); the caller passes it with no arc placed,
+    and no arc takes it below 0.  The growth rules already make arcs
+    disjoint, paths chain without repeating a vertex, and out-degree at
+    most 1, exactly 1 at Q-vertices.  The vertices with an out-arc are then
+    the Q-vertices and the inner vertices, so conditions (1) and (2) and
+    coverage of the Q boundary say left == 0 there, and (3) says left > 0
+    at every other path end (other vertices have no arc and degree >= 1).
+
+    That gives a bound that cuts dead families early.  When path i is
+    about to leave pos, call a vertex marked if it is pos, has its out-arc,
+    or is a Q-vertex whose path has not started: each must end with
+    left == 0.  A marked vertex still takes at most one tail, and only pos
+    and the unstarted Q-vertices, len(qvs) - i of them, still need one.
+    Every other arc into a marked vertex is a path's final arc (a Q-vertex
+    or a vertex with its out-arc ends the path), each path has one, and
+    len(qvs) - i paths are open.  So the sum of left over marked vertices
+    is at most 2 * (len(qvs) - i), or no completion exists.  Before the
+    first path leaves, the marked vertices are Q, so a Q set whose
+    edge-ends already break the bound costs the search one check.
+
+    The two sums of the bound are running totals, out_left over the
+    vertices with an out-arc and pending over the unstarted Q-vertices;
+    they change where left, out_of or the current path do, and a loop arc
+    takes 2 off out_left (both its edge-ends are at pos).
+
+    The search is one loop over a stack of frames [i, pos, edges, arc]:
+    path i stands on pos, reached by arc (-1 where the path starts), and
+    edges is None until the path extends from pos, then an iterator over
+    the incident edges of pos still to try.  The stack's invariant: bottom
+    to top, its arcs are the arcs placed, path after path; out_of[x] is
+    the path that leaves x exactly while the frame at x extends, -1
+    otherwise; and left, out_left and pending count just those arcs.  A
+    frame extends on its first turn on top, unless pos has its out-arc, is
+    a Q-vertex the path has reached, or fails the bound.  Placing an arc
+    pushes its head's frame and then the stop there, before any
+    extension: the last path's stop checks left, another path's pushes the
+    next path's start.  A frame pops when its edges run out and undoes one
+    thing: the arc that led to it, or the stop that started its path.  An
+    arc back to the path's own start v is an arc into a Q-vertex, so the
+    path stops there; and path i's vertices other than v are those it
+    leaves, so out_of[nxt] == i is the repeat test.  When the stack
+    empties every counter, left included, is back where it started; a hit
+    leaves left as the found family leaves it.
+    """
     us, vs = h.us, h.vs
     q_vertices = frozenset(us[eid] for eid in q_edges) | frozenset(vs[eid] for eid in q_edges)
-    if sum(left[x] for x in q_vertices) > 2 * len(q_vertices):
-        return None
-    cert = _search_paths(h, q_vertices, q_edges, left)
-    if cert is not None:
-        ok, why = verify_good_certificate(h, cert)
-        assert ok, why
-    return cert
+    qvs = sorted(q_vertices)
+    out_of = [-1] * h.n  # the path x's out-arc is on, or -1
+    oriented: dict[int, tuple[int, int]] = {}
+    out_left = 0
+    pending = sum(left[u] for u in qvs[1:])
+    stack = [[0, qvs[0], None, -1]]
+    while stack:
+        frame = stack[-1]
+        i, pos, edges, arc = frame
+        v = qvs[i]
+        # a Q-vertex the path reaches is v or an earlier path's start, which
+        # have their out-arcs, or a later path's start, pos > v
+        if edges is None and out_of[pos] < 0 and not (pos > v and pos in q_vertices) \
+                and left[pos] + pending + out_left <= 2 * (len(qvs) - i):
+            out_of[pos] = i
+            out_left += left[pos]
+            frame[2] = edges = iter(h.incident_edges(pos))
+        if edges is not None:
+            for eid in edges:
+                if eid in oriented or eid in q_edges:
+                    continue
+                nxt = vs[eid] if us[eid] == pos else us[eid]
+                # nxt repeats a vertex of path i, or an end has no edge-end
+                # left.  A loop at pos repeats pos unless pos is v: it lies
+                # outside the Q boundary, so leaving it out keeps a
+                # certificate valid
+                if (nxt != v and out_of[nxt] == i) or left[pos] < 1 or left[nxt] < 1 + (nxt == pos):
+                    continue
+                left[pos] -= 1
+                left[nxt] -= 1
+                out_left -= 1 + (out_of[nxt] >= 0)
+                pending -= nxt > v and nxt in q_vertices
+                oriented[eid] = (pos, nxt)
+                stack.append([i, nxt, None, eid])
+                if i + 1 < len(qvs):
+                    pending -= left[qvs[i + 1]]
+                    stack.append([i + 1, qvs[i + 1], None, -1])
+                elif all((left[x] == 0) == (out_of[x] >= 0) for x in range(h.n)):
+                    cert = GoodSubgraphCertificate(
+                        q_vertices=q_vertices,
+                        q_edges=q_edges,
+                        e_set=frozenset(oriented),
+                        arcs=oriented,
+                        paths={
+                            u: tuple(a for j, _, _, a in stack if j == k and a >= 0)
+                            for k, u in enumerate(qvs)
+                        },
+                    )
+                    ok, why = verify_good_certificate(h, cert)
+                    assert ok, why
+                    return cert
+                break
+            else:
+                out_of[pos] = -1
+                out_left -= left[pos]
+                edges = None
+        if edges is None:
+            stack.pop()
+            if arc < 0:
+                pending += left[pos]
+            else:
+                left[oriented.pop(arc)[0]] += 1
+                left[pos] += 1
+                out_left += 1 + (out_of[pos] >= 0)
+                pending += pos > v and pos in q_vertices
+    return None
 
 
 def _read_certificate(lab: S2Labeling, d: frozenset[int]) -> GoodSubgraphCertificate | None:
@@ -540,7 +528,7 @@ def _read_certificate(lab: S2Labeling, d: frozenset[int]) -> GoodSubgraphCertifi
     every Q-edge's do in the pair reduce_via_good_subgraph builds; left
     counts the edge-ends outside Q, a Q-loop taking two.  If Q is not
     empty and every Q-vertex keeps an edge-end for its outgoing arc (cut
-    (a) of _q_sets), _decide searches that one Q.  A None says nothing
+    (a) of _q_sets), _search_paths searches that one Q.  A None says nothing
     about the base; the caller falls back to find_good_subgraph.
 
     That the read Q is good is observed, not proved.  With D from the
@@ -565,7 +553,7 @@ def _read_certificate(lab: S2Labeling, d: frozenset[int]) -> GoodSubgraphCertifi
         left[vs[eid]] -= 1
     if any(left[us[eid]] < 1 or left[vs[eid]] < 1 for eid in q_edges):
         return None
-    return _decide(h, q_edges, left)
+    return _search_paths(h, q_edges, left)
 
 
 def _normalize_certificate(

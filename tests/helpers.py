@@ -289,6 +289,20 @@ def edge_list_text(g: Multigraph) -> str:
     return "\n".join(lines) + "\n"
 
 
+def theta(length: int) -> Multigraph:
+    """Two hubs, 0 and 1, joined by three paths of length edges each; the
+    inner vertices are numbered from 2 along each path from hub 0, one
+    path after the other."""
+    edges, x = [], 2
+    for _ in range(3):
+        prev = 0
+        for _ in range(length - 1):
+            edges.append((prev, x))
+            prev, x = x, x + 1
+        edges.append((prev, 1))
+    return Multigraph(x, edges)
+
+
 def random_looped_multigraphs(count: int, seed: int) -> list[Multigraph]:
     """count random labelled multigraphs on 1-6 vertices with no isolated
     vertex, from random.Random(seed).  Each has n to 2n + 1 edges; an edge

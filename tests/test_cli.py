@@ -21,7 +21,7 @@ from dpdp.domination import DpPair, is_dp_pair
 from dpdp.graph import MAX_EDGE_LIST_VERTICES, Multigraph, read_graph6
 from dpdp.subdivision import build_s2
 
-from helpers import edge_list_text
+from helpers import edge_list_text, theta
 
 # SHA-256 of the concatenated stdout of test_minimal_outputs_pinned
 MINIMAL_S2_TREES_SHA256 = (
@@ -506,6 +506,16 @@ def test_long_path_is_decided(tmp_path, capsys):
         assert (u, v) == (eid, eid + 1)
         covered += [u, v]
     assert sorted(covered) == sorted(p)
+
+
+def test_long_good_subgraph_paths_are_found(tmp_path, capsys):
+    # the theta graph with paths of 601 edges: one path of its certificate
+    # has 1,201 arcs
+    f = tmp_path / "theta601.el"
+    f.write_text(edge_list_text(theta(601)))
+    code, out = run_cli(capsys, "goodsub", str(f))
+    assert code == 0
+    assert json.loads(out)["result"]["found"] is True
 
 
 def test_many_components_are_inverted(tmp_path, capsys):

@@ -16,6 +16,7 @@ from dpdp.catalog import (
     enumerate_connected_simple,
     enumerate_trees,
     path,
+    random_tree,
     read_graph6_file,
 )
 from dpdp.domination import (
@@ -460,9 +461,16 @@ def _sparse_gnp_hosts() -> list[Multigraph]:
 
 def test_dp_search_agrees_with_the_ilp_oracle():
     # an independent 0/1 program against the DP search, on 100 classes of
-    # 7-vertex graphs and on sparse random graphs of 30-60 vertices
+    # 7-vertex graphs, on sparse random graphs of 30-60 vertices (all
+    # DPDP) and on 40 random trees of 30-60 vertices (38 not DPDP)
     fixture = pathlib.Path(__file__).parent / "fixtures" / "simple_n7.g6"
-    hosts = [*random.Random(1).sample(read_graph6_file(fixture.read_text()), 100), *_sparse_gnp_hosts()]
+    rng = random.Random(2026)
+    trees = [random_tree(n, rng) for n in (30, 40, 50, 60) for _ in range(10)]
+    hosts = [
+        *random.Random(1).sample(read_graph6_file(fixture.read_text()), 100),
+        *_sparse_gnp_hosts(),
+        *trees,
+    ]
     found = 0
     for g in hosts:
         pair = find_dp_pair(g)  # is_dpdp(g) == (pair is not None)
@@ -470,7 +478,7 @@ def test_dp_search_agrees_with_the_ilp_oracle():
         if pair is not None:
             assert oracle_dominating(g, pair.d) and oracle_dominating(g, pair.p)
             found += 1
-    assert found == 96 + 20
+    assert found == 96 + 20 + 2
 
 
 def test_ilp_oracle_refutes_the_hard_60_vertex_graph():
@@ -485,3 +493,19 @@ def test_ilp_oracle_refutes_the_hard_60_vertex_graph():
     assert (g.n, g.m, len(g.leaves()), len(g.supports())) == (60, 96, 11, 10)
     assert g.is_connected()
     assert oracle_dp_ilp(g) is False
+
+
+def test_ilp_oracle_finds_the_stalling_60_vertex_graphs_dpdp():
+    # stall_dp60.g6: draws 5 and 18 (counting from 0) of the c = 5, n = 60
+    # row of connected G(n, c/(n - 1)) graphs from one random.Random(2026),
+    # after the 80 connected draws of the c = 3 rows at n = 30, 40, 50 and
+    # 60 (20 each); each draw takes the vertex pairs of
+    # combinations(range(n), 2) with probability c/(n - 1), and a
+    # disconnected draw is dropped.  find_dp_pair ran past a 3 s cap on
+    # both, so this test does not run the DP search
+    fixture = pathlib.Path(__file__).parent / "fixtures" / "stall_dp60.g6"
+    graphs = read_graph6_file(fixture.read_text())
+    assert [(g.n, g.m) for g in graphs] == [(60, 136), (60, 158)]
+    for g in graphs:
+        assert g.is_connected()
+        assert oracle_dp_ilp(g) is True

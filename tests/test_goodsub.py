@@ -50,6 +50,7 @@ from helpers import (
     oracle_dominating,
     oracle_pairing_exists,
     random_looped_multigraphs,
+    theta,
     tree_find_good_subtree,
 )
 
@@ -248,61 +249,53 @@ def test_one_verification_per_question(monkeypatch):
         assert verdicts == [(True, None)] * calls
 
 
-def _count_search_work(monkeypatch, hosts, count_grow: bool = True) -> Counter:
-    """The Q sets _q_sets hands out, the path searches (by |Q|; a Q set that
-    fails the final-arc bound up front gets none) and, with count_grow,
-    their grow steps while find_good_subgraph runs on every host."""
+def _count_search_work(monkeypatch, hosts) -> Counter:
+    """The Q sets _q_sets hands out, the path searches (by |Q|) and the
+    vertices they extend a path from (one incident_edges call each) while
+    find_good_subgraph runs on every host."""
     counts: Counter = Counter()
     real_q_sets = dpdp.goodsub._q_sets
     real_search = dpdp.goodsub._search_paths
+    real_incident = Multigraph.incident_edges
 
     def q_sets(h, eligible):
         for combo, left in real_q_sets(h, eligible):
             counts["q_sets"] += 1
             yield combo, left
 
-    def search_paths(h, q_vertices, q_edges, left):
+    def search_paths(h, q_edges, left):
         counts["search"] += 1
         counts[f"search |Q|={len(q_edges)}"] += 1
-        return real_search(h, q_vertices, q_edges, left)
+        return real_search(h, q_edges, left)
 
-    def trace_calls(frame, event, arg):
-        # a global trace function sees each new Python frame; returning
-        # None keeps it out of the frame's lines
-        code = frame.f_code
-        if code.co_name == "grow" and code.co_filename == dpdp.goodsub.__file__:
-            counts["grow"] += 1
+    def incident_edges(self, v):
+        counts["extend"] += sys._getframe(1).f_code is real_search.__code__
+        return real_incident(self, v)
 
     monkeypatch.setattr(dpdp.goodsub, "_q_sets", q_sets)
     monkeypatch.setattr(dpdp.goodsub, "_search_paths", search_paths)
-    previous = sys.gettrace()
-    if count_grow:
-        sys.settrace(trace_calls)
-    try:
-        for h in hosts:
-            find_good_subgraph(h)
-    finally:
-        sys.settrace(previous)
+    monkeypatch.setattr(Multigraph, "incident_edges", incident_edges)
+    for h in hosts:
+        find_good_subgraph(h)
     return counts
 
 
 def test_dead_q_prefixes_and_path_families_are_cut(monkeypatch):
     # the 142 connected simple graphs on 2..6 vertices, labelled as in
-    # graph6; without the prefix cuts and the final-arc bound the search
-    # builds 81,522 Q sets and makes 511,447 grow calls, and with a
-    # boundary cut (edges touching S at most n + |Q|) in place of the core
-    # excess cut it hands out 2,444 Q sets and makes 12,900 grow calls
+    # graph6; without the final-arc bound the searches extend paths from
+    # 6,877 vertices, and with a boundary cut (edges touching S at most
+    # n + |Q|) in place of the core excess cut the walk hands out 2,444 Q
+    # sets and the searches extend from 7,764
     bases = [
         read_graph6(write_graph6(g))
         for n in range(2, 7)
         for g in enumerate_connected_simple(n)
     ]
     counts = _count_search_work(monkeypatch, bases)
-    # the walk hands out a Q set only when it is next to be searched; 4 of
-    # them fail the final-arc bound before a path search is set up
-    assert counts["q_sets"] == 296
-    assert counts["search"] == 292
-    assert counts["grow"] <= 3_421
+    # the walk hands out a Q set only when it is next to be searched; the
+    # search's first check, the final-arc bound, ends 4 of them at once
+    assert counts["q_sets"] == counts["search"] == 296
+    assert counts["extend"] == 1_629
 
 
 def _excesses(h: Multigraph, s: set[int]):
@@ -454,7 +447,7 @@ def test_every_good_q_set_passes_the_core_excess_cut():
                     continue
                 q_sets += 1
                 # _search_paths leaves left as the found family left it
-                if dpdp.goodsub._search_paths(h, q_vertices, frozenset(combo), left[:]) is None:
+                if dpdp.goodsub._search_paths(h, frozenset(combo), left[:]) is None:
                     continue
                 good += 1
                 rest = sum(1 << x for x in range(h.n) if x not in q_vertices)
@@ -467,7 +460,7 @@ def test_k7_builds_few_q_sets(monkeypatch):
     # K7's first good Q has 14 of its 21 edges; every smaller Q set has a
     # vertex set whose boundary cannot fit in 7 arcs, and the first
     # connected Q set of size 14 is good (73,755 survivors of that size)
-    counts = _count_search_work(monkeypatch, [complete(7)], count_grow=False)
+    counts = _count_search_work(monkeypatch, [complete(7)])
     assert counts["q_sets"] == 1
     assert counts["search"] == counts["search |Q|=14"] == 1
 
@@ -477,7 +470,7 @@ def test_k8_one_search_in_bounded_memory(monkeypatch):
     # of size 20 is good: one walk to it, one path search, nothing held
     h = complete(8)
     t0 = time.perf_counter()
-    counts = _count_search_work(monkeypatch, [h], count_grow=False)
+    counts = _count_search_work(monkeypatch, [h])
     assert time.perf_counter() - t0 < 1.0
     assert counts["q_sets"] == counts["search"] == counts["search |Q|=20"] == 1
     monkeypatch.undo()
@@ -555,6 +548,21 @@ def test_first_q_set_needs_little_memory():
             tracemalloc.stop()
         assert found == {2, 3}
         assert peak < 1 << 20
+
+
+def test_long_paths_get_a_certificate():
+    # the theta graph with paths of 601 edges: Q is the edge from hub 0 to
+    # vertex 2, and the path from 2 runs through hub 1 back to hub 0 in
+    # 1,201 arcs, past Python's default limit of 1,000 frames, which a
+    # search recursing once per arc hit
+    h = theta(601)
+    cert = find_good_subgraph(h)
+    assert (cert.q_vertices, cert.q_edges) == ({0, 2}, {0})
+    assert sorted(map(len, cert.paths.values())) == [601, 1201]
+    assert verify_good_certificate(h, cert) == (True, None)
+    assert dpdp.goodsub._normalize_certificate(h, cert) is cert  # no end loops
+    # the reduction asserts that its pair is a DP-pair of the reduced graph
+    assert len(reduce_via_good_subgraph(h, None, cert).removed_edges) == 3
 
 
 def test_find_requires_no_isolated_vertex():

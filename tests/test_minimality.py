@@ -41,7 +41,7 @@ from dpdp.minimality import (
 )
 from dpdp.subdivision import build_s2
 
-from helpers import edge_list_text, multigraphs, oracle_dp_partitions
+from helpers import edge_list_text, multigraphs, oracle_dp_partitions, theta
 
 
 def test_minimal_path_table():
@@ -377,6 +377,16 @@ def test_hard_14_vertex_bases_are_crosschecked_in_under_a_second(capsys):
     assert dpdp.cli.main(["xcheck", str(fixture)]) == 0
     result = json.loads(capsys.readouterr().out)["result"]
     assert result["consistent"] is True and result["graphs_checked"] == 2
+
+
+def test_long_paths_are_crosschecked():
+    # the theta graph with paths of 301 edges: the certificate read off the
+    # deletion witness has a path of 601 arcs, which a path search
+    # recursing once per arc could not build
+    r = xcheck(theta(301))
+    assert (r.minimal_by_deletion, r.no_good_subgraph, r.unique_pair_or_small_cycle) == (
+        False, False, False,
+    )
 
 
 def test_minimal_pair_properties_on_examples():
