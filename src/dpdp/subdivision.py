@@ -11,12 +11,16 @@ isomorphism testing.
 Useful facts the inversion relies on (all consequences of the edge rules):
 the product is always simple, its leaves are exactly the copy vertices,
 old and copy vertices form an independent set, and the new vertices
-induce a perfect matching (one pair per base edge).
+induce a perfect matching (one pair per base edge).  So a shortest path
+from a set of old-or-copy vertices that holds every leaf crosses whole
+gadgets (old, new, new, old): a vertex is old-or-copy iff its distance
+from such a set is a multiple of 3.
 """
 
 from __future__ import annotations
 
 from collections.abc import Callable
+from itertools import chain
 
 from .domination import DpPair
 from .graph import MAX_EDGE_LIST_VERTICES, Multigraph, _Record
@@ -174,8 +178,6 @@ def canonical_dp_pair(lab: S2Labeling) -> DpPair:
 
 # -- inversion ----------------------------------------------------------------
 
-_O, _N = 1, 2
-
 
 def invert_s2(
     g: Multigraph,
@@ -183,134 +185,119 @@ def invert_s2(
     """Recover (base, alpha, labeling) with build_s2(base, alpha) equal to g
     vertex-for-vertex under the labeling, or None if g is no 2-subdivision.
 
-    Forced labeled colouring, no search: 2-colour the vertices into
-    old-or-copy vs new with unit propagation (leaves are copies, their
-    neighbours are new, old/copy vertices are pairwise nonadjacent, every
-    new vertex has exactly one new neighbour), seeded where the colour is
-    forced: every leaf, and every vertex of degree >= 3 with no leaf
-    neighbour, is old-or-copy.  A seed colours its whole component; each
-    unseeded component is a cycle, and its lowest vertex is made old, so
-    rotations of C_{3k} resolve to the lexicographically least tagging.
-    The first contradiction answers None.  The complete colouring gives
-    base and alpha directly; after a degree check (a new vertex has
-    degree 2, or 1 plus the size of its leaf group) it is accepted iff
-    every gadget edge of build_s2(base, alpha), named through the tags,
-    is an edge of g and g has no other.  The labeling returned is built
-    by the same builder as build_s2's, from g's own vertex and edge ids.
+    Colouring by distance, no search.  In S2(base, alpha) a new vertex has
+    exactly one new neighbour, its mate, and its other neighbours are one
+    old vertex or the copies of one leaf; an old or copy vertex has new
+    neighbours only.  The lemma: given sources that are old-or-copy and
+    include every leaf, a vertex is old-or-copy iff its distance from the
+    sources is a multiple of 3.  Along a shortest path from a source the
+    colours run old, new, new, old, ...: an old-or-copy vertex is followed
+    by a new one; a new vertex entered from old-or-copy is followed by its
+    mate, since its other old-or-copy neighbours are copies of the same
+    leaf, sources at distance 0; a new vertex entered from its mate is
+    followed by old-or-copy.  So a new vertex is 1 or 2 steps past the last
+    old-or-copy one.  Every leaf must be a source: two copies of one leaf
+    are 2 apart through their new vertex.  A loop gadget, the triangle v,
+    v_e1, v_e2, cannot break the count: both new vertices are 1 step past v,
+    and a shortest path that enters the triangle ends there, since it never
+    returns to v.  Parallel base edges close cycles u, u_e, v_e, v, v_f, u_f
+    in g, but a shortest path from the sources still crosses whole gadgets
+    (old, new, new, old), whichever of them it takes.
+
+    The sources are every leaf and every vertex of degree >= 3 with no leaf
+    neighbour (a new vertex has degree 2, or 1 plus its leaf group), all at
+    distance 0 in one breadth-first search.  A component it leaves
+    unreached has no source, so it is 2-regular, a cycle C_{3k}; each gets
+    its own search from its lowest vertex, which is made old, so rotations
+    of C_{3k} resolve to the lexicographically least tagging.  One local
+    check follows: a new vertex has exactly one new neighbour, an
+    old-or-copy vertex no old-or-copy one.  The colouring gives base and
+    alpha directly; after a degree check (a new vertex has degree 2, or 1
+    plus the size of its leaf group) it is accepted iff every gadget edge
+    of build_s2(base, alpha), named through the tags, is an edge of g and
+    g has no other.  The labeling returned is built by the same builder as
+    build_s2's, from g's own vertex and edge ids.
     """
-    if not g.is_simple():
-        return None
-    if any(g.degree(v) == 0 for v in range(g.n)):
-        return None
-
     n = g.n
-    nbrs = [sorted(g.plain_neighbors(v)) for v in range(n)]
-    color = [0] * n
+    nbrs = [tuple(g.plain_neighbors(v)) for v in range(n)]
+    if not g.is_simple() or not all(nbrs):  # g simple: an isolated vertex has none
+        return None
 
-    def new_rule(x: int, queue: list[tuple[int, int]]) -> bool:
-        """A new vertex x has exactly one new neighbour: with one found,
-        queue its uncoloured neighbours as old-or-copy; with none found,
-        fail if none is left uncoloured and force the last one new."""
-        mates = [u for u in nbrs[x] if color[u] == _N]
-        free = [u for u in nbrs[x] if not color[u]]
-        if len(mates) > 1:
-            return False
-        if mates:
-            queue.extend((u, _O) for u in free)
-        elif not free:
-            return False
-        elif len(free) == 1:
-            queue.append((free[0], _N))
-        return True
-
-    def assign(v: int, c: int) -> bool:
-        queue = [(v, c)]
-        while queue:
-            x, cx = queue.pop()
-            if color[x]:
-                if color[x] != cx:
-                    return False
-                continue
-            color[x] = cx
-            if cx == _O:
-                queue.extend((u, _N) for u in nbrs[x])
-            elif not new_rule(x, queue):
-                return False
-            # a newly coloured neighbour may force decisions at adjacent new vertices
-            for u in nbrs[x]:
-                if color[u] == _N and not new_rule(u, queue):
-                    return False
-        return True
-
-    def reconstruct() -> tuple[Multigraph, dict[int, int], S2Labeling] | None:
-        # Propagation leaves every new vertex with exactly one new neighbour
-        # and every old-or-copy vertex with new neighbours only.  The leaves
-        # are the copies, grouped by their new neighbour; the other
-        # old-or-copy vertices are old.
-        tags: list[Tag] = [()] * n
-        h_of: dict[int, int] = {}  # old vertex or a group's new vertex -> base vertex
-        groups: dict[int, list[int]] = {}
-        for v in range(n):
-            if color[v] == _O and g.degree(v) > 1:
-                h_of[v] = len(h_of)
-                tags[v] = ("old", h_of[v])
-            elif color[v] == _O:
-                groups.setdefault(nbrs[v][0], []).append(v)
-        for s in sorted(groups):
-            h_of[s] = len(h_of)
-            for i, v in enumerate(groups[s], start=1):
-                tags[v] = ("copy", h_of[s], i)
-
-        pairs: list[tuple[int, int]] = []  # (side-1, side-2) new vertices per base edge
-        end: dict[int, int] = {}  # new vertex -> base endpoint of its side
-        for x in range(n):
-            if color[x] != _N:
-                continue
-            mate = next(u for u in nbrs[x] if color[u] == _N)
-            if x < mate:
-                tags[x], tags[mate] = ("new", len(pairs), 1), ("new", len(pairs), 2)
-                pairs.append((x, mate))
-            group = groups.get(x)
-            # the cheap degree check: 2, or 1 + the size of x's leaf group
-            if g.degree(x) != (1 + len(group) if group else 2):
-                return None
-            end[x] = h_of[x if group else next(u for u in nbrs[x] if u != mate)]
-
-        base = Multigraph(len(h_of), [(end[x], end[y]) for x, y in pairs])
-        alpha = _complete_alpha(base, {h_of[s]: len(c) for s, c in groups.items()})
-
-        # the acceptance test: every gadget edge of S2(base, alpha) is an
-        # edge of g through the tags, and g has no other edge (g is simple,
-        # so an endpoint pair names its edge).  Propagation and the degree
-        # check already imply it; it re-verifies the result, as every
-        # positive verdict here is re-verified.
-        unused = {
-            (a, b) if a < b else (b, a): eid for eid, (a, b) in enumerate(zip(g.us, g.vs))
-        }
-        missed: list[tuple[int, int]] = []
-
-        def edge_id(a: int, b: int) -> int | None:
-            eid = unused.pop((a, b) if a < b else (b, a), None)
-            if eid is None:
-                missed.append((a, b))
-            return eid
-
-        lab = _labeling(base, alpha, tags, edge_id)
-        return None if missed or unused else (base, alpha, lab)
-
-    # A new vertex has degree 2, or 1 plus its leaf group, so these seeds
-    # are old-or-copy in every tagging; a component with none is 2-regular,
-    # a cycle C_{3k}, where any vertex can be old.
     leaves = g.leaves()
     seeds = [
         v for v in range(n)
-        if v in leaves or (g.degree(v) >= 3 and leaves.isdisjoint(nbrs[v]))
+        if v in leaves or (len(nbrs[v]) >= 3 and leaves.isdisjoint(nbrs[v]))
     ]
-    if not all(assign(v, _O) for v in seeds):
+    dist = [-1] * n
+    # the seeds first, then the lowest vertex still unreached, one at a time:
+    # the generator is read only once the previous search has ended
+    for queue in chain([seeds], ([v] for v in range(n) if dist[v] < 0)):
+        for v in queue:
+            dist[v] = 0
+        for x in queue:  # breadth-first: the list grows as it is read
+            for u in nbrs[x]:
+                if dist[u] < 0:
+                    dist[u] = dist[x] + 1
+                    queue.append(u)
+    old = [d % 3 == 0 for d in dist]
+    # the local check: a new vertex has one new neighbour, its mate, and an
+    # old-or-copy vertex has no old-or-copy neighbour
+    mates = [[u for u in nbrs[v] if old[u] == old[v]] for v in range(n)]
+    if any(len(mates[v]) != (not old[v]) for v in range(n)):
         return None
-    if not all(color[v] or assign(v, _O) for v in range(n)):
-        return None
-    return reconstruct()
+
+    # The leaves are the copies, grouped by their new neighbour; the other
+    # old-or-copy vertices are old.
+    tags: list[Tag] = [()] * n
+    h_of: dict[int, int] = {}  # old vertex or a group's new vertex -> base vertex
+    groups: dict[int, list[int]] = {}
+    for v in range(n):
+        if old[v] and g.degree(v) > 1:
+            h_of[v] = len(h_of)
+            tags[v] = ("old", h_of[v])
+        elif old[v]:
+            groups.setdefault(nbrs[v][0], []).append(v)
+    for s in sorted(groups):
+        h_of[s] = len(h_of)
+        for i, v in enumerate(groups[s], start=1):
+            tags[v] = ("copy", h_of[s], i)
+
+    pairs: list[tuple[int, int]] = []  # (side-1, side-2) new vertices per base edge
+    end: dict[int, int] = {}  # new vertex -> base endpoint of its side
+    for x in range(n):
+        if old[x]:
+            continue
+        (mate,) = mates[x]
+        if x < mate:
+            tags[x], tags[mate] = ("new", len(pairs), 1), ("new", len(pairs), 2)
+            pairs.append((x, mate))
+        group = groups.get(x)
+        # the cheap degree check: 2, or 1 + the size of x's leaf group
+        if g.degree(x) != (1 + len(group) if group else 2):
+            return None
+        end[x] = h_of[x if group else next(u for u in nbrs[x] if u != mate)]
+
+    base = Multigraph(len(h_of), [(end[x], end[y]) for x, y in pairs])
+    alpha = _complete_alpha(base, {h_of[s]: len(c) for s, c in groups.items()})
+
+    # the acceptance test: every gadget edge of S2(base, alpha) is an edge
+    # of g through the tags, and g has no other edge (g is simple, so an
+    # endpoint pair names its edge).  The local and degree checks already
+    # imply it; it re-verifies the result, as every positive verdict here
+    # is re-verified.
+    unused = {
+        (a, b) if a < b else (b, a): eid for eid, (a, b) in enumerate(zip(g.us, g.vs))
+    }
+    missed: list[tuple[int, int]] = []
+
+    def edge_id(a: int, b: int) -> int | None:
+        eid = unused.pop((a, b) if a < b else (b, a), None)
+        if eid is None:
+            missed.append((a, b))
+        return eid
+
+    lab = _labeling(base, alpha, tags, edge_id)
+    return None if missed or unused else (base, alpha, lab)
 
 
 def is_2_subdivision(g: Multigraph) -> bool:

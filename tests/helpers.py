@@ -121,6 +121,67 @@ def oracle_dp_ilp(g: Multigraph) -> bool:
     return True
 
 
+def oracle_is_s2(g: Multigraph) -> bool:
+    """Whether g is a 2-subdivision S2(H, alpha), by a search over its
+    old/new colourings; never calls dpdp.subdivision.
+
+    A g with a loop, a parallel edge or an isolated vertex is none.
+    Otherwise g is one iff some colouring has each new vertex with exactly
+    one new neighbour, old vertices (old-or-copy, in the library's terms)
+    with new neighbours only, and each new vertex's other neighbours
+    exactly one non-leaf or one or more leaves, never a mix.  The new pairs are then H's edges, a non-leaf old vertex
+    is a vertex of H, and the leaves beside one new vertex are the copies
+    of a leaf of H.  The search colours vertices in breadth-first order,
+    one component after another, and drops a partial colouring once an
+    edge joins two old vertices or a new vertex has two new neighbours."""
+    keys = [(min(u, v), max(u, v)) for u, v in zip(g.us, g.vs)]
+    if any(u == v for u, v in keys) or len(set(keys)) < len(keys):
+        return False
+    adj = adjacency(g)
+    if not all(adj):
+        return False
+    leaf = [len(a) == 1 for a in adj]
+    order: list[int] = []
+    seen: set[int] = set()
+    for s in range(g.n):
+        if s not in seen:
+            queue = [s]
+            seen.add(s)
+            for x in queue:  # the list grows as it is read
+                fresh = sorted(adj[x] - seen)
+                seen.update(fresh)
+                queue += fresh
+            order += queue
+    new: list[bool | None] = [None] * g.n
+
+    def valid(x: int) -> bool:
+        mates = {u for u in adj[x] if new[u]}
+        others = adj[x] - mates
+        if not new[x]:
+            return not others
+        return len(mates) == 1 and (
+            len(others) == 1 and not leaf[min(others)]
+            or bool(others) and all(leaf[u] for u in others)
+        )
+
+    def clash(v: int) -> bool:
+        if not new[v]:
+            return any(new[u] is False for u in adj[v])
+        return any(sum(new[w] is True for w in adj[u]) > 1 for u in adj[v] | {v} if new[u])
+
+    def search(i: int) -> bool:
+        if i == len(order):
+            return all(map(valid, range(g.n)))
+        for colour in (False, True):
+            new[order[i]] = colour
+            if not clash(order[i]) and search(i + 1):
+                return True
+        new[order[i]] = None
+        return False
+
+    return search(0)
+
+
 def oracle_connected_multigraphs(max_edges: int) -> set[tuple[int, tuple]]:
     """Every connected multigraph with 1..max_edges edges and no isolated
     vertex, one per isomorphism class, as (n, sorted edge tuple): the

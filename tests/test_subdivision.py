@@ -21,7 +21,7 @@ from dpdp.subdivision import (
     is_2_subdivision,
 )
 
-from helpers import based_alphas
+from helpers import based_alphas, oracle_is_s2
 
 # SHA-256 over every field of invert_s2's result, dict order included, on
 # the inputs of test_invert_outputs_pinned
@@ -135,6 +135,11 @@ def test_invert_rejects_non_subdivisions():
     assert invert_s2(cycle(2)) is None
     assert invert_s2(path(2)) is None
     assert invert_s2(complete(4)) is None
+    # the local check passes here (old 1, 3, 5, 6; new pairs 0-2 and 4-7),
+    # and only the degree check refuses new vertices 0 and 4, each beside
+    # a leaf and a non-leaf
+    mixed = Multigraph(8, [(0, 1), (0, 2), (0, 3), (1, 4), (2, 5), (4, 6), (1, 7), (4, 7)])
+    assert invert_s2(mixed) is None and not oracle_is_s2(mixed)
 
 
 def test_is_2_subdivision_table():
@@ -217,15 +222,73 @@ def test_relabelled_and_perturbed_s2(h_alpha, rng):
         nx.Graph([e.endpoints() for e in g.edges]),
         nx.Graph([e.endpoints() for e in rebuilt.edges]),
     )
-    # one edge less or more: whatever is still recognised round-trips
+    # one edge less or more, or a pendant: whatever is still recognised
+    # round-trips, and the brute-force oracle agrees on each, and on g
+    assert oracle_is_s2(g)
+    edges = [e.endpoints() for e in g.edges]
     u, v = rng.sample(range(g.n), 2)  # an S2 graph has at least 3 vertices
     for near in (
         g.delete_edge(rng.randrange(g.m))[0],
-        Multigraph(g.n, [e.endpoints() for e in g.edges] + [(u, v)]),
+        Multigraph(g.n, edges + [(u, v)]),
+        Multigraph(g.n + 1, edges + [(rng.randrange(g.n), g.n)]),
     ):
         inv = invert_s2(near)
+        assert (inv is not None) == oracle_is_s2(near)
         if inv is not None:
             _assert_tag_roundtrip(near, inv)
+
+
+# Bases whose 2-subdivisions a colouring by distance gets wrong if it
+# starts anywhere but at the leaves and the vertices of degree >= 3 with no
+# leaf neighbour, or skips the local check
+NAMED_BASES = {
+    # no vertex of degree >= 3 without a leaf neighbour: only the leaves
+    # seed, and the two copies of leaf 0 are 2 apart
+    "K2, alpha 2 and 1": (path(2), {0: 2, 1: 1}),
+    # the old centre has degree 2, so it is reached, not seeded
+    "P3": (path(3), {}),
+    # the loop's triangle is a dead end 1 step past vertex 0
+    "a looped vertex with a pendant": (Multigraph(2, [(0, 0), (0, 1)]), {}),
+    # two routes of equal length from old 1 to old 0
+    "parallel edges": (Multigraph(3, [(0, 1), (0, 1), (1, 2)]), {2: 2}),
+    # a C9 with no seed, numbered before and after a seeded component
+    "a triangle beside P3": (Multigraph(6, [(0, 1), (1, 2), (2, 0), (3, 4), (4, 5)]), {3: 2}),
+    "P3 beside a triangle": (Multigraph(6, [(0, 1), (1, 2), (3, 4), (4, 5), (5, 3)]), {2: 3}),
+}
+
+
+@pytest.mark.parametrize("name", NAMED_BASES)
+def test_invert_named_cases(name):
+    h, alpha = NAMED_BASES[name]
+    built, want = build_s2(h, alpha)
+    rng = random.Random(5)
+    for g in [built] + [_relabelled(built, rng) for _ in range(8)]:
+        inv = invert_s2(g)
+        assert inv is not None
+        _assert_tag_roundtrip(g, inv)
+        base, got_alpha, lab = inv
+        assert is_isomorphic(base, h)
+        assert sorted(got_alpha.values()) == sorted(want.alpha.values())
+        # every component without a seed, a cycle, has its lowest vertex old
+        for c in g.connected_components():
+            if all(g.degree(v) == 2 for v in c):
+                assert lab.provenance[min(c)][0] == "old"
+        assert oracle_is_s2(g)
+        # and with one edge less, invert_s2 agrees with the oracle
+        for eid in range(g.m):
+            near = g.delete_edge(eid)[0]
+            assert (invert_s2(near) is not None) == oracle_is_s2(near)
+
+
+def test_invert_agrees_with_the_oracle_on_small_graphs(simple_connected):
+    # every connected simple graph on 1-7 vertices; the brute-force
+    # colouring of tests/helpers.py never calls dpdp.subdivision
+    counts = []
+    for n in range(1, 8):
+        got = [invert_s2(g) is not None for g in simple_connected[n]]
+        assert got == [oracle_is_s2(g) for g in simple_connected[n]]
+        counts.append(sum(got))
+    assert counts == [0, 0, 1, 1, 2, 4, 5]
 
 
 def invert_digest(graphs) -> str:
