@@ -42,14 +42,14 @@ The first leaf's form depends on the vertex labels, so it is not a
 canonical form; the dedup uses it only as a goal that an isomorphic
 graph's tree is known to reach.
 
-The dedup is one add-or-match step, ``_Seen.add``: ``_classes`` (plain
-``(n, ends)`` candidates), ``_classes_by_start`` and
-``classes_by_isomorphism`` run it on each candidate, and the cubic
-enumerator also on partial graphs.  It labels only what collides, with a
-key of two levels.  Recorded graphs sit in buckets keyed by the hash of
-the label-free start key: n, m and the sorted start colours.  A graph
-grown from a smaller class by one vertex (``catalog._grow``, through
-``_classes_by_start``) brings its start colours, derived from the counts
+The dedup is one add-or-match step, ``_Seen.add``: ``_classes``, the one
+entry of the enumerators (``(n, ends)`` or ``(n, ends, start colours)``
+candidates), and ``classes_by_isomorphism`` run it on each candidate, and
+the cubic enumerator also on partial graphs.  It labels only what
+collides, with a key of two levels.  Recorded graphs sit in buckets keyed
+by the hash of the label-free start key: n, m and the sorted start
+colours.  A graph grown from a smaller class by one vertex
+(``catalog._grow``) brings its start colours, derived from the counts
 of its base rather than recounted from its edges; they are the colours
 ``_start`` would count, and ``_ranked``, which ``_start`` ends in too,
 turns them into the colouring and the key, so the key and everything
@@ -422,44 +422,25 @@ class _Seen:
         return True
 
 
-def _dedup(
-    candidates: Iterable[tuple[int, Sequence[tuple[int, int]], Multigraph | None]]
-) -> list[Multigraph]:
-    """The first candidate seen of each class, sorted by _class_order; a
-    candidate (n, ends, g) is kept as g, or as Multigraph(n, ends) when g
-    is None.  See the module docstring for why this is exact."""
+def classes_by_isomorphism(candidates: list[Multigraph]) -> list[Multigraph]:
+    """One representative per isomorphism class, the first candidate seen
+    of each, in a deterministic order sorted by (n, m, degree sequence,
+    representative edge multiset)."""
     seen = _Seen()
-    reps = [
-        Multigraph(n, ends) if g is None else g
-        for n, ends, g in candidates if seen.add(n, ends)
-    ]
+    reps = [g for g in candidates if seen.add(g.n, list(zip(g.us, g.vs)))]
     del seen  # freed before the sort keys are built, so the two never peak together
     reps.sort(key=_class_order)
     return reps
 
 
-def classes_by_isomorphism(candidates: list[Multigraph]) -> list[Multigraph]:
-    """One representative per isomorphism class, the first candidate seen
-    of each, in a deterministic order sorted by (n, m, degree sequence,
-    representative edge multiset)."""
-    return _dedup((g.n, list(zip(g.us, g.vs)), g) for g in candidates)
-
-
-def _classes(candidates: Iterable[tuple[int, Sequence[tuple[int, int]]]]) -> list[Multigraph]:
-    """classes_by_isomorphism for candidates given as (n, edge list) pairs:
-    a Multigraph is built only for the first candidate seen of each class,
+def _classes(candidates: Iterable[tuple]) -> list[Multigraph]:
+    """classes_by_isomorphism for candidates given as (n, edge list) or
+    (n, edge list, start colours), the colours counted by the caller
+    (``catalog._grow`` derives a grown graph's from its base's): a
+    Multigraph is built only for the first candidate seen of each class,
     with the edges in the order given."""
-    return _dedup((n, ends, None) for n, ends in candidates)
-
-
-def _classes_by_start(
-    candidates: Iterable[tuple[int, Sequence[tuple[int, int]], list[tuple]]]
-) -> list[Multigraph]:
-    """_classes for candidates given as (n, edge list, start colours), the
-    colours counted by the caller (``catalog._grow`` derives a grown
-    graph's from its base's)."""
     seen = _Seen()
-    reps = [Multigraph(n, ends) for n, ends, colours in candidates if seen.add(n, ends, colours)]
-    del seen  # as in _dedup
+    reps = [Multigraph(n, ends) for n, ends, *colours in candidates if seen.add(n, ends, *colours)]
+    del seen  # as in classes_by_isomorphism
     reps.sort(key=_class_order)
     return reps

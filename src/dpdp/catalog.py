@@ -9,15 +9,15 @@ for the repeated sweeps; all but cubic add a vertex or edge to smaller ones,
 and cubic prunes a backtracker with the dedup's own isomorphism test.
 Candidates are plain edge lists, and only the first of each class becomes
 a Multigraph; one grown by a vertex also carries its start colours, which
-``_grow`` derives from its base's.  The dedup (``_canon._classes``, and
-``_classes_by_start`` for grown candidates) buckets candidates by a
-label-free key of their start colouring, refines a candidate only when
-it lands in an occupied bucket, and searches only when a representative
-there also shares its refined root key, matching it against the first
-leaves of those representatives' search trees; ``_canon`` proves that
-this keeps the first candidate of each class.  Growing by a vertex
-skips two kinds of candidate that are provably not the first of their
-class, before any reaches the dedup:
+``_grow`` derives from its base's.  Every enumerator ends in the one
+dedup entry, ``_canon._classes``, which takes both kinds of candidate.
+It buckets candidates by a label-free key of their start colouring,
+refines a candidate only when it lands in an occupied bucket, and
+searches only when a representative there also shares its refined root
+key, matching it against the first leaves of those representatives'
+search trees; ``_canon`` proves that this keeps the first candidate of
+each class.  Growing by a vertex skips two kinds of candidate that are
+provably not the first of their class, before any reaches the dedup:
 
 - a neighbour set that the base's automorphisms (those the search in
   ``_canon`` finds) map onto a smaller one: the smaller one gives a copy;
@@ -111,7 +111,7 @@ from .graph import (  # the codecs live in graph; catalog re-exports them
     write_edge_list,
     write_graph6,
 )
-from ._canon import _Seen, _automorphisms, _classes, _classes_by_start
+from ._canon import _Seen, _automorphisms, _classes
 
 #: connected simple graphs on n=1..8 vertices, up to isomorphism
 CONNECTED_SIMPLE_COUNTS = (1, 1, 2, 6, 21, 112, 853, 11117)
@@ -433,7 +433,7 @@ def enumerate_connected_simple(n: int) -> tuple[Multigraph, ...]:
     if n == 1:
         return (Multigraph(1, []),)
     bases = enumerate_connected_simple(n - 1)
-    return tuple(_classes_by_start(_grow(bases, range(1, 1 << (n - 1)))))
+    return tuple(_classes(_grow(bases, range(1, 1 << (n - 1)))))
 
 
 @lru_cache(maxsize=None)
@@ -479,7 +479,7 @@ def enumerate_trees(n: int) -> tuple[Multigraph, ...]:
         raise ValueError("enumerate_trees needs n >= 1")
     if n == 1:
         return (Multigraph(1, []),)
-    return tuple(_classes_by_start(_grow(enumerate_trees(n - 1), [1 << v for v in range(n - 1)])))
+    return tuple(_classes(_grow(enumerate_trees(n - 1), [1 << v for v in range(n - 1)])))
 
 
 @lru_cache(maxsize=None)
@@ -505,51 +505,38 @@ def enumerate_connected_cubic(n: int) -> tuple[Multigraph, ...]:
     if n > 14:
         raise ValueError("enumerate_connected_cubic supports n <= 14")
     found: list[tuple[int, list[tuple[int, int]]]] = []
-    adj: list[set[int]] = [set() for _ in range(n)]
+    rows = [0] * n  # the partial graph as bitmask rows
     deg = [0] * n
     edges: list[tuple[int, int]] = []  # the partial graph, in the order added
+    every = (1 << n) - 1
     partial = _Seen()
-
-    def candidates_for(v: int) -> list[int]:
-        out = []
-        fresh_seen = False
-        for u in range(v + 1, n):
-            if deg[u] == 0:
-                if fresh_seen:
-                    break
-                fresh_seen = True
-                out.append(u)
-            elif deg[u] < 3 and u not in adj[v]:
-                out.append(u)
-        return out
 
     def extend(last: int) -> None:
         # last is the lowest vertex of degree below 3 at the parent node
         v = next((x for x in range(last, n) if deg[x] < 3), None)
         if v is None:
-            reached = {0}
-            todo = [0]
-            while todo:
-                for w in adj[todo.pop()] - reached:
-                    reached.add(w)
-                    todo.append(w)
-            if len(reached) == n:
-                found.append((n, [(u, w) for u in range(n) for w in sorted(adj[u]) if u < w]))
+            if _reach(rows, 1, every) == every:
+                found.append((n, sorted(edges)))
             return
         if last < v <= n - 4 and not partial.add(n, tuple(edges)):
             return
-        for u in candidates_for(v):
-            adj[v].add(u)
-            adj[u].add(v)
+        for u in range(v + 1, n):
+            d = deg[u]
+            if d == 3 or rows[v] >> u & 1:
+                continue
+            rows[v] |= 1 << u
+            rows[u] |= 1 << v
             deg[v] += 1
-            deg[u] += 1
+            deg[u] = d + 1
             edges.append((v, u))
             extend(v)
             edges.pop()
-            adj[v].remove(u)
-            adj[u].remove(v)
+            rows[v] ^= 1 << u
+            rows[u] ^= 1 << v
             deg[v] -= 1
-            deg[u] -= 1
+            deg[u] = d
+            if not d:
+                break  # the untouched vertices are a suffix: the first stands for all
 
     extend(0)
     return tuple(_classes(found))

@@ -12,6 +12,7 @@ they are compared on.
 
 from __future__ import annotations
 
+import hashlib
 import pathlib
 import random
 from itertools import combinations, combinations_with_replacement, permutations
@@ -348,6 +349,15 @@ def forest_good_decomposition_check(
 def edge_list_text(g: Multigraph) -> str:
     lines = [f"{g.n} {g.m}"] + [f"{e.u} {e.v}" for e in g.edges]
     return "\n".join(lines) + "\n"
+
+
+def edge_order_digest(graphs) -> str:
+    """SHA-256 over one "n:u-v u-v ..." line per graph, its edges in the
+    order stored.  Unlike graph6 text, it pins the edge order."""
+    text = "".join(
+        f"{g.n}:" + " ".join(f"{u}-{v}" for u, v in zip(g.us, g.vs)) + "\n" for g in graphs
+    )
+    return hashlib.sha256(text.encode()).hexdigest()
 
 
 def theta(length: int) -> Multigraph:

@@ -1,6 +1,5 @@
 from __future__ import annotations
 
-import hashlib
 import pathlib
 import random
 import tracemalloc
@@ -39,6 +38,7 @@ from dpdp.graph import Multigraph, is_cycle_graph, is_path_graph
 
 from helpers import (
     cubic_backtrack,
+    edge_order_digest,
     multigraphs,
     oracle_connected_multigraphs,
     random_looped_multigraphs,
@@ -126,8 +126,8 @@ def test_enumerate_multigraphs_properties(multigraphs_le5):
         seen.add(key)
 
 
-#: SHA-256 of the 470 classes of oracle_connected_multigraphs(6) in the
-#: documented order, one "n:u-v u-v ..." line each (the oracle takes ~10 s)
+#: edge_order_digest of the 470 classes of oracle_connected_multigraphs(6)
+#: in the documented order (the oracle takes ~10 s)
 MULTIGRAPHS_LE6_SHA256 = "c1dbe1f33537a22af4b205ee66a4309199dea668f0629d66f6d5e1b0d6cb719b"
 
 
@@ -149,8 +149,7 @@ def test_enumerate_multigraphs_match_oracle():
 def test_enumerate_multigraphs_six_edges_pinned():
     got = enumerate_connected_multigraphs(6)
     assert [sum(g.m == m for g in got) for m in range(1, 7)] == [2, 4, 11, 30, 95, 328]
-    text = "".join(f"{g.n}:" + " ".join(f"{e.u}-{e.v}" for e in g.edges) + "\n" for g in got)
-    assert hashlib.sha256(text.encode()).hexdigest() == MULTIGRAPHS_LE6_SHA256
+    assert edge_order_digest(got) == MULTIGRAPHS_LE6_SHA256
 
 
 def test_enumerate_trees_counts():
@@ -313,13 +312,19 @@ def test_cubic_pruning_keeps_the_unpruned_output(n):
     )
 
 
+#: edge_order_digest of enumerate_connected_cubic(12): the representatives,
+#: their edge order and the output order
+CUBIC_12_EDGE_ORDER_SHA256 = "91b047c1abd1d6d4db2e6638a74758404027ae607d0380cf0c2437245bc10240"
+
+
 def test_cubic_12_classes():
     # OEIS A002851; told apart pairwise by networkx, used as an oracle: two
     # graphs with different sorted distance profiles are not isomorphic,
     # and VF2 decides the pairs that share one
-    nx = pytest.importorskip("networkx")
     got = enumerate_connected_cubic(12)
     assert len(got) == CONNECTED_CUBIC_COUNTS[12] == 85
+    assert edge_order_digest(got) == CUBIC_12_EDGE_ORDER_SHA256
+    nx = pytest.importorskip("networkx")
     groups: dict[tuple, list] = {}
     for g in got:
         assert g.n == 12 and g.is_simple() and g.is_connected()
@@ -510,16 +515,36 @@ def test_orbit_minima_by_table_against_the_definition(n_perms, data):
 
 
 def _start_colours_by_definition(n: int, ends) -> list[tuple]:
-    """(degree, loop count, triangles) per vertex of a simple graph, the
-    triangles counted over every pair of neighbours."""
+    """(degree, loop count, triangles) per vertex of a multigraph, as the
+    _canon docstring defines them: a loop counts 2 toward its vertex's
+    degree, and the triangles at v are the adjacent pairs among v's
+    distinct non-loop neighbours, counted over every pair."""
     nbrs = [set() for _ in range(n)]
     for u, v in ends:
-        nbrs[u].add(v)
-        nbrs[v].add(u)
+        if u != v:
+            nbrs[u].add(v)
+            nbrs[v].add(u)
     return [
-        (len(nbrs[v]), 0, sum(1 for a, b in combinations(sorted(nbrs[v]), 2) if b in nbrs[a]))
+        (
+            sum((u == v) + (w == v) for u, w in ends),
+            sum(u == w == v for u, w in ends),
+            sum(1 for a, b in combinations(sorted(nbrs[v]), 2) if b in nbrs[a]),
+        )
         for v in range(n)
     ]
+
+
+@settings(max_examples=300, deadline=None)
+@given(multigraphs(max_n=7, max_m=16))
+def test_start_key_counts_the_defined_colours(g):
+    # with loops and parallel edges too, _start colours each vertex by its
+    # (degree, loop count, triangles) and keys the graph by n, m and their
+    # sorted list
+    ends = list(zip(g.us, g.vs))
+    colours = _start_colours_by_definition(g.n, ends)
+    start = dpdp._canon._start(g.n, ends)
+    assert start[1] == (g.n, g.m, tuple(sorted(colours)))
+    assert start == dpdp._canon._ranked(g.n, ends, colours)
 
 
 @pytest.mark.parametrize(
@@ -551,7 +576,7 @@ def test_enumeration_work_pinned(monkeypatch):
     # (2,717 when it covered only vertices w outside the mask, 4,159
     # without it)
     handed = []
-    dedup = dpdp.catalog._classes_by_start
+    dedup = dpdp.catalog._classes
     tested = []
     has_earlier_parent = dpdp.catalog._has_earlier_parent
 
@@ -572,7 +597,7 @@ def test_enumeration_work_pinned(monkeypatch):
         init(self, *args, **kwargs)
 
     enumerate_connected_simple.cache_clear()
-    monkeypatch.setattr(dpdp.catalog, "_classes_by_start", counting)
+    monkeypatch.setattr(dpdp.catalog, "_classes", counting)
     monkeypatch.setattr(dpdp.catalog, "_has_earlier_parent", counting_test)
     monkeypatch.setattr(Multigraph, "__init__", counting_init)
     try:
@@ -751,7 +776,7 @@ def test_dropped_candidates_have_an_earlier_copy(monkeypatch, enumerate_, masks,
     # dedup is isomorphic (networkx) to one it hands over from an earlier base
     nx = pytest.importorskip("networkx")
     handed: dict[int, list] = {}
-    dedup = dpdp.catalog._classes_by_start
+    dedup = dpdp.catalog._classes
 
     def recording(candidates):
         candidates = list(candidates)
@@ -759,7 +784,7 @@ def test_dropped_candidates_have_an_earlier_copy(monkeypatch, enumerate_, masks,
         return dedup(candidates)
 
     enumerate_.cache_clear()
-    monkeypatch.setattr(dpdp.catalog, "_classes_by_start", recording)
+    monkeypatch.setattr(dpdp.catalog, "_classes", recording)
     try:
         enumerate_(top)
     finally:
