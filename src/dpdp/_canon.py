@@ -2,8 +2,9 @@
 (individualization-refinement).
 
 ``_automorphisms(n, ends)`` finds automorphisms of the multigraph on
-vertices 0..n-1 with edge list ends, so the enumerations can skip
-augmentations that an automorphism of the base maps onto earlier ones.
+vertices 0..n-1 with edge list ends, from start colours the caller has
+counted if it brings them, so the enumerations can skip augmentations
+that an automorphism of the base maps onto earlier ones.
 ``classes_by_isomorphism`` and ``_classes`` keep one graph per
 isomorphism class, loops and edge multiplicities included.  Both walk one
 search tree, built and searched as in nauty with first-path pruning
@@ -50,16 +51,21 @@ collides, with a key of two levels.  Recorded graphs sit in buckets keyed
 by the hash of the label-free start key: n, m and the sorted start
 colours.  A graph grown from a smaller class by one vertex
 (``catalog._grow``) brings its start colours, derived from the counts
-of its base rather than recounted from its edges; they are the colours
-``_start`` would count, and ``_ranked``, which ``_start`` ends in too,
-turns them into the colouring and the key, so the key and everything
-below are those of a recount.  A graph whose bucket is empty is recorded
+of its base rather than recounted from its edges, and so does a partial
+graph of the cubic backtracker, from the triangle counts it keeps as it
+joins; they are the colours ``_start`` would count, and ``_ranked``,
+which ``_start`` ends in too, turns them into the colouring and the key,
+so the key and everything below are those of a recount.  A record keeps
+the graph's ranked start colouring, n ranks, and then its edges flat,
+in one bytes object (``_kept`` reads them back), so no graph's start
+colours are counted twice.  A graph whose bucket is empty is recorded
 with no refinement and no search.  Otherwise its start colouring is
 refined, from the state that gave its start key, and its root key is
 taken: the root invariant and the cell sizes.  Each recorded graph in
 the bucket gets its root key once, when its bucket first holds a
-collision (a graph recorded into an occupied bucket keeps the root key
-it was just given), and only those whose root key equals the new graph's
+collision, refined from the colouring its record kept (a graph recorded
+into an occupied bucket keeps the root key it was just given), and only
+those whose root key equals the new graph's
 take part: each gets its goal, the trace and form of its first leaf,
 once, by the first descent of its own tree alone, and ``_match`` walks
 the new graph's tree without any pruning, following a child only while
@@ -248,13 +254,17 @@ def _refined(start: tuple) -> tuple[tuple, tuple]:
     return (around, color, cells, inv), (inv, tuple(sizes))
 
 
-def _automorphisms(n: int, ends: Sequence[tuple[int, int]]) -> list[list[int]]:
+def _automorphisms(
+    n: int, ends: Sequence[tuple[int, int]], colours: list[tuple] | None = None
+) -> list[list[int]]:
     """Automorphisms of the multigraph on vertices 0..n-1 with edges ends
     that the first-path search finds (each a list a with a[v] the image of
     v).  They generate a subgroup of Aut, possibly all of it; none are
     found when the refined root colouring is discrete, as Aut is then
-    trivial."""
-    around, color, cells, inv = _refined(_start(n, ends)[0])[0]
+    trivial.  colours, if given, are the graph's start colours, as _start
+    would count them."""
+    start = _start(n, ends) if colours is None else _ranked(n, ends, colours)
+    around, color, cells, inv = _refined(start[0])[0]
     trace = [inv]  # trace[k] is the invariant of the first path's node at depth k
     if cells == n:
         return []
@@ -375,6 +385,14 @@ def _goal(ends: Sequence[tuple[int, int]], root: tuple) -> tuple[list, Form]:
     return trace, _relabel(ends, color)
 
 
+def _kept(n: int, record: bytes | tuple) -> tuple:
+    """The start state (ends, colouring, cell count) that a record of
+    _Seen keeps: n colour ranks, then the edges flat, u0 v0 u1 v1 ...."""
+    color = list(record[:n])
+    flat = record[n:]
+    return list(zip(flat[::2], flat[1::2])), color, len(set(color))
+
+
 class _Seen:
     """Multigraphs recorded up to isomorphism: the add-or-match step of the
     dedup in the module docstring, kept open so that a generator can also
@@ -383,8 +401,8 @@ class _Seen:
     __slots__ = ("buckets",)
 
     def __init__(self) -> None:
-        # hash of the start key -> [[n, flat ends, hash of the root key or
-        # None, goal or None], ...]
+        # hash of the start key -> [[n, start colouring and flat ends (as
+        # _kept reads them), hash of the root key or None, goal or None], ...]
         self.buckets: dict[int, list[list]] = {}
 
     def add(
@@ -392,10 +410,11 @@ class _Seen:
     ) -> bool:
         """Record (n, ends) and answer True, unless it is isomorphic to a
         graph recorded before: then answer False.  colours, if given, are
-        the graph's start colours, as _start would count them.  The edges
-        are kept flat, u0 v0 u1 v1 ..., as one bytes object when every
-        vertex id is below 256, and are paired up again only if a
-        collision asks for the graph's root key or goal."""
+        the graph's start colours, as _start would count them.  A record
+        keeps the ranked start colouring and the edges flat, u0 v0 u1 v1
+        ..., as one bytes object when every vertex id is below 256, and
+        _kept reads them back only if a collision asks for the graph's
+        root key or goal, so its start colours are never counted twice."""
         start, key = _start(n, ends) if colours is None else _ranked(n, ends, colours)
         bucket = self.buckets.setdefault(hash(key), [])
         root_key = None
@@ -407,18 +426,17 @@ class _Seen:
                 if entry[3] is None and entry[2] in (None, root_key):
                     # its root key is not known yet, or it takes part and
                     # has no goal yet
-                    flat = entry[1]
-                    pairs = list(zip(flat[::2], flat[1::2]))
-                    own, key = _refined(_start(entry[0], pairs)[0])
+                    kept = _kept(entry[0], entry[1])
+                    own, key = _refined(kept)
                     entry[2] = hash(key)
                     if entry[2] == root_key:
-                        entry[3] = _goal(pairs, own)
+                        entry[3] = _goal(kept[0], own)
                 if entry[2] == root_key:
                     goals.append(entry[3])
             if goals and _match(n, ends, root, goals) is not None:
                 return False
-        flat = chain.from_iterable(ends)
-        bucket.append([n, bytes(flat) if n <= 256 else tuple(flat), root_key, None])
+        record = chain(start[1], chain.from_iterable(ends))
+        bucket.append([n, bytes(record) if n <= 256 else tuple(record), root_key, None])
         return True
 
 

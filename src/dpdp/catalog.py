@@ -9,15 +9,17 @@ for the repeated sweeps; all but cubic add a vertex or edge to smaller ones,
 and cubic prunes a backtracker with the dedup's own isomorphism test.
 Candidates are plain edge lists, and only the first of each class becomes
 a Multigraph; one grown by a vertex also carries its start colours, which
-``_grow`` derives from its base's.  Every enumerator ends in the one
-dedup entry, ``_canon._classes``, which takes both kinds of candidate.
-It buckets candidates by a label-free key of their start colouring,
-refines a candidate only when it lands in an occupied bucket, and
-searches only when a representative there also shares its refined root
-key, matching it against the first leaves of those representatives'
-search trees; ``_canon`` proves that this keeps the first candidate of
-each class.  Growing by a vertex skips two kinds of candidate that are
-provably not the first of their class, before any reaches the dedup:
+``_grow`` derives from its base's, and so does a partial graph of the
+cubic backtracker, from the counts it keeps as it joins.  Every
+enumerator ends in the one dedup entry, ``_canon._classes``, which takes
+both kinds of candidate.  It buckets candidates by a label-free key of
+their start colouring, refines a candidate only when it lands in an
+occupied bucket, and searches only when a representative there also
+shares its refined root key, matching it against the first leaves of
+those representatives' search trees; ``_canon`` proves that this keeps
+the first candidate of each class.  Growing by a vertex skips two kinds
+of candidate that are provably not the first of their class, before any
+reaches the dedup:
 
 - a neighbour set that the base's automorphisms (those the search in
   ``_canon`` finds) map onto a smaller one: the smaller one gives a copy;
@@ -63,17 +65,21 @@ Cubic graphs come from a backtracker that prunes its search tree by
 isomorph rejection of partial graphs (McKay, *Isomorph-free exhaustive
 generation*, 1998).  A node is a partial graph P on all n vertices; its
 children join P's lowest vertex v of degree below 3 to each vertex that v
-may still take.  Every vertex below v has degree 3, and the untouched
+may still take, above the last one joined to v since v became the lowest,
+so each labelled partial graph is reached along one path (v's joins in
+increasing order; ``enumerate_connected_cubic`` proves that this changes
+only the work).  Every vertex below v has degree 3, and the untouched
 vertices are an isolated suffix, since a join takes only the first
-untouched vertex above v.  Each time v moves up, P is handed to the
-add-or-match step of the dedup (``_canon._Seen``), and the subtree of P is
-pruned when P is isomorphic to a partial graph recorded before.  This is
-exact:
+untouched vertex above v.  Each time v moves up, P is handed, with its
+start colours, to the add-or-match step of the dedup (``_canon._Seen``),
+and the subtree of P is pruned when P is isomorphic to a partial graph
+recorded before.  This is exact:
 
 - The leaves below P, connected or not, are every cubic simple completion
-  of P, each up to a relabelling of P's untouched suffix: whatever edge a
-  completion adds at v, the backtracker tries it, after renaming an
-  untouched end to the first untouched vertex, which fixes P.
+  of P, each up to a relabelling of P's untouched suffix: whatever edges a
+  completion adds at v, the backtracker tries them in increasing order,
+  after renaming an untouched end to the first untouched vertex, which
+  fixes P.
 - So isomorphic partial graphs have the same completion classes: an
   isomorphism phi from P to P' maps each completion of P to one of P'.
 - A recorded P' was met before P and has P's edge count, so P is not
@@ -394,7 +400,7 @@ def _grow(
                 mask for mask in masks
                 if (k := mask.bit_count()) < 2 or k > top or k == top and not mask & at
             ]
-        for mask in _orbit_minima(tried, _automorphisms(n, base)):
+        for mask in _orbit_minima(tried, _automorphisms(n, base, start)):
             if _has_earlier_parent(rows, degrees, mask):
                 continue
             ends = base.copy()
@@ -487,18 +493,43 @@ def enumerate_connected_cubic(n: int) -> tuple[Multigraph, ...]:
     """All connected cubic (3-regular) simple graphs on n <= 14 vertices,
     one per isomorphism class.
 
-    A backtracker joins the lowest vertex of degree below 3 to each
+    A backtracker joins the lowest vertex v of degree below 3 to each
     later vertex it may still take (an untouched vertex only if it is the
     first untouched one), and keeps each connected cubic graph it
-    completes.  Each time that lowest vertex moves up to a v <= n - 4, the
-    partial graph goes through the add-or-match step of the dedup, and its
-    subtree is pruned when it is isomorphic to a partial graph recorded
-    before; the module docstring proves that this keeps the first
-    candidate of every class.  At n = 10 the backtracker hands 131 graphs
-    to the dedup (4,384 without the pruning).  Class counts match OEIS
-    A002851: 1, 2, 5, 19, 85, 509 for n = 4..14.  The representatives and
-    order for n <= 10 are those of the unpruned backtracker; 12 and 14 had
-    no enumerator before, so theirs are new.
+    completes.  Each time v moves up to a v <= n - 4, the partial graph
+    goes through the add-or-match step of the dedup, with the start
+    colours (degree, 0, triangles) that the backtracker keeps per vertex as
+    it joins and unjoins (a join (v, u) gives v and u a triangle per
+    common neighbour and each common neighbour one), and its subtree is
+    pruned when it is isomorphic to a partial graph recorded before; the
+    module docstring proves that this keeps the first candidate of every
+    class.
+
+    While v stays the lowest, it is joined only to vertices above the last
+    one joined to it, so each labelled partial graph is reached along one
+    path, and no labelled graph reaches the dedup twice.  This changes
+    nothing but the work.  The backtracker that joins v in every order
+    tries each edge set's increasing order first, as it tries the
+    vertices in increasing order, and so reaches every node of the
+    increasing backtracker, in the same order, before any later order of
+    the same joins.  Take a path of it that first leaves increasing order
+    at some join, and the first node below that join where v moves up to a
+    v <= n - 4.  The nodes above the join are the increasing backtracker's,
+    and no node between the join and that one is handed over, so the
+    increasing path to the same labelled edge set met it before and handed
+    it over: it was recorded, or isomorphic to a graph recorded before, and
+    either way the repeat is pruned.  With no such node on the way, the
+    path ends in a labelled copy of a leaf kept before, which the final
+    dedup drops.  So the skipped orders record nothing and hand over no
+    first candidate: the recorded partial graphs, the classes, the
+    representatives, their edge order and the output order stay those of
+    joining v in every order.
+
+    At n = 10 the backtracker hands 69 graphs to the dedup (131 when v was
+    joined in every order, 4,384 without the pruning).  Class counts match
+    OEIS A002851: 1, 2, 5, 19, 85, 509 for n = 4..14.  The representatives
+    and order for n <= 10 are those of the unpruned backtracker; 12 and 14
+    had no enumerator before, so theirs are new.
     """
     if n < 4 or n % 2:
         return ()
@@ -507,36 +538,51 @@ def enumerate_connected_cubic(n: int) -> tuple[Multigraph, ...]:
     found: list[tuple[int, list[tuple[int, int]]]] = []
     rows = [0] * n  # the partial graph as bitmask rows
     deg = [0] * n
+    tri = [0] * n  # triangles at each vertex
     edges: list[tuple[int, int]] = []  # the partial graph, in the order added
     every = (1 << n) - 1
     partial = _Seen()
 
-    def extend(last: int) -> None:
-        # last is the lowest vertex of degree below 3 at the parent node
+    def join(v: int, u: int, step: int) -> None:
+        # step 1 adds the edge (v, u), step -1 removes it; the triangles
+        # through it are those at its two ends' common neighbours
+        common = rows[v] & rows[u]
+        tri[v] += step * common.bit_count()
+        tri[u] += step * common.bit_count()
+        while common:
+            low = common & -common
+            tri[low.bit_length() - 1] += step
+            common ^= low
+        rows[v] ^= 1 << u
+        rows[u] ^= 1 << v
+        deg[v] += step
+        deg[u] += step
+
+    def extend(last: int, first: int) -> None:
+        # last is the lowest vertex of degree below 3 at the parent node,
+        # and first the lowest vertex it may still be joined to
         v = next((x for x in range(last, n) if deg[x] < 3), None)
         if v is None:
             if _reach(rows, 1, every) == every:
                 found.append((n, sorted(edges)))
             return
-        if last < v <= n - 4 and not partial.add(n, tuple(edges)):
-            return
-        for u in range(v + 1, n):
+        if last < v:
+            first = v + 1
+            if v <= n - 4 and not partial.add(
+                n, tuple(edges), [(d, 0, t) for d, t in zip(deg, tri)]
+            ):
+                return
+        for u in range(first, n):
             d = deg[u]
-            if d == 3 or rows[v] >> u & 1:
-                continue
-            rows[v] |= 1 << u
-            rows[u] |= 1 << v
-            deg[v] += 1
-            deg[u] = d + 1
+            if d == 3:
+                continue  # v has no edge to u: its joins so far all lie below first
+            join(v, u, 1)
             edges.append((v, u))
-            extend(v)
+            extend(v, u + 1)
             edges.pop()
-            rows[v] ^= 1 << u
-            rows[u] ^= 1 << v
-            deg[v] -= 1
-            deg[u] = d
+            join(v, u, -1)
             if not d:
                 break  # the untouched vertices are a suffix: the first stands for all
 
-    extend(0)
+    extend(0, 1)
     return tuple(_classes(found))

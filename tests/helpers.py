@@ -424,6 +424,26 @@ def gnp9_sample(k: int = 60) -> list[Multigraph]:
     return hosts
 
 
+def start_colours_by_definition(n: int, ends) -> list[tuple]:
+    """(degree, loop count, triangles) per vertex of a multigraph, as the
+    _canon docstring defines them: a loop counts 2 toward its vertex's
+    degree, and the triangles at v are the adjacent pairs among v's
+    distinct non-loop neighbours, counted over every pair."""
+    nbrs = [set() for _ in range(n)]
+    for u, v in ends:
+        if u != v:
+            nbrs[u].add(v)
+            nbrs[v].add(u)
+    return [
+        (
+            sum((u == v) + (w == v) for u, w in ends),
+            sum(u == w == v for u, w in ends),
+            sum(1 for a, b in combinations(sorted(nbrs[v]), 2) if b in nbrs[a]),
+        )
+        for v in range(n)
+    ]
+
+
 @st.composite
 def multigraphs(draw, max_n: int, max_m: int):
     """Random multigraphs with loops and parallel edges."""

@@ -36,7 +36,7 @@ from dpdp._canon import (
 from dpdp.catalog import complete, complete_bipartite, cycle, enumerate_connected_cubic
 from dpdp.graph import Multigraph
 
-from helpers import cubic_backtrack, multigraphs
+from helpers import cubic_backtrack, multigraphs, start_colours_by_definition
 
 
 def petersen() -> Multigraph:
@@ -250,8 +250,9 @@ def _reference_classes(candidates) -> list[tuple]:
 def _one_bucket(mp: pytest.MonkeyPatch) -> None:
     """Give every graph the start key 0 and the root key 0, so that every
     candidate collides with every class at both levels of the dedup."""
-    start, refined = dpdp._canon._start, dpdp._canon._refined
+    start, ranked, refined = dpdp._canon._start, dpdp._canon._ranked, dpdp._canon._refined
     mp.setattr(dpdp._canon, "_start", lambda n, ends: (start(n, ends)[0], 0))
+    mp.setattr(dpdp._canon, "_ranked", lambda n, ends, colours: (ranked(n, ends, colours)[0], 0))
     mp.setattr(dpdp._canon, "_refined", lambda state: (refined(state)[0], 0))
 
 
@@ -285,6 +286,28 @@ def test_dedup_keeps_the_first_of_each_class(candidates):
     with pytest.MonkeyPatch.context() as mp:
         _one_bucket(mp)
         assert _listed(_classes(candidates)) == want
+
+
+@settings(max_examples=300, deadline=None)
+@given(candidate_lists())
+def test_brought_colours_give_the_counted_answers(candidates):
+    # a _Seen fed each candidate with its start colours answers as one
+    # that counts them, with loops and parallel edges too; with one bucket
+    # for all, every recorded graph is refined from the colouring its
+    # record kept
+    def answers(brought: bool) -> list[bool]:
+        seen = _Seen()
+        return [
+            seen.add(n, edges, start_colours_by_definition(n, edges)) if brought
+            else seen.add(n, edges)
+            for n, edges in candidates
+        ]
+
+    want = answers(False)
+    assert answers(True) == want
+    with pytest.MonkeyPatch.context() as mp:
+        _one_bucket(mp)
+        assert answers(False) == answers(True) == want
 
 
 def test_bucket_key_decides_only_the_work(monkeypatch):

@@ -3,7 +3,7 @@ from __future__ import annotations
 import pathlib
 import random
 import tracemalloc
-from itertools import combinations, permutations
+from itertools import permutations
 
 import pytest
 from hypothesis import given, settings
@@ -42,6 +42,7 @@ from helpers import (
     multigraphs,
     oracle_connected_multigraphs,
     random_looped_multigraphs,
+    start_colours_by_definition,
 )
 
 
@@ -514,26 +515,6 @@ def test_orbit_minima_by_table_against_the_definition(n_perms, data):
     assert list(dpdp.catalog._orbit_minima(masks, perms)) == sorted(map(min, orbits))
 
 
-def _start_colours_by_definition(n: int, ends) -> list[tuple]:
-    """(degree, loop count, triangles) per vertex of a multigraph, as the
-    _canon docstring defines them: a loop counts 2 toward its vertex's
-    degree, and the triangles at v are the adjacent pairs among v's
-    distinct non-loop neighbours, counted over every pair."""
-    nbrs = [set() for _ in range(n)]
-    for u, v in ends:
-        if u != v:
-            nbrs[u].add(v)
-            nbrs[v].add(u)
-    return [
-        (
-            sum((u == v) + (w == v) for u, w in ends),
-            sum(u == w == v for u, w in ends),
-            sum(1 for a, b in combinations(sorted(nbrs[v]), 2) if b in nbrs[a]),
-        )
-        for v in range(n)
-    ]
-
-
 @settings(max_examples=300, deadline=None)
 @given(multigraphs(max_n=7, max_m=16))
 def test_start_key_counts_the_defined_colours(g):
@@ -541,7 +522,7 @@ def test_start_key_counts_the_defined_colours(g):
     # (degree, loop count, triangles) and keys the graph by n, m and their
     # sorted list
     ends = list(zip(g.us, g.vs))
-    colours = _start_colours_by_definition(g.n, ends)
+    colours = start_colours_by_definition(g.n, ends)
     start = dpdp._canon._start(g.n, ends)
     assert start[1] == (g.n, g.m, tuple(sorted(colours)))
     assert start == dpdp._canon._ranked(g.n, ends, colours)
@@ -562,10 +543,86 @@ def test_grown_start_colours_are_the_counted_ones(enumerate_, masks, sizes, cand
     grown = 0
     for n in sizes:
         for k, ends, colours in dpdp.catalog._grow(enumerate_(n - 1), masks(n - 1)):
-            assert colours == _start_colours_by_definition(k, ends), ends
+            assert colours == start_colours_by_definition(k, ends), ends
             assert dpdp._canon._ranked(k, ends, colours) == dpdp._canon._start(k, ends)
             grown += 1
     assert grown == candidates
+
+
+@pytest.mark.parametrize(
+    "enumerate_, size, brought, kept",
+    [
+        (enumerate_connected_cubic, 10, 186, 127),
+        (enumerate_connected_simple, 7, 1033, 995),
+        (enumerate_connected_multigraphs, 6, 0, 468),
+    ],
+    ids=["cubic", "simple", "multigraphs"],
+)
+def test_brought_and_kept_start_colours_are_the_counted_ones(
+    monkeypatch, enumerate_, size, brought, kept
+):
+    # the start colours a candidate brings to the add-or-match step (a
+    # partial graph from the cubic backtracker's running counts, a grown
+    # graph from its base's) are those counted from its edges, and every
+    # record keeps _start's colouring, in the bucket of _start's key, for
+    # a later collision to refine from
+    add, start_of, kept_of = dpdp._canon._Seen.add, dpdp._canon._start, dpdp._canon._kept
+    counts = [0, 0]
+
+    def checking_add(self, n, ends, *colours):
+        start, key = start_of(n, ends)
+        if colours:
+            assert colours[0] == start_colours_by_definition(n, ends), ends
+            assert dpdp._canon._ranked(n, ends, *colours) == (start, key)
+            counts[0] += 1
+        new = add(self, n, ends, *colours)
+        if new:
+            entry = self.buckets[hash(key)][-1]
+            assert entry[0] == n and kept_of(n, entry[1]) == (list(ends), *start[1:]), ends
+            counts[1] += 1
+        return new
+
+    enumerate_.cache_clear()
+    monkeypatch.setattr(dpdp._canon._Seen, "add", checking_add)
+    try:
+        enumerate_(size)
+    finally:
+        enumerate_.cache_clear()
+    assert counts == [brought, kept]
+
+
+@pytest.mark.parametrize(
+    "n, adds, leaves", [(8, 52, 12), (10, 255, 69), (12, 1567, 468)], ids=["8", "10", "12"]
+)
+def test_cubic_hands_each_labelled_graph_over_once(monkeypatch, n, adds, leaves):
+    # v is joined in increasing order only, so each labelled partial graph
+    # is reached along one path: no labelled edge set reaches the
+    # add-or-match step twice (partial graphs and the final dedup's
+    # candidates together), and no leaf reaches the final dedup twice.
+    # (85, 411 and 2,469 adds, 23, 131 and 837 of them leaves, when v was
+    # joined in every order)
+    added, handed = [], []
+    add, dedup = dpdp._canon._Seen.add, dpdp.catalog._classes
+
+    def recording_add(self, k, ends, *colours):
+        added.append((k, tuple(sorted(ends))))
+        return add(self, k, ends, *colours)
+
+    def recording(candidates):
+        candidates = list(candidates)
+        handed.extend((k, tuple(ends)) for k, ends in candidates)
+        return dedup(candidates)
+
+    enumerate_connected_cubic.cache_clear()
+    monkeypatch.setattr(dpdp._canon._Seen, "add", recording_add)
+    monkeypatch.setattr(dpdp.catalog, "_classes", recording)
+    try:
+        classes = len(enumerate_connected_cubic(n))
+    finally:
+        enumerate_connected_cubic.cache_clear()
+    assert classes == CONNECTED_CUBIC_COUNTS[n]
+    assert len(set(added)) == len(added) == adds
+    assert len(set(handed)) == len(handed) == leaves
 
 
 def test_enumeration_work_pinned(monkeypatch):
@@ -610,8 +667,10 @@ def test_enumeration_work_pinned(monkeypatch):
 
 
 def test_cubic_work_pinned(monkeypatch):
-    # the partial-graph pruning hands 23 labelled graphs to the dedup at
-    # n = 8 and 131 at n = 10, against 236 and 4,384 unpruned
+    # the partial-graph pruning, with v joined in increasing order only,
+    # hands 12 labelled graphs to the dedup at n = 8 and 69 at n = 10,
+    # against 236 and 4,384 unpruned (23 and 131 when v was joined in every
+    # order, so that one labelled graph was reached along several paths)
     handed = []
     dedup = dpdp.catalog._classes
 
@@ -626,12 +685,12 @@ def test_cubic_work_pinned(monkeypatch):
         classes = [len(enumerate_connected_cubic(n)) for n in (8, 10)]
     finally:
         enumerate_connected_cubic.cache_clear()
-    assert classes == [5, 19] and handed == [23, 131]
+    assert classes == [5, 19] and handed == [12, 69]
 
 
 @pytest.mark.parametrize(
     "enumerate_, sizes, refines",
-    [(enumerate_connected_simple, range(1, 8), 1144), (enumerate_connected_cubic, [10], 1367)],
+    [(enumerate_connected_simple, range(1, 8), 1144), (enumerate_connected_cubic, [10], 753)],
     ids=["simple", "cubic"],
 )
 def test_dedup_work_pinned(monkeypatch, enumerate_, sizes, refines):
@@ -641,10 +700,11 @@ def test_dedup_work_pinned(monkeypatch, enumerate_, sizes, refines):
     # and takes each recorded graph's first leaf at most once, by its first
     # descent alone (one refinement per depth below the root, no tree
     # search); the recorded graphs are the classes and, for cubic, the
-    # partial graphs the pruning records.  (1,979 and 1,448 refinements
-    # when every candidate's root colouring was refined; 2,022 and 14,952
-    # before the one-descent goals and, for cubic, the pruning; 6,112 and
-    # 30,760 when every candidate was labelled)
+    # partial graphs the pruning records.  (1,367 cubic refinements when
+    # the backtracker joined v in every order and handed the repeats over;
+    # 1,979 and 1,448 when every candidate's root colouring was refined;
+    # 2,022 and 14,952 before the one-descent goals and, for cubic, the
+    # pruning; 6,112 and 30,760 when every candidate was labelled)
     refine, goal, add = dpdp._canon._refine, dpdp._canon._goal, dpdp._canon._Seen.add
     refines_made = 0
     goals = []
