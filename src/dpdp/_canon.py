@@ -49,13 +49,14 @@ candidates), and ``classes_by_isomorphism`` run it on each candidate, and
 the cubic enumerator also on partial graphs.  It labels only what
 collides, with a key of two levels.  Recorded graphs sit in buckets keyed
 by the hash of the label-free start key: n, m and the sorted start
-colours.  A graph grown from a smaller class by one vertex
-(``catalog._grow``) brings its start colours, derived from the counts
-of its base rather than recounted from its edges, and so does a partial
-graph of the cubic backtracker, from the triangle counts it keeps as it
-joins; they are the colours ``_start`` would count, and ``_ranked``,
-which ``_start`` ends in too, turns them into the colouring and the key,
-so the key and everything below are those of a recount.  A record keeps
+colours.  ``_colours`` counts them and ``_ranked`` turns them into the
+colouring and the key; ``_start`` is the two in turn.  A graph grown
+from a smaller class by one vertex (``catalog._grow``) brings its start
+colours, derived from those ``_colours`` counts for its base rather
+than recounted from its edges, and so does a partial graph of the cubic
+backtracker, from the triangle counts it keeps as it joins; they are
+the colours ``_colours`` would count, so the key and everything below
+are those of a recount.  A record keeps
 the graph's ranked start colouring, n ranks, and then its edges flat,
 in one bytes object (``_kept`` reads them back), so no graph's start
 colours are counted twice.  A graph whose bucket is empty is recorded
@@ -203,6 +204,12 @@ def _start(n: int, ends: Sequence[tuple[int, int]]) -> tuple[tuple, tuple]:
     """The start colouring of the multigraph on vertices 0..n-1 with edges
     ends, as (ends, colouring, cell count), and its label-free key: n, m
     and the sorted start colours."""
+    return _ranked(n, ends, _colours(n, ends))
+
+
+def _colours(n: int, ends: Sequence[tuple[int, int]]) -> list[tuple]:
+    """The start colours of the multigraph on vertices 0..n-1 with edges
+    ends: (degree, loop count, triangles) per vertex."""
     degree = [0] * n
     loops = [0] * n
     rows = [0] * n  # distinct non-loop neighbours as bitmasks
@@ -224,7 +231,7 @@ def _start(n: int, ends: Sequence[tuple[int, int]]) -> tuple[tuple, tuple]:
             twice[v] += common
             twice[w] += common
             rest ^= low
-    return _ranked(n, ends, [(d, c, t >> 1) for d, c, t in zip(degree, loops, twice)])
+    return [(d, c, t >> 1) for d, c, t in zip(degree, loops, twice)]
 
 
 def _ranked(n: int, ends: Sequence[tuple[int, int]], start: list[tuple]) -> tuple[tuple, tuple]:
@@ -261,7 +268,7 @@ def _automorphisms(
     that the first-path search finds (each a list a with a[v] the image of
     v).  They generate a subgroup of Aut, possibly all of it; none are
     found when the refined root colouring is discrete, as Aut is then
-    trivial.  colours, if given, are the graph's start colours, as _start
+    trivial.  colours, if given, are the graph's start colours, as _colours
     would count them."""
     start = _start(n, ends) if colours is None else _ranked(n, ends, colours)
     around, color, cells, inv = _refined(start[0])[0]
@@ -410,7 +417,7 @@ class _Seen:
     ) -> bool:
         """Record (n, ends) and answer True, unless it is isomorphic to a
         graph recorded before: then answer False.  colours, if given, are
-        the graph's start colours, as _start would count them.  A record
+        the graph's start colours, as _colours would count them.  A record
         keeps the ranked start colouring and the edges flat, u0 v0 u1 v1
         ..., as one bytes object when every vertex id is below 256, and
         _kept reads them back only if a collision asks for the graph's

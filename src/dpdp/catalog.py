@@ -9,8 +9,9 @@ for the repeated sweeps; all but cubic add a vertex or edge to smaller ones,
 and cubic prunes a backtracker with the dedup's own isomorphism test.
 Candidates are plain edge lists, and only the first of each class becomes
 a Multigraph; one grown by a vertex also carries its start colours, which
-``_grow`` derives from its base's, and so does a partial graph of the
-cubic backtracker, from the counts it keeps as it joins.  Every
+``_grow`` derives from its base's (``_canon._colours`` counts those), and
+so does a partial graph of the cubic backtracker, from the counts it
+keeps as it joins.  Every
 enumerator ends in the one dedup entry, ``_canon._classes``, which takes
 both kinds of candidate.  It buckets candidates by a label-free key of
 their start colouring, refines a candidate only when it lands in an
@@ -117,7 +118,7 @@ from .graph import (  # the codecs live in graph; catalog re-exports them
     write_edge_list,
     write_graph6,
 )
-from ._canon import _Seen, _automorphisms, _classes
+from ._canon import _Seen, _automorphisms, _classes, _colours
 
 #: connected simple graphs on n=1..8 vertices, up to isomorphism
 CONNECTED_SIMPLE_COUNTS = (1, 1, 2, 6, 21, 112, 853, 11117)
@@ -374,8 +375,8 @@ def _grow(
     mask, so when masks holds no other (as when growing trees) no bound
     is computed.
 
-    The start colours, (degree, loop count, triangles) per vertex as
-    ``_canon._start`` counts them, come from the base's: joining x to mask
+    The start colours, (degree, loop count, triangles) per vertex, come
+    from the base's, which ``_canon._colours`` counts: joining x to mask
     gives each v in mask one more edge and one triangle per neighbour of v
     in mask, and x has degree |mask| and one triangle per base edge inside
     mask."""
@@ -384,15 +385,8 @@ def _grow(
         n = g.n
         base = list(zip(g.us, g.vs))
         rows = _rows(g)
-        degree = [row.bit_count() for row in rows]
-        degrees = tuple(sorted(degree))
-        twice = [0] * n  # each triangle at v is seen from both of its edges at v
-        for u, v in base:
-            common = (rows[u] & rows[v]).bit_count()
-            twice[u] += common
-            twice[v] += common
-        triangles = [t >> 1 for t in twice]
-        start = [(d, 0, t) for d, t in zip(degree, triangles)]
+        start = _colours(n, base)
+        degrees = tuple(sorted(d for d, _, _ in start))
         tried = masks
         if several:  # the degree bound of the module docstring
             top, at = _non_cut_top(rows)
@@ -412,7 +406,8 @@ def _grow(
                 v = low.bit_length() - 1
                 ends.append((v, n))
                 common = (rows[v] & mask).bit_count()
-                colours[v] = (degree[v] + 1, 0, triangles[v] + common)
+                d, _, t = start[v]
+                colours[v] = (d + 1, 0, t + common)
                 inside += common
                 rest ^= low
             colours.append((mask.bit_count(), 0, inside >> 1))

@@ -230,7 +230,9 @@ def _sweep(check, items: list[tuple[int | None, str | None, Multigraph]]):
     input order, on min(_workers(), len(items)) processes; a ValueError
     names its line.  In process, each item is set to None as its check
     starts, so no checked graph, nor the adjacency index its check built,
-    outlives the check."""
+    outlives the check.  A pool takes the items in chunks of about a
+    quarter of a worker's share, as multiprocessing.Pool.map sizes them,
+    so a check of under a millisecond is not one round trip per graph."""
     workers = min(_workers(), len(items))
     run = functools.partial(_check_at, check)
     if workers <= 1:
@@ -241,7 +243,7 @@ def _sweep(check, items: list[tuple[int | None, str | None, Multigraph]]):
     from concurrent.futures import ProcessPoolExecutor  # only a pool pays for the import
 
     with ProcessPoolExecutor(max_workers=workers) as pool:
-        yield from pool.map(run, items)
+        yield from pool.map(run, items, chunksize=-(-len(items) // (4 * workers)))
 
 
 # -- subcommands ----------------------------------------------------------------
@@ -438,13 +440,6 @@ def main(argv=None) -> int:
         return args.func(args)
     except (ValueError, OSError) as exc:
         print(f"dpdp: error: {exc}", file=sys.stderr)
-        return 1
-    except RecursionError:
-        print(
-            "dpdp: error: input too deep for the recursive search "
-            f"(Python recursion limit {sys.getrecursionlimit()})",
-            file=sys.stderr,
-        )
         return 1
     except Exception as exc:  # a bug, still reported in one line, never a traceback
         print(f"dpdp: internal error: {type(exc).__name__}: {exc}", file=sys.stderr)

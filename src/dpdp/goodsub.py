@@ -597,6 +597,9 @@ def reduce_via_good_subgraph(
 
     The plan's sets refer to build_s2(h, alpha); the matching uses the
     edge ids of the reduced graph.  Raises if the certificate is invalid.
+    An arc (t, head) on edge e leaves e's gadget by side 1, the side at
+    e's stored first end us[e], exactly when t is that end, and enters it
+    by the other side; so a loop arc leaves by side 1 and enters by side 2.
     """
     ok, why = verify_good_certificate(h, cert)
     if not ok:
@@ -606,19 +609,10 @@ def reduce_via_good_subgraph(
     leaves = h.leaves()
     us, vs = h.us, h.vs
 
-    def side_of(eid: int, vertex: int, at_tail: bool) -> int:
-        if us[eid] == vs[eid]:
-            return 1 if at_tail else 2
-        return 1 if vertex == us[eid] else 2
-
     removed: set[int] = set()
     for eid in cert.q_edges:
         removed.add(lab.middle_edge[eid])
-    for v in sorted(cert.q_vertices):
-        last = cert.paths[v][-1]
-        t, head = cert.arcs[last]
-        head_side = side_of(last, head, at_tail=False)
-        removed.add(lab.attach_edges[(last, head_side)][0])
+    last_arcs = {cert.paths[v][-1] for v in cert.q_vertices}
 
     d_out = [0] * h.n
     for t, head in cert.arcs.values():
@@ -642,12 +636,14 @@ def reduce_via_good_subgraph(
         else:
             d_prime.add(lab.old_vertex[x])
     for eid, (t, head) in cert.arcs.items():
-        tail_side = side_of(eid, t, at_tail=True)
-        head_side = 3 - tail_side if us[eid] != vs[eid] else 2
+        tail_side = 1 if t == us[eid] else 2
+        head_side = 3 - tail_side
         d_prime.add(lab.new_vertex[(eid, head_side)])
         p_prime.add(lab.old_vertex[t])
         p_prime.add(lab.new_vertex[(eid, tail_side)])
         matching_old.append(lab.attach_edges[(eid, tail_side)][0])
+        if eid in last_arcs:
+            removed.add(lab.attach_edges[(eid, head_side)][0])
     for eid in cert.q_edges:
         d_prime.add(lab.new_vertex[(eid, 1)])
         d_prime.add(lab.new_vertex[(eid, 2)])

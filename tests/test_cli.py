@@ -288,15 +288,15 @@ def test_survey_parallel_matches_serial(tmp_path, capsys, monkeypatch):
 def test_pool_is_sized_by_the_input(tmp_path, capsys, monkeypatch):
     # each source has 6 graphs: DPDP_WORKERS=500 asks for 6 workers, not
     # 500, and with DPDP_WORKERS unset a process allowed on one CPU gets
-    # no pool.  The stand-in pool records its size and maps serially, so
-    # no process is started
+    # no pool.  The stand-in pool records its size and chunk size and maps
+    # serially, so no process is started
     import concurrent.futures
 
     sizes = []
 
     class SerialPool:
         def __init__(self, max_workers):
-            sizes.append(max_workers)
+            self.workers = max_workers
 
         def __enter__(self):
             return self
@@ -304,7 +304,8 @@ def test_pool_is_sized_by_the_input(tmp_path, capsys, monkeypatch):
         def __exit__(self, *exc):
             return False
 
-        def map(self, fn, items):
+        def map(self, fn, items, chunksize=1):
+            sizes.append((self.workers, chunksize))
             return map(fn, items)
 
     # the driver imports the pool class when it runs, so it is patched at its source
@@ -318,18 +319,28 @@ def test_pool_is_sized_by_the_input(tmp_path, capsys, monkeypatch):
         assert sizes == []
         monkeypatch.setenv("DPDP_WORKERS", "500")
         _, pooled = run_cli(capsys, *argv)
-        assert sizes == [6]
+        assert sizes == [(6, 1)]
         assert pooled == serial
         with monkeypatch.context() as m:
             m.delenv("DPDP_WORKERS")
             m.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
             _, default = run_cli(capsys, *argv)
-        assert sizes == [6]
+        assert sizes == [(6, 1)]
         assert default == serial
         if argv[0] == "xcheck":
             assert json.loads(serial)["result"]["graphs_checked"] == 6
         else:
             assert len(serial.splitlines()) == 7
+    # 17 graphs on 2 workers go in chunks of ceil(17 / (4 * 2)) = 3, the
+    # size multiprocessing.Pool.map would pick
+    g6.write_text("".join(write_graph6(path(n)) + "\n" for n in range(2, 19)))
+    monkeypatch.setenv("DPDP_WORKERS", "1")
+    _, serial = run_cli(capsys, "survey", str(g6))
+    sizes.clear()
+    monkeypatch.setenv("DPDP_WORKERS", "2")
+    _, pooled = run_cli(capsys, "survey", str(g6))
+    assert sizes == [(2, 3)]
+    assert pooled == serial and len(serial.splitlines()) == 18
 
 
 def test_non_integer_workers_is_a_one_line_error(capsys, monkeypatch):
@@ -458,6 +469,8 @@ def test_huge_vertex_count_is_a_one_line_error(tmp_path, capsys):
 
 
 def test_too_deep_input_is_a_one_line_error(tmp_path, capsys, monkeypatch):
+    # no search recurses (test_long_inputs_run_at_recursion_limit_100), so
+    # a RecursionError would be a bug, reported as any other
     def too_deep(g):
         raise RecursionError("maximum recursion depth exceeded")
 
@@ -467,8 +480,9 @@ def test_too_deep_input_is_a_one_line_error(tmp_path, capsys, monkeypatch):
     assert main(["check", str(f)]) == 1
     captured = capsys.readouterr()
     assert captured.out == ""
-    lines = captured.err.splitlines()
-    assert len(lines) == 1 and lines[0].startswith("dpdp: error: input too deep")
+    assert captured.err.splitlines() == [
+        "dpdp: internal error: RecursionError: maximum recursion depth exceeded"
+    ]
 
 
 def test_internal_error_is_a_one_line_error(tmp_path, capsys, monkeypatch):
@@ -516,6 +530,41 @@ def test_long_good_subgraph_paths_are_found(tmp_path, capsys):
     code, out = run_cli(capsys, "goodsub", str(f))
     assert code == 0
     assert json.loads(out)["result"]["found"] is True
+
+
+def test_long_inputs_run_at_recursion_limit_100(tmp_path, capsys, monkeypatch):
+    # no command recurses once per vertex, edge or arc: with Python's
+    # recursion limit at 100, set once dpdp.cli is imported, each exits 0
+    # and prints what it prints at the default limit of 1,000
+    p5000, theta601 = tmp_path / "p5000.el", tmp_path / "theta601.el"
+    p5000.write_text(edge_list_text(path(5000)))
+    theta601.write_text(edge_list_text(theta(601)))
+    cubic = str(Path(__file__).parent / "fixtures" / "cubic_le10.g6")
+    argvs = [
+        ["check", str(p5000)], ["pairs", str(p5000)], ["minimal", str(p5000)],
+        ["goodsub", str(theta601)], ["xcheck", "--max-edges", "5"], ["survey", cubic],
+    ]
+    code = (
+        "import contextlib, io, json, sys, dpdp.cli\n"
+        "sys.setrecursionlimit(100)\n"
+        "runs = []\n"
+        "for argv in json.loads(sys.argv[1]):\n"
+        "    out = io.StringIO()\n"
+        "    with contextlib.redirect_stdout(out):\n"
+        "        runs.append([dpdp.cli.main(argv), out.getvalue()])\n"
+        "print(json.dumps(runs))\n"
+    )
+    src = str(Path(dpdp.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=src, DPDP_WORKERS="1")
+    proc = subprocess.run(
+        [sys.executable, "-c", code, json.dumps(argvs)], capture_output=True, text=True, env=env
+    )
+    assert proc.returncode == 0, proc.stderr
+    monkeypatch.setenv("DPDP_WORKERS", "1")
+    assert sys.getrecursionlimit() >= 1000
+    want = [[*run_cli(capsys, *argv)] for argv in argvs]
+    assert all(run[0] == 0 for run in want)
+    assert json.loads(proc.stdout) == want, proc.stderr
 
 
 def test_many_components_are_inverted(tmp_path, capsys):

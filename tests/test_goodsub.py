@@ -73,6 +73,12 @@ GNP9_CERTIFICATES_SHA256 = (
     "8942d156e8132dacf797be1b55a83e4660e9934a2a0197081f1d37cefb35802b"
 )
 
+# SHA-256 over (removed edges, D', P', matching) of each reduction plan of
+# test_reduction_plans_pinned, 1,850 plans
+REDUCTION_PLANS_SHA256 = (
+    "fa20b5dc5abd3dbcc4dd71777f0d42b183e35689ca4e8fbe8a64c9d10e78e652"
+)
+
 # (q_edges, arcs in dict order) of the first good subgraph of K7 and K8:
 # Q is the clique on vertices 0..n-2 minus the edge joining its last two,
 # and every other edge is oriented
@@ -595,6 +601,29 @@ def test_every_swept_certificate_reduces(sweep_le5):
         assert is_dp_pair(reduced, DpPair(plan.d_prime, plan.p_prime, plan.matching))
         reduced_count += 1
     assert reduced_count > 0
+
+
+def test_reduction_plans_pinned():
+    # every certificate found on the multigraphs with up to 6 edges and on
+    # looped multigraphs, reduced with no leaf copies and with every leaf
+    # doubled.  The certificates hold 314 loop arcs, each the last arc of
+    # its path, which leave their gadget by side 1 and enter it by side 2
+    digest = hashlib.sha256()
+    count = 0
+    for h in [*enumerate_connected_multigraphs(6), *random_looped_multigraphs(800, seed=5)]:
+        cert = find_good_subgraph(h)
+        if cert is None:
+            continue
+        for alpha in (None, {v: 2 for v in h.leaves()}):
+            plan = reduce_via_good_subgraph(h, alpha, cert)
+            fields = (
+                sorted(plan.removed_edges), sorted(plan.d_prime), sorted(plan.p_prime),
+                plan.matching,
+            )
+            digest.update(repr(fields).encode() + b"\n")
+            count += 1
+    assert count == 1850
+    assert digest.hexdigest() == REDUCTION_PLANS_SHA256
 
 
 def _with_end_loops(h: Multigraph, cert: GoodSubgraphCertificate):
