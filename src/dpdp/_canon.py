@@ -53,13 +53,13 @@ colours.  ``_colours`` counts them and ``_ranked`` turns them into the
 colouring and the key; ``_start`` is the two in turn.  A graph grown
 from a smaller class by one vertex (``catalog._grow``) brings its start
 colours, derived from those ``_colours`` counts for its base rather
-than recounted from its edges, and so does a partial graph of the cubic
-backtracker, from the triangle counts it keeps as it joins; they are
-the colours ``_colours`` would count, so the key and everything below
-are those of a recount.  A record keeps
-the graph's ranked start colouring, n ranks, and then its edges flat,
-in one bytes object (``_kept`` reads them back), so no graph's start
-colours are counted twice.  A graph whose bucket is empty is recorded
+than recounted from its edges, and so does each partial graph and each
+leaf of the cubic backtracker, from the triangle counts it keeps as it
+joins; they are the colours ``_colours`` would count, so the key and
+everything below are those of a recount.  A record keeps the graph's
+ranked start colouring, n ranks, and then its edges flat, in one bytes
+object (``_kept`` reads them back), so no graph's start colours are
+counted twice.  A graph whose bucket is empty is recorded
 with no refinement and no search.  Otherwise its start colouring is
 refined, from the state that gave its start key, and its root key is
 taken: the root invariant and the cell sizes.  Each recorded graph in
@@ -461,7 +461,8 @@ def classes_by_isomorphism(candidates: list[Multigraph]) -> list[Multigraph]:
 def _classes(candidates: Iterable[tuple]) -> list[Multigraph]:
     """classes_by_isomorphism for candidates given as (n, edge list) or
     (n, edge list, start colours), the colours counted by the caller
-    (``catalog._grow`` derives a grown graph's from its base's): a
+    (``catalog._grow`` derives a grown graph's from its base's, the cubic
+    backtracker a leaf's from its running counts): a
     Multigraph is built only for the first candidate seen of each class,
     with the edges in the order given."""
     seen = _Seen()

@@ -10,17 +10,16 @@ and cubic prunes a backtracker with the dedup's own isomorphism test.
 Candidates are plain edge lists, and only the first of each class becomes
 a Multigraph; one grown by a vertex also carries its start colours, which
 ``_grow`` derives from its base's (``_canon._colours`` counts those), and
-so does a partial graph of the cubic backtracker, from the counts it
-keeps as it joins.  Every
-enumerator ends in the one dedup entry, ``_canon._classes``, which takes
-both kinds of candidate.  It buckets candidates by a label-free key of
-their start colouring, refines a candidate only when it lands in an
-occupied bucket, and searches only when a representative there also
-shares its refined root key, matching it against the first leaves of
-those representatives' search trees; ``_canon`` proves that this keeps
-the first candidate of each class.  Growing by a vertex skips two kinds
-of candidate that are provably not the first of their class, before any
-reaches the dedup:
+so does each partial graph and each leaf of the cubic backtracker, from
+the counts it keeps as it joins.  Every enumerator ends in the one dedup
+entry, ``_canon._classes``, which takes both kinds of candidate.  It
+buckets candidates by a label-free key of their start colouring, refines
+a candidate only when it lands in an occupied bucket, and searches only
+when a representative there also shares its refined root key, matching
+it against the first leaves of those representatives' search trees;
+``_canon`` proves that this keeps the first candidate of each class.
+Growing by a vertex skips two kinds of candidate that are provably not
+the first of their class, before any reaches the dedup:
 
 - a neighbour set that the base's automorphisms (those the search in
   ``_canon`` finds) map onto a smaller one: the smaller one gives a copy;
@@ -490,15 +489,16 @@ def enumerate_connected_cubic(n: int) -> tuple[Multigraph, ...]:
 
     A backtracker joins the lowest vertex v of degree below 3 to each
     later vertex it may still take (an untouched vertex only if it is the
-    first untouched one), and keeps each connected cubic graph it
-    completes.  Each time v moves up to a v <= n - 4, the partial graph
-    goes through the add-or-match step of the dedup, with the start
-    colours (degree, 0, triangles) that the backtracker keeps per vertex as
-    it joins and unjoins (a join (v, u) gives v and u a triangle per
-    common neighbour and each common neighbour one), and its subtree is
-    pruned when it is isomorphic to a partial graph recorded before; the
-    module docstring proves that this keeps the first candidate of every
-    class.
+    first untouched one).  Each time v moves up to a v <= n - 4, the
+    partial graph goes through the add-or-match step of the dedup, with
+    the start colours (degree, 0, triangles) that the backtracker keeps
+    per vertex as it joins and unjoins (a join (v, u) gives v and u a
+    triangle per common neighbour and each common neighbour one), and its
+    subtree is pruned when it is isomorphic to a partial graph recorded
+    before; the module docstring proves that this keeps the first
+    candidate of every class.  Each connected cubic graph it completes is
+    kept, with its start colours from the same counts, for the final
+    dedup.
 
     While v stays the lowest, it is joined only to vertices above the last
     one joined to it, so each labelled partial graph is reached along one
@@ -530,7 +530,7 @@ def enumerate_connected_cubic(n: int) -> tuple[Multigraph, ...]:
         return ()
     if n > 14:
         raise ValueError("enumerate_connected_cubic supports n <= 14")
-    found: list[tuple[int, list[tuple[int, int]]]] = []
+    found: list[tuple[int, list[tuple[int, int]], list[tuple]]] = []
     rows = [0] * n  # the partial graph as bitmask rows
     deg = [0] * n
     tri = [0] * n  # triangles at each vertex
@@ -559,7 +559,7 @@ def enumerate_connected_cubic(n: int) -> tuple[Multigraph, ...]:
         v = next((x for x in range(last, n) if deg[x] < 3), None)
         if v is None:
             if _reach(rows, 1, every) == every:
-                found.append((n, sorted(edges)))
+                found.append((n, sorted(edges), [(d, 0, t) for d, t in zip(deg, tri)]))
             return
         if last < v:
             first = v + 1

@@ -26,6 +26,8 @@ more edges than vertices, and the 2-core of H - S says at once whether
 any part of it has that many.  The walk cuts a prefix of Q as soon as
 its S fails this, so most Q sets are never built.  The first good set,
 and so the certificate, is the one a search of every set would give.
+One function, _search_paths, decides a single Q set from the host and
+the Q edges alone, for the walk and for _read_certificate alike.
 
 The path search is one loop over an explicit stack of frames, one per
 vertex a path stands on, so a path may be as long as memory allows, not
@@ -200,35 +202,34 @@ def find_good_subgraph(h: Multigraph) -> GoodSubgraphCertificate | None:
     (connected first), then by edge ids; the Q sets of one size are
     generated only when every smaller size has failed.  Paths grow
     depth-first with arcs in edge-id order, termination offered before
-    extension.  The search decides goodness from its own edge-end
-    counters; verify_good_certificate runs once, as an assertion on the
-    hit.  Output is deterministic.
+    extension.  Each Q set is decided by _search_paths alone, from
+    edge-end counters of its own; verify_good_certificate runs once, as an
+    assertion on the hit.  Output is deterministic.
 
     The Q sets come from _q_sets in exactly that order, with only sets
     missing that could never succeed, and _search_paths ends a set that
-    breaks its final-arc bound before the first path leaves at its first
-    check: the first hit, and so the certificate, is the one the unpruned
-    order would give.
+    breaks cut (a) or its final-arc bound before the first path leaves:
+    the first hit, and so the certificate, is the one the unpruned order
+    would give.
     """
     if any(h.degree(v) == 0 for v in range(h.n)):
         raise ValueError("host graph must have no isolated vertex")
     allowed = frozenset(range(h.n)) - h.leaves() - h.supports()
     us, vs = h.us, h.vs
     eligible = [eid for eid in range(h.m) if us[eid] in allowed and vs[eid] in allowed]
-    for combo, left in _q_sets(h, eligible):
-        cert = _search_paths(h, frozenset(combo), left)
+    for combo in _q_sets(h, eligible):
+        cert = _search_paths(h, frozenset(combo))
         if cert is not None:
             return cert
     return None
 
 
 def _q_sets(h: Multigraph, eligible: list[int]):
-    """Pairs (Q, left), Q running over the subsets of eligible that pass
-    two necessary conditions, by size, then component count, then
+    """The subsets Q of eligible that pass two necessary conditions, as
+    tuples of edge ids, by size, then component count, then
     lexicographically, from one depth-first walk per size on an index
-    stack; left[x] counts the edge-ends at x outside Q (a Q-loop takes
-    two).  left is the walk's own list: a consumer restores whatever it
-    changes in it before asking for the next pair.
+    stack.  The walk counts in its own list left[x] the edge-ends at x
+    outside its prefix (a Q-loop takes two), for cut (a).
 
     (a) Every Q-vertex keeps an edge-end outside Q for its outgoing arc.
     (b) With S the vertex set of Q, i(Y) the number of edges (loops
@@ -272,9 +273,9 @@ def _q_sets(h: Multigraph, eligible: list[int]):
     full-size survivor, from its own edges.  A connected survivor is
     yielded the moment the walk meets it; the disconnected ones wait in
     one list per component count, each list in lexicographic order, and
-    follow after the walk, fewest components first, each with left
-    recounted.  Only those are ever held, so a consumer that stops at a
-    connected hit holds at most the disconnected sets met before it.
+    follow after the walk, fewest components first.  Only those are ever
+    held, so a consumer that stops at a connected hit holds at most the
+    disconnected sets met before it.
     """
     us, vs = h.us, h.vs
     left = [h.degree(x) for x in range(h.n)]
@@ -306,7 +307,7 @@ def _q_sets(h: Multigraph, eligible: list[int]):
                         q = (*(eligible[j] for j in picked), eid)
                         count = _component_count(h, q)
                         if count == 1:
-                            yield q, left
+                            yield q
                         else:
                             disconnected.setdefault(count, []).append(q)
                     else:
@@ -326,14 +327,7 @@ def _q_sets(h: Multigraph, eligible: list[int]):
             else:
                 break
         for count in sorted(disconnected):
-            for q in disconnected.pop(count):
-                for eid in q:
-                    left[us[eid]] -= 1
-                    left[vs[eid]] -= 1
-                yield q, left
-                for eid in q:
-                    left[us[eid]] += 1
-                    left[vs[eid]] += 1
+            yield from disconnected.pop(count)
 
 
 def _core_excess(h: Multigraph, rest: int) -> tuple[int, int]:
@@ -396,23 +390,25 @@ def _component_count(h: Multigraph, q_edges: tuple[int, ...]) -> int:
     return len(parts)
 
 
-def _search_paths(
-    h: Multigraph, q_edges: frozenset[int], left: list[int]
-) -> GoodSubgraphCertificate | None:
+def _search_paths(h: Multigraph, q_edges: frozenset[int]) -> GoodSubgraphCertificate | None:
     """The first good subgraph on the Q set q_edges in the search order, or
-    None; a hit is verified with verify_good_certificate.
+    None; a hit is verified with verify_good_certificate.  This is the one
+    decision of a single Q set: it takes any set of edges of h, and an
+    empty one is not good.
 
     One oriented path grows per Q-vertex, in ascending order, over non-Q
     edges: depth first, arcs in incident_edges order, and at each vertex
     reached the path stops before it extends.  left[x] counts the
-    edge-ends at x outside Q that no placed arc uses (an arc uses one at
-    each end, a loop arc two); the caller passes it with no arc placed,
-    and no arc takes it below 0.  The growth rules already make arcs
-    disjoint, paths chain without repeating a vertex, and out-degree at
-    most 1, exactly 1 at Q-vertices.  The vertices with an out-arc are then
-    the Q-vertices and the inner vertices, so conditions (1) and (2) and
-    coverage of the Q boundary say left == 0 there, and (3) says left > 0
-    at every other path end (other vertices have no arc and degree >= 1).
+    edge-ends at x outside Q (a Q-loop takes two) that no placed arc uses
+    (an arc uses one at each end, a loop arc two), and no arc takes it
+    below 0.  A Q-vertex with no edge-end outside Q has no outgoing arc
+    (cut (a) of _q_sets): such a Q set ends the search before it starts.
+    The growth rules already make arcs disjoint, paths chain without
+    repeating a vertex, and out-degree at most 1, exactly 1 at
+    Q-vertices.  The vertices with an out-arc are then the Q-vertices and
+    the inner vertices, so conditions (1) and (2) and coverage of the Q
+    boundary say left == 0 there, and (3) says left > 0 at every other
+    path end (other vertices have no arc and degree >= 1).
 
     That gives a bound that cuts dead families early.  When path i is
     about to leave pos, call a vertex marked if it is pos, has its out-arc,
@@ -446,13 +442,17 @@ def _search_paths(
     thing: the arc that led to it, or the stop that started its path.  An
     arc back to the path's own start v is an arc into a Q-vertex, so the
     path stops there; and path i's vertices other than v are those it
-    leaves, so out_of[nxt] == i is the repeat test.  When the stack
-    empties every counter, left included, is back where it started; a hit
-    leaves left as the found family leaves it.
+    leaves, so out_of[nxt] == i is the repeat test.
     """
     us, vs = h.us, h.vs
     q_vertices = frozenset(us[eid] for eid in q_edges) | frozenset(vs[eid] for eid in q_edges)
     qvs = sorted(q_vertices)
+    left = [h.degree(x) for x in range(h.n)]
+    for eid in q_edges:
+        left[us[eid]] -= 1
+        left[vs[eid]] -= 1
+    if not qvs or not all(left[v] for v in qvs):
+        return None
     out_of = [-1] * h.n  # the path x's out-arc is on, or -1
     oriented: dict[int, tuple[int, int]] = {}
     out_left = 0
@@ -525,11 +525,9 @@ def _read_certificate(lab: S2Labeling, d: frozenset[int]) -> GoodSubgraphCertifi
     DP-pair of a spanning subgraph of the 2-subdivision lab labels, or None.
 
     Q is the set of base edges whose two new vertices both lie in D, as
-    every Q-edge's do in the pair reduce_via_good_subgraph builds; left
-    counts the edge-ends outside Q, a Q-loop taking two.  If Q is not
-    empty and every Q-vertex keeps an edge-end for its outgoing arc (cut
-    (a) of _q_sets), _search_paths searches that one Q.  A None says nothing
-    about the base; the caller falls back to find_good_subgraph.
+    every Q-edge's do in the pair reduce_via_good_subgraph builds, and
+    _search_paths decides that one Q.  A None says nothing about the
+    base; the caller falls back to find_good_subgraph.
 
     That the read Q is good is observed, not proved.  With D from the
     witness pair of deletion_witness's scan (minimality._first_deletion),
@@ -542,18 +540,9 @@ def _read_certificate(lab: S2Labeling, d: frozenset[int]) -> GoodSubgraphCertifi
     with some alpha above 1.  The tests pin the 793, 310, 85 and 365.
     """
     h = lab.base
-    us, vs = h.us, h.vs
     new = lab.new_vertex
     q_edges = frozenset(eid for eid in range(h.m) if new[(eid, 1)] in d and new[(eid, 2)] in d)
-    if not q_edges:
-        return None
-    left = [h.degree(x) for x in range(h.n)]
-    for eid in q_edges:
-        left[us[eid]] -= 1
-        left[vs[eid]] -= 1
-    if any(left[us[eid]] < 1 or left[vs[eid]] < 1 for eid in q_edges):
-        return None
-    return _search_paths(h, q_edges, left)
+    return _search_paths(h, q_edges)
 
 
 def _normalize_certificate(

@@ -15,7 +15,7 @@ from __future__ import annotations
 import hashlib
 import pathlib
 import random
-from itertools import combinations, combinations_with_replacement, permutations
+from itertools import combinations, combinations_with_replacement, permutations, product
 
 import pytest
 from hypothesis import strategies as st
@@ -120,6 +120,20 @@ def oracle_dp_ilp(g: Multigraph) -> bool:
     assert sorted(matched) == sorted(p), "the matching does not pair up P"
     assert oracle_dominating(g, p) and oracle_dominating(g, set(range(n)) - p)
     return True
+
+
+def is_two_hub_theta(line: str) -> bool:
+    """Whether the graph6 line is two hubs joined by n - 4 paths of 2
+    edges and one of 3 edges, n its vertex count: the non-DPDP graphs of
+    minimum degree >= 2 in the census.  networkx's isomorphism test
+    decides; skips the calling test when networkx is missing."""
+    nx = pytest.importorskip("networkx")
+    g = nx.from_graph6_bytes(line.encode())
+    family = nx.Graph()
+    for k in range(g.number_of_nodes() - 4):
+        nx.add_path(family, ["hub", k, "other hub"])
+    nx.add_path(family, ["hub", "a", "b", "other hub"])
+    return nx.is_isomorphic(g, family)
 
 
 def oracle_is_s2(g: Multigraph) -> bool:
@@ -262,6 +276,84 @@ def cubic_backtrack(n: int) -> list[tuple[int, list[tuple[int, int]]]]:
 
     extend()
     return found
+
+
+# -- good subgraphs -------------------------------------------------------------
+
+
+def oracle_good_q(h: Multigraph, q_edges) -> bool:
+    """Whether the edges q_edges of h form a good subgraph Q, from the
+    definition in the dpdp.goodsub docstring and nothing of that module:
+    every arc set E with the Q boundary inside E inside E_H - E_Q, every
+    orientation of E with out-degree at most 1, and for each Q-vertex
+    every nonempty prefix of its chain of out-arcs that is a path (no
+    vertex repeats, but a loop may be the final arc and the final head may
+    be the start).  A family is good when its paths cover E arc-disjointly
+    and meet conditions (1)-(3); a path's end is not one of its inner
+    vertices.  Degrees count arcs, a loop arc 1 out and 1 in."""
+    us, vs = h.us, h.vs
+    q = set(q_edges)
+    if not q:
+        return False
+    q_vertices = sorted({us[e] for e in q} | {vs[e] for e in q})
+    degree = [0] * h.n
+    d_q = [0] * h.n
+    for e in range(h.m):
+        for x in (us[e], vs[e]):
+            degree[x] += 1
+            d_q[x] += e in q
+    outside = [e for e in range(h.m) if e not in q]
+    boundary = [e for e in outside if us[e] in q_vertices or vs[e] in q_vertices]
+    free = [e for e in outside if e not in boundary]
+    for r in range(len(free) + 1):
+        for extra in combinations(free, r):
+            e_set = boundary + list(extra)
+            # a loop has one orientation
+            for heads in product(*[{vs[e], us[e]} for e in e_set]):
+                arcs = {e: (us[e] + vs[e] - x, x) for e, x in zip(e_set, heads)}
+                out = {t: e for e, (t, _) in arcs.items()}
+                if len(out) == len(arcs) and any(
+                    _good_family(degree, d_q, q_vertices, arcs, family)
+                    for family in product(*[_chain_prefixes(v, out, arcs) for v in q_vertices])
+                ):
+                    return True
+    return False
+
+
+def _chain_prefixes(v: int, out: dict[int, int], arcs: dict[int, tuple[int, int]]):
+    """(arcs, inner vertices, end) of each nonempty prefix of the out-arc
+    chain from v that is a path."""
+    path, inner, x = [], [], v
+    while x in out:
+        path.append(out[x])
+        head = arcs[out[x]][1]
+        if head == x or head == v:
+            yield tuple(path), [y for y in inner if y != head], head
+            return
+        if head in inner:
+            return
+        yield tuple(path), list(inner), head
+        inner.append(head)
+        x = head
+
+
+def _good_family(degree, d_q, q_vertices, arcs, family) -> bool:
+    """Whether the paths of family, one (arcs, inner vertices, end) per
+    Q-vertex, cover the arcs exactly once and meet conditions (1)-(3)."""
+    used = [e for path, _, _ in family for e in path]
+    if sorted(used) != sorted(arcs):
+        return False
+    d_out = [0] * len(degree)
+    d_in = [0] * len(degree)
+    for t, head in arcs.values():
+        d_out[t] += 1
+        d_in[head] += 1
+    inner = {x for _, xs, _ in family for x in xs}
+    return (
+        all(d_out[v] == 1 and d_in[v] == degree[v] - d_q[v] - 1 for v in q_vertices)
+        and all(d_out[x] == 1 and d_in[x] == degree[x] - 1 for x in inner)
+        and all(d_in[end] < degree[end] for _, _, end in family)
+    )
 
 
 # -- trees and forests ---------------------------------------------------------

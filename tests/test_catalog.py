@@ -552,7 +552,7 @@ def test_grown_start_colours_are_the_counted_ones(enumerate_, masks, sizes, cand
 @pytest.mark.parametrize(
     "enumerate_, size, brought, kept",
     [
-        (enumerate_connected_cubic, 10, 186, 127),
+        (enumerate_connected_cubic, 10, 255, 127),
         (enumerate_connected_simple, 7, 1033, 995),
         (enumerate_connected_multigraphs, 6, 0, 468),
     ],
@@ -562,8 +562,8 @@ def test_brought_and_kept_start_colours_are_the_counted_ones(
     monkeypatch, enumerate_, size, brought, kept
 ):
     # the start colours a candidate brings to the add-or-match step (a
-    # partial graph from the cubic backtracker's running counts, a grown
-    # graph from its base's) are those counted from its edges, and every
+    # partial graph or leaf from the cubic backtracker's running counts, a
+    # grown graph from its base's) are those counted from its edges, and every
     # record keeps _start's colouring, in the bucket of _start's key, for
     # a later collision to refine from
     add, start_of, kept_of = dpdp._canon._Seen.add, dpdp._canon._start, dpdp._canon._kept
@@ -610,7 +610,7 @@ def test_cubic_hands_each_labelled_graph_over_once(monkeypatch, n, adds, leaves)
 
     def recording(candidates):
         candidates = list(candidates)
-        handed.extend((k, tuple(ends)) for k, ends in candidates)
+        handed.extend((k, tuple(ends)) for k, ends, _ in candidates)
         return dedup(candidates)
 
     enumerate_connected_cubic.cache_clear()
@@ -623,6 +623,23 @@ def test_cubic_hands_each_labelled_graph_over_once(monkeypatch, n, adds, leaves)
     assert classes == CONNECTED_CUBIC_COUNTS[n]
     assert len(set(added)) == len(added) == adds
     assert len(set(handed)) == len(handed) == leaves
+
+
+def test_cubic_counts_no_start_colours(monkeypatch):
+    # every partial graph and every leaf brings the start colours the
+    # backtracker keeps as it joins, so the dedup counts none from edges
+    # (12, 69 and 468 counts for the leaves of n = 8, 10 and 12 when they
+    # came as bare edge lists); __wrapped__ bypasses the cache
+    colours = dpdp._canon._colours
+    calls = []
+
+    def counted(n, ends):
+        calls.append(n)
+        return colours(n, ends)
+
+    monkeypatch.setattr(dpdp._canon, "_colours", counted)
+    assert len(enumerate_connected_cubic.__wrapped__(12)) == CONNECTED_CUBIC_COUNTS[12]
+    assert calls == []
 
 
 def test_enumeration_work_pinned(monkeypatch):

@@ -18,6 +18,7 @@ from dpdp.catalog import (
     path,
     random_tree,
     read_graph6_file,
+    write_graph6,
 )
 from dpdp.domination import (
     DpPair,
@@ -38,6 +39,7 @@ from dpdp.subdivision import build_s2
 
 from helpers import (
     based_alphas,
+    is_two_hub_theta,
     multigraphs,
     oracle_dominating,
     oracle_dp_ilp,
@@ -479,6 +481,22 @@ def test_dp_search_agrees_with_the_ilp_oracle():
             assert oracle_dominating(g, pair.d) and oracle_dominating(g, pair.p)
             found += 1
     assert found == 96 + 20 + 2
+
+
+@pytest.mark.parametrize(
+    "n, total, refuted, exception", [(5, 21, 3, "DqK"), (6, 112, 12, "EsOw"), (7, 853, 34, "Fs`@w")]
+)
+def test_census_of_non_dpdp_graphs(n, total, refuted, exception):
+    # the connected simple graphs on n vertices that are not DPDP, and the
+    # one of them with minimum degree >= 2: two hubs joined by n - 4 paths
+    # of 2 edges and one of 3, the family Southey and Henning's results
+    # are set against (Cent. Eur. J. Math. 8 (2010); J. Comb. Optim. 22
+    # (2011)); CI checks n = 8, 112 of 11,117 and GsaA@{
+    graphs = enumerate_connected_simple(n)
+    refuted_graphs = [g for g in graphs if not is_dpdp(g)]
+    assert (len(graphs), len(refuted_graphs)) == (total, refuted)
+    assert [write_graph6(g) for g in refuted_graphs if min(map(g.degree, range(n))) >= 2] == [exception]
+    assert is_two_hub_theta(exception)
 
 
 def test_ilp_oracle_refutes_the_hard_60_vertex_graph():

@@ -48,6 +48,7 @@ from helpers import (
     gnp9_sample,
     multigraphs,
     oracle_dominating,
+    oracle_good_q,
     oracle_pairing_exists,
     random_looped_multigraphs,
     theta,
@@ -265,14 +266,14 @@ def _count_search_work(monkeypatch, hosts) -> Counter:
     real_incident = Multigraph.incident_edges
 
     def q_sets(h, eligible):
-        for combo, left in real_q_sets(h, eligible):
+        for combo in real_q_sets(h, eligible):
             counts["q_sets"] += 1
-            yield combo, left
+            yield combo
 
-    def search_paths(h, q_edges, left):
+    def search_paths(h, q_edges):
         counts["search"] += 1
         counts[f"search |Q|={len(q_edges)}"] += 1
-        return real_search(h, q_edges, left)
+        return real_search(h, q_edges)
 
     def incident_edges(self, v):
         counts["extend"] += sys._getframe(1).f_code is real_search.__code__
@@ -373,23 +374,14 @@ def _reference_q_sets(h: Multigraph, eligible: list[int], size: int) -> list:
 
 def _check_q_sets(h: Multigraph) -> int:
     """Assert that the walk hands out exactly the reference list, every
-    size in turn, each Q set with the edge-ends outside it, on the
-    eligible edges find_good_subgraph would pass and on all edges; return
-    the number of Q sets compared."""
+    size in turn, on the eligible edges find_good_subgraph would pass and
+    on all edges; return the number of Q sets compared."""
     allowed = set(range(h.n)) - h.leaves() - h.supports()
-    records = h.edges  # the view is built on each access: read it once
-    eligible = [e.id for e in records if e.u in allowed and e.v in allowed]
+    eligible = [e.id for e in h.edges if e.u in allowed and e.v in allowed]
     checked = 0
     for edges in (eligible, list(range(h.m))):
-        want = []
-        for size in range(1, len(edges) + 1):
-            for combo in _reference_q_sets(h, edges, size):
-                outside = [h.degree(x) for x in range(h.n)]
-                for eid in combo:
-                    outside[records[eid].u] -= 1
-                    outside[records[eid].v] -= 1
-                want.append((combo, outside))
-        got = [(q, left[:]) for q, left in dpdp.goodsub._q_sets(h, edges)]
+        want = [combo for size in range(1, len(edges) + 1) for combo in _reference_q_sets(h, edges, size)]
+        got = list(dpdp.goodsub._q_sets(h, edges))
         assert got == want, (h.edge_multiset(), edges)
         checked += len(want)
     return checked
@@ -441,7 +433,7 @@ def test_every_good_q_set_passes_the_core_excess_cut():
     for h in [*enumerate_connected_multigraphs(6), *bases, *random_looped_multigraphs(1000, seed=1)]:
         allowed = set(range(h.n)) - h.leaves() - h.supports()
         eligible = [e.id for e in h.edges if e.u in allowed and e.v in allowed]
-        walked = {q for q, _ in dpdp.goodsub._q_sets(h, eligible)}
+        walked = set(dpdp.goodsub._q_sets(h, eligible))
         for size in range(1, len(eligible) + 1):
             for combo in combinations(eligible, size):
                 left = [h.degree(x) for x in range(h.n)]
@@ -452,14 +444,30 @@ def test_every_good_q_set_passes_the_core_excess_cut():
                 if any(left[x] < 1 for x in q_vertices):
                     continue
                 q_sets += 1
-                # _search_paths leaves left as the found family left it
-                if dpdp.goodsub._search_paths(h, frozenset(combo), left[:]) is None:
+                if dpdp.goodsub._search_paths(h, frozenset(combo)) is None:
                     continue
                 good += 1
                 rest = sum(1 << x for x in range(h.n) if x not in q_vertices)
                 assert dpdp.goodsub._core_excess(h, rest)[0] >= h.m - size - h.n, (h.edge_multiset(), combo)
                 assert combo in walked, (h.edge_multiset(), combo)
     assert (q_sets, good) == (219_957, 45_024)
+
+
+def test_search_paths_decides_every_q_set_as_the_definition():
+    # every nonempty Q set of every connected multigraph with up to 6
+    # edges, Q sets through leaves and supports and Q sets that cut (a)
+    # rejects included: _search_paths finds a family exactly when the
+    # brute-force definition does; the empty Q set is not good
+    q_sets = good = 0
+    for h in enumerate_connected_multigraphs(6):
+        assert dpdp.goodsub._search_paths(h, frozenset()) is None and not oracle_good_q(h, ())
+        for size in range(1, h.m + 1):
+            for combo in combinations(range(h.m), size):
+                found = dpdp.goodsub._search_paths(h, frozenset(combo)) is not None
+                assert found == oracle_good_q(h, combo), (h.edge_multiset(), combo)
+                q_sets += 1
+                good += found
+    assert (q_sets, good) == (24_150, 2_111)
 
 
 def test_k7_builds_few_q_sets(monkeypatch):
