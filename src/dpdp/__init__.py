@@ -11,7 +11,9 @@ and a public name imports the submodule that defines it on first use.  So
 enumeration never compiles the engines it does not run.  `import
 dpdp.cli` loads graph and the four engines but not catalog or _canon,
 which only `xcheck --max-edges` imports; no submodule imports
-`dataclasses` or `typing`.
+`dataclasses` or `typing`.  Each name has one home: the file codecs are
+names of `dpdp.graph` alone, and graph's EdgeRecord, kept for the
+benchmark's view `Multigraph.edges`, is not a package-level name.
 """
 
 from importlib import import_module
@@ -21,7 +23,7 @@ __version__ = "0.1.0"
 #: every public name, by the submodule that defines it; catalog names the
 #: submodule itself
 _EXPORTS = {
-    "graph": ("EdgeRecord", "Multigraph", "is_path_graph", "is_cycle_graph"),
+    "graph": ("Multigraph", "is_path_graph", "is_cycle_graph"),
     "domination": (
         "DpPair",
         "is_dominating",

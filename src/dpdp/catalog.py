@@ -94,10 +94,6 @@ most three vertices still lack edges, they can only be joined to each
 other, and a simple graph on at most three vertices is fixed by its
 degrees, so every leaf of the subtree is one labelled graph, and the final
 dedup drops its copies as cheaply.
-
-The file codecs (read_graph6, write_graph6, read_graph6_file,
-read_edge_list, write_edge_list, write_dot) live in ``graph`` and are
-re-exported here under the same names, as the same objects.
 """
 
 from __future__ import annotations
@@ -108,15 +104,7 @@ from collections.abc import Iterable, Iterator, Sequence
 from functools import lru_cache
 from itertools import combinations
 
-from .graph import (  # the codecs live in graph; catalog re-exports them
-    Multigraph,
-    read_edge_list,
-    read_graph6,
-    read_graph6_file,
-    write_dot,
-    write_edge_list,
-    write_graph6,
-)
+from .graph import Multigraph
 from ._canon import _Seen, _automorphisms, _classes, _colours
 
 #: connected simple graphs on n=1..8 vertices, up to isomorphism

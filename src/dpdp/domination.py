@@ -101,9 +101,14 @@ def has_perfect_matching_on(
     stack: the lowest unmatched vertex is paired with each remaining
     neighbour in ascending order, and vertex sets that cannot be paired
     are memoised.  Agrees with exhaustive pairing and with networkx
-    (oracle-tested).
+    (oracle-tested).  Raises ValueError naming the least id in s that is
+    not a vertex of g.
     """
-    return _matching(g, frozenset(s), None)
+    ss = frozenset(s)
+    if ss and (min(ss) < 0 or max(ss) >= g.n):
+        bad = min(v for v in ss if not 0 <= v < g.n)
+        raise ValueError(f"malformed vertex id {bad}")
+    return _matching(g, ss, None)
 
 
 def _matching(
@@ -167,7 +172,8 @@ def _matching(
 
 
 def is_paired_dominating(g: Multigraph, s: frozenset[int] | set[int]) -> bool:
-    return is_dominating(g, s) and has_perfect_matching_on(g, s) is not None
+    # the matching first, so that its check of the ids runs on every s
+    return has_perfect_matching_on(g, s) is not None and is_dominating(g, s)
 
 
 def dp_pair_problem(g: Multigraph, pair: DpPair) -> str | None:

@@ -10,15 +10,15 @@ the degree tuple; no object is built per edge or per vertex.  The
 adjacency index (each vertex's plain neighbours and incident edge ids,
 and the looped vertices) is built on first use, so a graph that is only
 stored, compared or written, as most enumerated classes are, never pays
-for it.  The engines read us and vs.  edges, one EdgeRecord per edge, is
-a view for callers that want records, built on each access and never
-kept, so a stored graph holds no records however often it was read.
+for it.  Every reader in the package reads us and vs.  edges, one
+EdgeRecord per edge, is a view built on each access and never kept; its
+one reader is the benchmark's output gate (perfbench/worker.py), and the
+class and the view go once that gate reads us and vs.
 
 Codecs: graph6 (simple graphs, single-byte size, n <= 62) and the plain
 edge-list text format, the only lossless multigraph interchange here,
 plus a DOT writer.  They live here, with the graph they build, so a
-command that only reads and writes graphs loads no enumerator;
-``catalog`` re-exports them.
+command that only reads and writes graphs loads no enumerator.
 """
 
 from __future__ import annotations
@@ -89,33 +89,17 @@ class _FrozenRecord(_Record):
 
 
 class EdgeRecord(_FrozenRecord):
-    """One edge: unordered endpoints u, v; u == v encodes a loop.
+    """One edge as a frozen (id, u, v) value; u == v encodes a loop.
 
-    A frozen value, equal and hashable by (id, u, v)."""
+    Only Multigraph.edges builds it, for the benchmark's output gate
+    (perfbench/worker.py), its one reader; both go once that gate reads
+    us and vs."""
 
     __slots__ = ("id", "u", "v")
     __match_args__ = __slots__
     id: int
     u: int
     v: int
-
-    def is_loop(self) -> bool:
-        return self.u == self.v
-
-    def endpoints(self) -> tuple[int, int]:
-        return (self.u, self.v)
-
-    def key(self) -> tuple[int, int]:
-        """Endpoint pair normalised as (min, max)."""
-        return (self.u, self.v) if self.u <= self.v else (self.v, self.u)
-
-    def other(self, w: int) -> int:
-        """The endpoint opposite w (w itself for a loop)."""
-        if w == self.u:
-            return self.v
-        if w == self.v:
-            return self.u
-        raise ValueError(f"vertex {w} is not an endpoint of edge {self.id}")
 
 
 class Multigraph:
@@ -182,7 +166,9 @@ class Multigraph:
     @property
     def edges(self) -> tuple[EdgeRecord, ...]:
         """One EdgeRecord per edge, in id order: a view of us and vs,
-        built afresh on each access and not kept."""
+        built afresh on each access and not kept.  The benchmark's output
+        gate (perfbench/worker.py) is its one reader; it goes with
+        EdgeRecord once that gate reads us and vs."""
         return tuple(map(EdgeRecord, range(self.m), self.us, self.vs))
 
     @property

@@ -20,9 +20,8 @@ from itertools import combinations, combinations_with_replacement, permutations,
 import pytest
 from hypothesis import strategies as st
 
-from dpdp.catalog import read_graph6_file
 from dpdp.goodsub import GoodSubgraphCertificate, verify_good_certificate
-from dpdp.graph import Multigraph
+from dpdp.graph import Multigraph, read_graph6_file
 
 
 def adjacency(g: Multigraph) -> list[set[int]]:
@@ -439,7 +438,7 @@ def forest_good_decomposition_check(
 
 
 def edge_list_text(g: Multigraph) -> str:
-    lines = [f"{g.n} {g.m}"] + [f"{e.u} {e.v}" for e in g.edges]
+    lines = [f"{g.n} {g.m}"] + [f"{u} {v}" for u, v in zip(g.us, g.vs)]
     return "\n".join(lines) + "\n"
 
 

@@ -21,7 +21,6 @@ from dpdp.catalog import (
     cycle,
     path,
     random_tree,
-    read_graph6_file,
 )
 from dpdp.domination import (
     enumerate_dp_pairs,
@@ -30,7 +29,7 @@ from dpdp.domination import (
     is_dpdp,
 )
 from dpdp.goodsub import find_good_subgraph
-from dpdp.graph import Multigraph, is_cycle_graph, is_path_graph
+from dpdp.graph import Multigraph, is_cycle_graph, is_path_graph, read_graph6_file
 from dpdp.minimality import is_minimal_by_deletion, minimal_pair_properties
 from dpdp.subdivision import build_s2
 

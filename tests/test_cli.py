@@ -15,10 +15,10 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import dpdp
-from dpdp.catalog import complete, cycle, enumerate_trees, path, random_tree, write_graph6
+from dpdp.catalog import complete, cycle, enumerate_trees, path, random_tree
 from dpdp.cli import _json_text, main
 from dpdp.domination import DpPair, is_dp_pair
-from dpdp.graph import MAX_EDGE_LIST_VERTICES, Multigraph, read_graph6
+from dpdp.graph import MAX_EDGE_LIST_VERTICES, Multigraph, read_graph6, write_graph6
 from dpdp.subdivision import build_s2
 
 from helpers import edge_list_text, theta

@@ -17,8 +17,6 @@ from dpdp.catalog import (
     enumerate_trees,
     path,
     random_tree,
-    read_graph6_file,
-    write_graph6,
 )
 from dpdp.domination import (
     DpPair,
@@ -33,7 +31,7 @@ from dpdp.domination import (
     is_dpdp,
     is_paired_dominating,
 )
-from dpdp.graph import Multigraph
+from dpdp.graph import Multigraph, read_graph6_file, write_graph6
 from dpdp.minimality import _pairs_and_witness, deletion_witness
 from dpdp.subdivision import build_s2
 
@@ -65,6 +63,19 @@ def test_matching_examples():
     assert has_perfect_matching_on(cycle(6), frozenset(range(6))) is not None
 
 
+def test_matching_refuses_ids_that_are_not_vertices():
+    # -1 used to wrap round to vertex 3: {-1, 0, 1, 2} was "matched" by
+    # (0, 2), which covers 3 and leaves -1 uncovered
+    p4 = path(4)
+    for s, bad in (({-1, 0, 1, 2}, -1), ({0, 1, 5, 4}, 4), ({-3, 9}, -3)):
+        with pytest.raises(ValueError, match=f"malformed vertex id {bad}$"):
+            has_perfect_matching_on(p4, s)
+        # the domination check alone would answer False for the last two
+        with pytest.raises(ValueError, match=f"malformed vertex id {bad}$"):
+            is_paired_dominating(p4, s)
+    assert has_perfect_matching_on(Multigraph(0), set()) == ()
+
+
 def test_matching_never_uses_loops():
     g = Multigraph(2, [(0, 0), (1, 1), (0, 1)])
     m = has_perfect_matching_on(g, {0, 1})
@@ -85,10 +96,10 @@ def test_matching_agrees_with_pairing_oracle():
         if got is not None:
             covered = set()
             for eid in got:
-                e = g.edges[eid]
-                assert not e.is_loop() and e.u in s and e.v in s
-                assert e.u not in covered and e.v not in covered
-                covered |= {e.u, e.v}
+                u, v = g.us[eid], g.vs[eid]
+                assert u != v and u in s and v in s
+                assert u not in covered and v not in covered
+                covered |= {u, v}
             assert covered == s
 
 
@@ -219,9 +230,37 @@ def test_supergraph_monotonicity_fuzz():
         if not is_dpdp(g):
             continue
         u, v = rng.randrange(n), rng.randrange(n)
-        bigger = Multigraph(n, [e.endpoints() for e in g.edges] + [(u, v)])
+        bigger = Multigraph(n, [*zip(g.us, g.vs), (u, v)])
         assert is_dpdp(bigger), (g.edge_multiset(), (u, v))
         checked += 1
+
+
+@st.composite
+def planted_dpdp(draw, max_n: int = 8, max_extra: int = 6):
+    """A multigraph with a planted DP-pair (D, P): P joined in pairs, each
+    vertex joined to one of the other part, plus extra edges that may be
+    loops or parallel; vertices and edge order are then shuffled."""
+    half = draw(st.integers(1, (max_n - 1) // 2))  # |P| = 2 * half
+    d = draw(st.integers(1, max_n - 2 * half))  # |D|
+    n = d + 2 * half
+    edges = [(d + 2 * i, d + 2 * i + 1) for i in range(half)]
+    edges += [(x, draw(st.integers(d, n - 1))) for x in range(d)]
+    edges += [(x, draw(st.integers(0, d - 1))) for x in range(d, n)]
+    vertex = st.integers(0, n - 1)
+    edges += draw(st.lists(st.tuples(vertex, vertex), max_size=max_extra))
+    perm = draw(st.permutations(range(n)))
+    return Multigraph(n, [(perm[u], perm[v]) for u, v in draw(st.permutations(edges))])
+
+
+@settings(max_examples=200, deadline=None)
+@given(planted_dpdp())
+def test_adding_any_edge_keeps_a_dpdp_graph_dpdp(g):
+    # every loop, parallel copy and new edge on g's vertices in turn
+    assert is_dpdp(g)
+    edges = list(zip(g.us, g.vs))
+    for u in range(g.n):
+        for v in range(u, g.n):
+            assert is_dpdp(Multigraph(g.n, [*edges, (u, v)])), (g.edge_multiset(), (u, v))
 
 
 def test_search_agrees_with_exhaustive_partitions_small():
@@ -342,16 +381,16 @@ def test_matching_agrees_with_networkx(g, data):
     s = data.draw(st.sets(st.integers(0, g.n - 1)))
     h = nx.Graph()
     h.add_nodes_from(s)
-    h.add_edges_from((e.u, e.v) for e in g.edges if e.u != e.v and {e.u, e.v} <= s)
+    h.add_edges_from((u, v) for u, v in zip(g.us, g.vs) if u != v and {u, v} <= s)
     nx_covers = 2 * len(nx.max_weight_matching(h, maxcardinality=True)) == len(s)
     got = has_perfect_matching_on(g, s)
     assert (got is not None) == nx_covers
     if got is not None:
         covered = []
         for eid in got:
-            e = g.edges[eid]
-            assert e.u != e.v and {e.u, e.v} <= s
-            covered += [e.u, e.v]
+            u, v = g.us[eid], g.vs[eid]
+            assert u != v and {u, v} <= s
+            covered += [u, v]
         assert sorted(covered) == sorted(s)
 
 
@@ -364,7 +403,7 @@ def test_two_vertex_matching_is_the_lowest_joining_edge(g, data):
     if g.n < 2:
         return
     a, b = data.draw(st.lists(st.integers(0, g.n - 1), min_size=2, max_size=2, unique=True))
-    joining = [eid for eid, e in enumerate(g.edges) if {e.u, e.v} == {a, b}]
+    joining = [eid for eid, ends in enumerate(zip(g.us, g.vs)) if set(ends) == {a, b}]
     for skip in (None, *range(g.m)):
         want = min((eid for eid in joining if eid != skip), default=None)
         got = _matching(g, frozenset({a, b}), skip)

@@ -24,10 +24,7 @@ from dpdp.catalog import (
     enumerate_trees,
     path,
     random_tree,
-    read_graph6,
-    read_graph6_file,
     star,
-    write_graph6,
 )
 from dpdp.domination import DpPair, is_dp_pair, is_dpdp
 from dpdp.goodsub import (
@@ -38,7 +35,7 @@ from dpdp.goodsub import (
     reduce_via_good_subgraph,
     verify_good_certificate,
 )
-from dpdp.graph import Multigraph
+from dpdp.graph import Multigraph, read_graph6, read_graph6_file, write_graph6
 from dpdp.minimality import is_minimal_by_deletion
 from dpdp.subdivision import build_s2
 
@@ -171,8 +168,7 @@ def test_verify_malformed_ids_raise():
 
 # P6 plus a parallel edge 0-1 (5), a loop at 1 (6) and chords 1-4 (7) and
 # 1-5 (8): none touches Q = {2, 3}, so p6_certificate() still verifies
-P6_PLUS = Multigraph(6, [e.endpoints() for e in path(6).edges]
-                     + [(0, 1), (1, 1), (1, 4), (1, 5)])
+P6_PLUS = Multigraph(6, [*zip(path(6).us, path(6).vs), (0, 1), (1, 1), (1, 4), (1, 5)])
 
 
 def _rerouted(arcs, paths) -> GoodSubgraphCertificate:
@@ -331,16 +327,16 @@ def _two_core(h: Multigraph, s: set[int]) -> int:
 def _reference_q_sets(h: Multigraph, eligible: list[int], size: int) -> list:
     """The size-subsets of eligible that pass the Q-set cuts, from their
     definitions, stable-sorted by a component count of their own."""
-    edges = h.edges  # the view is built on each access: read it once
+    us, vs = h.us, h.vs
 
     def passes(combo) -> bool:
         outside = [h.degree(x) for x in range(h.n)]  # edge-ends outside Q
         s = set()
         for eid in combo:
-            e = edges[eid]
-            outside[e.u] -= 1
-            outside[e.v] -= 1
-            s.update((e.u, e.v))
+            u, v = us[eid], vs[eid]
+            outside[u] -= 1
+            outside[v] -= 1
+            s.update((u, v))
         # (a) each Q-vertex keeps an edge-end outside Q
         if any(outside[x] < 1 for x in s):
             return False
@@ -350,9 +346,9 @@ def _reference_q_sets(h: Multigraph, eligible: list[int], size: int) -> list:
     def components(combo) -> int:
         adj: dict[int, set[int]] = {}
         for eid in combo:
-            e = edges[eid]
-            adj.setdefault(e.u, set()).add(e.v)
-            adj.setdefault(e.v, set()).add(e.u)
+            u, v = us[eid], vs[eid]
+            adj.setdefault(u, set()).add(v)
+            adj.setdefault(v, set()).add(u)
         seen: set[int] = set()
         count = 0
         for start in adj:
@@ -377,7 +373,7 @@ def _check_q_sets(h: Multigraph) -> int:
     size in turn, on the eligible edges find_good_subgraph would pass and
     on all edges; return the number of Q sets compared."""
     allowed = set(range(h.n)) - h.leaves() - h.supports()
-    eligible = [e.id for e in h.edges if e.u in allowed and e.v in allowed]
+    eligible = [i for i, ends in enumerate(zip(h.us, h.vs)) if allowed.issuperset(ends)]
     checked = 0
     for edges in (eligible, list(range(h.m))):
         want = [combo for size in range(1, len(edges) + 1) for combo in _reference_q_sets(h, edges, size)]
@@ -432,7 +428,7 @@ def test_every_good_q_set_passes_the_core_excess_cut():
     q_sets = good = 0
     for h in [*enumerate_connected_multigraphs(6), *bases, *random_looped_multigraphs(1000, seed=1)]:
         allowed = set(range(h.n)) - h.leaves() - h.supports()
-        eligible = [e.id for e in h.edges if e.u in allowed and e.v in allowed]
+        eligible = [i for i, ends in enumerate(zip(h.us, h.vs)) if allowed.issuperset(ends)]
         walked = set(dpdp.goodsub._q_sets(h, eligible))
         for size in range(1, len(eligible) + 1):
             for combo in combinations(eligible, size):
@@ -643,13 +639,13 @@ def _with_end_loops(h: Multigraph, cert: GoodSubgraphCertificate):
         x = cert.arcs[arcs[-1]][1]
         if x in cert.q_vertices or x in tails:
             continue
-        for e in h.edges:
-            if e.u == e.v == x and e.id not in cert.e_set:
+        for eid in h.incident_edges(x):
+            if h.us[eid] == h.vs[eid] and eid not in cert.e_set:
                 longer = replace(
                     cert,
-                    e_set=cert.e_set | {e.id},
-                    arcs={**cert.arcs, e.id: (x, x)},
-                    paths={**cert.paths, v: arcs + (e.id,)},
+                    e_set=cert.e_set | {eid},
+                    arcs={**cert.arcs, eid: (x, x)},
+                    paths={**cert.paths, v: arcs + (eid,)},
                 )
                 if verify_good_certificate(h, longer)[0]:
                     yield longer
@@ -777,7 +773,7 @@ def test_tree_find_examples():
 
 
 def test_tree_agreement_exhaustive_small():
-    for n in range(2, 11):
+    for n in range(2, 13):
         for t in enumerate_trees(n):
             fast = tree_find_good_subtree(t)
             full = find_good_subgraph(t)

@@ -8,7 +8,7 @@ from collections import Counter
 from itertools import product
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import given, settings, strategies as st
 
 import dpdp.cli
 import dpdp.domination
@@ -23,11 +23,10 @@ from dpdp.catalog import (
     enumerate_trees,
     path,
     random_tree,
-    read_graph6_file,
 )
 from dpdp.domination import _dp_search, enumerate_dp_pairs, is_dpdp
 from dpdp.goodsub import _read_certificate, find_good_subgraph, verify_good_certificate
-from dpdp.graph import Multigraph
+from dpdp.graph import Multigraph, read_graph6_file
 from dpdp.minimality import (
     _first_deletion,
     check_reducible_pattern,
@@ -39,9 +38,9 @@ from dpdp.minimality import (
     minimal_spanning_dpdp_subgraph,
     xcheck,
 )
-from dpdp.subdivision import build_s2
+from dpdp.subdivision import build_s2, invert_s2
 
-from helpers import edge_list_text, multigraphs, oracle_dp_partitions, theta
+from helpers import based_alphas, edge_list_text, multigraphs, oracle_dp_partitions, theta
 
 
 def test_minimal_path_table():
@@ -411,8 +410,6 @@ def test_corona_minimal_spot():
 def test_spanning_minimal_subgraph_of_dpdp_tree():
     # the extracted spanning minimal subgraph of a DPDP tree is always the
     # 2-subdivision of a forest without isolated vertices or good subgraphs
-    from dpdp.subdivision import invert_s2
-
     rng = random.Random(77)
     checked = 0
     while checked < 25:
@@ -427,3 +424,37 @@ def test_spanning_minimal_subgraph_of_dpdp_tree():
         assert all(base.degree(v) > 0 for v in range(base.n))
         assert find_good_subgraph(base) is None
         checked += 1
+
+
+def _verdicts(g: Multigraph) -> tuple:
+    """Every yes/no (and the capped pair count) the engines give on g;
+    find_good_subgraph only on a host with no isolated vertex."""
+    report = classify(g)
+    hosts = all(g.degree(v) for v in range(g.n))
+    return (
+        is_dpdp(g),
+        is_minimal_by_deletion(g),
+        hosts and find_good_subgraph(g) is not None,
+        invert_s2(g) is not None,
+        report.is_dpdp,
+        report.minimal_by_deletion,
+        report.dp_pair_count_capped,
+        report.verdicts_consistent,
+    )
+
+
+@pytest.mark.parametrize(
+    "graphs",
+    [multigraphs(7, 10), based_alphas().map(lambda h_alpha: build_s2(*h_alpha)[0])],
+    ids=["multigraphs", "s2"],
+)
+@settings(max_examples=200, deadline=None)
+@given(data=st.data())
+def test_relabelling_keeps_every_verdict(graphs, data):
+    # the verdicts are properties of the isomorphism class: renaming the
+    # vertices and reordering the edges changes none of them
+    g = data.draw(graphs)
+    perm = data.draw(st.permutations(range(g.n)))
+    order = data.draw(st.permutations(range(g.m)))
+    relabelled = Multigraph(g.n, [(perm[g.us[i]], perm[g.vs[i]]) for i in order])
+    assert _verdicts(relabelled) == _verdicts(g)
