@@ -5,11 +5,11 @@
 vertices 0..n-1 with edge list ends, from start colours the caller has
 counted if it brings them, so the enumerations can skip augmentations
 that an automorphism of the base maps onto earlier ones.
-``classes_by_isomorphism`` and ``_classes`` keep one graph per
-isomorphism class, loops and edge multiplicities included.  Both walk one
-search tree, built and searched as in nauty with first-path pruning
-(McKay, *Practical Graph Isomorphism*, 1981; McKay & Piperno, *Practical
-Graph Isomorphism II*, 2014):
+``_classes`` keeps one graph per isomorphism class, loops and edge
+multiplicities included, and ``is_isomorphic`` compares two graphs.  Both
+walk one search tree, built and searched as in nauty with first-path
+pruning (McKay, *Practical Graph Isomorphism*, 1981; McKay & Piperno,
+*Practical Graph Isomorphism II*, 2014):
 
 - A vertex colouring is refined until it is equitable.  The start colours
   are (degree, loop count, triangles), where the triangles at v are the
@@ -45,9 +45,9 @@ graph's tree is known to reach.
 
 The dedup is one add-or-match step, ``_Seen.add``: ``_classes``, the one
 entry of the enumerators (``(n, ends)`` or ``(n, ends, start colours)``
-candidates), and ``classes_by_isomorphism`` run it on each candidate, and
-the cubic enumerator also on partial graphs.  It labels only what
-collides, with a key of two levels.  Recorded graphs sit in buckets keyed
+candidates), runs it on each candidate, ``is_isomorphic`` on its two
+graphs, and the cubic enumerator also on partial graphs.  It labels only
+what collides, with a key of two levels.  Recorded graphs sit in buckets keyed
 by the hash of the label-free start key: n, m and the sorted start
 colours.  ``_colours`` counts them and ``_ranked`` turns them into the
 colouring and the key; ``_start`` is the two in turn.  A graph grown
@@ -163,8 +163,6 @@ def _same_orbit(v: int, seen: list[int], autos: list[list[int]], path: tuple) ->
     """Is v in the orbit of a vertex in seen under the automorphisms that
     fix every vertex of path?"""
     gens = [a for a in autos if all(a[p] == p for p in path)]
-    if not gens:
-        return False
     orbit = {v}
     todo = [v]
     while todo:
@@ -350,8 +348,12 @@ def _match(
 
 
 def is_isomorphic(a: Multigraph, b: Multigraph) -> bool:
-    """Exact multigraph isomorphism (loops and multiplicities respected)."""
-    return len(classes_by_isomorphism([a, b])) == 1
+    """Exact multigraph isomorphism (loops and multiplicities respected):
+    b is isomorphic to a exactly when the dedup, having recorded a, finds
+    b a match."""
+    seen = _Seen()
+    seen.add(a.n, list(zip(a.us, a.vs)))
+    return not seen.add(b.n, list(zip(b.us, b.vs)))
 
 
 def _class_order(g: Multigraph) -> tuple:
@@ -447,26 +449,17 @@ class _Seen:
         return True
 
 
-def classes_by_isomorphism(candidates: list[Multigraph]) -> list[Multigraph]:
+def _classes(candidates: Iterable[tuple]) -> list[Multigraph]:
     """One representative per isomorphism class, the first candidate seen
     of each, in a deterministic order sorted by (n, m, degree sequence,
-    representative edge multiset)."""
-    seen = _Seen()
-    reps = [g for g in candidates if seen.add(g.n, list(zip(g.us, g.vs)))]
-    del seen  # freed before the sort keys are built, so the two never peak together
-    reps.sort(key=_class_order)
-    return reps
-
-
-def _classes(candidates: Iterable[tuple]) -> list[Multigraph]:
-    """classes_by_isomorphism for candidates given as (n, edge list) or
-    (n, edge list, start colours), the colours counted by the caller
+    representative edge multiset).  Candidates are given as (n, edge list)
+    or (n, edge list, start colours), the colours counted by the caller
     (``catalog._grow`` derives a grown graph's from its base's, the cubic
-    backtracker a leaf's from its running counts): a
-    Multigraph is built only for the first candidate seen of each class,
-    with the edges in the order given."""
+    backtracker a leaf's from its running counts): a Multigraph is built
+    only for the first candidate seen of each class, with the edges in the
+    order given."""
     seen = _Seen()
     reps = [Multigraph(n, ends) for n, ends, *colours in candidates if seen.add(n, ends, *colours)]
-    del seen  # as in classes_by_isomorphism
+    del seen  # freed before the sort keys are built, so the two never peak together
     reps.sort(key=_class_order)
     return reps

@@ -128,8 +128,6 @@ def cycle(m: int) -> Multigraph:
     vertices joined by parallel edges."""
     if m < 1:
         raise ValueError("cycle needs m >= 1")
-    if m == 1:
-        return Multigraph(1, [(0, 0)])
     if m == 2:
         return Multigraph(2, [(0, 1), (0, 1)])
     return Multigraph(m, [(i, (i + 1) % m) for i in range(m)])
@@ -190,8 +188,6 @@ def random_tree(n: int, rng: random.Random) -> Multigraph:
         raise ValueError("tree needs n >= 1")
     if n == 1:
         return Multigraph(1, [])
-    if n == 2:
-        return Multigraph(2, [(0, 1)])
     seq = [rng.randrange(n) for _ in range(n - 2)]
     degree = [1] * n
     for v in seq:

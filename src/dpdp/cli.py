@@ -29,16 +29,17 @@ regardless.
 
 Start-up is most of a small command's time.  The codecs come from graph,
 so the enumerator (catalog and _canon) is imported only inside xcheck
---max-edges, the one command that enumerates, and csv only inside survey.
-The engines stay imported at the top: deferring them would only move
-their compile time into the first command that runs them.
+--max-edges, the one command that enumerates.  The engines stay imported
+at the top: deferring them would only move their compile time into the
+first command that runs them.  Survey writes its CSV by joining fields
+with commas: every field is a number, a lower-case word, "n/a" or a
+stripped graph6 line, none of which a CSV writer would quote.
 """
 
 from __future__ import annotations
 
 import argparse
 import functools
-import io
 import os
 import sys
 from itertools import chain
@@ -329,17 +330,9 @@ def _survey_row(g: Multigraph, line: str) -> list[str]:
 
 
 def cmd_survey(args) -> int:
-    import csv  # only survey writes CSV
-
-    graphs = _g6_graphs(args.g6file)
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(
-        ["input", "n", "m", "dpdp", "minimal", "is_2_subdivision",
-         "good_subgraph_found"]
-    )
-    writer.writerows(_sweep(_survey_row, graphs))
-    _write(args.out, buf.getvalue())
+    header = ["input", "n", "m", "dpdp", "minimal", "is_2_subdivision", "good_subgraph_found"]
+    rows = [header, *_sweep(_survey_row, _g6_graphs(args.g6file))]
+    _write(args.out, "".join(",".join(row) + "\n" for row in rows))
     return 0
 
 

@@ -83,9 +83,20 @@ class DpPair(_FrozenRecord):
         return (self.d, self.p)
 
 
-def is_dominating(g: Multigraph, s: frozenset[int] | set[int]) -> bool:
-    """True iff every vertex outside s has a neighbor in s."""
+def _vertex_set(g: Multigraph, s: frozenset[int] | set[int]) -> frozenset[int]:
+    """s as a frozenset; raises ValueError naming the least id in s that is
+    not a vertex of g."""
     ss = frozenset(s)
+    if ss and (min(ss) < 0 or max(ss) >= g.n):
+        bad = min(v for v in ss if not 0 <= v < g.n)
+        raise ValueError(f"malformed vertex id {bad}")
+    return ss
+
+
+def is_dominating(g: Multigraph, s: frozenset[int] | set[int]) -> bool:
+    """True iff every vertex outside s has a neighbor in s.  Raises
+    ValueError naming the least id in s that is not a vertex of g."""
+    ss = _vertex_set(g, s)
     return all(
         v in ss or not g.neighborhood(v).isdisjoint(ss) for v in range(g.n)
     )
@@ -104,11 +115,7 @@ def has_perfect_matching_on(
     (oracle-tested).  Raises ValueError naming the least id in s that is
     not a vertex of g.
     """
-    ss = frozenset(s)
-    if ss and (min(ss) < 0 or max(ss) >= g.n):
-        bad = min(v for v in ss if not 0 <= v < g.n)
-        raise ValueError(f"malformed vertex id {bad}")
-    return _matching(g, ss, None)
+    return _matching(g, _vertex_set(g, s), None)
 
 
 def _matching(
@@ -118,8 +125,6 @@ def _matching(
     masks nothing); the matching is in g's edge ids."""
     if len(ss) % 2:
         return None
-    if not ss:
-        return ()
     us, vs = g.us, g.vs
     if len(ss) == 2:
         # the backtracker's answer without its set-up: the lowest edge
@@ -172,7 +177,6 @@ def _matching(
 
 
 def is_paired_dominating(g: Multigraph, s: frozenset[int] | set[int]) -> bool:
-    # the matching first, so that its check of the ids runs on every s
     return has_perfect_matching_on(g, s) is not None and is_dominating(g, s)
 
 

@@ -408,9 +408,9 @@ def write_edge_list(g: Multigraph) -> str:
     return "\n".join(lines) + "\n"
 
 
-def write_dot(g: Multigraph, name: str = "g") -> str:
-    """Plain structural DOT dump (undirected)."""
-    lines = [f"graph {name} {{"]
+def write_dot(g: Multigraph) -> str:
+    """Plain structural DOT dump (undirected) of a graph named g."""
+    lines = ["graph g {"]
     lines += [f"  {v};" for v in range(g.n)]
     lines += [f"  {u} -- {v};" for u, v in zip(g.us, g.vs)]
     lines.append("}")

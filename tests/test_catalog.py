@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 
 import dpdp._canon
 import dpdp.catalog
-from dpdp._canon import _automorphisms, _class_order, classes_by_isomorphism, is_isomorphic
+from dpdp._canon import _automorphisms, _class_order, _classes, is_isomorphic
 from dpdp.catalog import (
     CONNECTED_CUBIC_COUNTS,
     CONNECTED_SIMPLE_COUNTS,
@@ -95,7 +95,7 @@ def test_enumerate_connected_simple_counts():
 def test_enumerate_connected_simple_no_duplicates():
     for n in range(1, 7):
         graphs = enumerate_connected_simple(n)
-        assert len(classes_by_isomorphism(list(graphs))) == len(graphs)
+        assert len(_classes((g.n, list(zip(g.us, g.vs))) for g in graphs)) == len(graphs)
 
 
 def test_enumerate_range_checks():
@@ -170,6 +170,10 @@ def test_random_tree_is_tree():
         n = rng.randint(1, 14)
         t = random_tree(n, rng)
         assert t.n == n and t.m == n - 1 and t.is_connected() and t.is_simple()
+    # two vertices: an empty Pruefer sequence, so nothing is drawn
+    state = rng.getstate()
+    t = random_tree(2, rng)
+    assert list(zip(t.us, t.vs)) == [(0, 1)] and rng.getstate() == state
 
 
 def test_cubic_enumeration_counts_small():
@@ -284,7 +288,7 @@ def test_cubic_fixture_file():
     assert {n: len(v) for n, v in by_n.items()} == upto10
     # pairwise non-isomorphic
     for n, batch in by_n.items():
-        assert len(classes_by_isomorphism(batch)) == len(batch)
+        assert len(_classes((g.n, list(zip(g.us, g.vs))) for g in batch)) == len(batch)
     # every size regenerates to the same classes (n = 10: 19, OEIS A002851),
     # told apart by networkx's VF2
     nx = pytest.importorskip("networkx")
@@ -370,7 +374,7 @@ def test_simple_n8_fixture_file():
     assert len(graphs) == CONNECTED_SIMPLE_COUNTS[7]  # 11117, OEIS A001349
     for g in graphs:
         assert g.n == 8 and g.is_simple() and g.is_connected()
-    assert len(classes_by_isomorphism(graphs)) == len(graphs)
+    assert len(_classes((g.n, list(zip(g.us, g.vs))) for g in graphs)) == len(graphs)
 
 
 def _mask_image(mask: int, a) -> int:
@@ -806,8 +810,7 @@ def test_class_order_sorts_as_the_edge_pair_key():
 
 
 def test_write_dot():
-    text = write_dot(path(2))
-    assert "graph" in text and "0 -- 1" in text
+    assert write_dot(path(2)) == "graph g {\n  0;\n  1;\n  0 -- 1;\n}\n"
 
 
 # -- the earliest-parent test against growing every orbit minimum -------------

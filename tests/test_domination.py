@@ -9,6 +9,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 import dpdp.domination
+from dpdp._canon import _classes
 from dpdp.catalog import (
     complete,
     cycle,
@@ -31,7 +32,7 @@ from dpdp.domination import (
     is_dpdp,
     is_paired_dominating,
 )
-from dpdp.graph import Multigraph, read_graph6_file, write_graph6
+from dpdp.graph import Multigraph, read_graph6, read_graph6_file, write_graph6
 from dpdp.minimality import _pairs_and_witness, deletion_witness
 from dpdp.subdivision import build_s2
 
@@ -65,14 +66,14 @@ def test_matching_examples():
 
 def test_matching_refuses_ids_that_are_not_vertices():
     # -1 used to wrap round to vertex 3: {-1, 0, 1, 2} was "matched" by
-    # (0, 2), which covers 3 and leaves -1 uncovered
+    # (0, 2), which covers 3 and leaves -1 uncovered; and {1, 2} dominates
+    # P4, so is_dominating used to pass an extra id unseen
     p4 = path(4)
-    for s, bad in (({-1, 0, 1, 2}, -1), ({0, 1, 5, 4}, 4), ({-3, 9}, -3)):
-        with pytest.raises(ValueError, match=f"malformed vertex id {bad}$"):
-            has_perfect_matching_on(p4, s)
-        # the domination check alone would answer False for the last two
-        with pytest.raises(ValueError, match=f"malformed vertex id {bad}$"):
-            is_paired_dominating(p4, s)
+    cases = (({-1, 0, 1, 2}, -1), ({0, 1, 5, 4}, 4), ({-3, 9}, -3), ({1, 2, 7}, 7), ({-1, 1, 2}, -1))
+    for s, bad in cases:
+        for predicate in (has_perfect_matching_on, is_dominating, is_paired_dominating):
+            with pytest.raises(ValueError, match=f"^malformed vertex id {bad}$"):
+                predicate(p4, s)
     assert has_perfect_matching_on(Multigraph(0), set()) == ()
 
 
@@ -536,6 +537,57 @@ def test_census_of_non_dpdp_graphs(n, total, refuted, exception):
     assert (len(graphs), len(refuted_graphs)) == (total, refuted)
     assert [write_graph6(g) for g in refuted_graphs if min(map(g.degree, range(n))) >= 2] == [exception]
     assert is_two_hub_theta(exception)
+
+
+# The edge-maximal non-DPDP connected simple graphs on 7 and 8 vertices:
+# adding any non-edge makes each of them DPDP.  Adding an edge keeps every
+# DP-pair, so every non-DPDP connected graph is a connected spanning
+# subgraph of one of them, and every such subgraph is non-DPDP
+MAXIMAL_NON_DPDP = {
+    7: ["FsaC?", "FsOc_", "FqJE?", "FsOMG", "FqoMO", "FqHf?", "Fs`@w"],
+    8: ["GsaCC?", "Gs`?MC", "Gs`E@_", "Gs`A@o", "Gs`D?o", "GsO_f_", "GqJEE?", "Gs`?Lg",
+        "GsOcf?", "GsOccc", "GsOLDC", "GsaB?s", "GqHbF?", "GsaA@{", "GqoMUO"],
+}
+
+
+def census_from_maximal(n: int) -> tuple[list[str], int, int, int, int, int]:
+    """The census of non-DPDP graphs in tests/fixtures/simple_n{n}.g6
+    rebuilt from MAXIMAL_NON_DPDP[n]: (the census's edge-maximal members in
+    graph6, in file order; the number of connected spanning subgraphs of
+    the pinned ones; how many of those are DPDP; their isomorphism
+    classes; their classes with the census added; the census's size)."""
+    fixture = pathlib.Path(__file__).parent / "fixtures" / f"simple_n{n}.g6"
+    census = [g for g in read_graph6_file(fixture.read_text()) if not is_dpdp(g)]
+    maximal = []
+    for g in census:
+        edges = list(zip(g.us, g.vs))
+        more = [e for e in combinations(range(n), 2) if e not in edges]
+        if all(is_dpdp(Multigraph(n, [*edges, e])) for e in more):
+            maximal.append(write_graph6(g))
+    spanning = []
+    for line in MAXIMAL_NON_DPDP[n]:
+        g = read_graph6(line)
+        edges = list(zip(g.us, g.vs))
+        for k in range(n - 1, g.m + 1):
+            spanning += [
+                h for h in (Multigraph(n, list(sub)) for sub in combinations(edges, k))
+                if h.is_connected()
+            ]
+    candidates = [(h.n, list(zip(h.us, h.vs))) for h in spanning]
+    with_census = candidates + [(g.n, list(zip(g.us, g.vs))) for g in census]
+    return (
+        maximal,
+        len(spanning),
+        sum(map(is_dpdp, spanning)),
+        len(_classes(candidates)),
+        len(_classes(with_census)),
+        len(census),
+    )
+
+
+def test_census_rebuilt_from_its_edge_maximal_members():
+    # CI checks n = 8: 1,218 subgraphs of 15 maximal graphs give all 112
+    assert census_from_maximal(7) == (MAXIMAL_NON_DPDP[7], 211, 0, 34, 34, 34)
 
 
 def test_ilp_oracle_refutes_the_hard_60_vertex_graph():

@@ -176,10 +176,6 @@ def _rerouted(arcs, paths) -> GoodSubgraphCertificate:
     return replace(p6_certificate(), e_set=frozenset(arcs), arcs=arcs, paths=paths)
 
 
-# The out-degree clauses of conditions (1) and (2) and the in-degree clause
-# of condition (1) cannot fail once no vertex has out-degree above 1: every
-# Q-vertex and inner vertex has an arc out along its path, and at a
-# Q-vertex every edge-end outside Q is on an arc of E
 @pytest.mark.parametrize("cert, reason", [
     (replace(p6_certificate(), q_vertices=frozenset()), "Q is empty"),
     (replace(p6_certificate(), q_vertices=frozenset({2, 3, 4})),
@@ -214,6 +210,109 @@ def _rerouted(arcs, paths) -> GoodSubgraphCertificate:
 def test_verify_names_the_violated_clause(cert, reason):
     assert verify_good_certificate(P6_PLUS, p6_certificate()) == (True, None)
     assert verify_good_certificate(P6_PLUS, cert) == (False, reason)
+
+
+def _implied_clauses_hold(h: Multigraph, cert: GoodSubgraphCertificate) -> bool:
+    """Condition (1) and the out-degree half of condition (2), recomputed
+    from the definition: every Q-vertex v has out-degree 1 and in-degree
+    d_H(v) - d_Q(v) - 1, and every inner path vertex has out-degree 1."""
+    d_out = Counter(t for t, _ in cert.arcs.values())
+    d_in = Counter(head for _, head in cert.arcs.values())
+    d_q = Counter(x for eid in cert.q_edges for x in (h.us[eid], h.vs[eid]))
+    inner = set()
+    for arcs in cert.paths.values():
+        heads = [cert.arcs[eid][1] for eid in arcs]
+        inner |= set(heads[:-1]) - {heads[-1]}
+    return all(
+        d_out[v] == 1 and d_in[v] == h.degree(v) - d_q[v] - 1 for v in cert.q_vertices
+    ) and all(d_out[x] == 1 for x in inner)
+
+
+def _mutant(h: Multigraph, cert: GoodSubgraphCertificate, rng: random.Random):
+    """cert after one to three random edits of its orientation, E, paths or
+    Q; then, each three times in four, E is set to the new Q's boundary
+    plus the arcs it kept, and every path is re-walked along the out-arcs
+    from its start."""
+    us, vs = h.us, h.vs
+    arcs, paths = dict(cert.arcs), {v: list(p) for v, p in cert.paths.items()}
+    q_edges = set(cert.q_edges)
+    for _ in range(rng.randint(1, 3)):
+        kind, eid = rng.randrange(5), rng.randrange(h.m)
+        starts = sorted(paths)
+        if kind == 0 and eid in arcs:  # reverse an arc
+            arcs[eid] = arcs[eid][::-1]
+        elif kind == 1:  # move a final arc onto another path
+            a, b = rng.choice(starts), rng.choice(starts)
+            if paths[a]:
+                paths[b].append(paths[a].pop())
+        elif kind == 2 and eid not in q_edges:  # an arc more, at some path's end
+            arcs[eid] = rng.choice([(us[eid], vs[eid]), (vs[eid], us[eid])])
+            paths[rng.choice(starts)].append(eid)
+        elif kind == 3:  # a path loses its final arc
+            p = paths[rng.choice(starts)]
+            if p:
+                arcs.pop(p.pop(), None)
+        elif kind == 4:  # Q gains or loses an edge
+            q_edges ^= {eid}
+    q_vertices = {x for e in q_edges for x in (us[e], vs[e])} or set(cert.q_vertices)
+    paths = {x: paths.get(x, []) for x in q_vertices}
+    if rng.random() < 0.75:
+        for eid in q_edges:
+            arcs.pop(eid, None)
+        for eid in range(h.m):
+            if eid not in q_edges and eid not in arcs and {us[eid], vs[eid]} & q_vertices:
+                arcs[eid] = rng.choice([(us[eid], vs[eid]), (vs[eid], us[eid])])
+    if rng.random() < 0.75:
+        out = {t: eid for eid, (t, _) in sorted(arcs.items())}
+        for x in paths:
+            walk, y, seen = paths[x], x, {x}
+            walk.clear()
+            while y in out and out[y] not in walk:
+                walk.append(out[y])
+                y = arcs[out[y]][1]
+                if y in seen:
+                    break
+                seen.add(y)
+    return GoodSubgraphCertificate(
+        q_vertices=frozenset(q_vertices),
+        q_edges=frozenset(q_edges),
+        e_set=frozenset(arcs),
+        arcs=arcs,
+        paths={x: tuple(p) for x, p in paths.items()},
+    )
+
+
+def _check_implied_clauses(h: Multigraph, cert: GoodSubgraphCertificate, rng, tries: int):
+    """Verify tries mutants of cert on h; each that passes every clause
+    before conditions (2) and (3) must meet the implied clauses.  Returns
+    the distinct mutants accepted."""
+    accepted = set()
+    for _ in range(tries):
+        mutant = _mutant(h, cert, rng)
+        ok, why = verify_good_certificate(h, mutant)
+        if ok or why.startswith("condition"):
+            assert _implied_clauses_hold(h, mutant), mutant
+        if ok:
+            accepted.add((mutant.q_edges, frozenset(mutant.arcs.items()), frozenset(mutant.paths.items())))
+    return accepted
+
+
+def test_verifier_implies_condition_1_on_mutants_of_p6():
+    # the verifier has no clause for condition (1) or for out-degree at
+    # inner vertices (its docstring proves them implied)
+    accepted = _check_implied_clauses(P6_PLUS, p6_certificate(), random.Random(2026), 3000)
+    # p6_certificate() and its variant whose path at 2 ends in the loop at 1
+    assert len(accepted) == 2
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(multigraphs(6, 8), st.randoms(use_true_random=False))
+def test_verifier_implies_condition_1_on_mutants_of_found_certificates(h, rng):
+    if any(h.degree(v) == 0 for v in range(h.n)):
+        return
+    cert = find_good_subgraph(h)
+    if cert is not None:
+        _check_implied_clauses(h, cert, rng, 40)
 
 
 def test_find_examples():

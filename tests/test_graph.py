@@ -10,7 +10,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import dpdp.graph
-from dpdp._canon import classes_by_isomorphism
+from dpdp._canon import is_isomorphic
 from dpdp.catalog import complete, corona, cycle, path, star
 from dpdp.cli import _graph_json, _labeling_json, _pair_json
 from dpdp.domination import enumerate_dp_pairs
@@ -378,7 +378,7 @@ def test_engines_build_no_edge_records(monkeypatch):
         g, lab = build_s2(h)
         g = read_edge_list(write_edge_list(g))
         write_dot(corona(h))
-        assert len(classes_by_isomorphism([g, g])) == 1
+        assert is_isomorphic(g, g)
         assert invert_s2(g) is not None
         _labeling_json(lab)
         for pair in enumerate_dp_pairs(g, 10):
