@@ -35,15 +35,19 @@ _EXPORTS = {
         "is_dpdp",
         "enumerate_dp_pairs",
     ),
-    "subdivision": ("S2Labeling", "build_s2", "canonical_dp_pair", "invert_s2", "is_2_subdivision"),
+    "subdivision": (
+        "S2Labeling",
+        "build_s2",
+        "canonical_dp_pair",
+        "invert_s2",
+        "is_2_subdivision",
+        "reduce_via_good_subgraph",
+    ),
     "goodsub": (
         "GoodSubgraphCertificate",
-        "ReductionPlan",
         "edge_boundary",
         "verify_good_certificate",
         "find_good_subgraph",
-        "reduce_via_good_subgraph",
-        "apply_reduction",
     ),
     "minimality": (
         "MinimalityReport",

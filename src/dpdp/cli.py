@@ -47,11 +47,12 @@ from json.encoder import encode_basestring_ascii as _escape
 
 from . import __version__
 
-# engines in the eager package init's old load order: peak RSS moves with import order
+# engines in the order they load (subdivision loads goodsub): peak RSS
+# moves with import order
 from .graph import Multigraph, read_edge_list, read_graph6, write_dot, write_edge_list
 from .domination import DpPair, enumerate_dp_pairs, find_dp_pair
-from .subdivision import S2Labeling, build_s2, invert_s2
 from .goodsub import find_good_subgraph
+from .subdivision import S2Labeling, build_s2, invert_s2
 from .minimality import _pairs_and_witness, xcheck
 
 

@@ -489,10 +489,7 @@ def _dp_search(g: Multigraph) -> Callable[..., list[DpPair]]:
         a, b = g.us[skip], g.vs[skip]
         # a and b stop being plain neighbours unless a parallel edge remains;
         # only their rows and counters change
-        cut = a != b and not any(
-            eid != skip and (g.us[eid] == b or g.vs[eid] == b)
-            for eid in g.incident_edges(a)
-        )
+        cut = a != b and _matching(g, frozenset((a, b)), skip) is None
         if cut:
             rows = nbrs[a], nbrs[b]
             nbrs[a] = [w for w in rows[0] if w != b]

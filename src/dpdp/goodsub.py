@@ -1,4 +1,4 @@
-"""Good subgraphs: certificates, exhaustive search, constructive reduction.
+"""Good subgraphs: certificates, their verifier and the exhaustive search.
 
 A good subgraph of a host H is a subgraph Q (no isolated vertex) together
 with an edge set E between the boundary of Q and all of E_H - E_Q, an
@@ -13,9 +13,11 @@ and satisfy three degree conditions:
 Degrees here count arcs only; an oriented loop may appear solely as the
 final arc of a path and adds 1 to both the out- and in-degree of its
 vertex.  Out-degree is capped at 1 globally.  The existence of a good
-subgraph certifies that the 2-subdivision graph of H is not minimal; the
-reduction below turns a certificate into an explicit proper spanning
-subgraph with a verifying DP-pair.
+subgraph certifies that the 2-subdivision graph of H is not minimal;
+subdivision.reduce_via_good_subgraph turns a certificate into an explicit
+proper spanning subgraph with a verifying DP-pair.  This module imports
+only graph, so its verdict stays independent of the DP-pair search that
+the other two minimality tests run.
 
 find_good_subgraph walks the candidate Q sets in a fixed order and runs
 one path search per set, except on sets that break a counting bound and
@@ -27,7 +29,8 @@ any part of it has that many.  The walk cuts a prefix of Q as soon as
 its S fails this, so most Q sets are never built.  The first good set,
 and so the certificate, is the one a search of every set would give.
 One function, _search_paths, decides a single Q set from the host and
-the Q edges alone, for the walk and for _read_certificate alike.
+the Q edges alone, for the walk and for subdivision._read_certificate
+alike.
 
 The path search is one loop over an explicit stack of frames, one per
 vertex a path stands on, so a path may be as long as memory allows, not
@@ -38,9 +41,7 @@ from __future__ import annotations
 
 from collections.abc import Iterable
 
-from .domination import DpPair, dp_pair_problem, is_dp_pair
 from .graph import Multigraph, _Record
-from .subdivision import S2Labeling, build_s2
 
 
 class GoodSubgraphCertificate(_Record):
@@ -53,18 +54,6 @@ class GoodSubgraphCertificate(_Record):
     e_set: frozenset[int]
     arcs: dict[int, tuple[int, int]]  # edge id -> (tail, head)
     paths: dict[int, tuple[int, ...]]  # Q-vertex -> arc ids in order
-
-
-class ReductionPlan(_Record):
-    """Edges to remove from the 2-subdivision plus the DP-pair of the
-    reduced graph (matching ids refer to the reduced graph)."""
-
-    __slots__ = ("removed_edges", "d_prime", "p_prime", "matching")
-    __match_args__ = __slots__
-    removed_edges: frozenset[int]
-    d_prime: frozenset[int]
-    p_prime: frozenset[int]
-    matching: tuple[int, ...]
 
 
 def edge_boundary(h: Multigraph, q_edges: Iterable[int]) -> frozenset[int]:
@@ -517,144 +506,3 @@ def _search_paths(h: Multigraph, q_edges: frozenset[int]) -> GoodSubgraphCertifi
                 out_left += 1 + (out_of[pos] >= 0)
                 pending += pos > v and pos in q_vertices
     return None
-
-
-def _read_certificate(lab: S2Labeling, d: frozenset[int]) -> GoodSubgraphCertificate | None:
-    """A verified good-subgraph certificate of lab.base read off the D of a
-    DP-pair of a spanning subgraph of the 2-subdivision lab labels, or None.
-
-    Q is the set of base edges whose two new vertices both lie in D, as
-    every Q-edge's do in the pair reduce_via_good_subgraph builds, and
-    _search_paths decides that one Q.  A None says nothing about the
-    base; the caller falls back to find_good_subgraph.
-
-    That the read Q is good is observed, not proved.  With D from the
-    witness pair of deletion_witness's scan (minimality._first_deletion),
-    the read never missed on a non-minimal base: the 10,639 of
-    simple_n8.g6, the 793 of simple_n7.g6, the 310 connected multigraphs
-    with up to 6 edges (loops included), the 85 connected cubic graphs on
-    12 vertices, the 365 trees with up to 12 vertices, both bases of
-    hard_goodsub14.g6, 425 of 480 connected G(n, p) draws with 9 to 14
-    vertices and p from 0.15 to 0.45, and the S2 graphs of 69 random trees
-    with some alpha above 1.  The tests pin the 793, 310, 85 and 365.
-    """
-    h = lab.base
-    new = lab.new_vertex
-    q_edges = frozenset(eid for eid in range(h.m) if new[(eid, 1)] in d and new[(eid, 2)] in d)
-    return _search_paths(h, q_edges)
-
-
-def _normalize_certificate(
-    h: Multigraph, cert: GoodSubgraphCertificate
-) -> GoodSubgraphCertificate:
-    """Drop terminal loop arcs sitting at non-Q vertices.
-
-    Such loops are never in the Q boundary, so the shortened certificate
-    is still valid for the same Q, and afterwards every vertex with an
-    outgoing arc has all of its non-Q edges oriented, which the reduction
-    formulas rely on.
-    """
-    drop: set[int] = set()
-    paths = dict(cert.paths)
-    for v, arcs in cert.paths.items():
-        last = arcs[-1]
-        t, head = cert.arcs[last]
-        if t == head and t not in cert.q_vertices:
-            drop.add(last)
-            paths[v] = arcs[:-1]
-    if not drop:
-        return cert
-    out = GoodSubgraphCertificate(
-        q_vertices=cert.q_vertices,
-        q_edges=cert.q_edges,
-        e_set=cert.e_set - drop,
-        arcs={e: a for e, a in cert.arcs.items() if e not in drop},
-        paths=paths,
-    )
-    ok, why = verify_good_certificate(h, out)
-    assert ok, f"normalised certificate stopped verifying: {why}"
-    return out
-
-
-def reduce_via_good_subgraph(
-    h: Multigraph, alpha: dict[int, int] | None, cert: GoodSubgraphCertificate
-) -> ReductionPlan:
-    """Materialise the certificate as a reduction of the 2-subdivision:
-    remove the middle edge of every Q-edge gadget and the third edge of
-    every last-arc gadget, then return the DP-pair of the reduced graph.
-
-    The plan's sets refer to build_s2(h, alpha); the matching uses the
-    edge ids of the reduced graph.  Raises if the certificate is invalid.
-    An arc (t, head) on edge e leaves e's gadget by side 1, the side at
-    e's stored first end us[e], exactly when t is that end, and enters it
-    by the other side; so a loop arc leaves by side 1 and enters by side 2.
-    """
-    ok, why = verify_good_certificate(h, cert)
-    if not ok:
-        raise ValueError(f"certificate fails verification: {why}")
-    cert = _normalize_certificate(h, cert)
-    g, lab = build_s2(h, alpha)
-    leaves = h.leaves()
-    us, vs = h.us, h.vs
-
-    removed: set[int] = set()
-    for eid in cert.q_edges:
-        removed.add(lab.middle_edge[eid])
-    last_arcs = {cert.paths[v][-1] for v in cert.q_vertices}
-
-    d_out = [0] * h.n
-    for t, head in cert.arcs.values():
-        d_out[t] += 1
-    h0_vertices = [x for x in range(h.n) if d_out[x] == 0]
-    h0_edges = [
-        eid
-        for eid in range(h.m)
-        if eid not in cert.e_set
-        and eid not in cert.q_edges
-        and d_out[us[eid]] == 0
-        and d_out[vs[eid]] == 0
-    ]
-
-    d_prime: set[int] = set()
-    p_prime: set[int] = set()
-    matching_old: list[int] = []
-    for x in h0_vertices:
-        if x in leaves:
-            d_prime.update(lab.copy_vertices[x])
-        else:
-            d_prime.add(lab.old_vertex[x])
-    for eid, (t, head) in cert.arcs.items():
-        tail_side = 1 if t == us[eid] else 2
-        head_side = 3 - tail_side
-        d_prime.add(lab.new_vertex[(eid, head_side)])
-        p_prime.add(lab.old_vertex[t])
-        p_prime.add(lab.new_vertex[(eid, tail_side)])
-        matching_old.append(lab.attach_edges[(eid, tail_side)][0])
-        if eid in last_arcs:
-            removed.add(lab.attach_edges[(eid, head_side)][0])
-    for eid in cert.q_edges:
-        d_prime.add(lab.new_vertex[(eid, 1)])
-        d_prime.add(lab.new_vertex[(eid, 2)])
-    for eid in h0_edges:
-        p_prime.add(lab.new_vertex[(eid, 1)])
-        p_prime.add(lab.new_vertex[(eid, 2)])
-        matching_old.append(lab.middle_edge[eid])
-
-    assert not d_prime & p_prime and len(d_prime) + len(p_prime) == g.n
-    reduced, id_map = g.delete_edges(removed)
-    matching = tuple(sorted(id_map[eid] for eid in matching_old))
-    pair = DpPair(frozenset(d_prime), frozenset(p_prime), matching)
-    assert is_dp_pair(reduced, pair), dp_pair_problem(reduced, pair)
-    return ReductionPlan(
-        removed_edges=frozenset(removed),
-        d_prime=pair.d,
-        p_prime=pair.p,
-        matching=matching,
-    )
-
-
-def apply_reduction(g_s2: Multigraph, plan: ReductionPlan) -> Multigraph:
-    """The reduced graph the plan's DP-pair lives in."""
-    reduced, _ = g_s2.delete_edges(plan.removed_edges)
-    return reduced
-

@@ -28,9 +28,9 @@ digests), not by each xcheck.
 from __future__ import annotations
 
 from .domination import DpPair, _dp_search, dp_pair_problem, is_dominating, is_dp_pair
-from .goodsub import GoodSubgraphCertificate, _read_certificate, find_good_subgraph
+from .goodsub import GoodSubgraphCertificate, find_good_subgraph
 from .graph import Multigraph, _Record, is_cycle_graph
-from .subdivision import S2Labeling, build_s2, canonical_dp_pair, invert_s2
+from .subdivision import S2Labeling, _read_certificate, build_s2, canonical_dp_pair, invert_s2
 
 
 class MinimalityReport(_Record):

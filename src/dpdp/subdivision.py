@@ -15,6 +15,13 @@ induce a perfect matching (one pair per base edge).  So a shortest path
 from a set of old-or-copy vertices that holds every leaf crosses whole
 gadgets (old, new, new, old): a vertex is old-or-copy iff its distance
 from such a set is a multiple of 3.
+
+The two bridges between a base's good subgraphs and DP-pairs of its
+2-subdivision live here too, since both read the gadget layout:
+reduce_via_good_subgraph turns a certificate into a proper spanning
+subgraph with a verifying DP-pair, and _read_certificate reads a
+certificate off the D of a DP-pair.  So this module loads goodsub, and
+goodsub loads no other engine.
 """
 
 from __future__ import annotations
@@ -22,7 +29,8 @@ from __future__ import annotations
 from collections.abc import Callable
 from itertools import chain
 
-from .domination import DpPair
+from .domination import DpPair, dp_pair_problem, has_perfect_matching_on, is_dp_pair
+from .goodsub import GoodSubgraphCertificate, _search_paths, verify_good_certificate
 from .graph import MAX_EDGE_LIST_VERTICES, Multigraph, _Record
 
 Tag = tuple  # ("old", v) | ("copy", leaf, i) | ("new", edge, side)
@@ -62,13 +70,11 @@ class S2Labeling(_Record):
         return frozenset(i for i, t in enumerate(self.provenance) if t[0] == "new")
 
     def vertex_of(self, tag: Tag) -> int:
-        if tag[0] == "old":
-            return self.old_vertex[tag[1]]
-        if tag[0] == "copy":
-            return self.copy_vertices[tag[1]][tag[2] - 1]
-        if tag[0] == "new":
-            return self.new_vertex[(tag[1], tag[2])]
-        raise ValueError(f"unknown tag {tag!r}")
+        """The vertex that carries tag; ValueError for a tag no vertex carries."""
+        try:
+            return self.provenance.index(tag)
+        except ValueError:
+            raise ValueError(f"unknown tag {tag!r}") from None
 
 
 def _complete_alpha(h: Multigraph, alpha: dict[int, int] | None) -> dict[int, int]:
@@ -303,3 +309,150 @@ def invert_s2(
 def is_2_subdivision(g: Multigraph) -> bool:
     """True iff g is the 2-subdivision graph of some base graph."""
     return invert_s2(g) is not None
+
+
+# -- good subgraphs in the 2-subdivision ---------------------------------------
+
+
+def _normalize_certificate(
+    h: Multigraph, cert: GoodSubgraphCertificate
+) -> GoodSubgraphCertificate:
+    """Drop terminal loop arcs sitting at non-Q vertices.
+
+    Such loops are never in the Q boundary, so the shortened certificate
+    is still valid for the same Q, and afterwards every vertex with an
+    outgoing arc has all of its non-Q edges oriented, which the reduction
+    formulas rely on.
+    """
+    drop: set[int] = set()
+    paths = dict(cert.paths)
+    for v, arcs in cert.paths.items():
+        last = arcs[-1]
+        t, head = cert.arcs[last]
+        if t == head and t not in cert.q_vertices:
+            drop.add(last)
+            paths[v] = arcs[:-1]
+    if not drop:
+        return cert
+    out = GoodSubgraphCertificate(
+        q_vertices=cert.q_vertices,
+        q_edges=cert.q_edges,
+        e_set=cert.e_set - drop,
+        arcs={e: a for e, a in cert.arcs.items() if e not in drop},
+        paths=paths,
+    )
+    ok, why = verify_good_certificate(h, out)
+    assert ok, f"normalised certificate stopped verifying: {why}"
+    return out
+
+
+def reduce_via_good_subgraph(
+    h: Multigraph, alpha: dict[int, int] | None, cert: GoodSubgraphCertificate
+) -> tuple[frozenset[int], DpPair]:
+    """Materialise the certificate as a reduction of the 2-subdivision:
+    remove the middle edge of every Q-edge gadget and the third edge of
+    every last-arc gadget.  Returns the removed edges, as edge ids of
+    build_s2(h, alpha), and a DP-pair of the reduced graph, the first
+    graph build_s2(h, alpha)[0].delete_edges(removed) returns, in its edge
+    ids.  Raises if the certificate is invalid.  An arc (t, head) on edge
+    e leaves e's gadget by side 1, the side at e's stored first end us[e],
+    exactly when t is that end, and enters it by the other side; so a loop
+    arc leaves by side 1 and enters by side 2.
+
+    D' holds the head-side new vertex of every arc, both new vertices of
+    every Q-edge, and every vertex of the H0 part (the base vertices with
+    no out-arc, as old vertices or all their leaf copies).  P' holds every
+    arc tail's old vertex (a tail is no leaf: a leaf is neither a Q-vertex
+    nor an inner vertex), the tail-side new vertex of every arc, and both
+    new vertices of every H0 edge (a non-arc edge between H0 vertices).
+    The matching is has_perfect_matching_on(reduced, P'), and it is the
+    only perfect matching of the subgraph P' induces:
+    - an arc tail's only P' neighbour is the tail-side new vertex of its
+      one out-arc (after _normalize_certificate every non-Q edge at a
+      tail is an arc, and each of its other arcs enters it);
+    - that new vertex's other neighbour is the head-side new vertex, which
+      is in D';
+    - the two new vertices of an H0 edge have only each other in P',
+      because their old ends have no out-arc and are in D'.
+    So the subgraph P' induces is itself a perfect matching, and S2 is
+    simple, so the matcher returns exactly those edges.
+    """
+    ok, why = verify_good_certificate(h, cert)
+    if not ok:
+        raise ValueError(f"certificate fails verification: {why}")
+    cert = _normalize_certificate(h, cert)
+    g, lab = build_s2(h, alpha)
+    leaves = h.leaves()
+    us, vs = h.us, h.vs
+
+    removed: set[int] = set()
+    for eid in cert.q_edges:
+        removed.add(lab.middle_edge[eid])
+    last_arcs = {cert.paths[v][-1] for v in cert.q_vertices}
+
+    d_out = [0] * h.n
+    for t, head in cert.arcs.values():
+        d_out[t] += 1
+    h0_vertices = [x for x in range(h.n) if d_out[x] == 0]
+    h0_edges = [
+        eid
+        for eid in range(h.m)
+        if eid not in cert.e_set
+        and eid not in cert.q_edges
+        and d_out[us[eid]] == 0
+        and d_out[vs[eid]] == 0
+    ]
+
+    d_prime: set[int] = set()
+    p_prime: set[int] = set()
+    for x in h0_vertices:
+        if x in leaves:
+            d_prime.update(lab.copy_vertices[x])
+        else:
+            d_prime.add(lab.old_vertex[x])
+    for eid, (t, head) in cert.arcs.items():
+        tail_side = 1 if t == us[eid] else 2
+        head_side = 3 - tail_side
+        d_prime.add(lab.new_vertex[(eid, head_side)])
+        p_prime.add(lab.old_vertex[t])
+        p_prime.add(lab.new_vertex[(eid, tail_side)])
+        if eid in last_arcs:
+            removed.add(lab.attach_edges[(eid, head_side)][0])
+    for eid in cert.q_edges:
+        d_prime.add(lab.new_vertex[(eid, 1)])
+        d_prime.add(lab.new_vertex[(eid, 2)])
+    for eid in h0_edges:
+        p_prime.add(lab.new_vertex[(eid, 1)])
+        p_prime.add(lab.new_vertex[(eid, 2)])
+
+    assert not d_prime & p_prime and len(d_prime) + len(p_prime) == g.n
+    reduced = g.delete_edges(removed)[0]
+    p = frozenset(p_prime)
+    pair = DpPair(frozenset(d_prime), p, has_perfect_matching_on(reduced, p))
+    assert is_dp_pair(reduced, pair), dp_pair_problem(reduced, pair)
+    return frozenset(removed), pair
+
+
+def _read_certificate(lab: S2Labeling, d: frozenset[int]) -> GoodSubgraphCertificate | None:
+    """A verified good-subgraph certificate of lab.base read off the D of a
+    DP-pair of a spanning subgraph of the 2-subdivision lab labels, or None.
+
+    Q is the set of base edges whose two new vertices both lie in D, as
+    every Q-edge's do in the pair reduce_via_good_subgraph builds, and
+    goodsub._search_paths decides that one Q.  A None says nothing about
+    the base; the caller falls back to find_good_subgraph.
+
+    That the read Q is good is observed, not proved.  With D from the
+    witness pair of deletion_witness's scan (minimality._first_deletion),
+    the read never missed on a non-minimal base: the 10,639 of
+    simple_n8.g6, the 793 of simple_n7.g6, the 310 connected multigraphs
+    with up to 6 edges (loops included), the 85 connected cubic graphs on
+    12 vertices, the 365 trees with up to 12 vertices, both bases of
+    hard_goodsub14.g6, 425 of 480 connected G(n, p) draws with 9 to 14
+    vertices and p from 0.15 to 0.45, and the S2 graphs of 69 random trees
+    with some alpha above 1.  The tests pin the 793, 310, 85 and 365.
+    """
+    h = lab.base
+    new = lab.new_vertex
+    q_edges = frozenset(eid for eid in range(h.m) if new[(eid, 1)] in d and new[(eid, 2)] in d)
+    return _search_paths(h, q_edges)

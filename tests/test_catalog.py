@@ -76,7 +76,9 @@ def test_generalized_corona():
 
 def test_family_parameter_validation():
     for bad in (lambda: path(0), lambda: cycle(0), lambda: star(0),
-                lambda: double_star(0, 1), lambda: complete_bipartite(0, 2)):
+                lambda: double_star(0, 1), lambda: complete_bipartite(0, 2),
+                lambda: complete(0), lambda: random_tree(0, random.Random(0)),
+                lambda: enumerate_trees(0)):
         with pytest.raises(ValueError):
             bad()
 
@@ -223,6 +225,10 @@ def test_graph6_rejects():
         read_graph6("Bwx")  # trailing bytes
     with pytest.raises(ValueError):
         read_graph6("~??")  # long-form size not supported
+    with pytest.raises(ValueError, match="malformed graph6 size byte"):
+        read_graph6("=")
+    with pytest.raises(ValueError, match="graph6 byte out of range"):
+        read_graph6("A>")
 
 
 def test_graph6_header_tolerated():

@@ -214,6 +214,10 @@ def test_s2_alpha_flag(tmp_path, capsys):
     code, out = run_cli(capsys, "s2", str(f), "--alpha", "0:2,1:3")
     assert code == 0
     assert out.splitlines()[0] == "7 6"
+    # blank entries are skipped
+    code, out = run_cli(capsys, "s2", str(f), "--alpha", " , 0:2 ,")
+    assert code == 0
+    assert out.splitlines()[0] == "5 4"
 
 
 def test_s2_alpha_names_each_leaf_once(tmp_path, capsys):
@@ -416,6 +420,7 @@ def test_graph6_errors_name_the_line(tmp_path, capsys, monkeypatch, workers):
     check_g6, s2_g6 = ["check", "--format", "g6"], ["s2", "--format", "g6"]
     cases = [
         (["xcheck"], [good, good, "", disconnected], "line 4: xcheck needs a connected base graph"),
+        (["xcheck"], ["@"], "line 1: xcheck base graph must have no isolated vertex"),  # K1
         (["xcheck"], [good, "", good, disconnected, cut],
          "line 5: graph6 body has 0 bytes, expected 1"),
         (["survey"], [good, "", cut, good], "line 3: graph6 body has 0 bytes, expected 1"),

@@ -14,6 +14,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import dpdp.goodsub
+import dpdp.subdivision
 from dpdp.catalog import (
     complete,
     complete_bipartite,
@@ -29,15 +30,13 @@ from dpdp.catalog import (
 from dpdp.domination import DpPair, is_dp_pair, is_dpdp
 from dpdp.goodsub import (
     GoodSubgraphCertificate,
-    apply_reduction,
     edge_boundary,
     find_good_subgraph,
-    reduce_via_good_subgraph,
     verify_good_certificate,
 )
 from dpdp.graph import Multigraph, read_graph6, read_graph6_file, write_graph6
 from dpdp.minimality import is_minimal_by_deletion
-from dpdp.subdivision import build_s2
+from dpdp.subdivision import build_s2, reduce_via_good_subgraph
 
 from helpers import (
     based_alphas,
@@ -669,9 +668,9 @@ def test_long_paths_get_a_certificate():
     assert (cert.q_vertices, cert.q_edges) == ({0, 2}, {0})
     assert sorted(map(len, cert.paths.values())) == [601, 1201]
     assert verify_good_certificate(h, cert) == (True, None)
-    assert dpdp.goodsub._normalize_certificate(h, cert) is cert  # no end loops
+    assert dpdp.subdivision._normalize_certificate(h, cert) is cert  # no end loops
     # the reduction asserts that its pair is a DP-pair of the reduced graph
-    assert len(reduce_via_good_subgraph(h, None, cert).removed_edges) == 3
+    assert len(reduce_via_good_subgraph(h, None, cert)[0]) == 3
 
 
 def test_find_requires_no_isolated_vertex():
@@ -697,13 +696,27 @@ def test_every_swept_certificate_reduces(sweep_le5):
         if row["cert"] is None:
             continue
         h, g = row["h"], row["g"]
-        plan = reduce_via_good_subgraph(h, None, row["cert"])
-        assert plan.removed_edges
-        reduced = apply_reduction(g, plan)
-        assert reduced.n == g.n and reduced.m == g.m - len(plan.removed_edges)
-        assert is_dp_pair(reduced, DpPair(plan.d_prime, plan.p_prime, plan.matching))
+        removed, pair = reduce_via_good_subgraph(h, None, row["cert"])
+        assert removed
+        reduced = g.delete_edges(removed)[0]
+        assert reduced.n == g.n and reduced.m == g.m - len(removed)
+        assert is_dp_pair(reduced, pair)
         reduced_count += 1
     assert reduced_count > 0
+
+
+def reductions_digest(rows) -> tuple[int, str]:
+    """(count, SHA-256) over (removed edges, D', P', matching) of
+    reduce_via_good_subgraph(h, alpha, cert) for each (h, alpha, cert) of
+    rows, encoded as REDUCTION_PLANS_SHA256 is."""
+    digest = hashlib.sha256()
+    count = 0
+    for h, alpha, cert in rows:
+        removed, pair = reduce_via_good_subgraph(h, alpha, cert)
+        fields = (sorted(removed), sorted(pair.d), sorted(pair.p), pair.matching)
+        digest.update(repr(fields).encode() + b"\n")
+        count += 1
+    return count, digest.hexdigest()
 
 
 def test_reduction_plans_pinned():
@@ -711,22 +724,15 @@ def test_reduction_plans_pinned():
     # looped multigraphs, reduced with no leaf copies and with every leaf
     # doubled.  The certificates hold 314 loop arcs, each the last arc of
     # its path, which leave their gadget by side 1 and enter it by side 2
-    digest = hashlib.sha256()
-    count = 0
-    for h in [*enumerate_connected_multigraphs(6), *random_looped_multigraphs(800, seed=5)]:
-        cert = find_good_subgraph(h)
-        if cert is None:
-            continue
-        for alpha in (None, {v: 2 for v in h.leaves()}):
-            plan = reduce_via_good_subgraph(h, alpha, cert)
-            fields = (
-                sorted(plan.removed_edges), sorted(plan.d_prime), sorted(plan.p_prime),
-                plan.matching,
-            )
-            digest.update(repr(fields).encode() + b"\n")
-            count += 1
-    assert count == 1850
-    assert digest.hexdigest() == REDUCTION_PLANS_SHA256
+    hosts = [*enumerate_connected_multigraphs(6), *random_looped_multigraphs(800, seed=5)]
+    rows = (
+        (h, alpha, cert)
+        for h in hosts
+        for cert in [find_good_subgraph(h)]
+        if cert is not None
+        for alpha in (None, {v: 2 for v in h.leaves()})
+    )
+    assert reductions_digest(rows) == (1850, REDUCTION_PLANS_SHA256)
 
 
 def _with_end_loops(h: Multigraph, cert: GoodSubgraphCertificate):
@@ -760,10 +766,9 @@ def test_reduction_drops_end_loops_outside_q(multigraphs_le5):
             continue
         g, _ = build_s2(h)
         for longer in _with_end_loops(h, cert):
-            plan = reduce_via_good_subgraph(h, None, longer)
-            pair = DpPair(plan.d_prime, plan.p_prime, plan.matching)
-            assert is_dp_pair(apply_reduction(g, plan), pair)
-            assert plan == reduce_via_good_subgraph(h, None, cert)
+            removed, pair = reduce_via_good_subgraph(h, None, longer)
+            assert is_dp_pair(g.delete_edges(removed)[0], pair)
+            assert (removed, pair) == reduce_via_good_subgraph(h, None, cert)
             count += 1
     assert count == 28
 
@@ -777,12 +782,12 @@ def test_good_subgraph_iff_s2_not_minimal(h_alpha):
     cert = find_good_subgraph(h)
     assert (cert is None) == is_minimal_by_deletion(build_s2(h)[0])
     if cert is not None:
-        plan = reduce_via_good_subgraph(h, alpha, cert)
-        assert plan.removed_edges
-        reduced = apply_reduction(build_s2(h, alpha)[0], plan)
-        assert oracle_dominating(reduced, set(plan.d_prime))
-        assert oracle_dominating(reduced, set(plan.p_prime))
-        assert oracle_pairing_exists(reduced, set(plan.p_prime))
+        removed, pair = reduce_via_good_subgraph(h, alpha, cert)
+        assert removed
+        reduced = build_s2(h, alpha)[0].delete_edges(removed)[0]
+        assert oracle_dominating(reduced, set(pair.d))
+        assert oracle_dominating(reduced, set(pair.p))
+        assert oracle_pairing_exists(reduced, set(pair.p))
 
 
 def test_closed_walk_certificate_around_parallel_edges():
@@ -793,21 +798,19 @@ def test_closed_walk_certificate_around_parallel_edges():
     assert cert is not None
     ok, why = verify_good_certificate(h, cert)
     assert ok, why
-    plan = reduce_via_good_subgraph(h, None, cert)
+    removed, pair = reduce_via_good_subgraph(h, None, cert)
     g, _ = build_s2(h)
-    reduced = apply_reduction(g, plan)
-    assert is_dp_pair(reduced, DpPair(plan.d_prime, plan.p_prime, plan.matching))
+    assert is_dp_pair(g.delete_edges(removed)[0], pair)
 
 
 def test_reduce_p6():
     h = path(6)
-    plan = reduce_via_good_subgraph(h, None, p6_certificate())
+    removed, pair = reduce_via_good_subgraph(h, None, p6_certificate())
     g, _ = build_s2(h)
     assert g.n == 16
-    assert plan.removed_edges and len(plan.removed_edges) == 3
-    reduced = apply_reduction(g, plan)
+    assert type(removed) is frozenset and type(pair) is DpPair and len(removed) == 3
+    reduced = g.delete_edges(removed)[0]
     assert reduced.m == g.m - 3
-    pair = DpPair(plan.d_prime, plan.p_prime, plan.matching)
     assert is_dp_pair(reduced, pair)
     # the reduction splits S2(P6) = P16 into four 4-paths
     assert sorted(len(c) for c in reduced.connected_components()) == [4, 4, 4, 4]
@@ -817,11 +820,11 @@ def test_reduce_c4():
     h = cycle(4)
     cert = find_good_subgraph(h)
     assert cert is not None
-    plan = reduce_via_good_subgraph(h, None, cert)
+    removed, pair = reduce_via_good_subgraph(h, None, cert)
     g, _ = build_s2(h)
-    reduced = apply_reduction(g, plan)
+    reduced = g.delete_edges(removed)[0]
     assert reduced.m < g.m
-    assert is_dp_pair(reduced, DpPair(plan.d_prime, plan.p_prime, plan.matching))
+    assert is_dp_pair(reduced, pair)
     assert is_dpdp(reduced)
 
 
@@ -838,14 +841,12 @@ def test_reduce_with_empty_h0():
     )
     ok, why = verify_good_certificate(h, cert)
     assert ok, why
-    plan = reduce_via_good_subgraph(h, None, cert)
+    removed, pair = reduce_via_good_subgraph(h, None, cert)
     g, _ = build_s2(h)
-    reduced = apply_reduction(g, plan)
-    pair = DpPair(plan.d_prime, plan.p_prime, plan.matching)
-    assert is_dp_pair(reduced, pair)
+    assert is_dp_pair(g.delete_edges(removed)[0], pair)
     # empty H0 part: P' consists solely of arc gadget vertices (old tails
     # plus tail-side news), two per arc
-    assert len(plan.p_prime) == 2 * len(cert.e_set)
+    assert len(pair.p) == 2 * len(cert.e_set)
 
 
 def test_reduce_rejects_invalid_certificate():
@@ -857,10 +858,9 @@ def test_reduce_rejects_invalid_certificate():
 
 def test_reduce_respects_alpha():
     h = path(6)
-    plan = reduce_via_good_subgraph(h, {0: 3}, p6_certificate())
+    removed, pair = reduce_via_good_subgraph(h, {0: 3}, p6_certificate())
     g, _ = build_s2(h, {0: 3})
-    reduced = apply_reduction(g, plan)
-    assert is_dp_pair(reduced, DpPair(plan.d_prime, plan.p_prime, plan.matching))
+    assert is_dp_pair(g.delete_edges(removed)[0], pair)
 
 
 def test_tree_find_examples():

@@ -14,7 +14,7 @@ from dpdp._canon import is_isomorphic
 from dpdp.catalog import complete, corona, cycle, path, star
 from dpdp.cli import _graph_json, _labeling_json, _pair_json
 from dpdp.domination import enumerate_dp_pairs
-from dpdp.goodsub import find_good_subgraph, reduce_via_good_subgraph
+from dpdp.goodsub import find_good_subgraph
 from dpdp.graph import (
     EdgeRecord,
     Multigraph,
@@ -25,7 +25,7 @@ from dpdp.graph import (
     write_edge_list,
 )
 from dpdp.minimality import xcheck
-from dpdp.subdivision import build_s2, invert_s2
+from dpdp.subdivision import build_s2, invert_s2, reduce_via_good_subgraph
 
 
 def test_degree_loop_counts_twice():
@@ -142,6 +142,11 @@ def test_structure_predicates():
     assert is_cycle_graph(cycle(2))
     assert is_cycle_graph(cycle(8))
     assert not is_cycle_graph(path(3))
+    two_triangles = Multigraph(6, [(0, 1), (1, 2), (2, 0), (3, 4), (4, 5), (5, 3)])
+    for g in (Multigraph(0), cycle(2), Multigraph(4, [(0, 1), (2, 3)])):
+        assert not is_path_graph(g)
+    for g in (Multigraph(0), two_triangles):
+        assert not is_cycle_graph(g)
 
 
 def test_immutability():
@@ -170,6 +175,11 @@ def test_assignment_after_construction_raises():
 def test_edge_endpoint_validation():
     with pytest.raises(ValueError):
         Multigraph(2, [(0, 2)])
+    for bad in (lambda: Multigraph(-1), lambda: read_edge_list("-1 0\n")):
+        with pytest.raises(ValueError, match="vertex count must be >= 0"):
+            bad()
+    with pytest.raises(ValueError, match="bad edge line '0 x'"):
+        read_edge_list("2 1\n0 x\n")
 
 
 def test_equality_and_hash_ignore_edge_order():

@@ -25,7 +25,7 @@ from dpdp.catalog import (
     random_tree,
 )
 from dpdp.domination import _dp_search, enumerate_dp_pairs, is_dpdp
-from dpdp.goodsub import _read_certificate, find_good_subgraph, verify_good_certificate
+from dpdp.goodsub import find_good_subgraph, verify_good_certificate
 from dpdp.graph import Multigraph, read_graph6_file
 from dpdp.minimality import (
     _first_deletion,
@@ -38,7 +38,7 @@ from dpdp.minimality import (
     minimal_spanning_dpdp_subgraph,
     xcheck,
 )
-from dpdp.subdivision import build_s2, invert_s2
+from dpdp.subdivision import _read_certificate, build_s2, invert_s2
 
 from helpers import based_alphas, edge_list_text, multigraphs, oracle_dp_partitions, theta
 

@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 
 import dpdp.subdivision
 from dpdp._canon import is_isomorphic
-from dpdp.catalog import complete, cycle, double_star, path
+from dpdp.catalog import complete, cycle, double_star, path, star
 from dpdp.domination import is_dp_pair
 from dpdp.graph import (
     MAX_EDGE_LIST_VERTICES,
@@ -60,6 +60,15 @@ def test_build_errors():
         build_s2(path(2), {0: 0})
     with pytest.raises(ValueError):
         build_s2(path(3), {1: 2})  # vertex 1 is not a leaf
+
+
+def test_vertex_of_rejects_tags_no_vertex_carries():
+    # copy 0 and copy -1 once named copies 3 and 2 by negative indexing,
+    # and a missing new or old vertex raised KeyError
+    _, lab = build_s2(star(2), {1: 3})
+    for tag in (("copy", 1, 0), ("copy", 1, -1), ("new", 0, 0), ("old", 9), ("mid", 0)):
+        with pytest.raises(ValueError, match="unknown tag"):
+            lab.vertex_of(tag)
 
 
 def test_s2_order_is_bounded_by_the_edge_list_limit():

@@ -11,7 +11,7 @@ import pytest
 
 from dpdp.catalog import path
 from dpdp.domination import DpPair
-from dpdp.goodsub import GoodSubgraphCertificate, ReductionPlan, find_good_subgraph
+from dpdp.goodsub import GoodSubgraphCertificate, find_good_subgraph
 from dpdp.graph import Multigraph
 from dpdp.minimality import MinimalityReport, XcheckResult
 from dpdp.subdivision import S2Labeling, build_s2
@@ -37,12 +37,6 @@ CASES = [
          {1: (2, 1), 3: (3, 4)}, {2: (1,), 3: (3,)}),
         "GoodSubgraphCertificate(q_vertices=frozenset({2, 3}), q_edges=frozenset({2}), "
         "e_set=frozenset({1, 3}), arcs={1: (2, 1), 3: (3, 4)}, paths={2: (1,), 3: (3,)})",
-    ),
-    (
-        ReductionPlan,
-        (frozenset({4}), frozenset({0, 3}), frozenset({1, 2}), (1,)),
-        "ReductionPlan(removed_edges=frozenset({4}), d_prime=frozenset({0, 3}), "
-        "p_prime=frozenset({1, 2}), matching=(1,))",
     ),
     (
         MinimalityReport,
