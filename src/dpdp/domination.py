@@ -356,13 +356,7 @@ def _dp_search(g: Multigraph) -> Callable[..., list[DpPair]]:
         if masked is not None and masked[1] in key and masked[2] in key:
             skip, _, _, memo = masked
         if key not in memo:
-            # an unmasked matching keeps the public entry, so that a
-            # wrapper around it sees every matching made on g itself
-            memo[key] = (
-                has_perfect_matching_on(g, key)
-                if skip is None
-                else _matching(g, key, skip)
-            )
+            memo[key] = _matching(g, key, skip)
         return memo[key]
 
     def final_components_match(starts: list[int]) -> bool:

@@ -211,8 +211,10 @@ def _evaluate(
     """Every question once on g, whose 2-subdivision labeling is lab (None
     if g is none): g's DP-pair count capped at 2, the deletion verdict, a
     good-subgraph certificate of the base, and the good-subgraph and
-    uniqueness verdicts, which hold only on a connected non-empty base
-    (the Theorem).
+    uniqueness verdicts.  Those two speak for minimality only on a
+    connected non-empty base (the Theorem), and only there are they read:
+    xcheck refuses any other base, and classify reads them only when g
+    is connected with n >= 3, so that its base is too.
 
     On an S2 graph each "yes" is certified from the deletion witness and
     each "no" comes from an exhaustive search.  The canonical pair is
@@ -236,10 +238,9 @@ def _evaluate(
     canonical = canonical_dp_pair(lab)
     assert is_dp_pair(g, canonical), dp_pair_problem(g, canonical)
     witness, kept = _first_deletion(g, search, [])
-    base = lab.base
     cert = _read_certificate(lab, kept.d) if witness is not None else None
-    if cert is None and base.n:
-        cert = find_good_subgraph(base)
+    if cert is None:
+        cert = find_good_subgraph(lab.base)
     if witness is None:
         pairs = search(2)
         count = len(pairs)
@@ -248,10 +249,7 @@ def _evaluate(
     else:
         assert kept.partition() != canonical.partition()
         count = 2
-    theorem_applies = base.n > 0 and base.is_connected()
-    by_goodsub = theorem_applies and cert is None
-    by_unique = theorem_applies and (is_small_cycle_369(g) or count == 1)
-    return count, witness is None, cert, by_goodsub, by_unique
+    return count, witness is None, cert, cert is None, is_small_cycle_369(g) or count == 1
 
 
 def classify(g: Multigraph) -> MinimalityReport:

@@ -19,9 +19,9 @@ from such a set is a multiple of 3.
 The two bridges between a base's good subgraphs and DP-pairs of its
 2-subdivision live here too, since both read the gadget layout:
 reduce_via_good_subgraph turns a certificate into a proper spanning
-subgraph with a verifying DP-pair, and _read_certificate reads a
-certificate off the D of a DP-pair.  So this module loads goodsub, and
-goodsub loads no other engine.
+subgraph with a verifying DP-pair, whose P it builds and whose D is the
+rest, and _read_certificate reads a certificate off the D of a DP-pair.
+So this module loads goodsub, and goodsub loads no other engine.
 """
 
 from __future__ import annotations
@@ -314,38 +314,6 @@ def is_2_subdivision(g: Multigraph) -> bool:
 # -- good subgraphs in the 2-subdivision ---------------------------------------
 
 
-def _normalize_certificate(
-    h: Multigraph, cert: GoodSubgraphCertificate
-) -> GoodSubgraphCertificate:
-    """Drop terminal loop arcs sitting at non-Q vertices.
-
-    Such loops are never in the Q boundary, so the shortened certificate
-    is still valid for the same Q, and afterwards every vertex with an
-    outgoing arc has all of its non-Q edges oriented, which the reduction
-    formulas rely on.
-    """
-    drop: set[int] = set()
-    paths = dict(cert.paths)
-    for v, arcs in cert.paths.items():
-        last = arcs[-1]
-        t, head = cert.arcs[last]
-        if t == head and t not in cert.q_vertices:
-            drop.add(last)
-            paths[v] = arcs[:-1]
-    if not drop:
-        return cert
-    out = GoodSubgraphCertificate(
-        q_vertices=cert.q_vertices,
-        q_edges=cert.q_edges,
-        e_set=cert.e_set - drop,
-        arcs={e: a for e, a in cert.arcs.items() if e not in drop},
-        paths=paths,
-    )
-    ok, why = verify_good_certificate(h, out)
-    assert ok, f"normalised certificate stopped verifying: {why}"
-    return out
-
-
 def reduce_via_good_subgraph(
     h: Multigraph, alpha: dict[int, int] | None, cert: GoodSubgraphCertificate
 ) -> tuple[frozenset[int], DpPair]:
@@ -359,17 +327,28 @@ def reduce_via_good_subgraph(
     exactly when t is that end, and enters it by the other side; so a loop
     arc leaves by side 1 and enters by side 2.
 
-    D' holds the head-side new vertex of every arc, both new vertices of
-    every Q-edge, and every vertex of the H0 part (the base vertices with
-    no out-arc, as old vertices or all their leaf copies).  P' holds every
-    arc tail's old vertex (a tail is no leaf: a leaf is neither a Q-vertex
-    nor an inner vertex), the tail-side new vertex of every arc, and both
-    new vertices of every H0 edge (a non-arc edge between H0 vertices).
-    The matching is has_perfect_matching_on(reduced, P'), and it is the
-    only perfect matching of the subgraph P' induces:
-    - an arc tail's only P' neighbour is the tail-side new vertex of its
-      one out-arc (after _normalize_certificate every non-Q edge at a
-      tail is an arc, and each of its other arcs enters it);
+    A final loop arc at a vertex x outside Q is skipped, as no arc: its
+    one end is outside Q, so it lies outside the Q boundary, and its path
+    ends on its last arc still kept (a path starts at its Q-vertex, so it
+    never consists of that loop alone).  Every loop arc is final, so by the
+    out-degree cap a skipped loop was x's one out-arc.  A tail of a kept
+    arc is therefore a Q-vertex, whose non-Q edges form the Q boundary, or
+    an inner vertex of a path, whose in-degree d - 1 and one out-arc take
+    all its edges: every non-Q edge at a tail is a kept arc.
+
+    P' holds every tail's old vertex (a tail is no leaf: a leaf is neither
+    a Q-vertex nor an inner vertex), the tail-side new vertex of every arc,
+    and both new vertices of every H0 edge (an edge neither an arc nor in
+    Q, with no tail at either end; a skipped loop is one).  D' is the rest.
+    The lemma: D' holds exactly the head-side new vertex of every arc, both
+    new vertices of every Q-edge, and every vertex of the H0 part (the base
+    vertices with no out-arc, as old vertices or all their leaf copies),
+    because by the paragraph above every edge neither an arc nor in Q is
+    an H0 edge.  The matching is has_perfect_matching_on(reduced, P'), and
+    it is the only perfect matching of the subgraph P' induces:
+    - a tail's only P' neighbour is the tail-side new vertex of its one
+      out-arc (every non-Q edge at a tail is an arc, and each of its other
+      arcs enters it);
     - that new vertex's other neighbour is the head-side new vertex, which
       is in D';
     - the two new vertices of an H0 edge have only each other in P',
@@ -380,55 +359,29 @@ def reduce_via_good_subgraph(
     ok, why = verify_good_certificate(h, cert)
     if not ok:
         raise ValueError(f"certificate fails verification: {why}")
-    cert = _normalize_certificate(h, cert)
     g, lab = build_s2(h, alpha)
-    leaves = h.leaves()
     us, vs = h.us, h.vs
+    # arc -> tail, without the final loop arcs outside Q
+    arcs = {e: t for e, (t, head) in cert.arcs.items() if t != head or t in cert.q_vertices}
+    last_arcs = {p[-1] if p[-1] in arcs else p[-2] for p in cert.paths.values()}
+    tails = set(arcs.values())
 
-    removed: set[int] = set()
-    for eid in cert.q_edges:
-        removed.add(lab.middle_edge[eid])
-    last_arcs = {cert.paths[v][-1] for v in cert.q_vertices}
-
-    d_out = [0] * h.n
-    for t, head in cert.arcs.values():
-        d_out[t] += 1
-    h0_vertices = [x for x in range(h.n) if d_out[x] == 0]
-    h0_edges = [
-        eid
-        for eid in range(h.m)
-        if eid not in cert.e_set
-        and eid not in cert.q_edges
-        and d_out[us[eid]] == 0
-        and d_out[vs[eid]] == 0
-    ]
-
-    d_prime: set[int] = set()
+    removed = {lab.middle_edge[eid] for eid in cert.q_edges}
     p_prime: set[int] = set()
-    for x in h0_vertices:
-        if x in leaves:
-            d_prime.update(lab.copy_vertices[x])
-        else:
-            d_prime.add(lab.old_vertex[x])
-    for eid, (t, head) in cert.arcs.items():
+    for eid, t in arcs.items():
         tail_side = 1 if t == us[eid] else 2
-        head_side = 3 - tail_side
-        d_prime.add(lab.new_vertex[(eid, head_side)])
         p_prime.add(lab.old_vertex[t])
         p_prime.add(lab.new_vertex[(eid, tail_side)])
         if eid in last_arcs:
-            removed.add(lab.attach_edges[(eid, head_side)][0])
-    for eid in cert.q_edges:
-        d_prime.add(lab.new_vertex[(eid, 1)])
-        d_prime.add(lab.new_vertex[(eid, 2)])
-    for eid in h0_edges:
-        p_prime.add(lab.new_vertex[(eid, 1)])
-        p_prime.add(lab.new_vertex[(eid, 2)])
+            removed.add(lab.attach_edges[(eid, 3 - tail_side)][0])
+    for eid in range(h.m):
+        if eid not in arcs and eid not in cert.q_edges and tails.isdisjoint((us[eid], vs[eid])):
+            p_prime.add(lab.new_vertex[(eid, 1)])
+            p_prime.add(lab.new_vertex[(eid, 2)])
 
-    assert not d_prime & p_prime and len(d_prime) + len(p_prime) == g.n
     reduced = g.delete_edges(removed)[0]
     p = frozenset(p_prime)
-    pair = DpPair(frozenset(d_prime), p, has_perfect_matching_on(reduced, p))
+    pair = DpPair(frozenset(range(g.n)) - p, p, has_perfect_matching_on(reduced, p))
     assert is_dp_pair(reduced, pair), dp_pair_problem(reduced, pair)
     return frozenset(removed), pair
 

@@ -452,18 +452,18 @@ def test_dp_search_bytes_pinned():
 
 
 def test_dp_search_work_pinned(monkeypatch):
-    # every unmasked component matching goes through the public entry; a
-    # forcing rule that prunes more, or a found pair that decides a
-    # deletion without a masked search, may lower the count, never raise it
+    # the unmasked component matchings, those made on g itself; a forcing
+    # rule that prunes more, or a found pair that decides a deletion without
+    # a masked search, may lower the count, never raise it
     calls = 0
-    real = has_perfect_matching_on
+    real = _matching
 
-    def counted(g, s):
+    def counted(g, s, skip):
         nonlocal calls
-        calls += 1
-        return real(g, s)
+        calls += skip is None
+        return real(g, s, skip)
 
-    monkeypatch.setattr(dpdp.domination, "has_perfect_matching_on", counted)
+    monkeypatch.setattr(dpdp.domination, "_matching", counted)
     for n in range(2, 7):
         for h in enumerate_connected_simple(n):
             _pairs_and_witness(build_s2(h)[0], 2)

@@ -14,7 +14,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import dpdp.goodsub
-import dpdp.subdivision
 from dpdp.catalog import (
     complete,
     complete_bipartite,
@@ -668,7 +667,9 @@ def test_long_paths_get_a_certificate():
     assert (cert.q_vertices, cert.q_edges) == ({0, 2}, {0})
     assert sorted(map(len, cert.paths.values())) == [601, 1201]
     assert verify_good_certificate(h, cert) == (True, None)
-    assert dpdp.subdivision._normalize_certificate(h, cert) is cert  # no end loops
+    # no path ends in a loop at a vertex outside Q, which the reduction skips
+    ends = [cert.arcs[arcs[-1]] for arcs in cert.paths.values()]
+    assert all(t != head or t in cert.q_vertices for t, head in ends)
     # the reduction asserts that its pair is a DP-pair of the reduced graph
     assert len(reduce_via_good_subgraph(h, None, cert)[0]) == 3
 
@@ -757,8 +758,8 @@ def _with_end_loops(h: Multigraph, cert: GoodSubgraphCertificate):
 
 
 def test_reduction_drops_end_loops_outside_q(multigraphs_le5):
-    # the reduction first drops a final loop arc at a non-Q vertex, which
-    # gives back the certificate found and so the same plan
+    # the reduction skips a final loop arc at a non-Q vertex, so each
+    # longer certificate gives the plan of the certificate found
     count = 0
     for h in multigraphs_le5:
         cert = find_good_subgraph(h)
@@ -771,6 +772,33 @@ def test_reduction_drops_end_loops_outside_q(multigraphs_le5):
             assert (removed, pair) == reduce_via_good_subgraph(h, None, cert)
             count += 1
     assert count == 28
+
+
+# reductions_digest over every _with_end_loops variant of every certificate
+# found on enumerate_connected_multigraphs(6), then on
+# random_looped_multigraphs(800, seed=5), each with no leaf copies and with
+# every leaf doubled
+END_LOOP_PLANS = (
+    (278, "b5674fb2fc7389349a685cba743eac20a5ea68d14ecf49e01cb2e37519503cc0"),
+    (834, "c271087461666bf39e0ac7235ea35a8697c3a067a791d44cd821bfd9137eaead"),
+)
+
+
+def test_end_loop_reduction_plans_pinned():
+    # the skipped end loops on hosts with up to 6 edges and on looped hosts,
+    # where the 28 cases above reach only 5 edges
+    got = []
+    for hosts in (enumerate_connected_multigraphs(6), random_looped_multigraphs(800, seed=5)):
+        rows = (
+            (h, alpha, longer)
+            for h in hosts
+            for cert in [find_good_subgraph(h)]
+            if cert is not None
+            for longer in _with_end_loops(h, cert)
+            for alpha in (None, {v: 2 for v in h.leaves()})
+        )
+        got.append(reductions_digest(rows))
+    assert tuple(got) == END_LOOP_PLANS
 
 
 @settings(max_examples=400, deadline=None)
