@@ -175,20 +175,6 @@ def _same_orbit(v: int, seen: list[int], autos: list[list[int]], path: tuple) ->
     return any(u in orbit for u in seen)
 
 
-class _Node:
-    """A search-tree node and how far its children have been searched."""
-
-    __slots__ = ("path", "color", "cells", "target", "next", "seen")
-
-    def __init__(self, path: tuple, color: list[int], cells: int):
-        self.path = path  # individualized vertices, root first
-        self.color = color
-        self.cells = cells
-        self.target = _target_cell(color)
-        self.next = 0  # index into target of the next child
-        self.seen: list[int] = []  # children searched so far
-
-
 def _common_prefix(a: tuple, b: tuple) -> int:
     k = 0
     for x, y in zip(a, b):
@@ -276,28 +262,28 @@ def _automorphisms(
 
     first: tuple | None = None  # (form, path, colouring) of the first leaf
     autos: list[list[int]] = []
-    stack = [_Node((), color, cells)]  # stack[k] is at depth k
+    # stack[k] is the node at depth k: its individualized vertices, root
+    # first, its colouring, cell count, target cell vertices still to try,
+    # and the children searched so far
+    stack = [((), color, cells, iter(_target_cell(color)), [])]
     while stack:
-        node = stack[-1]
-        if node.next == len(node.target):
+        path, color, cells, todo, seen = stack[-1]
+        v = next(todo, None)
+        if v is None:
             stack.pop()
             continue
-        v = node.target[node.next]
-        node.next += 1
-        if node.seen and _same_orbit(v, node.seen, autos, node.path):
+        if seen and _same_orbit(v, seen, autos, path):
             continue
-        node.seen.append(v)
-        child, child_cells, inv = _refine(
-            _individualize(node.color, v), node.cells + 1, around
-        )
-        child_path = node.path + (v,)
+        seen.append(v)
+        child, child_cells, inv = _refine(_individualize(color, v), cells + 1, around)
+        child_path = path + (v,)
         depth = len(child_path)
         if first is None:
             trace.append(inv)
         elif depth == len(trace) or inv != trace[depth]:
             continue  # (depth == len(trace) only after a hash collision)
         if child_cells < n:
-            stack.append(_Node(child_path, child, child_cells))
+            stack.append((child_path, child, child_cells, iter(_target_cell(child)), []))
             continue
         form = _relabel(ends, child)
         if first is None:

@@ -24,13 +24,16 @@ A connected component of G[P] whose vertices have no unassigned
 neighbour is final: it is checked for a perfect matching as soon as it
 closes, and the branch is pruned if it has none.  The check walks a
 component only up to its first vertex with an unassigned neighbour.  A
-component that closes is pushed, with its matching, onto a record stack,
-tagged with the length of the assignment trail; undoing the trail to a
-mark drops the records tagged past it.  A final component stays final
-and is never walked again on its branch, since every vertex assigned
-later is no neighbour of it.  So a complete assignment has one record per
-component of G[P], and its matching is the union of theirs; P itself is
-read from the assignment, and the pair is re-verified.
+component that closes writes each of its matching edges at both ends,
+as the mate of each end.  At a complete assignment the pair's matching
+is the set of mates of the P-vertices, since each P-vertex's last write
+came from its current component's closing on the current branch: a
+final component stays final and is never walked again on its branch,
+since every vertex assigned later is no neighbour of it, and every
+component closed after it is disjoint from it; any earlier write came
+from a branch since undone, or from the core, and that closing
+overwrote it.  P itself is read from the assignment, and the pair is
+re-verified.
 
 The search is set up once per graph g.  Set-up settles every vertex from
 the empty assignment and propagates: the core, which every DP-pair of g
@@ -41,11 +44,12 @@ rows and counters change, and settling the two endpoints, propagation
 and the final-component check start there (a vertex the deletion
 isolates fails at once, and a new leaf and its support are forced by the
 same rules).  That check walks again every core component at or next to
-an end of e, whether it holds one or not, and pushes a new record for
-it; the pair's matching skips the core's record of such a component and
-takes the new one, which is the one that holds in G - e (losing e can
-split a component in two, each with its own record).  A masked search
-drops its own records on exit.  Only a core that survives is searched,
+an end of e, whether it holds one or not, and rewrites its mates with
+the matching that holds in G - e (losing e can split a component in
+two, each matched alone).  Every other core component holds neither end
+of e, so its core mates hold in G - e too.  A masked search ends by
+restoring the core's mates, which undoes the set-up's rewrites for the
+next question.  Only a core that survives is searched,
 in G - e's BFS order.  The lists are those of a search on the real G -
 e, in the same order: the depth-first search in a fixed vertex order, D
 before P, emits pairs in lexicographic order, and sound extra forcing
@@ -242,13 +246,14 @@ def _dp_search(g: Multigraph) -> Callable[..., list[DpPair]]:
     answers any sequence of questions.
 
     Every vertex keeps its neighbour counts per state.  Assigning a vertex
-    is one pass over its row: each neighbour's counts move and settle(),
-    which applies the DP rules at one vertex, checks it and pushes the
-    moves it forces at once; then the vertex itself is settled.  The
-    masked set-up settles the edge's two endpoints the same way.  Every
-    emitted pair is re-verified on its host, g or G - skip built at the
-    first hit, with is_dp_pair and the Obs 4.2 containments; a host's
-    leaves and supports are computed once, when the host is.
+    takes two passes over its row: the first moves every neighbour's
+    counts, the second runs settle(), which applies the DP rules at one
+    vertex, checks it and pushes the moves it forces, on each neighbour
+    with fewer than two unassigned neighbours; then the vertex itself is
+    settled.  The masked set-up settles the edge's two endpoints the same
+    way.  Every emitted pair is re-verified on its host, g or G - skip
+    built at a search's first hit, with is_dp_pair and the Obs 4.2
+    containments; a host's leaves and supports are computed with it.
     """
     n = g.n
     nbrs = [sorted(g.plain_neighbors(v)) for v in range(n)]
@@ -256,9 +261,9 @@ def _dp_search(g: Multigraph) -> Callable[..., list[DpPair]]:
     # cnt[v][s] = neighbours of v in state s (unassigned, D, P)
     cnt = [[len(row), 0, 0] for row in nbrs]
     trail: list[int] = []
-    # (trail length, vertices, matching) of every final P-component closed
-    # on the current branch, the core's first
-    closed: list[tuple[int, list[int], tuple[int, ...]]] = []
+    # mate[v] = the matching edge at v, written when v's final P-component
+    # closes
+    mate = [-1] * n
     # perfect matching (or None) of every final P-component met so far; a
     # component holding both ends of the masked edge is the only one whose
     # induced subgraph the mask changes, and it goes to that search's memo
@@ -313,9 +318,11 @@ def _dp_search(g: Multigraph) -> Callable[..., list[DpPair]]:
 
     def propagate(queue: list[tuple[int, int]]) -> bool:
         """Make the queued assignments with unit propagation; False on
-        contradiction.  Assigning x is one pass over x's row that moves
-        each neighbour's counters and settles it at once, then x itself
-        (x's own counters do not depend on its side)."""
+        contradiction.  Assigning x moves every neighbour's counters in one
+        pass over x's row, so undo() can take x back whichever settle
+        fails, then settles each neighbour left with fewer than two
+        unassigned neighbours, then x itself (x's own counters do not
+        depend on its side)."""
         while queue:
             x, s = queue.pop()
             if state[x] != _UNSET:
@@ -329,20 +336,12 @@ def _dp_search(g: Multigraph) -> Callable[..., list[DpPair]]:
                 c = cnt[y]
                 c[0] -= 1
                 c[s] += 1
-                if c[0] < 2 and not settle(y, queue):
-                    # finish x's counter moves, so that undo() can take x back
-                    for z in row[row.index(y) + 1 :]:
-                        c = cnt[z]
-                        c[0] -= 1
-                        c[s] += 1
+            for y in (*row, x):
+                if cnt[y][0] < 2 and not settle(y, queue):
                     return False
-            if cnt[x][0] < 2 and not settle(x, queue):
-                return False
         return True
 
     def undo(mark: int) -> None:
-        while closed and closed[-1][0] > mark:
-            closed.pop()
         while len(trail) > mark:
             x = trail.pop()
             s = state[x]
@@ -362,7 +361,8 @@ def _dp_search(g: Multigraph) -> Callable[..., list[DpPair]]:
     def final_components_match(starts: list[int]) -> bool:
         """False if a P-component at or next to a vertex of starts is final
         (none of its vertices has an unassigned neighbour) and has no
-        perfect matching; every other final one is pushed onto closed."""
+        perfect matching; every other final one writes its matching into
+        mate."""
         done: set[int] = set()
         for x in starts:
             for z in (x, *nbrs[x]):
@@ -383,7 +383,8 @@ def _dp_search(g: Multigraph) -> Callable[..., list[DpPair]]:
                     matching = None if len(comp) % 2 else component_matching(frozenset(comp))
                     if matching is None:
                         return False
-                    closed.append((len(trail), comp, matching))
+                    for eid in matching:
+                        mate[g.us[eid]] = mate[g.vs[eid]] = eid
                 done |= seen
         return True
 
@@ -392,11 +393,9 @@ def _dp_search(g: Multigraph) -> Callable[..., list[DpPair]]:
         depth-first order over the BFS order of the current rows, D before
         P; each is re-verified on the graph it describes."""
         # the graph every hit is re-verified on, with its leaves, supports
-        # and the map from g's edge ids to its own: g's, or G - skip's,
-        # built at the first hit
-        host = g_host if masked is None else None
-        # closed[:top] is the core's records, then the masked set-up's
-        top = len(closed)
+        # and the map from g's edge ids to its own (None for g): g, or
+        # G - skip, built at the first hit
+        host = None
         results: list[DpPair] = []
 
         def emit() -> None:
@@ -404,18 +403,12 @@ def _dp_search(g: Multigraph) -> Callable[..., list[DpPair]]:
             p = frozenset(v for v in range(n) if state[v] == _P)
             d = frozenset(range(n)) - p
             if host is None:
-                h, id_map = g.delete_edge(masked[0])
-                # the masked set-up closed again every core component at or
-                # next to an end of the edge; its records replace those
-                fresh = closed[ncore:top]
-                again = {v for _, comp, _ in fresh for v in comp}
-                base = [eid for _, comp, m in closed[:ncore] if comp[0] not in again for eid in m]
-                base += [eid for _, _, m in fresh for eid in m]
-                host = (h, h.leaves(), h.supports(), id_map, base)
-            h, leaves, supports, id_map, base = host
-            # every component of G[P] is final here and has one record, made
-            # when it closed
-            matching = base + [eid for _, _, m in closed[top:] for eid in m]
+                h, id_map = (g, None) if masked is None else g.delete_edge(masked[0])
+                host = (h, h.leaves(), h.supports(), id_map)
+            h, leaves, supports, id_map = host
+            # every component of G[P] is final here, and its closing on this
+            # branch wrote each P-vertex's mate last
+            matching = {mate[v] for v in p}
             if id_map is not None:
                 matching = [id_map[eid] for eid in matching]
             pair = DpPair(d, p, tuple(sorted(matching)))
@@ -501,7 +494,8 @@ def _dp_search(g: Multigraph) -> Callable[..., list[DpPair]]:
         )
         results = walk(cap) if ok else []
         undo(core)
-        del closed[ncore:]
+        # the set-up closed core components again without the edge
+        mate[:] = core_mate
         if cut:
             nbrs[a], nbrs[b] = rows
             cnt[a][state[b]] += 1
@@ -516,8 +510,7 @@ def _dp_search(g: Multigraph) -> Callable[..., list[DpPair]]:
         and propagate(queue)
         and final_components_match(trail)
     )
-    core, ncore = len(trail), len(closed)
-    g_host = (g, g.leaves(), g.supports(), None, [eid for _, _, m in closed for eid in m])
+    core, core_mate = len(trail), mate.copy()
     return search
 
 

@@ -320,10 +320,16 @@ def test_capped_search_is_a_prefix(g, k):
 # component {1, 2} again, next to 0 but holding neither end
 CLOSED_AGAIN = Multigraph(4, [(0, 0), (0, 1), (1, 2), (2, 3)])
 
+# masking edge 0, one of the parallel pair 3-5, matches the core component
+# {3, 5} again by edge 7; the later search on edge 3 must see the core's
+# mates, edge 0, restored
+MATES_RESTORED = Multigraph(6, [(5, 3), (4, 5), (3, 1), (2, 0), (0, 2), (1, 0), (1, 2), (3, 5)])
+
 
 @settings(max_examples=200, deadline=None)
 @given(multigraphs(max_n=9, max_m=14))
 @example(CLOSED_AGAIN)
+@example(MATES_RESTORED)
 def test_masked_search_equals_search_on_deleted_graph(g):
     search = _dp_search(g)
     for eid in range(g.m):
@@ -337,8 +343,8 @@ def test_masked_search_equals_search_on_deleted_graph(g):
 
 
 def test_masked_search_matches_a_core_component_closed_again_once():
-    # with the loop masked, emit takes {1, 2}'s matching from the masked
-    # set-up's record alone, not from the core's record too
+    # with the loop masked, the masked set-up writes {1, 2}'s mates again,
+    # and emit reads the pair's matching from them once
     pair = DpPair(frozenset({0, 3}), frozenset({1, 2}), (1,))
     assert _dp_search(CLOSED_AGAIN)(10, 0) == [pair]
     assert enumerate_dp_pairs(CLOSED_AGAIN.delete_edge(0)[0], 10) == [pair]
