@@ -233,9 +233,10 @@ def _orbit_minima(masks: Iterable[int], autos: list[list[int]]) -> Iterator[int]
 
     An automorphism maps a mask by one lookup per byte of the mask, in
     its _image_tables, built once per call (once per base): one table of
-    2^n entries when n <= 8, and one of at most 256 entries per byte
-    beyond.  One 2^n table for every n would cost more to build than it
-    saves on the n single-vertex masks of a tree."""
+    2^n entries when n <= 8, so the loop over the tables runs once, and
+    one of at most 256 entries per byte beyond.  One 2^n table for every
+    n would cost more to build than it saves on the n single-vertex masks
+    of a tree."""
     tables = [_image_tables(a) for a in autos]
     seen: set[int] = set()
     for mask in masks:
@@ -246,13 +247,10 @@ def _orbit_minima(masks: Iterable[int], autos: list[list[int]]) -> Iterator[int]
         while todo:
             x = todo.pop()
             for t in tables:
-                if len(t) == 1:
-                    y = t[0][x]
-                else:
-                    y = shift = 0
-                    for table in t:
-                        y |= table[x >> shift & 255]
-                        shift += 8
+                y = shift = 0
+                for table in t:
+                    y |= table[x >> shift & 255]
+                    shift += 8
                 if y not in seen:
                     seen.add(y)
                     todo.append(y)

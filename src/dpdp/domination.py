@@ -54,9 +54,10 @@ in G - e's BFS order.  The lists are those of a search on the real G -
 e, in the same order: the depth-first search in a fixed vertex order, D
 before P, emits pairs in lexicographic order, and sound extra forcing
 only prunes.  A component holding both ends of e is matched without e;
-every other component's induced subgraph is g's own and shares one
-memo.  Only a hit builds the real G - e, once, to re-verify the pair
-there in G - e's edge ids.
+every other component's induced subgraph is g's own.  One memo serves
+every search, keyed by the component and the edge it is matched
+without, if any.  Only a hit builds the real G - e, once, to re-verify
+the pair there in G - e's edge ids.
 
 Two pairs are the same iff their (D, P) partitions agree; matchings are
 witnesses, not identity.  Every positive verdict carries a pair that
@@ -251,9 +252,8 @@ def _dp_search(g: Multigraph) -> Callable[..., list[DpPair]]:
     vertex, checks it and pushes the moves it forces, on each neighbour
     with fewer than two unassigned neighbours; then the vertex itself is
     settled.  The masked set-up settles the edge's two endpoints the same
-    way.  Every emitted pair is re-verified on its host, g or G - skip
-    built at a search's first hit, with is_dp_pair and the Obs 4.2
-    containments; a host's leaves and supports are computed with it.
+    way.  Every emitted pair is re-verified with is_dp_pair on its host,
+    g or G - skip built at a search's first hit.
     """
     n = g.n
     nbrs = [sorted(g.plain_neighbors(v)) for v in range(n)]
@@ -264,11 +264,12 @@ def _dp_search(g: Multigraph) -> Callable[..., list[DpPair]]:
     # mate[v] = the matching edge at v, written when v's final P-component
     # closes
     mate = [-1] * n
-    # perfect matching (or None) of every final P-component met so far; a
-    # component holding both ends of the masked edge is the only one whose
-    # induced subgraph the mask changes, and it goes to that search's memo
-    shared: dict[frozenset[int], tuple[int, ...] | None] = {}
-    masked: tuple[int, int, int, dict] | None = None  # (skip, a, b, memo)
+    # perfect matching (or None) of every final P-component met so far,
+    # keyed by (component, the masked edge if the component holds both its
+    # ends, else None): only such a component's induced subgraph the mask
+    # changes
+    memo: dict[tuple[frozenset[int], int | None], tuple[int, ...] | None] = {}
+    masked: int | None = None  # the edge id a search masks
 
     def settle(v: int, queue: list[tuple[int, int]]) -> bool:
         """The DP rules at v on its current counters: False if v can no
@@ -350,13 +351,11 @@ def _dp_search(g: Multigraph) -> Callable[..., list[DpPair]]:
                 cnt[u][0] += 1
                 cnt[u][s] -= 1
 
-    def component_matching(key: frozenset[int]) -> tuple[int, ...] | None:
-        memo, skip = shared, None
-        if masked is not None and masked[1] in key and masked[2] in key:
-            skip, _, _, memo = masked
-        if key not in memo:
-            memo[key] = _matching(g, key, skip)
-        return memo[key]
+    def component_matching(comp: frozenset[int]) -> tuple[int, ...] | None:
+        skip = masked if masked is not None and {g.us[masked], g.vs[masked]} <= comp else None
+        if (comp, skip) not in memo:
+            memo[comp, skip] = _matching(g, comp, skip)
+        return memo[comp, skip]
 
     def final_components_match(starts: list[int]) -> bool:
         """False if a P-component at or next to a vertex of starts is final
@@ -392,29 +391,32 @@ def _dp_search(g: Multigraph) -> Callable[..., list[DpPair]]:
         """Up to cap complete assignments extending the current one, in
         depth-first order over the BFS order of the current rows, D before
         P; each is re-verified on the graph it describes."""
-        # the graph every hit is re-verified on, with its leaves, supports
-        # and the map from g's edge ids to its own (None for g): g, or
-        # G - skip, built at the first hit
+        # the graph every hit is re-verified on, with the map from g's edge
+        # ids to its own (None for g): g, or G - skip, built at the first hit
         host = None
         results: list[DpPair] = []
 
         def emit() -> None:
+            """Append the complete assignment's pair, re-verified on host.
+
+            is_dp_pair implies Obs 4.2 (leaves in D, supports in P), so
+            that is not checked apart.  A leaf x has degree 1, so no loop
+            and one edge, to some s != x.  Were x in P, its matching edge
+            would be xs, so s would be in P and x would have no neighbour
+            in D.  So x is in D, and P's domination clause gives it a
+            neighbour in P, which can only be s."""
             nonlocal host
             p = frozenset(v for v in range(n) if state[v] == _P)
             d = frozenset(range(n)) - p
             if host is None:
-                h, id_map = (g, None) if masked is None else g.delete_edge(masked[0])
-                host = (h, h.leaves(), h.supports(), id_map)
-            h, leaves, supports, id_map = host
+                host = (g, None) if masked is None else g.delete_edge(masked)
+            h, id_map = host
             # every component of G[P] is final here, and its closing on this
             # branch wrote each P-vertex's mate last
             matching = {mate[v] for v in p}
             if id_map is not None:
                 matching = [id_map[eid] for eid in matching]
             pair = DpPair(d, p, tuple(sorted(matching)))
-            # Obs 4.2 containments and the full invariant, re-checked on
-            # every hit
-            assert leaves <= d and supports <= p
             assert is_dp_pair(h, pair), dp_pair_problem(h, pair)
             results.append(pair)
 
@@ -483,7 +485,7 @@ def _dp_search(g: Multigraph) -> Callable[..., list[DpPair]]:
             nbrs[b] = [w for w in rows[1] if w != a]
             cnt[a][state[b]] -= 1
             cnt[b][state[a]] -= 1
-        masked = (skip, a, b, {})
+        masked = skip
         # no other vertex's counters changed, so only a and b need settling
         queue: list[tuple[int, int]] = []
         ok = (

@@ -7,13 +7,13 @@ set and contains v itself exactly when a loop is present at v.
 
 Storage is flat: edge i joins us[i] and vs[i], two int tuples, beside
 the degree tuple; no object is built per edge or per vertex.  The
-adjacency index (each vertex's plain neighbours and incident edge ids,
-and the looped vertices) is built on first use, so a graph that is only
-stored, compared or written, as most enumerated classes are, never pays
-for it.  Every reader in the package reads us and vs.  edges, one
-EdgeRecord per edge, is a view built on each access and never kept; its
-one reader is the benchmark's output gate (perfbench/worker.py), and the
-class and the view go once that gate reads us and vs.
+adjacency index (each vertex's plain neighbours and incident edge ids)
+is built on first use, so a graph that is only stored, compared or
+written, as most enumerated classes are, never pays for it.  Every
+reader in the package reads us and vs.  edges, one EdgeRecord per edge,
+is a view built on each access and never kept; its one reader is the
+benchmark's output gate (perfbench/worker.py), and the class and the
+view go once that gate reads us and vs.
 
 Codecs: graph6 (simple graphs, single-byte size, n <= 62) and the plain
 edge-list text format, the only lossless multigraph interchange here,
@@ -139,25 +139,21 @@ class Multigraph:
         put(self, "_adj", None)
 
     def _index(self) -> tuple:
-        """The adjacency index (plain, incident, looped): per vertex its
-        non-loop neighbours as a frozenset and its incident edge ids as a
-        tuple, and the looped vertices as a frozenset.  Built on first use
-        and published in one assignment, so a concurrent reader sees either
-        no index or a complete one; two threads may both build it, and
-        they build equal ones."""
+        """The adjacency index (plain, incident): per vertex its non-loop
+        neighbours as a frozenset and its incident edge ids as a tuple.
+        Built on first use and published in one assignment, so a concurrent
+        reader sees either no index or a complete one; two threads may both
+        build it, and they build equal ones."""
         n = self.n
         plain: list[set[int]] = [set() for _ in range(n)]
         incident: list[list[int]] = [[] for _ in range(n)]
-        looped: set[int] = set()
         for i, (u, v) in enumerate(zip(self.us, self.vs)):
             incident[u].append(i)
-            if u == v:
-                looped.add(u)
-            else:
+            if u != v:
                 plain[u].add(v)
                 plain[v].add(u)
                 incident[v].append(i)
-        adj = (tuple(map(frozenset, plain)), tuple(map(tuple, incident)), frozenset(looped))
+        adj = (tuple(map(frozenset, plain)), tuple(map(tuple, incident)))
         object.__setattr__(self, "_adj", adj)
         return adj
 
@@ -185,8 +181,8 @@ class Multigraph:
 
     def neighborhood(self, v: int) -> frozenset[int]:
         """N(v); contains v itself iff a loop is present at v."""
-        plain, _, looped = self._adj or self._index()
-        if v in looped:
+        plain, incident = self._adj or self._index()
+        if any(self.us[eid] == self.vs[eid] for eid in incident[v]):
             return plain[v] | {v}
         return plain[v]
 
@@ -195,10 +191,11 @@ class Multigraph:
         return (self._adj or self._index())[1][v]
 
     def is_simple(self) -> bool:
-        """No loops and no parallel edges: every non-loop edge adds a
-        neighbour at each end."""
-        plain, _, looped = self._adj or self._index()
-        return not looped and sum(map(len, plain)) == 2 * self.m
+        """No loops and no parallel edges.  A non-loop edge adds a plain
+        neighbour at each end unless a parallel edge already did, and a
+        loop adds none, so the plain neighbours number 2m only when there
+        is neither."""
+        return sum(map(len, (self._adj or self._index())[0])) == 2 * self.m
 
     # -- leaf / support vocabulary ----------------------------------------
 

@@ -27,7 +27,8 @@ digests), not by each xcheck.
 
 from __future__ import annotations
 
-from .domination import DpPair, _dp_search, dp_pair_problem, is_dominating, is_dp_pair
+from .domination import DpPair, _dp_search, _vertex_set, dp_pair_problem
+from .domination import is_dominating, is_dp_pair
 from .goodsub import GoodSubgraphCertificate, find_good_subgraph
 from .graph import Multigraph, _Record, is_cycle_graph
 from .subdivision import S2Labeling, _read_certificate, build_s2, canonical_dp_pair, invert_s2
@@ -116,8 +117,9 @@ def _first_deletion(
     searches run on every lower edge, in order, so the witness is the one
     the searches alone would give, and a None (g minimal) still needs
     every masked search to fail.  A pair that decides the witness is
-    re-verified on the real G - e, in its edge ids, with is_dp_pair and
-    the Obs 4.2 containments, as a hit of the search is."""
+    re-verified with is_dp_pair on the real G - e, in its edge ids, as a
+    hit of the search is (which implies Obs 4.2; see _dp_search's
+    emit)."""
     known, pair = g.m, None
     for p in pairs:
         eid = _kept_by(g, p)
@@ -131,7 +133,6 @@ def _first_deletion(
         return None, None
     h, id_map = g.delete_edge(known)
     kept = DpPair(pair.d, pair.p, tuple(id_map[eid] for eid in pair.matching))
-    assert h.leaves() <= kept.d and h.supports() <= kept.p
     assert is_dp_pair(h, kept), dp_pair_problem(h, kept)
     return known, kept
 
@@ -300,8 +301,10 @@ def minimal_pair_properties(g: Multigraph, pair: DpPair) -> tuple[bool, bool, bo
     """The three structural facts every DP-pair of a minimal DPDP-graph
     satisfies: D is a maximal independent set, the subgraph induced by P
     is 1-regular, and each P-vertex has exactly one neighbour outside P
-    unless all its outside neighbours are leaves (and there is one)."""
-    d, p = pair.d, pair.p
+    unless all its outside neighbours are leaves (and there is one).
+    Raises ValueError naming the least id in D, then in P, that is not a
+    vertex of g."""
+    d, p = _vertex_set(g, pair.d), _vertex_set(g, pair.p)
     independent = all(not (u in d and v in d) for u, v in zip(g.us, g.vs))
     maximal_independent = independent and is_dominating(g, d)
 

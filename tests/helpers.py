@@ -135,6 +135,44 @@ def is_two_hub_theta(line: str) -> bool:
     return nx.is_isomorphic(g, family)
 
 
+def hamiltonian(g: Multigraph) -> tuple[bool, bool]:
+    """(whether g has a Hamiltonian path, whether it has a Hamiltonian
+    cycle), by Held and Karp's dynamic program over vertex bitmasks;
+    loops and parallel edges are ignored, so a cycle needs n >= 3.
+    ends[mask] holds, as a bitmask, the vertices at which a path through
+    exactly the vertices of mask can end, and a path is extended at its
+    end only.  A path may start anywhere; a cycle is a path from vertex 0
+    through every vertex whose end is adjacent to 0.  O(2^n n^2)."""
+    n = g.n
+    adj = [0] * n
+    for u, v in zip(g.us, g.vs):
+        if u != v:
+            adj[u] |= 1 << v
+            adj[v] |= 1 << u
+
+    def ends_of_full_paths(starts: list[int]) -> int:
+        ends = [0] * (1 << n)
+        for v in starts:
+            ends[1 << v] = 1 << v
+        for mask in range(1, 1 << n):
+            at = ends[mask]
+            while at:
+                low = at & -at
+                at ^= low
+                grow = adj[low.bit_length() - 1] & ~mask
+                while grow:
+                    nxt = grow & -grow
+                    grow ^= nxt
+                    ends[mask | nxt] |= nxt
+        return ends[-1]
+
+    if n == 0:
+        return False, False
+    has_path = ends_of_full_paths(list(range(n))) != 0
+    has_cycle = n >= 3 and has_path and ends_of_full_paths([0]) & adj[0] != 0
+    return has_path, has_cycle
+
+
 def oracle_is_s2(g: Multigraph) -> bool:
     """Whether g is a 2-subdivision S2(H, alpha), by a search over its
     old/new colourings; never calls dpdp.subdivision.

@@ -3,7 +3,7 @@ from __future__ import annotations
 import hashlib
 import pathlib
 import random
-from itertools import combinations
+from itertools import combinations, permutations
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -38,6 +38,7 @@ from dpdp.subdivision import build_s2
 
 from helpers import (
     based_alphas,
+    hamiltonian,
     is_two_hub_theta,
     multigraphs,
     oracle_dominating,
@@ -262,6 +263,28 @@ def test_adding_any_edge_keeps_a_dpdp_graph_dpdp(g):
     for u in range(g.n):
         for v in range(u, g.n):
             assert is_dpdp(Multigraph(g.n, [*edges, (u, v)])), (g.edge_multiset(), (u, v))
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.one_of(multigraphs(max_n=7, max_m=12), planted_dpdp(max_n=7)))
+@example(Multigraph(5, [(0, 1), (1, 1), (1, 2), (2, 3), (3, 4), (1, 2)]))
+def test_is_dp_pair_implies_leaf_support_forcing(g):
+    # the checker alone, with no engine: every pair is_dp_pair accepts has
+    # g's leaves in D and its supports in P (Obs 4.2), so the search's emit
+    # and _first_deletion re-check no containment apart.  Every P that has
+    # a perfect matching is tried, so the accepted P are all DP-pairs of g
+    everything = frozenset(range(g.n))
+    accepted = 0
+    for size in range(0, g.n + 1, 2):
+        for p in map(frozenset, combinations(range(g.n), size)):
+            matching = has_perfect_matching_on(g, p)
+            if matching is None:
+                continue
+            pair = DpPair(everything - p, p, matching)
+            if is_dp_pair(g, pair):
+                accepted += 1
+                assert g.leaves() <= pair.d and g.supports() <= pair.p
+    assert accepted == len(oracle_dp_partitions(g))
 
 
 def test_search_agrees_with_exhaustive_partitions_small():
@@ -624,3 +647,109 @@ def test_ilp_oracle_finds_the_stalling_60_vertex_graphs_dpdp():
     for g in graphs:
         assert g.is_connected()
         assert oracle_dp_ilp(g) is True
+
+
+# -- sufficient conditions: graphs with a DPDP spanning subgraph -----------
+#
+# Two facts make a graph DPDP by a spanning subgraph.  (a) DP-pairs of the
+# components combine: D, P and the matching of each component, united,
+# form a DP-pair of the whole graph, since domination and matching never
+# cross components.  (b) Adding an edge keeps a DP-pair: every vertex keeps
+# its neighbours in D and in P, and the matching is still one of G[P].  So
+# a graph with a spanning subgraph whose components are all DPDP is DPDP.
+#
+# Paths.  P_n is DPDP iff n is 4, 7, 8 or at least 10 (test_path_table
+# checks n <= 20 exhaustively, the exceptions 1, 2, 3, 5, 6, 9 included).
+# P_a plus P_b is P_(a+b) without one edge, so a sum of DPDP path lengths
+# is one.  4, 7, 10 and 13 are DPDP (minimal, by test_minimal_path_table)
+# and cover every residue mod 4, and adding 4s reaches every n >= 10 and
+# 8 = 4 + 4 from them.
+#
+# Cycles.  C_n with n >= 3 is DPDP iff n != 5: C_n contains P_n, and C3,
+# C6 and C9 are the 2-subdivisions of C1, C2 and C3, whose (old, new)
+# partition is a DP-pair.
+#
+# Corollaries.  A graph on n vertices with a Hamiltonian path is DPDP
+# unless n is 1, 2, 3, 5, 6 or 9; one with a Hamiltonian cycle and n >= 3
+# is DPDP unless n = 5.
+
+PATH_EXCEPTIONS = (1, 2, 3, 5, 6, 9)
+
+
+def test_hamiltonian_agrees_with_every_vertex_order():
+    # helpers.hamiltonian against trying every order of the vertices as a
+    # path, and as a cycle, on every connected simple graph with n <= 6
+    for n in range(1, 7):
+        for g in enumerate_connected_simple(n):
+            edges = {frozenset(e) for e in zip(g.us, g.vs)}
+            orders = list(permutations(range(n)))
+            on_path = [
+                all(frozenset(e) in edges for e in zip(order, order[1:])) for order in orders
+            ]
+            closed = [
+                ok and n >= 3 and frozenset((order[0], order[-1])) in edges
+                for ok, order in zip(on_path, orders)
+            ]
+            assert hamiltonian(g) == (any(on_path), any(closed)), write_graph6(g)
+
+
+@pytest.mark.parametrize(
+    "n, no, with_path, with_cycle",
+    [(1, 1, 1, 0), (2, 1, 1, 0), (3, 1, 1, 0), (4, 1, 0, 0), (5, 3, 2, 1), (6, 12, 7, 0),
+     (7, 34, 0, 0)],
+)
+def test_hamiltonian_graphs_are_dpdp_but_for_the_path_and_cycle_exceptions(
+    n, no, with_path, with_cycle
+):
+    # the corollaries above on every connected simple graph with n <= 7
+    # (CI checks n = 8: none of the 112 non-DPDP graphs has a Hamiltonian
+    # path); the non-DPDP graphs, and those of them with a Hamiltonian path
+    # and cycle: at n = 5 the star-like ones and C5, at n = 6 the seven
+    # with a Hamiltonian path, and none from n = 7 on
+    if n == 7:
+        fixture = pathlib.Path(__file__).parent / "fixtures" / "simple_n7.g6"
+        graphs = read_graph6_file(fixture.read_text())
+    else:
+        graphs = enumerate_connected_simple(n)
+    refuted = [hamiltonian(g) for g in graphs if not is_dpdp(g)]
+    assert (len(refuted), sum(p for p, _ in refuted), sum(c for _, c in refuted)) == (
+        no, with_path, with_cycle
+    )
+    if n not in PATH_EXCEPTIONS:
+        assert with_path == 0
+    if n >= 3 and n != 5:
+        assert with_cycle == 0
+
+
+DPDP_PIECES = [("path", k) for k in (4, 7, 8, 10)] + [
+    ("cycle", k) for k in range(3, 13) if k != 5
+]
+
+
+@st.composite
+def spanned_by_dpdp_pieces(draw, max_n: int = 20):
+    """Disjoint DPDP paths and cycles of DPDP_PIECES on at most max_n
+    vertices, plus extra edges that may be loops or parallel; vertices and
+    edge order are then shuffled."""
+    edges: list[tuple[int, int]] = []
+    n = 0
+    while True:
+        fitting = [piece for piece in DPDP_PIECES if n + piece[1] <= max_n]
+        if not fitting or (n and draw(st.booleans())):
+            break
+        kind, k = draw(st.sampled_from(fitting))
+        edges += [(n + i, n + i + 1) for i in range(k - 1)]
+        if kind == "cycle":
+            edges.append((n + k - 1, n))
+        n += k
+    vertex = st.integers(0, n - 1)
+    edges += draw(st.lists(st.tuples(vertex, vertex), max_size=8))
+    perm = draw(st.permutations(range(n)))
+    return Multigraph(n, [(perm[u], perm[v]) for u, v in draw(st.permutations(edges))])
+
+
+@settings(max_examples=150, deadline=None)
+@given(spanned_by_dpdp_pieces())
+def test_graphs_spanned_by_dpdp_paths_and_cycles_are_dpdp(g):
+    # facts (a) and (b) above: the pieces span g, and each is DPDP
+    assert is_dpdp(g)

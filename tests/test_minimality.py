@@ -24,7 +24,7 @@ from dpdp.catalog import (
     path,
     random_tree,
 )
-from dpdp.domination import _dp_search, enumerate_dp_pairs, is_dpdp
+from dpdp.domination import DpPair, _dp_search, enumerate_dp_pairs, is_dpdp
 from dpdp.goodsub import find_good_subgraph, verify_good_certificate
 from dpdp.graph import Multigraph, read_graph6_file
 from dpdp.minimality import (
@@ -398,6 +398,23 @@ def test_minimal_pair_properties_on_examples():
         minimal_pair_properties(k4, pair) for pair in enumerate_dp_pairs(k4, cap=100)
     ]
     assert any(not all(props) for props in broken)
+
+
+def test_minimal_pair_properties_refuses_ids_that_are_not_vertices():
+    # P's ids went unchecked, and D's only when D was independent: P4 with
+    # P = {-1, 1, 2, 7} used to give (True, False, False), and D = {0, 1, 9}
+    # (False, ...); D is checked before P
+    p4 = path(4)
+    cases = (
+        ({0, 3}, {-1, 1, 2, 7}, -1),
+        ({0, 3}, {1, 2, 7}, 7),
+        ({0, 1, 9}, {2, 3}, 9),
+        ({-2, 0, 3}, {-1, 1, 2}, -2),
+    )
+    for d, p, bad in cases:
+        pair = DpPair(frozenset(d), frozenset(p), (1,))
+        with pytest.raises(ValueError, match=f"^malformed vertex id {bad}$"):
+            minimal_pair_properties(p4, pair)
 
 
 def test_corona_minimal_spot():
